@@ -5,6 +5,7 @@ a ↦ (evaluation against states)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +37,46 @@ def _hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(b, a))
 
 
-def _hs_orthonormalize(mats: list[np.ndarray], rank_tol: float) -> list[np.ndarray]:
-    basis: list[np.ndarray] = []
-    for m in mats:
-        v = m.astype(complex).copy()
+_GS_CHUNK = 64  # candidates projected against the basis in one matmul
+
+
+def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray],
+                       rank_tol: float) -> list[np.ndarray]:
+    """HS-orthonormal basis of the span of mats, accepted in input order.
+
+    Same selection as sequential Gram-Schmidt with one re-orthogonalization
+    pass: the next basis element is the first remaining candidate whose
+    residual norm is at least rank_tol.  The candidates are rows of one
+    array, taken in chunks: a chunk is projected against the basis so far
+    with one matmul (twice), then each pivot accepted inside it is
+    projected out of the chunk's remaining rows at once (twice).
+    """
+    if len(mats) == 0:
+        return []
+    stack = np.array(mats, dtype=complex)
+    shape = stack.shape[1:]
+    rows = stack.reshape(len(stack), -1)
+    basis = np.empty((0, rows.shape[1]), dtype=complex)
+    for lo in range(0, len(rows), _GS_CHUNK):
+        if len(basis) == rows.shape[1]:
+            break  # the basis spans everything: no residual is left
+        chunk = rows[lo:lo + _GS_CHUNK]
         for _ in range(2):
-            for b in basis:
-                v -= b * _hs_inner(v, b)
-        norm = np.linalg.norm(v)
-        if norm >= rank_tol:
-            basis.append(v / norm)
-    return basis
+            chunk -= (chunk @ basis.conj().T) @ basis
+        start = 0
+        while start < len(chunk):
+            live = np.linalg.norm(chunk[start:], axis=1) >= rank_tol
+            if not live.any():
+                break
+            i = start + int(np.argmax(live))
+            v = chunk[i] - (basis.conj() @ chunk[i]) @ basis
+            v /= np.linalg.norm(v)
+            basis = np.vstack([basis, v])
+            rest = chunk[i + 1:]
+            for _ in range(2):
+                rest -= np.outer(rest @ v.conj(), v)
+            start = i + 1
+    return list(basis.reshape((-1, *shape)))
 
 
 class FdAlgebra:
@@ -127,8 +157,13 @@ def generate_algebra(generators: list[np.ndarray],
                      tol: ToleranceConfig = DEFAULT_TOL) -> FdAlgebra:
     """Smallest unital *-closed algebra containing the generators.
 
-    Iterated span closure under pairwise products; terminates because the
-    dimension strictly increases each round (bounded by n²).
+    Each nonzero generator is first scaled by a power of two to a
+    Frobenius norm in [1/2, 1): the generated algebra does not depend on
+    scale, so the rank decisions must not either.  Each round then forms
+    every pairwise product of the current HS-orthonormal basis with one
+    stacked matmul and re-orthonormalizes basis + products + adjoints in
+    that order.  The closure terminates because the dimension strictly
+    increases each round (bounded by n²).
     """
     gens = [as_cmatrix(g) for g in generators]
     if not gens:
@@ -138,16 +173,21 @@ def generate_algebra(generators: list[np.ndarray],
         raise ValueError("generators must be square matrices of equal dimension")
     seed = [np.eye(n, dtype=complex)]
     for g in gens:
+        norm = np.linalg.norm(g)
+        if norm > 0:
+            # a power of two scales exactly, so an O(1) input keeps its rounding
+            g = g * 2.0 ** -math.frexp(norm)[1]
         seed.append(g)
         seed.append(g.conj().T)
-    basis = _hs_orthonormalize(seed, tol.rank_tol)
+    basis = np.array(_hs_orthonormalize(seed, tol.rank_tol))
     while True:
-        products = [a @ b for a in basis for b in basis]
-        adjoints = [a.conj().T for a in basis]
-        new_basis = _hs_orthonormalize(basis + products + adjoints, tol.rank_tol)
+        products = np.matmul(basis[:, None], basis[None, :]).reshape(-1, n, n)
+        adjoints = basis.conj().transpose(0, 2, 1)
+        new_basis = _hs_orthonormalize(
+            np.concatenate([basis, products, adjoints]), tol.rank_tol)
         if len(new_basis) == len(basis):
             return FdAlgebra(n, new_basis, tol)
-        basis = new_basis
+        basis = np.array(new_basis)
 
 
 def commutant_basis(mats: list[np.ndarray], dim: int, rank_tol: float) -> list[np.ndarray]:
@@ -160,11 +200,10 @@ def commutant_basis(mats: list[np.ndarray], dim: int, rank_tol: float) -> list[n
         # vec(mx - xm) = (I ⊗ m - m^T ⊗ I) vec(x), with vec = column stacking
         rows.append(np.kron(ident, m) - np.kron(m.T, ident))
     system = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(system)
-    ncols = system.shape[1]
-    null_mask = np.zeros(ncols, dtype=bool)
-    null_mask[len(svals):] = True
-    null_mask[: len(svals)] = svals <= rank_tol * max(1.0, svals[0] if len(svals) else 1.0)
+    # (len(mats)·dim²) × dim² with len(mats) ≥ 1, so the thin SVD's vh is
+    # the full dim² × dim² right factor
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    null_mask = svals <= rank_tol * max(1.0, svals[0])
     basis_vecs = vh.conj().T[:, null_mask]
     mats_out = [basis_vecs[:, j].reshape(dim, dim, order="F") for j in range(basis_vecs.shape[1])]
     return _hs_orthonormalize(mats_out, rank_tol)
@@ -173,22 +212,21 @@ def commutant_basis(mats: list[np.ndarray], dim: int, rank_tol: float) -> list[n
 def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
     """HS-orthonormal basis of the center, solved in algebra coordinates:
     x = Σ c_j b_j with [x, b_k] = 0 for every basis element."""
-    d = alg.dim
-    cols = []
-    for j, bj in enumerate(alg.basis):
-        col = np.concatenate([(bj @ bk - bk @ bj).ravel() for bk in alg.basis])
-        cols.append(col)
-    system = np.column_stack(cols)
-    _, svals, vh = np.linalg.svd(system, full_matrices=True)
+    basis = np.array(alg.basis)
+    d, n = len(basis), alg.ambient_dim
+    prods = np.matmul(basis[:, None], basis[None, :])  # [j, k] = b_j b_k
+    comms = prods - prods.transpose(1, 0, 2, 3)
+    # column j stacks the vec'd commutators [b_j, b_k] over k
+    system = comms.transpose(1, 2, 3, 0).reshape(d * n * n, d)
+    # thin SVD: the system is (d·n²) × d, so vh is d × d either way and the
+    # (d·n²)² left factor of a full SVD would go unused
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
     # basis is HS-orthonormal, so commutators are O(1); floor the scale at 1
     # to keep a noise-level system (fully commutative algebra) fully null
     scale = max(1.0, svals[0]) if len(svals) else 1.0
     nkeep = int(np.sum(svals > alg.tol.rank_tol * scale))
     null = vh.conj().T[:, nkeep:]
-    mats = [
-        sum(null[j, c] * alg.basis[j] for j in range(d))
-        for c in range(null.shape[1])
-    ]
+    mats = np.tensordot(null.T, basis, axes=1)
     return _hs_orthonormalize(mats, alg.tol.rank_tol)
 
 
@@ -256,7 +294,9 @@ _MAX_RETRIES = 8
 def block_decompose(alg: FdAlgebra, rng: np.random.Generator | None = None) -> BlockDecomposition:
     """Wedderburn decomposition of a *-closed matrix algebra.
 
-    Minimal central idempotents come from the eigendecomposition of a
+    The random-element method of Murota, Kanno, Kojima & Kojima (Japan J.
+    Indust. Appl. Math. 27, 2010) and Maehara & Murota (same volume, 2010):
+    minimal central idempotents come from the eigendecomposition of a
     random Hermitian central element (retried on eigenvalue collisions);
     inside each isotypic component the multiplicity space is split along a
     random Hermitian element of the commutant.
@@ -355,9 +395,12 @@ def _check_decomposition(dec: BlockDecomposition):
     total = sum(blk.central_projector for blk in dec.blocks)
     if op_norm(total - np.eye(n)) > 100 * tol.lattice_tol:
         raise DecompositionError("central idempotents do not sum to the identity")
-    for b in alg.basis:
-        if op_norm(dec.reconstruct(b) - b) > 1e-8 * max(1.0, op_norm(b)):
-            raise DecompositionError("block reconstruction fails on a basis element")
+    basis = np.array(alg.basis)
+    # irrep and embed broadcast over the stack of basis elements
+    defects = np.linalg.norm(dec.reconstruct(basis) - basis, 2, axis=(1, 2))
+    scales = np.maximum(1.0, np.linalg.norm(basis, 2, axis=(1, 2)))
+    if np.any(defects > 1e-8 * scales):
+        raise DecompositionError("block reconstruction fails on a basis element")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line entry points.
 
 Thin adapters over the library modules: parse inputs, dispatch, serialize
-reports.  Exit codes: 0 success, 2 input error, 3 budget exceeded,
-4 numerical failure.  Reports are canonical JSON (sorted keys) so a fixed
-(instance, config, seed) reproduces byte-identical output.
+reports.  Exit codes: 0 success, 1 check failed (OML violation, failed
+lattice recovery, failing specified claim verdict), 2 input error,
+3 budget exceeded, 4 numerical failure.  Reports are canonical JSON
+(sorted keys) so a fixed (instance, config, seed) reproduces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .linalg import matrix_from_json
 from .oml import FiniteOml, SetOml, StructureError
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_NUMERICAL = 4
@@ -107,7 +110,7 @@ def oml_verify(lattice_file, out):
         "ok": not violations,
     }
     _dump(report, out)
-    sys.exit(EXIT_OK if not violations else 1)
+    sys.exit(EXIT_OK if not violations else EXIT_FAILED)
 
 
 @oml_group.command("semigroup")
@@ -143,7 +146,7 @@ def oml_semigroup(lattice_file, cap, out):
         "lattice_size": lat.n,
     }
     _dump(report, out)
-    sys.exit(EXIT_OK if ok else 1)
+    sys.exit(EXIT_OK if ok else EXIT_FAILED)
 
 
 @oml_group.command("boolean")
@@ -251,7 +254,7 @@ def claims_run(config_path, seed, samples, mode, out, fmt):
         _write_text(harness.suite_result_csv(result), out)
     else:
         _dump(result, out)
-    sys.exit(EXIT_OK if result["ok"] else 1)
+    sys.exit(EXIT_OK if result["ok"] else EXIT_FAILED)
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,6 @@ def proj_join(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) ->
     """Projector onto span(range(p) ∪ range(q))."""
     _check_same_dim(p, q)
     cols = np.hstack([p.range_basis(tol), q.range_basis(tol)])
-    if cols.shape[1] == 0:
-        return projector_from_basis(cols, dim=p.dim, tol=tol)
     return projector_from_basis(cols, dim=p.dim, tol=tol)
 
 
@@ -228,6 +226,17 @@ def haar_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform point on the unit sphere of C^dim."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def haar_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar-uniform unit vectors of C^dim as the rows of one array.
+
+    Draws the same normals in the same order as count successive
+    haar_unit_vector calls, so the rows equal those vectors up to rounding.
+    """
+    g = rng.standard_normal((count, 2, dim))
+    v = g[:, 0] + 1j * g[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator,

@@ -14,7 +14,7 @@ from .linalg import (
     DEFAULT_TOL,
     Projector,
     as_cmatrix,
-    haar_unit_vector,
+    haar_unit_vectors,
     op_norm,
     orthonormalize,
     projector_from_basis,
@@ -88,10 +88,12 @@ def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
     """Sigma(a): the set of values of a-hat over pure states of the
     algebra generated by a.
 
-    Per block, the numerical range of the block image is traced by a
-    support-line sweep: for each angle the top eigenvector of the
-    Hermitian part of e^{-i theta} m gives a boundary point.  A Haar
-    sample cloud over ambient unit vectors is attached for diagnostics.
+    Per block, the numerical range of the block image is traced by
+    Johnson's support-line sweep (SIAM J. Numer. Anal. 15, 1978): for each
+    angle the top eigenvector of the Hermitian part of e^{-i theta} m gives
+    a boundary point.  All angles of a block go through one stacked eigh.
+    A Haar sample cloud over ambient unit vectors is attached for
+    diagnostics.
     """
     a = as_cmatrix(a)
     if rng is None:
@@ -100,33 +102,24 @@ def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
     dec = alg.decomposition()
     sig = spectrum(a)
     thetas = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    phases = np.exp(-1j * thetas)[:, None, None]
 
     block_supports = []
     block_boundaries = []
     for blk in dec.blocks:
         m = blk.irrep(a)
-        supports = np.empty(n_angles)
-        boundary = np.empty(n_angles, dtype=complex)
-        for k, th in enumerate(thetas):
-            rot = np.exp(-1j * th) * m
-            h = (rot + rot.conj().T) / 2
-            vals, vecs = np.linalg.eigh(h)
-            supports[k] = vals[-1]
-            v = vecs[:, -1]
-            boundary[k] = complex(np.vdot(v, m @ v))
-        block_supports.append(supports)
-        block_boundaries.append(boundary)
+        rot = phases * m
+        vals, vecs = np.linalg.eigh((rot + rot.conj().transpose(0, 2, 1)) / 2)
+        v = vecs[:, :, -1]
+        block_supports.append(vals[:, -1])
+        block_boundaries.append(_quadratic_values(m, v))
 
-    n = a.shape[0]
-    cloud = np.empty(samples, dtype=complex)
-    for i in range(samples):
-        xi = haar_unit_vector(n, rng)
-        cloud[i] = complex(np.vdot(xi, a @ xi))
+    cloud = _quadratic_values(a, haar_unit_vectors(samples, a.shape[0], rng))
 
     all_boundary = np.concatenate(block_boundaries)
     singleton = bool(np.max(np.abs(all_boundary - all_boundary[0])) <= hausdorff_tol)
     # Hausdorff check: every boundary point near sigma and vice versa
-    d1 = max(np.min(np.abs(sig - z)) for z in all_boundary)
+    d1 = _distances_to(sig, all_boundary).max()
     equals = bool(d1 <= 10 * hausdorff_tol)
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
                             cloud, singleton, equals, hausdorff_tol)
@@ -134,6 +127,16 @@ def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
         if not report.contains(lam, 100 * hausdorff_tol):
             raise RuntimeError("eigenvalue escaped the swept Sigma region")
     return report
+
+
+def _quadratic_values(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """<v, m v> for every row v of vs."""
+    return np.einsum("ki,ij,kj->k", vs.conj(), m, vs)
+
+
+def _distances_to(points: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Distance from each z in zs to the nearest of points."""
+    return np.min(np.abs(zs[:, None] - points[None, :]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +319,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
         return InvariantSubspaceResult(p, defect, (1, n), "scalar-case",
                                        "paper-construction", "nontrivial",
                                        {"lambda": lam})
-    boundary = np.concatenate(report.block_boundaries)
-    gap = max(np.min(np.abs(report.sigma - z)) for z in boundary)
+    gap = _distances_to(report.sigma, np.concatenate(report.block_boundaries)).max()
     if gap <= split_tol:
         return InvariantSubspaceResult(
             None, None, (0, n), "out-of-dichotomy", "paper-construction",
@@ -325,10 +327,8 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
             {"reason": "sigma equals Sigma but is not a single point"},
         )
     # split case: sample pure-state vectors, keep the sigma fiber
-    xs = [haar_unit_vector(n, rng) for _ in range(samples)]
-    resid = np.array([
-        float(np.min(np.abs(report.sigma - complex(np.vdot(x, a @ x))))) for x in xs
-    ])
+    xs = haar_unit_vectors(samples, n, rng)
+    resid = _distances_to(report.sigma, _quadratic_values(a, xs))
     fiber = [x for x, r in zip(xs, resid) if r <= split_tol]
     quantile_fallback = not fiber
     if quantile_fallback:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from qgelfand.algebra import (
     random_pure_state,
     support_projection,
     vector_state,
+    _hs_orthonormalize,
 )
 from qgelfand.linalg import op_norm
 
@@ -213,3 +216,117 @@ def test_hat_isometric_commutative(algebra_zoo):
     for b in alg.basis:
         sup = max(abs(hat(alg, b, p)) for p in points)
         assert abs(sup - op_norm(b)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# oracles for the batched closure and center
+
+
+def _sequential_hs_orthonormalize(mats, rank_tol):
+    """Reference: Gram-Schmidt one candidate at a time, two passes."""
+    basis = []
+    for m in mats:
+        v = np.array(m, dtype=complex)
+        for _ in range(2):
+            for b in basis:
+                v -= b * np.vdot(b, v)
+        norm = np.linalg.norm(v)
+        if norm >= rank_tol:
+            basis.append(v / norm)
+    return basis
+
+
+def _full_svd_center_basis(alg):
+    """Reference: the center from a full SVD of the commutator system."""
+    cols = [np.concatenate([(bj @ bk - bk @ bj).ravel() for bk in alg.basis])
+            for bj in alg.basis]
+    system = np.column_stack(cols)
+    _, svals, vh = np.linalg.svd(system, full_matrices=True)
+    nkeep = int(np.sum(svals > alg.tol.rank_tol * max(1.0, svals[0])))
+    null = vh.conj().T[:, nkeep:]
+    mats = [sum(null[j, c] * alg.basis[j] for j in range(alg.dim))
+            for c in range(null.shape[1])]
+    return _sequential_hs_orthonormalize(mats, alg.tol.rank_tol)
+
+
+def _span_projector(mats):
+    rows = np.array([np.ravel(m) for m in mats])
+    return rows.T @ rows.conj()
+
+
+def _closure_round(alg):
+    """The candidates of one closure round: basis + products + adjoints."""
+    basis = alg.basis
+    return (list(basis) + [a @ b for a in basis for b in basis]
+            + [a.conj().T for a in basis])
+
+
+def _random_full_algebra(n, seed):
+    rng = np.random.default_rng(seed)
+    return generate_algebra([rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n))])
+
+
+def test_batched_orthonormalize_matches_sequential(algebra_zoo):
+    rng = np.random.default_rng(11)
+    cases = {name: _closure_round(alg) for name, alg in algebra_zoo.items()}
+    cases["M4"] = _closure_round(_random_full_algebra(4, 3))
+    # a new direction every 20 candidates: pivots fall in several chunks
+    dirs = rng.standard_normal((10, 64)) + 1j * rng.standard_normal((10, 64))
+    cases["growing"] = [
+        (rng.standard_normal(1 + j // 20) @ dirs[: 1 + j // 20]).reshape(8, 8)
+        for j in range(200)
+    ]
+    for name, mats in cases.items():
+        fast = _hs_orthonormalize(mats, 1e-8)
+        slow = _sequential_hs_orthonormalize(mats, 1e-8)
+        assert len(fast) == len(slow), name
+        assert op_norm(_span_projector(fast) - _span_projector(slow)) < 1e-12, name
+        gram = np.array([[np.vdot(a, b) for b in fast] for a in fast])
+        assert op_norm(gram - np.eye(len(fast))) < 1e-12, name
+
+
+def test_thin_svd_center_matches_full_svd(algebra_zoo):
+    algebras = dict(algebra_zoo)
+    for n in (2, 3, 4):
+        algebras[f"M{n}"] = _random_full_algebra(n, n)
+    for name, alg in algebras.items():
+        fast = center_basis(alg)
+        slow = _full_svd_center_basis(alg)
+        assert len(fast) == len(slow), name
+        assert op_norm(_span_projector(fast) - _span_projector(slow)) < 1e-12, name
+
+
+def test_center_basis_memory_guard():
+    # a full SVD of the M8 commutator system builds a 4096 x 4096 left
+    # factor and peaks near 264 MB; the thin SVD stays near 12 MB
+    alg = _random_full_algebra(8, 7)
+    assert alg.dim == 64
+    tracemalloc.start()
+    try:
+        center = center_basis(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(center) == 1
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+def test_closure_is_scale_invariant(scale):
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = u @ np.diag([1.0, 1.0 + 1e-7, 3.0]) @ u.conj().T
+    alg = generate_algebra([scale * a])
+    assert alg.dim == 3
+    assert alg.decomposition().n_blocks == 3
+
+
+def test_closure_power_of_two_scaling_is_exact():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    base = generate_algebra([a]).basis
+    for k in (-40, -1, 3, 30):
+        scaled = generate_algebra([np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)]).basis
+        assert len(scaled) == len(base)
+        assert all(np.array_equal(x, y) for x, y in zip(base, scaled))

@@ -51,6 +51,22 @@ def test_oml_verify_ok(runner, files):
     assert json.loads(res.output)["ok"]
 
 
+def test_oml_verify_violation_exits_1(runner, tmp_path):
+    # O6, the benzene ring 0 < a < b < 1, 0 < b' < a' < 1: orthocomplemented
+    # but not orthomodular
+    leq = np.eye(6, dtype=int)
+    leq[0, :] = 1
+    leq[:, 5] = 1
+    leq[1, 2] = leq[3, 4] = 1
+    path = tmp_path / "o6.json"
+    path.write_text(json.dumps({"n": 6, "leq": leq.tolist(), "ortho": [5, 4, 3, 2, 1, 0]}))
+    res = runner.invoke(main, ["oml", "verify", str(path)])
+    assert res.exit_code == 1
+    rep = json.loads(res.output)
+    assert not rep["ok"]
+    assert any(v["axiom"] == "orthomodular" for v in rep["violations"])
+
+
 def test_oml_verify_bad_json(runner, files):
     res = runner.invoke(main, ["oml", "verify", files["bad.json"]])
     assert res.exit_code == 2

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import E12, SIGMA_X
+from qgelfand.algebra import generate_algebra
+from qgelfand.linalg import haar_unit_vector
 from qgelfand.spectral import (
     NotCyclicError,
     cyclic_decompose,
@@ -175,3 +177,48 @@ def test_invariant_subspace_input_validation():
         invariant_subspace(np.eye(1))
     with pytest.raises(ValueError):
         invariant_subspace(np.eye(2), mode="magic")
+
+
+# ---------------------------------------------------------------------------
+# oracles for the stacked sweep and the vectorized sample cloud
+
+
+def _loop_sweep(m, thetas):
+    """Reference: one eigh per angle."""
+    supports = np.empty(len(thetas))
+    boundary = np.empty(len(thetas), dtype=complex)
+    for k, th in enumerate(thetas):
+        rot = np.exp(-1j * th) * m
+        vals, vecs = np.linalg.eigh((rot + rot.conj().T) / 2)
+        supports[k] = vals[-1]
+        boundary[k] = np.vdot(vecs[:, -1], m @ vecs[:, -1])
+    return supports, boundary
+
+
+def test_stacked_sweep_matches_per_angle_loop():
+    rng = np.random.default_rng(21)
+    g3 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    two_blocks = np.zeros((3, 3), dtype=complex)
+    two_blocks[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    two_blocks[2, 2] = 0.3 - 0.7j
+    for a in (E12, g3, two_blocks, np.diag([1.0, 2.0 + 1j])):
+        rep = sigma_big(a, n_angles=90, samples=10)
+        dec = generate_algebra([a]).decomposition()
+        assert len(rep.block_supports) == dec.n_blocks
+        for blk, supports, boundary in zip(dec.blocks, rep.block_supports,
+                                           rep.block_boundaries):
+            ref_s, ref_b = _loop_sweep(blk.irrep(a), rep.thetas)
+            assert np.max(np.abs(supports - ref_s)) < 1e-12
+            assert np.max(np.abs(boundary - ref_b)) < 1e-12
+
+
+def test_vectorized_cloud_matches_haar_loop():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rep = sigma_big(a, n_angles=36, samples=300, rng=np.random.default_rng(9))
+    ref_rng = np.random.default_rng(9)
+    ref = []
+    for _ in range(300):
+        xi = haar_unit_vector(4, ref_rng)
+        ref.append(np.vdot(xi, a @ xi))
+    assert np.max(np.abs(rep.cloud - np.array(ref))) < 1e-14
