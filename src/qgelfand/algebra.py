@@ -14,8 +14,11 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_cmatrix,
+    cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
+    matrix_from_json,
+    matrix_to_json,
     op_norm,
 )
 
@@ -135,8 +138,6 @@ class FdAlgebra:
         return self._decomposition
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         return {
             "ambient_dim": self.ambient_dim,
             "generators": [matrix_to_json(b) for b in self.basis],
@@ -144,8 +145,6 @@ class FdAlgebra:
 
     @classmethod
     def from_json(cls, obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> "FdAlgebra":
-        from .linalg import matrix_from_json
-
         gens = [matrix_from_json(g) for g in obj["generators"]]
         alg = generate_algebra(gens, tol=tol)
         if alg.ambient_dim != obj["ambient_dim"]:
@@ -237,20 +236,6 @@ def _random_hermitian_from(basis: list[np.ndarray], rng: np.random.Generator) ->
     return (a + a.conj().T) / 2
 
 
-def _cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters separated by more than gap.
-
-    Returns index arrays, one per cluster.
-    """
-    clusters = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > gap:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    return [np.array(c) for c in clusters]
-
-
 @dataclass
 class Block:
     """One Wedderburn block: irrep dimension, multiplicity, and the isometry
@@ -338,7 +323,7 @@ def _central_projectors(center, n_central, rng, tol) -> list[np.ndarray]:
     for _ in range(_MAX_RETRIES):
         z = _random_hermitian_from(center, rng)
         vals, vecs = hermitian_eig(z, tol)
-        clusters = _cluster_eigenvalues(vals, _CLUSTER_GAP)
+        clusters = cluster_eigenvalues(vals, _CLUSTER_GAP)
         if len(clusters) != n_central:
             continue
         gaps = [
@@ -369,7 +354,7 @@ def _multiplicity_frames(comp_basis, ni, d, m, rng, tol) -> list[np.ndarray]:
     for _ in range(_MAX_RETRIES):
         x = _random_hermitian_from(comm, rng)
         vals, vecs = hermitian_eig(x, tol)
-        clusters = _cluster_eigenvalues(vals, _CLUSTER_GAP)
+        clusters = cluster_eigenvalues(vals, _CLUSTER_GAP)
         if len(clusters) != m or any(len(c) != d for c in clusters):
             continue
         raw = [vecs[:, c] for c in clusters]

@@ -10,6 +10,8 @@ byte-identical output.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import pathlib
 import sys
@@ -227,20 +229,19 @@ def claims_group():
 @click.option("--config", "config_path", required=True)
 @click.option("--seed", default=None, type=int, help="overrides the config seed")
 @click.option("--samples", default=None, type=int)
-@click.option("--mode", default=None,
-              type=click.Choice(["superposition", "literal"]))
 @click.option("--out", default=None)
 @click.option("--format", "fmt", default="json",
               type=click.Choice(["json", "csv"]))
-def claims_run(config_path, seed, samples, mode, out, fmt):
-    """Run one claims suite from a config file."""
+def claims_run(config_path, seed, samples, out, fmt):
+    """Run one claims suite from a config file.
+
+    Singleton joins always span superpositions, so the reports' `mode`
+    field and the CSV `mode` column always read `superposition`."""
     obj = _load_json(config_path)
     if seed is not None:
         obj["seed"] = seed
     if samples is not None:
         obj["samples"] = samples
-    if mode is not None:
-        obj["mode"] = mode
     base = pathlib.Path(config_path).parent
     try:
         cfg = harness.RunConfig.from_json(obj, base_dir=base)
@@ -289,9 +290,6 @@ def spectral_report(matrix_file, seed, samples, out, plot_data):
 
 
 def _plot_csv(rep: spectral.SpectralReport) -> str:
-    import csv
-    import io
-
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["kind", "block", "theta", "support", "re", "im"])

@@ -7,6 +7,8 @@ defects are findings and never fail a run.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -26,11 +28,11 @@ from .linalg import Projector, matrix_from_json
 from .qspace import (
     ClaimsReport,
     QFunction,
+    QSubset,
     cstar_identity_defect,
     hat_is_characteristic_defect,
     hat_preimage_qness,
     prop9_defect,
-    subset_from_projectors,
     thm3_diagnostics,
     _top_spectral_projector,
 )
@@ -48,7 +50,6 @@ class RunConfig:
     instances: list  # file paths or inline instance dicts
     seed: int
     samples: int = 1000
-    mode: str = "superposition"
     base_dir: pathlib.Path = field(default_factory=pathlib.Path)
 
     def __post_init__(self):
@@ -60,8 +61,6 @@ class RunConfig:
         if int(self.samples) <= 0:
             raise ConfigError("samples must be positive")
         self.samples = int(self.samples)
-        if self.mode not in ("superposition", "literal"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if not self.instances:
             raise ConfigError("at least one instance is required")
 
@@ -73,7 +72,6 @@ class RunConfig:
                 instances=list(obj["instances"]),
                 seed=obj["seed"],
                 samples=obj.get("samples", 1000),
-                mode=obj.get("mode", "superposition"),
                 base_dir=base_dir or pathlib.Path(),
             )
         except KeyError as exc:
@@ -114,7 +112,7 @@ def _suite_prop1(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
         "prop1_dichotomy", name,
         {"r_discrete": discrete, "commutative": comm},
         "holds-within-tol" if discrete == comm else "fails",
-        [], mode=cfg.mode, seed=cfg.seed,
+        [],
     )]
 
 
@@ -139,7 +137,6 @@ def _suite_prop2(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
         {"samples": cfg.samples, "mismatches": mismatches},
         "holds-within-tol" if mismatches == 0 else "fails",
         [witness] if witness is not None else [],
-        mode=cfg.mode, seed=cfg.seed,
     )]
 
 
@@ -159,14 +156,9 @@ def _suite_prop7(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     projs = _instance_projectors(alg, extras, rng)
     if len(projs) == 1:
         projs = projs * 2
-    subsets = [
-        subset_from_projectors(dec, [Projector(blk.irrep(p)) for blk in dec.blocks])
-        for p in projs
-    ]
+    subsets = [QSubset(dec, [Projector(blk.irrep(p)) for blk in dec.blocks]) for p in projs]
     f = QFunction(dec, [(1.0 + 0j, subsets[0]), (1j, subsets[1])])
-    rep = cstar_identity_defect(f, instance=name)
-    rep.mode, rep.seed = cfg.mode, cfg.seed
-    return [rep]
+    return [cstar_identity_defect(f, instance=name)]
 
 
 def _suite_prop9(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
@@ -175,26 +167,19 @@ def _suite_prop9(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     b = _random_hermitian(alg, rng)
     state = random_pure_state(dec, rng)
     rep = prop9_defect(alg, state, a, b, instance=name)
-    rep.mode, rep.seed = cfg.mode, cfg.seed
     p = _instance_projectors(alg, extras, rng)[0]
-    rep2 = hat_is_characteristic_defect(alg, p, cfg.samples, rng, instance=name)
-    rep2.mode, rep2.seed = cfg.mode, cfg.seed
-    return [rep, rep2]
+    return [rep, hat_is_characteristic_defect(alg, p, cfg.samples, rng, instance=name)]
 
 
 def _suite_thm3(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
-    rep = thm3_diagnostics(alg, min(cfg.samples, 50), rng, instance=name)
-    rep.mode, rep.seed = cfg.mode, cfg.seed
-    return [rep]
+    return [thm3_diagnostics(alg, min(cfg.samples, 50), rng, instance=name)]
 
 
 def _suite_preimage(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     a = _instance_projectors(alg, extras, rng)[0]
     center = complex(*extras["center"]) if "center" in extras else 1.0 + 0j
     radius = float(extras.get("radius", 0.1))
-    rep = hat_preimage_qness(alg, a, center, radius, cfg.samples, rng, instance=name)
-    rep.mode, rep.seed = cfg.mode, cfg.seed
-    return [rep]
+    return [hat_preimage_qness(alg, a, center, radius, cfg.samples, rng, instance=name)]
 
 
 _RUNNERS = {
@@ -223,6 +208,7 @@ def run_suite(cfg: RunConfig) -> dict:
         reports = runner(name, alg, extras, cfg, rng)
         commutative = alg.is_commutative()
         for rep in reports:
+            rep.seed = cfg.seed
             rows.append(rep.to_json())
             specified = cfg.suite in _ALWAYS_SPECIFIED or commutative
             if specified and rep.verdict == "fails":
@@ -232,7 +218,7 @@ def run_suite(cfg: RunConfig) -> dict:
         "config": {
             "seed": cfg.seed,
             "samples": cfg.samples,
-            "mode": cfg.mode,
+            "mode": "superposition",  # fixed, as in ClaimsReport.to_json
             "instances": [e if isinstance(e, str) else e.get("name", "inline")
                           for e in cfg.instances],
         },
@@ -247,9 +233,6 @@ CSV_COLUMNS = ["suite", "claim", "instance", "mode", "verdict",
 
 def suite_result_csv(result: dict) -> str:
     """CSV projection: one row per (claim, instance, defect)."""
-    import csv
-    import io
-
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)

@@ -102,6 +102,20 @@ def _phase_normalize(vecs: np.ndarray, thresh: float = 1e-12) -> np.ndarray:
     return out
 
 
+def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Group sorted eigenvalues into clusters separated by more than gap.
+
+    Returns index arrays, one per cluster.
+    """
+    clusters = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[i - 1] > gap:
+            clusters.append([i])
+        else:
+            clusters[-1].append(i)
+    return [np.array(c) for c in clusters]
+
+
 def orthonormalize(columns: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
@@ -211,9 +225,14 @@ def proj_join(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 
 def sasaki_product(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
-    """The projector p ∧ (p⊥ ∨ q), i.e. compression of q into p at lattice level."""
+    """The projector p ∧ (p⊥ ∨ q), i.e. compression of q into p at lattice level.
+
+    Closed form: p ∧ (p⊥ ∨ q) is the range projection of p·range(q).  If
+    x ∈ range(p) is y + z with y ∈ range(p⊥), z ∈ range(q), then
+    x = px = pz; conversely pz = z − p⊥z lies in both p and p⊥ ∨ q.
+    """
     _check_same_dim(p, q)
-    return proj_meet(p, proj_join(proj_ortho(p), q, tol), tol)
+    return projector_from_basis(p.matrix @ q.range_basis(tol), dim=p.dim, tol=tol)
 
 
 def proj_leq(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -14,143 +14,93 @@ from .algebra import (
     BlockDecomposition,
     FdAlgebra,
     PureState,
+    State,
+    as_pure,
     hat,
     pure_equal,
     random_pure_state,
 )
 from .linalg import (
     DEFAULT_TOL,
+    DimensionMismatchError,
     Projector,
     ToleranceConfig,
+    cluster_eigenvalues,
     hermitian_eig,
     op_norm,
     orthonormalize,
+    proj_join,
+    proj_meet,
+    proj_ortho,
     projector_from_basis,
     sasaki_product,
 )
-
-
-class UnsupportedModeError(ValueError):
-    """Operation needs subspace components (superposition mode)."""
-
-
-SUPERPOSITION = "superposition"
-LITERAL = "literal"
 
 
 @dataclass
 class QSubset:
     """A closure-stable set of pure states.
 
-    In superposition mode each block carries a subspace of the irrep space
-    (None = no members there); the members are its vector states.  In
-    literal mode the subset is a finite list of pure states.
+    One projector per block of the decomposition, acting on that block's
+    irrep space; the members in block i are the vector states of the range
+    of projectors[i] (rank 0 = no members there).
     """
 
     decomposition: BlockDecomposition
-    components: list[np.ndarray | None] | None = None  # orthonormal bases per block
-    points: list[PureState] | None = None
+    projectors: list[Projector]
 
-    @property
-    def mode(self) -> str:
-        return SUPERPOSITION if self.components is not None else LITERAL
-
-    def require_subspace(self) -> list[np.ndarray | None]:
-        if self.components is None:
-            raise UnsupportedModeError("literal-mode subset has no subspace structure")
-        return self.components
+    def __post_init__(self):
+        if [p.dim for p in self.projectors] != [b.irrep_dim for b in self.decomposition.blocks]:
+            raise DimensionMismatchError("need one projector per block on its irrep space")
 
     def contains(self, alpha: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        if self.points is not None:
-            return any(pure_equal(alpha, p) for p in self.points)
-        comp = self.components[alpha.block]
-        if comp is None:
-            return False
-        v = comp @ (comp.conj().T @ alpha.vector)
-        return np.linalg.norm(v - alpha.vector) <= 1e3 * tol.lattice_tol
-
-    def block_projector(self, i: int) -> Projector:
-        d = self.decomposition.blocks[i].irrep_dim
-        comp = self.require_subspace()[i]
-        if comp is None:
-            return projector_from_basis(np.zeros((d, 0)), dim=d)
-        return projector_from_basis(comp, dim=d)
+        v = alpha.vector
+        return np.linalg.norm(self.projectors[alpha.block].matrix @ v - v) <= 1e3 * tol.lattice_tol
 
     def is_empty(self) -> bool:
-        if self.points is not None:
-            return not self.points
-        return all(c is None for c in self.components)
+        return all(p.rank == 0 for p in self.projectors)
 
     def is_full(self) -> bool:
-        if self.points is not None:
-            return False
-        return all(
-            c is not None and c.shape[1] == blk.irrep_dim
-            for c, blk in zip(self.components, self.decomposition.blocks)
-        )
+        return all(p.rank == p.dim for p in self.projectors)
 
     def __eq__(self, other):
         if not isinstance(other, QSubset):
             return NotImplemented
-        if self.mode != other.mode:
-            return False
-        if self.points is not None:
-            return len(self.points) == len(other.points) and all(
-                any(pure_equal(p, q) for q in other.points) for p in self.points
-            )
-        for i in range(self.decomposition.n_blocks):
-            if op_norm(self.block_projector(i).matrix - other.block_projector(i).matrix) > 1e-7:
-                return False
-        return True
+        return all(
+            op_norm(p.matrix - q.matrix) <= 1e-7
+            for p, q in zip(self.projectors, other.projectors)
+        )
+
+
+def _zero_projectors(dec: BlockDecomposition) -> list[Projector]:
+    return [Projector(np.zeros((b.irrep_dim,) * 2, dtype=complex)) for b in dec.blocks]
 
 
 def full_qsubset(dec: BlockDecomposition) -> QSubset:
-    return QSubset(dec, [np.eye(b.irrep_dim, dtype=complex) for b in dec.blocks])
+    return QSubset(dec, [Projector(np.eye(b.irrep_dim, dtype=complex)) for b in dec.blocks])
 
 
 def empty_qsubset(dec: BlockDecomposition) -> QSubset:
-    return QSubset(dec, [None] * dec.n_blocks)
+    return QSubset(dec, _zero_projectors(dec))
 
 
-def subset_from_projectors(dec: BlockDecomposition, projs: list[Projector | None]) -> QSubset:
-    comps = []
-    for p, blk in zip(projs, dec.blocks):
-        if p is None or p.rank == 0:
-            comps.append(None)
-        else:
-            comps.append(p.range_basis())
-    return QSubset(dec, comps)
+def singleton_join(dec: BlockDecomposition, alpha: PureState, beta: PureState) -> QSubset:
+    """{α} ∨ {β}: the two-point set for inequivalent states, the vector
+    states of span{x, y} for equivalent ones.  (Read literally, as the pure
+    states among the normalized functional combinations, the join of
+    equivalent states is only the two points: see literal_join.)"""
+    return qsubset_closure(dec, [alpha, beta])
 
 
-def singleton_join(dec: BlockDecomposition, alpha: PureState, beta: PureState,
-                   mode: str = SUPERPOSITION) -> QSubset:
-    """{α} ∨ {β}: the two-point set for inequivalent states; for equivalent
-    ones, either the vector states of span{x, y} (superposition mode) or
-    the pure states among the normalized functional combinations (literal
-    mode — which degenerates to the two points)."""
-    if alpha.block != beta.block:
-        if mode == LITERAL:
-            return QSubset(dec, points=[alpha, beta])
-        comps: list[np.ndarray | None] = [None] * dec.n_blocks
-        comps[alpha.block] = orthonormalize(alpha.vector.reshape(-1, 1))
-        comps[beta.block] = orthonormalize(beta.vector.reshape(-1, 1))
-        return QSubset(dec, comps)
-    if mode == SUPERPOSITION:
-        comps = [None] * dec.n_blocks
-        comps[alpha.block] = orthonormalize(
-            np.column_stack([alpha.vector, beta.vector])
-        )
-        return QSubset(dec, comps)
-    return QSubset(dec, points=_literal_combinations(alpha, beta))
-
-
-def _literal_combinations(alpha: PureState, beta: PureState) -> list[PureState]:
+def literal_join(alpha: PureState, beta: PureState) -> list[PureState]:
     """Pure states of the form c1·α + c2·β (as functionals) with
     |c1|² + |c2|² = 1.
 
     For independent vectors, hermiticity forces real coefficients, the
     trace forces c1 + c2 = 1, and together with the normalization only the
-    corners survive; verified numerically rather than assumed.
+    corners survive; verified numerically rather than assumed.  Since the
+    literal join of two states never leaves them, the literal closure of a
+    seed set is the seed set itself.
     """
     x, y = alpha.vector, beta.vector
     if pure_equal(alpha, beta):
@@ -164,77 +114,38 @@ def _literal_combinations(alpha: PureState, beta: PureState) -> list[PureState]:
     return out
 
 
-def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState],
-                    mode: str = SUPERPOSITION) -> QSubset:
-    """Least closure-stable subset containing the seeds."""
+def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> QSubset:
+    """Least closure-stable subset containing the seeds: per block, the
+    vector states of the span of the seeds in that block."""
     if not seeds:
         raise ValueError("need at least one seed state")
-    if mode == SUPERPOSITION:
-        comps: list[np.ndarray | None] = [None] * dec.n_blocks
-        for i in range(dec.n_blocks):
-            vecs = [s.vector for s in seeds if s.block == i]
-            if vecs:
-                comps[i] = orthonormalize(np.column_stack(vecs))
-        return QSubset(dec, comps)
-    # literal mode: fixed point of pairwise literal joins
-    points = list(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(points), 2):
-            for g in _literal_combinations(a, b):
-                if not any(pure_equal(g, p) for p in points):
-                    points.append(g)
-                    changed = True
-    return QSubset(dec, points=points)
+    projs = _zero_projectors(dec)
+    for i in {s.block for s in seeds}:
+        vecs = np.column_stack([s.vector for s in seeds if s.block == i])
+        projs[i] = projector_from_basis(vecs, dim=dec.blocks[i].irrep_dim)
+    return QSubset(dec, projs)
 
 
 def qsubset_meet(u: QSubset, v: QSubset) -> QSubset:
-    from .linalg import proj_meet
-
-    dec = u.decomposition
-    u.require_subspace(), v.require_subspace()
-    return subset_from_projectors(
-        dec,
-        [proj_meet(u.block_projector(i), v.block_projector(i)) for i in range(dec.n_blocks)],
-    )
+    return QSubset(u.decomposition, [proj_meet(p, q) for p, q in zip(u.projectors, v.projectors)])
 
 
 def qsubset_join(u: QSubset, v: QSubset) -> QSubset:
-    from .linalg import proj_join
-
-    dec = u.decomposition
-    u.require_subspace(), v.require_subspace()
-    return subset_from_projectors(
-        dec,
-        [proj_join(u.block_projector(i), v.block_projector(i)) for i in range(dec.n_blocks)],
-    )
+    return QSubset(u.decomposition, [proj_join(p, q) for p, q in zip(u.projectors, v.projectors)])
 
 
 def qsubset_perp(u: QSubset) -> QSubset:
     """Per-block orthocomplement; blocks without members go to the full
     block (cross-block orthogonality is automatic, supports being
     centrally orthogonal)."""
-    from .linalg import proj_ortho
-
-    dec = u.decomposition
-    u.require_subspace()
-    return subset_from_projectors(
-        dec, [proj_ortho(u.block_projector(i)) for i in range(dec.n_blocks)]
-    )
+    return QSubset(u.decomposition, [proj_ortho(p) for p in u.projectors])
 
 
 def qsubset_sasaki(u: QSubset, v: QSubset) -> QSubset:
     """Per-block Sasaki product of the component projectors: the subset
     product U * V transported to the projector picture."""
-    dec = u.decomposition
-    u.require_subspace(), v.require_subspace()
-    return subset_from_projectors(
-        dec,
-        [
-            sasaki_product(u.block_projector(i), v.block_projector(i))
-            for i in range(dec.n_blocks)
-        ],
+    return QSubset(
+        u.decomposition, [sasaki_product(p, q) for p, q in zip(u.projectors, v.projectors)]
     )
 
 
@@ -263,49 +174,31 @@ class QFunction:
         T is nonzero and not contained in any subspace outside T (over C a
         subspace inside a finite union of subspaces lies in one of them).
         """
-        dec = self.decomposition
         best = 0.0
-        for i in range(dec.n_blocks):
-            d = dec.blocks[i].irrep_dim
-            comps = []
-            for c, u in self.terms:
-                comp = u.require_subspace()[i]
-                comps.append((c, comp))
-            live = [t for t, (_, comp) in enumerate(comps) if comp is not None]
-            for size in range(len(live) + 1):
+        for i in range(self.decomposition.n_blocks):
+            comps = [(c, u.projectors[i]) for c, u in self.terms]
+            live = [t for t, (_, p) in enumerate(comps) if p.rank > 0]
+            for size in range(1, len(live) + 1):
                 for pattern in itertools.combinations(live, size):
                     val = abs(sum(comps[t][0] for t in pattern))
                     if val <= best:
                         continue
-                    if _pattern_realizable(comps, pattern, d):
+                    if _pattern_realizable(comps, pattern):
                         best = val
         return best
 
 
-def _pattern_realizable(comps, pattern, d) -> bool:
-    basis = np.eye(d, dtype=complex)
-    for t in pattern:
-        basis = _intersect_bases(basis, comps[t][1], d)
-        if basis.shape[1] == 0:
+def _pattern_realizable(comps: list[tuple[complex, Projector]], pattern: tuple[int, ...]) -> bool:
+    inter = comps[pattern[0]][1]
+    for t in pattern[1:]:
+        inter = proj_meet(inter, comps[t][1])
+        if inter.rank == 0:
             return False
-    k = basis.shape[1]
-    for s, (_, comp) in enumerate(comps):
-        if s in pattern:
-            continue
-        if comp is None:
-            continue
-        inter = _intersect_bases(basis, comp, d)
-        if inter.shape[1] >= k:
-            return False
-    return True
-
-
-def _intersect_bases(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    pa = projector_from_basis(a, dim=d)
-    pb = projector_from_basis(b, dim=d)
-    from .linalg import proj_meet
-
-    return proj_meet(pa, pb).range_basis()
+    return not any(
+        p.rank > 0 and proj_meet(inter, p).rank >= inter.rank
+        for s, (_, p) in enumerate(comps)
+        if s not in pattern
+    )
 
 
 def char_fn(u: QSubset, coeff: complex = 1.0) -> QFunction:
@@ -337,31 +230,21 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
     h = (a + a.conj().T) / 2
     k = (a - a.conj().T) / (2j)
     terms: list[tuple[complex, QSubset]] = []
+    zeros = _zero_projectors(dec)
     for part, scale in ((h, 1.0), (k, 1j)):
         if op_norm(part) <= 1e-14:
             continue
         for i, blk in enumerate(dec.blocks):
             m = blk.irrep(part)
             vals, vecs = hermitian_eig(m)
-            clusters = _eig_clusters(vals)
-            for idx in clusters:
+            for idx in cluster_eigenvalues(vals, 1e-9):
                 lam = float(np.mean(vals[idx]))
                 if abs(lam) <= 1e-14:
                     continue
-                comps: list[np.ndarray | None] = [None] * dec.n_blocks
-                comps[i] = vecs[:, idx]
-                terms.append((scale * lam, QSubset(dec, comps)))
+                projs = zeros.copy()
+                projs[i] = projector_from_basis(vecs[:, idx], dim=blk.irrep_dim)
+                terms.append((scale * lam, QSubset(dec, projs)))
     return QFunction(dec, terms)
-
-
-def _eig_clusters(vals: np.ndarray, gap: float = 1e-9) -> list[np.ndarray]:
-    clusters = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > gap:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    return [np.array(c) for c in clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +258,6 @@ class ClaimsReport:
     defects: dict
     verdict: str  # holds-within-tol | fails | inconclusive
     witnesses: list
-    mode: str = SUPERPOSITION
     seed: int | None = None
 
     def to_json(self) -> dict:
@@ -385,7 +267,9 @@ class ClaimsReport:
             "defects": {k: _json_value(v) for k, v in self.defects.items()},
             "verdict": self.verdict,
             "witnesses": [_json_value(w) for w in self.witnesses],
-            "mode": self.mode,
+            # singleton joins always span superpositions; the field keeps
+            # the report format stable
+            "mode": "superposition",
             "seed": self.seed,
         }
 
@@ -488,8 +372,6 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     those Hermitian parts (the displayed lattice identity);
     (iii) the characteristic-function defect min(|p̂(α)|, |1 − p̂(α)|).
     """
-    from .linalg import proj_meet
-
     dec = alg.decomposition()
     a = alg.require_member(a)
     b = alg.require_member(b)
@@ -509,7 +391,7 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     meet_elem = sum(
         blk.embed(m.matrix) for blk, m in zip(dec.blocks, meets)
     )
-    u_meet = subset_from_projectors(dec, meets)
+    u_meet = QSubset(dec, meets)
     chi_val = 1.0 if pure_alpha is not None and u_meet.contains(pure_alpha) else 0.0
     defects["lattice_meet"] = abs(hat(alg, meet_elem, state) - chi_val)
     defects["characteristic"] = max(
@@ -522,15 +404,12 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
 
 def _top_spectral_projector(alg: FdAlgebra, h: np.ndarray) -> np.ndarray:
     vals, vecs = hermitian_eig(h)
-    clusters = _eig_clusters(vals)
-    idx = clusters[-1]
+    idx = cluster_eigenvalues(vals, 1e-9)[-1]
     w = vecs[:, idx]
     return w @ w.conj().T
 
 
 def _as_pure_state(alg: FdAlgebra, state) -> PureState | None:
-    from .algebra import State, as_pure
-
     if isinstance(state, PureState):
         return state
     if isinstance(state, State):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oml import NO_ELEMENT, FiniteOml, SetOml, StructureError
+from .oml import NO_ELEMENT, FiniteOml, SetOml, StructureError, relative_lattice
 
 
 class SemigroupBudgetError(RuntimeError):
@@ -435,8 +435,6 @@ def saturation_check(
     (verdict, witness) where verdict is True / False / None (inconclusive:
     relative semigroup hit its budget).
     """
-    from .oml import relative_lattice
-
     qs = sp.qs
     yset = frozenset(qs.members[qs.member_index(y_points)])
     sub = relative_lattice(qs, yset)

@@ -5,9 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qgelfand.algebra import FdAlgebra, generate_algebra
 from qgelfand.oml import FiniteOml, SetOml, lattice_zoo
+
+# property tests replay the same examples on every run: no example database,
+# no deadline (timings on a shared host say nothing about correctness)
+settings.register_profile("qgelfand", derandomize=True, deadline=None, database=None)
+settings.load_profile("qgelfand")
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -140,6 +140,58 @@ def test_claims_csv(runner, files):
     assert len(lines) > 1
 
 
+def test_claims_report_format(runner, files):
+    # the bytes recorded before the claims `mode` option was removed
+    cfg = files["tmp"] / "cfg_prop7.json"
+    cfg.write_text(json.dumps({
+        "suite": "prop7",
+        "instances": ["diag3.json", "m2.json"],
+        "samples": 10,
+        "seed": 3,
+    }))
+
+    def row(instance, verdict, defect, norm):
+        return {"claim": "cstar_identity", "instance": instance,
+                "defects": {"defect": defect, "norm_f_sq": 1.0,
+                            "norm_f_star_fbar": norm},
+                "verdict": verdict, "witnesses": [],
+                "mode": "superposition", "seed": 3}
+
+    expected = {
+        "suite": "prop7",
+        "config": {"seed": 3, "samples": 10, "mode": "superposition",
+                   "instances": ["diag3.json", "m2.json"]},
+        "rows": [row("diag3", "holds-within-tol", 0.0, 1.0),
+                 row("m2", "fails", 0.41421356237309515, 1.4142135623730951)],
+        "ok": True,
+    }
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert res.output == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg),
+                               "--format", "csv"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "suite,claim,instance,mode,verdict,defect_name,defect_value\n"
+        "prop7,cstar_identity,diag3,superposition,holds-within-tol,defect,0.0\n"
+        "prop7,cstar_identity,diag3,superposition,holds-within-tol,norm_f_sq,1.0\n"
+        "prop7,cstar_identity,diag3,superposition,holds-within-tol,norm_f_star_fbar,1.0\n"
+        "prop7,cstar_identity,m2,superposition,fails,defect,0.41421356237309515\n"
+        "prop7,cstar_identity,m2,superposition,fails,norm_f_sq,1.0\n"
+        "prop7,cstar_identity,m2,superposition,fails,norm_f_star_fbar,1.4142135623730951\n"
+    )
+
+
+def test_claims_mode_option_removed(runner, files):
+    cfg = files["tmp"] / "cfg5.json"
+    cfg.write_text(json.dumps({
+        "suite": "prop1", "instances": ["diag3.json"], "samples": 5, "seed": 1,
+    }))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg),
+                               "--mode", "literal"])
+    assert res.exit_code == 2
+
+
 def test_claims_missing_seed(runner, files):
     cfg = files["tmp"] / "cfg3.json"
     cfg.write_text(json.dumps({

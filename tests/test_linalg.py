@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgelfand.linalg import (
     NonHermitianError,
@@ -129,6 +131,33 @@ def test_sasaki_product_witness():
     assert op_norm(sasaki_product(p, q).matrix - p.matrix) < 1e-10
     assert op_norm(sasaki_product(q, p).matrix - q.matrix) < 1e-10
     assert proj_meet(p, q).rank == 0
+
+
+@st.composite
+def projector_pairs(draw):
+    """Two projectors on C^n, n in 2..5, of any ranks 0..n; each spans
+    either coordinate axes (exact overlaps) or random complex columns."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def projector():
+        rank = draw(st.integers(0, n))
+        if draw(st.booleans()):
+            cols = np.eye(n)[:, draw(st.permutations(range(n)))[:rank]]
+        else:
+            cols = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        return projector_from_basis(cols, dim=n)
+
+    return projector(), projector()
+
+
+@given(projector_pairs())
+def test_sasaki_closed_form_matches_lattice_chain(pair):
+    p, q = pair
+    closed = sasaki_product(p, q)
+    chain = proj_meet(p, proj_join(proj_ortho(p), q))
+    assert closed.rank == chain.rank
+    assert op_norm(closed.matrix - chain.matrix) <= 1e-12
 
 
 def test_haar_unit_vector_norm():

@@ -3,24 +3,24 @@ import pytest
 
 from conftest import E12, SIGMA_X, diagonal_algebra
 from qgelfand.algebra import PureState, State, as_pure, vector_state
-from qgelfand.linalg import random_projector
+from qgelfand.linalg import DimensionMismatchError, random_projector
 from qgelfand.qspace import (
-    LITERAL,
-    UnsupportedModeError,
+    QSubset,
     char_fn,
     cstar_identity_defect,
     empty_qsubset,
     full_qsubset,
     hat_is_characteristic_defect,
     hat_preimage_qness,
+    literal_join,
     prop9_defect,
     qfunction_star,
     qsubset_closure,
     qsubset_join,
     qsubset_meet,
     qsubset_perp,
+    qsubset_sasaki,
     singleton_join,
-    subset_from_projectors,
     thm3_diagnostics,
 )
 
@@ -51,7 +51,7 @@ def test_singleton_join_inequivalent():
     b = PureState(1, np.ones(1))
     u = singleton_join(dec, a, b)
     assert u.contains(a) and u.contains(b)
-    assert u.block_projector(0).rank == 1
+    assert u.projectors[0].rank == 1
 
 
 def test_singleton_join_superposition(m2_dec):
@@ -65,11 +65,8 @@ def test_singleton_join_superposition(m2_dec):
 def test_singleton_join_literal_corners(m2_dec):
     e1 = _pure(m2_dec, [1, 0])
     e2 = _pure(m2_dec, [0, 1])
-    u = singleton_join(m2_dec, e1, e2, mode=LITERAL)
-    assert len(u.points) == 2
-    assert not u.contains(_pure(m2_dec, [1, 1]))
-    with pytest.raises(UnsupportedModeError):
-        qsubset_perp(u)
+    assert literal_join(e1, e2) == [e1, e2]
+    assert literal_join(e1, e1) == [e1]
 
 
 def test_closure_fixed_point(m2_dec):
@@ -80,7 +77,7 @@ def test_closure_fixed_point(m2_dec):
     )
     assert u == again  # already the full plane
     single = qsubset_closure(m2_dec, seeds[:1])
-    assert single.block_projector(0).rank == 1
+    assert single.projectors[0].rank == 1
 
 
 def test_perp_involution_and_oracle(m2_dec):
@@ -99,12 +96,14 @@ def test_meet_join_bounds(m2_dec):
     assert qsubset_join(u, v).is_full()
     assert qsubset_meet(u, full_qsubset(m2_dec)) == u
     assert qsubset_join(u, empty_qsubset(m2_dec)) == u
+    with pytest.raises(DimensionMismatchError):
+        QSubset(m2_dec, [])  # one projector per block
 
 
 def test_subspace_order_isomorphism():
-    # meet/join/perp of QSubsets commute with the projector operations
+    # meet/join/perp/Sasaki of QSubsets commute with the projector operations
     from qgelfand.algebra import generate_algebra
-    from qgelfand.linalg import proj_join, proj_meet, proj_ortho
+    from qgelfand.linalg import proj_join, proj_meet, proj_ortho, sasaki_product
 
     gen = np.zeros((4, 4), dtype=complex)
     gen[0, 1] = gen[1, 2] = gen[2, 3] = 1.0
@@ -112,11 +111,12 @@ def test_subspace_order_isomorphism():
     for _ in range(10):
         p = random_projector(4, 2, RNG)
         q = random_projector(4, int(RNG.integers(1, 4)), RNG)
-        u = subset_from_projectors(dec, [p])
-        v = subset_from_projectors(dec, [q])
-        assert qsubset_meet(u, v) == subset_from_projectors(dec, [proj_meet(p, q)])
-        assert qsubset_join(u, v) == subset_from_projectors(dec, [proj_join(p, q)])
-        assert qsubset_perp(u) == subset_from_projectors(dec, [proj_ortho(p)])
+        u = QSubset(dec, [p])
+        v = QSubset(dec, [q])
+        assert qsubset_meet(u, v) == QSubset(dec, [proj_meet(p, q)])
+        assert qsubset_join(u, v) == QSubset(dec, [proj_join(p, q)])
+        assert qsubset_perp(u) == QSubset(dec, [proj_ortho(p)])
+        assert qsubset_sasaki(u, v) == QSubset(dec, [sasaki_product(p, q)])
 
 
 def test_qfunction_star_pointwise_commutative():
