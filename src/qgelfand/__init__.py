@@ -40,6 +40,7 @@ from .qspace import (
     QFunction,
     QSubset,
     qfunction_star,
+    qfunction_star_at,
     qsubset_closure,
     singleton_join,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "QFunction",
     "QSubset",
     "qfunction_star",
+    "qfunction_star_at",
     "qsubset_closure",
     "singleton_join",
     "CyclicDecomposition",

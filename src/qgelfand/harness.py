@@ -38,6 +38,7 @@ from .qspace import (
 )
 
 SUITES = ("prop1", "prop2", "prop7", "prop9", "thm3", "preimage")
+CONFIG_KEYS = ("suite", "instances", "seed", "samples")
 
 
 class ConfigError(ValueError):
@@ -66,6 +67,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj: dict, base_dir: pathlib.Path | None = None) -> "RunConfig":
+        # a misspelt or retired key would otherwise run silently with defaults
+        for key in obj:
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown claims config field {key!r}; "
+                                  f"allowed: {', '.join(CONFIG_KEYS)}")
         try:
             return cls(
                 suite=obj["suite"],

@@ -182,6 +182,41 @@ def test_claims_report_format(runner, files):
     )
 
 
+def test_claims_preimage_m3_report_bytes(runner, files):
+    # on M3 every joined pair ties at violation 0.4 up to rounding, so the
+    # witness is the first thing a reordered sweep would move; these are the
+    # bytes the per-angle loop wrote
+    gen = np.zeros((3, 3), dtype=complex)
+    gen[0, 1] = gen[1, 2] = 1.0
+    (files["tmp"] / "m3.json").write_text(json.dumps({
+        "ambient_dim": 3, "generators": [matrix_to_json(gen)],
+        "center": [1.0, 0.0], "radius": 0.6,
+    }))
+    cfg = files["tmp"] / "cfg_m3.json"
+    cfg.write_text(json.dumps({
+        "suite": "preimage", "instances": ["m3.json"], "samples": 60, "seed": 0,
+    }))
+    witness = {"block": 0, "vector": [
+        [0.6105641274231206, -0.48444317447934077],
+        [0.15834123256888644, -0.05587003634303264],
+        [-0.5904195920444071, -0.12544941387719968],
+    ]}
+    expected = {
+        "suite": "preimage",
+        "config": {"seed": 0, "samples": 60, "mode": "superposition",
+                   "instances": ["m3.json"]},
+        "rows": [{"claim": "hat_preimage_qness", "instance": "m3",
+                  "defects": {"pairs_checked": 190, "preimage_size": 20,
+                              "violation": 0.40000000000000024},
+                  "verdict": "fails", "witnesses": [witness],
+                  "mode": "superposition", "seed": 0}],
+        "ok": True,
+    }
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert res.output == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_claims_mode_option_removed(runner, files):
     cfg = files["tmp"] / "cfg5.json"
     cfg.write_text(json.dumps({
@@ -190,6 +225,18 @@ def test_claims_mode_option_removed(runner, files):
     res = runner.invoke(main, ["claims", "run", "--config", str(cfg),
                                "--mode", "literal"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("key, value", [("sample", 5), ("mode", "literal")])
+def test_claims_unknown_config_key(runner, files, key, value):
+    # a misspelt key and the retired `mode` are input errors, not defaults
+    cfg = files["tmp"] / f"cfg_{key}.json"
+    cfg.write_text(json.dumps({
+        "suite": "prop1", "instances": ["diag3.json"], "seed": 1, key: value,
+    }))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert f"unknown claims config field '{key}'" in res.stderr
 
 
 def test_claims_missing_seed(runner, files):

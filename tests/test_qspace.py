@@ -1,20 +1,36 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import E12, SIGMA_X, diagonal_algebra
-from qgelfand.algebra import PureState, State, as_pure, vector_state
-from qgelfand.linalg import DimensionMismatchError, random_projector
+from qgelfand.algebra import (
+    PureState,
+    State,
+    as_pure,
+    generate_algebra,
+    hat,
+    pure_equal,
+    random_pure_state,
+    vector_state,
+)
+from qgelfand.linalg import DimensionMismatchError, orthonormalize, random_projector
 from qgelfand.qspace import (
     QSubset,
+    _top_spectral_projector,
     char_fn,
     cstar_identity_defect,
     empty_qsubset,
     full_qsubset,
+    hat_as_qfunction,
     hat_is_characteristic_defect,
     hat_preimage_qness,
     literal_join,
     prop9_defect,
     qfunction_star,
+    qfunction_star_at,
     qsubset_closure,
     qsubset_join,
     qsubset_meet,
@@ -29,8 +45,6 @@ RNG = np.random.default_rng(11)
 
 @pytest.fixture(scope="module")
 def m2():
-    from qgelfand.algebra import generate_algebra
-
     return generate_algebra([E12])
 
 
@@ -102,7 +116,6 @@ def test_meet_join_bounds(m2_dec):
 
 def test_subspace_order_isomorphism():
     # meet/join/perp/Sasaki of QSubsets commute with the projector operations
-    from qgelfand.algebra import generate_algebra
     from qgelfand.linalg import proj_join, proj_meet, proj_ortho, sasaki_product
 
     gen = np.zeros((4, 4), dtype=complex)
@@ -278,3 +291,119 @@ def test_claims_report_serializable(m2):
     rep = hat_preimage_qness(m2, p, 1.0, 0.1, 500, np.random.default_rng(3))
     text = json.dumps(rep.to_json(), sort_keys=True)
     assert "hat_preimage_qness" in text
+
+
+def _preimage_sweep_reference(alg, a, center, radius, samples, rng):
+    """The per-pair, per-angle loop that hat_preimage_qness batches: returns
+    (worst violation, pairs checked, witness or None)."""
+    dec = alg.decomposition()
+    inside = []
+    for _ in range(samples):
+        s = random_pure_state(dec, rng)
+        if abs(hat(alg, a, s) - center) <= radius:
+            inside.append(s)
+    worst, witness, pairs = 0.0, None, 0
+    for s, t in itertools.combinations(inside, 2):
+        if s.block != t.block or pure_equal(s, t):
+            continue
+        pairs += 1
+        w = orthonormalize(np.column_stack([s.vector, t.vector]))
+        if w.shape[1] < 2:
+            continue
+        m = w.conj().T @ dec.blocks[s.block].irrep(a) @ w
+        for theta in np.linspace(0, 2 * np.pi, 64, endpoint=False):
+            hm = (np.exp(-1j * theta) * m + (np.exp(-1j * theta) * m).conj().T) / 2
+            vals, vecs = np.linalg.eigh(hm)
+            eta = vecs[:, -1]
+            z = complex(np.vdot(eta, m @ eta))
+            viol = abs(z - center) - radius
+            if viol > worst:
+                worst = viol
+                witness = PureState(s.block, w @ eta)
+        if pairs >= 200:
+            break
+    return worst, pairs, witness
+
+
+def _preimage_case(name, rng):
+    """(algebra, element, centre, radius, samples) of one oracle case."""
+    m3_gen = np.zeros((3, 3), dtype=complex)
+    m3_gen[0, 1] = m3_gen[1, 2] = 1.0
+    if name == "M2":  # about 36 of 60 samples land: more than 200 pairs
+        alg = generate_algebra([E12])
+        return alg, np.diag([1.0, 0.0]).astype(complex), 1.0, 0.6, 60
+    if name == "M3":  # rank-1 projector: the violations tie exactly
+        alg = generate_algebra([m3_gen])
+        return alg, np.diag([1.0, 0.0, 0.0]).astype(complex), 1.0, 0.6, 60
+    if name == "E12xI2":
+        alg = generate_algebra([np.kron(E12, np.eye(2))])
+        return alg, np.kron(np.diag([1.0, 0.0]), np.eye(2)).astype(complex), 1.0, 0.6, 40
+    if name == "rand_M2xI2":  # a non-normal element, a disc off the real axis
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        alg = generate_algebra([u @ np.kron(g, np.eye(2)) @ u.conj().T])
+        return alg, alg.random_element(rng), 0.3 - 0.2j, 0.8, 30
+    if name == "rand_M2xI2_proj":
+        alg, _, _, _, _ = _preimage_case("rand_M2xI2", rng)
+        p = _top_spectral_projector(alg, alg.random_element(rng, hermitian=True))
+        return alg, p, 1.0, 0.6, 40
+    assert name == "C3"  # one-dimensional blocks: no same-block pairs
+    return diagonal_algebra(3), np.diag([1.0, 0.0, 0.0]).astype(complex), 1.0, 0.1, 30
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["M2", "M3", "E12xI2", "rand_M2xI2", "rand_M2xI2_proj", "C3"])
+def test_preimage_sweep_matches_per_angle_loop(name, seed):
+    # the stacked sweep reproduces the loop bit for bit: same violation, same
+    # pair count and the same tie-picked witness
+    alg, a, center, radius, samples = _preimage_case(name, np.random.default_rng([seed, 99]))
+    worst, pairs, witness = _preimage_sweep_reference(
+        alg, a, center, radius, samples, np.random.default_rng(seed))
+    rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(seed))
+    assert rep.defects["pairs_checked"] == pairs
+    if name == "M2":
+        assert pairs == 200  # the cap cut the sweep
+    if name == "C3":
+        assert pairs == 0 and rep.witnesses == []
+        return
+    assert rep.defects["violation"] == worst
+    if witness is None:
+        assert rep.witnesses == []
+    else:
+        (got,) = rep.witnesses
+        assert got.block == witness.block
+        assert np.array_equal(got.vector, witness.vector)
+
+
+@pytest.fixture(scope="module")
+def star_algebras():
+    m2c_gen = np.zeros((3, 3), dtype=complex)
+    m2c_gen[0, 1] = 1.0
+    return {
+        "C3": diagonal_algebra(3),
+        "M2": generate_algebra([E12]),
+        "M2+C": generate_algebra([m2c_gen]),
+        "E12xI2": generate_algebra([np.kron(E12, np.eye(2))]),
+    }
+
+
+@given(name=st.sampled_from(["C3", "M2", "M2+C", "E12xI2"]),
+       seed=st.integers(0, 2**32 - 1),
+       hermitian=st.booleans(), one_block=st.booleans(), on_term=st.booleans())
+def test_qfunction_star_at_matches_full_product(star_algebras, name, seed, hermitian,
+                                                one_block, on_term):
+    alg = star_algebras[name]
+    dec = alg.decomposition()
+    rng = np.random.default_rng(seed)
+    a = alg.random_element(rng, hermitian=hermitian)
+    b = alg.random_element(rng)
+    if one_block:  # â is zero off one block, so are all its terms there
+        blk = dec.blocks[int(rng.integers(dec.n_blocks))]
+        a = blk.embed(blk.irrep(a))
+    f, g = hat_as_qfunction(alg, a), hat_as_qfunction(alg, b)
+    alpha = random_pure_state(dec, rng)
+    if on_term and f.terms:  # a state inside one of f's terms, so products can hold it
+        _, u = f.terms[int(rng.integers(len(f.terms)))]
+        i = next(i for i, p in enumerate(u.projectors) if p.rank > 0)
+        alpha = PureState(i, u.projectors[i].range_basis()[:, 0])
+    assert qfunction_star_at(f, g, alpha) == qfunction_star(f, g).evaluate(alpha)
