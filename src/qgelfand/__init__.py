@@ -4,9 +4,7 @@ C*-algebra state spaces, the noncommutative function product, and
 spectral/invariant-subspace diagnostics."""
 
 from .linalg import (
-    DEFAULT_TOL,
     Projector,
-    ToleranceConfig,
     projector_from_basis,
     proj_join,
     proj_meet,
@@ -58,9 +56,7 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "Projector",
-    "ToleranceConfig",
     "projector_from_basis",
     "proj_join",
     "proj_meet",

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
+    LATTICE_TOL,
+    RANK_TOL,
     as_cmatrix,
     cluster_eigenvalues,
     haar_unit_vector,
@@ -43,13 +43,12 @@ def _hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 _GS_CHUNK = 64  # candidates projected against the basis in one matmul
 
 
-def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray],
-                       rank_tol: float) -> list[np.ndarray]:
+def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray]) -> list[np.ndarray]:
     """HS-orthonormal basis of the span of mats, accepted in input order.
 
     Same selection as sequential Gram-Schmidt with one re-orthogonalization
     pass: the next basis element is the first remaining candidate whose
-    residual norm is at least rank_tol.  The candidates are rows of one
+    residual norm is at least RANK_TOL.  The candidates are rows of one
     array, taken in chunks: a chunk is projected against the basis so far
     with one matmul (twice), then each pivot accepted inside it is
     projected out of the chunk's remaining rows at once (twice).
@@ -68,7 +67,7 @@ def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray],
             chunk -= (chunk @ basis.conj().T) @ basis
         start = 0
         while start < len(chunk):
-            live = np.linalg.norm(chunk[start:], axis=1) >= rank_tol
+            live = np.linalg.norm(chunk[start:], axis=1) >= RANK_TOL
             if not live.any():
                 break
             i = start + int(np.argmax(live))
@@ -89,11 +88,9 @@ class FdAlgebra:
     the algebra; the span is closed under products and adjoints.
     """
 
-    def __init__(self, ambient_dim: int, basis: list[np.ndarray],
-                 tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, ambient_dim: int, basis: list[np.ndarray]):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self.tol = tol
         self._decomposition: "BlockDecomposition | None" = None
 
     @property
@@ -108,9 +105,7 @@ class FdAlgebra:
         return sum(cj * bj for cj, bj in zip(c, self.basis))
 
     def contains(self, a: np.ndarray) -> bool:
-        return op_norm(as_cmatrix(a) - self.project(a)) <= self.tol.rank_tol * max(
-            1.0, op_norm(a)
-        )
+        return op_norm(as_cmatrix(a) - self.project(a)) <= RANK_TOL * max(1.0, op_norm(a))
 
     def require_member(self, a: np.ndarray) -> np.ndarray:
         a = as_cmatrix(a)
@@ -127,14 +122,14 @@ class FdAlgebra:
 
     def is_commutative(self) -> bool:
         return all(
-            op_norm(a @ b - b @ a) <= self.tol.lattice_tol
+            op_norm(a @ b - b @ a) <= LATTICE_TOL
             for i, a in enumerate(self.basis)
             for b in self.basis[i + 1:]
         )
 
-    def decomposition(self, rng: np.random.Generator | None = None) -> "BlockDecomposition":
+    def decomposition(self) -> "BlockDecomposition":
         if self._decomposition is None:
-            self._decomposition = block_decompose(self, rng=rng)
+            self._decomposition = block_decompose(self)
         return self._decomposition
 
     def to_json(self) -> dict:
@@ -144,16 +139,15 @@ class FdAlgebra:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> "FdAlgebra":
+    def from_json(cls, obj: dict) -> "FdAlgebra":
         gens = [matrix_from_json(g) for g in obj["generators"]]
-        alg = generate_algebra(gens, tol=tol)
+        alg = generate_algebra(gens)
         if alg.ambient_dim != obj["ambient_dim"]:
             raise ValueError("ambient_dim disagrees with generator shapes")
         return alg
 
 
-def generate_algebra(generators: list[np.ndarray],
-                     tol: ToleranceConfig = DEFAULT_TOL) -> FdAlgebra:
+def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
     """Smallest unital *-closed algebra containing the generators.
 
     Each nonzero generator is first scaled by a power of two to a
@@ -178,18 +172,17 @@ def generate_algebra(generators: list[np.ndarray],
             g = g * 2.0 ** -math.frexp(norm)[1]
         seed.append(g)
         seed.append(g.conj().T)
-    basis = np.array(_hs_orthonormalize(seed, tol.rank_tol))
+    basis = np.array(_hs_orthonormalize(seed))
     while True:
         products = np.matmul(basis[:, None], basis[None, :]).reshape(-1, n, n)
         adjoints = basis.conj().transpose(0, 2, 1)
-        new_basis = _hs_orthonormalize(
-            np.concatenate([basis, products, adjoints]), tol.rank_tol)
+        new_basis = _hs_orthonormalize(np.concatenate([basis, products, adjoints]))
         if len(new_basis) == len(basis):
-            return FdAlgebra(n, new_basis, tol)
+            return FdAlgebra(n, new_basis)
         basis = np.array(new_basis)
 
 
-def commutant_basis(mats: list[np.ndarray], dim: int, rank_tol: float) -> list[np.ndarray]:
+def commutant_basis(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
     """HS-orthonormal basis of {x : xm = mx for all m}."""
     if not mats:
         return [np.eye(dim, dtype=complex)]
@@ -202,10 +195,10 @@ def commutant_basis(mats: list[np.ndarray], dim: int, rank_tol: float) -> list[n
     # (len(mats)·dim²) × dim² with len(mats) ≥ 1, so the thin SVD's vh is
     # the full dim² × dim² right factor
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    null_mask = svals <= rank_tol * max(1.0, svals[0])
+    null_mask = svals <= RANK_TOL * max(1.0, svals[0])
     basis_vecs = vh.conj().T[:, null_mask]
     mats_out = [basis_vecs[:, j].reshape(dim, dim, order="F") for j in range(basis_vecs.shape[1])]
-    return _hs_orthonormalize(mats_out, rank_tol)
+    return _hs_orthonormalize(mats_out)
 
 
 def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
@@ -223,10 +216,10 @@ def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
     # basis is HS-orthonormal, so commutators are O(1); floor the scale at 1
     # to keep a noise-level system (fully commutative algebra) fully null
     scale = max(1.0, svals[0]) if len(svals) else 1.0
-    nkeep = int(np.sum(svals > alg.tol.rank_tol * scale))
+    nkeep = int(np.sum(svals > RANK_TOL * scale))
     null = vh.conj().T[:, nkeep:]
     mats = np.tensordot(null.T, basis, axes=1)
-    return _hs_orthonormalize(mats, alg.tol.rank_tol)
+    return _hs_orthonormalize(mats)
 
 
 def _random_hermitian_from(basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
@@ -276,7 +269,7 @@ _CLUSTER_GAP = 1e-6
 _MAX_RETRIES = 8
 
 
-def block_decompose(alg: FdAlgebra, rng: np.random.Generator | None = None) -> BlockDecomposition:
+def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
     """Wedderburn decomposition of a *-closed matrix algebra.
 
     The random-element method of Murota, Kanno, Kojima & Kojima (Japan J.
@@ -284,23 +277,21 @@ def block_decompose(alg: FdAlgebra, rng: np.random.Generator | None = None) -> B
     minimal central idempotents come from the eigendecomposition of a
     random Hermitian central element (retried on eigenvalue collisions);
     inside each isotypic component the multiplicity space is split along a
-    random Hermitian element of the commutant.
+    random Hermitian element of the commutant.  The random elements are
+    drawn from default_rng(0), so the decomposition is reproducible.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    tol = alg.tol
-    n = alg.ambient_dim
+    rng = np.random.default_rng(0)
     center = center_basis(alg)
     n_central = len(center)
 
-    projectors = _central_projectors(center, n_central, rng, tol)
+    projectors = _central_projectors(center, n_central, rng)
     blocks = []
     for p in projectors:
-        vals, vecs = hermitian_eig(p, tol)
+        vals, vecs = hermitian_eig(p)
         w = vecs[:, vals > 0.5]  # isotypic component basis
         ni = w.shape[1]
         compressed = [w.conj().T @ b @ w for b in alg.basis]
-        comp_basis = _hs_orthonormalize(compressed, tol.rank_tol)
+        comp_basis = _hs_orthonormalize(compressed)
         d2 = len(comp_basis)
         d = int(round(np.sqrt(d2)))
         if d * d != d2 or ni % d != 0:
@@ -308,7 +299,7 @@ def block_decompose(alg: FdAlgebra, rng: np.random.Generator | None = None) -> B
                 f"block dimensions inconsistent: span {d2}, component {ni}"
             )
         m = ni // d
-        frames = _multiplicity_frames(comp_basis, ni, d, m, rng, tol)
+        frames = _multiplicity_frames(comp_basis, ni, d, m, rng)
         iso = w @ np.hstack(frames)
         blocks.append(Block(d, m, iso, p))
     dec = BlockDecomposition(alg, blocks)
@@ -316,13 +307,13 @@ def block_decompose(alg: FdAlgebra, rng: np.random.Generator | None = None) -> B
     return dec
 
 
-def _central_projectors(center, n_central, rng, tol) -> list[np.ndarray]:
+def _central_projectors(center, n_central, rng) -> list[np.ndarray]:
     n = center[0].shape[0] if center else 0
     if n_central == 1:
         return [np.eye(n, dtype=complex)]
     for _ in range(_MAX_RETRIES):
         z = _random_hermitian_from(center, rng)
-        vals, vecs = hermitian_eig(z, tol)
+        vals, vecs = hermitian_eig(z)
         clusters = cluster_eigenvalues(vals, _CLUSTER_GAP)
         if len(clusters) != n_central:
             continue
@@ -340,20 +331,20 @@ def _central_projectors(center, n_central, rng, tol) -> list[np.ndarray]:
     )
 
 
-def _multiplicity_frames(comp_basis, ni, d, m, rng, tol) -> list[np.ndarray]:
+def _multiplicity_frames(comp_basis, ni, d, m, rng) -> list[np.ndarray]:
     """Orthonormal frames B_k (ni × d), one per multiplicity copy, chosen so
     the compressed algebra acts identically on every copy."""
     if m == 1:
         # single copy: any orthonormal basis works, fix the identity frame
         return [np.eye(ni, dtype=complex)]
-    comm = commutant_basis(comp_basis, ni, tol.rank_tol)
+    comm = commutant_basis(comp_basis, ni)
     if len(comm) != m * m:
         raise DecompositionError(
             f"commutant dimension {len(comm)} != multiplicity² = {m * m}"
         )
     for _ in range(_MAX_RETRIES):
         x = _random_hermitian_from(comm, rng)
-        vals, vecs = hermitian_eig(x, tol)
+        vals, vecs = hermitian_eig(x)
         clusters = cluster_eigenvalues(vals, _CLUSTER_GAP)
         if len(clusters) != m or any(len(c) != d for c in clusters):
             continue
@@ -365,7 +356,7 @@ def _multiplicity_frames(comp_basis, ni, d, m, rng, tol) -> list[np.ndarray]:
         for k in range(1, m):
             s = raw[k].conj().T @ y @ raw[0]  # intertwiner between copies
             u, sv, vh = np.linalg.svd(s)
-            if sv[-1] <= tol.rank_tol:
+            if sv[-1] <= RANK_TOL:
                 break
             frames.append(raw[k] @ (u @ vh))
         else:
@@ -375,10 +366,9 @@ def _multiplicity_frames(comp_basis, ni, d, m, rng, tol) -> list[np.ndarray]:
 
 def _check_decomposition(dec: BlockDecomposition):
     alg = dec.algebra
-    tol = alg.tol
     n = alg.ambient_dim
     total = sum(blk.central_projector for blk in dec.blocks)
-    if op_norm(total - np.eye(n)) > 100 * tol.lattice_tol:
+    if op_norm(total - np.eye(n)) > 100 * LATTICE_TOL:
         raise DecompositionError("central idempotents do not sum to the identity")
     basis = np.array(alg.basis)
     # irrep and embed broadcast over the stack of basis elements
@@ -398,18 +388,17 @@ class State:
     through a ↦ tr(rho a) on the algebra)."""
 
     rho: np.ndarray
-    tol: float = DEFAULT_TOL.rank_tol
 
     def __post_init__(self):
         r = as_cmatrix(self.rho)
         if r.shape[0] != r.shape[1]:
             raise StateError("density matrix must be square")
-        if op_norm(r - r.conj().T) > self.tol:
+        if op_norm(r - r.conj().T) > RANK_TOL:
             raise StateError("density matrix is not Hermitian")
         vals = np.linalg.eigvalsh((r + r.conj().T) / 2)
-        if vals.min() < -self.tol:
+        if vals.min() < -RANK_TOL:
             raise StateError("density matrix is not positive semidefinite")
-        if abs(np.real(np.trace(r)) - 1.0) > self.tol:
+        if abs(np.real(np.trace(r)) - 1.0) > RANK_TOL:
             raise StateError("density matrix does not have unit trace")
         self.rho = r
 
@@ -426,7 +415,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL.rank_tol:
+        if abs(np.linalg.norm(v) - 1.0) > RANK_TOL:
             raise StateError("pure-state vector must be a unit vector")
         object.__setattr__(self, "vector", v)
 
@@ -459,8 +448,7 @@ def state_block_matrices(dec: BlockDecomposition, state: State) -> list[np.ndarr
     return out
 
 
-def as_pure(dec: BlockDecomposition, state: State,
-            tol: ToleranceConfig = DEFAULT_TOL) -> PureState | None:
+def as_pure(dec: BlockDecomposition, state: State) -> PureState | None:
     """Block-aware purity test on the algebra.
 
     A state can be ambient-mixed and still pure on the algebra; purity is
@@ -470,19 +458,18 @@ def as_pure(dec: BlockDecomposition, state: State,
     """
     mats = state_block_matrices(dec, state)
     weights = [float(np.real(np.trace(r))) for r in mats]
-    live = [i for i, w in enumerate(weights) if w > tol.rank_tol]
+    live = [i for i, w in enumerate(weights) if w > RANK_TOL]
     if len(live) != 1:
         return None
     i = live[0]
-    vals, vecs = hermitian_eig(mats[i], tol)
-    if np.sum(vals > tol.rank_tol) != 1:
+    vals, vecs = hermitian_eig(mats[i])
+    if np.sum(vals > RANK_TOL) != 1:
         return None
     return PureState(i, vecs[:, -1])
 
 
-def is_pure(dec: BlockDecomposition, state: State,
-            tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return as_pure(dec, state, tol) is not None
+def is_pure(dec: BlockDecomposition, state: State) -> bool:
+    return as_pure(dec, state) is not None
 
 
 def random_pure_state(dec: BlockDecomposition, rng: np.random.Generator) -> PureState:
@@ -491,10 +478,10 @@ def random_pure_state(dec: BlockDecomposition, rng: np.random.Generator) -> Pure
     return PureState(i, haar_unit_vector(dec.blocks[i].irrep_dim, rng))
 
 
-def pure_equal(a: PureState, b: PureState, tol: float = 1e-8) -> bool:
+def pure_equal(a: PureState, b: PureState) -> bool:
     if a.block != b.block:
         return False
-    return abs(abs(np.vdot(a.vector, b.vector)) - 1.0) <= tol
+    return abs(abs(np.vdot(a.vector, b.vector)) - 1.0) <= RANK_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +505,7 @@ class GnsRepresentation:
         return self._embed @ self.algebra.coords(a)
 
 
-def gns(alg: FdAlgebra, state: State,
-        tol: ToleranceConfig = DEFAULT_TOL) -> GnsRepresentation:
+def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
     """GNS representation of (algebra, state).
 
     The pre-Hilbert space is the algebra with ⟨x, y⟩ = α(y*x); the null
@@ -533,8 +519,8 @@ def gns(alg: FdAlgebra, state: State,
     # coords u, v: <u, v> = v† G u with G[j,k] = α(b_j† b_k) — note the
     # conjugate-linear slot; gram above is already that matrix transposed
     gram = (gram + gram.conj().T) / 2
-    vals, vecs = hermitian_eig(gram, tol)
-    keep = vals > tol.rank_tol * max(1.0, vals.max())
+    vals, vecs = hermitian_eig(gram)
+    keep = vals > RANK_TOL * max(1.0, vals.max())
     basis_coords = vecs[:, keep] / np.sqrt(vals[keep])
     embed = basis_coords.conj().T @ gram
 
@@ -552,10 +538,9 @@ def gns(alg: FdAlgebra, state: State,
     return g
 
 
-def is_irreducible(rep: GnsRepresentation,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_irreducible(rep: GnsRepresentation) -> bool:
     """True iff the commutant of the representation is one-dimensional."""
-    comm = commutant_basis(rep.rep_basis, rep.dim, tol.rank_tol)
+    comm = commutant_basis(rep.rep_basis, rep.dim)
     return len(comm) == 1
 
 
@@ -584,28 +569,26 @@ def r_is_discrete(dec: BlockDecomposition) -> bool:
 # orthogonality and the hat map
 
 
-def support_projection(dec: BlockDecomposition, state: State,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def support_projection(dec: BlockDecomposition, state: State) -> np.ndarray:
     """Smallest projection p in the algebra with α(p) = 1."""
     out = np.zeros((dec.algebra.ambient_dim,) * 2, dtype=complex)
     for blk, rho_i in zip(dec.blocks, state_block_matrices(dec, state)):
-        vals, vecs = hermitian_eig(rho_i, tol)
-        keep = vecs[:, vals > tol.rank_tol]
+        vals, vecs = hermitian_eig(rho_i)
+        keep = vecs[:, vals > RANK_TOL]
         if keep.shape[1]:
             out += blk.embed(keep @ keep.conj().T)
     return out
 
 
-def orthogonal_states(dec: BlockDecomposition, alpha: State, beta: State,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def orthogonal_states(dec: BlockDecomposition, alpha: State, beta: State) -> bool:
     """There is a projection p in the algebra with α(p) = 1 and β(p) = 0.
 
     At finite dimension the enveloping algebra is the algebra itself, so
     the net-based criterion collapses to support-projection orthogonality.
     """
-    sa = support_projection(dec, alpha, tol)
-    sb = support_projection(dec, beta, tol)
-    return op_norm(sa @ sb) <= tol.lattice_tol
+    sa = support_projection(dec, alpha)
+    sb = support_projection(dec, beta)
+    return op_norm(sa @ sb) <= LATTICE_TOL
 
 
 def hat(alg: FdAlgebra, a: np.ndarray, state) -> complex:
@@ -619,8 +602,7 @@ def hat(alg: FdAlgebra, a: np.ndarray, state) -> complex:
     return state(a)
 
 
-def hat_map_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def hat_map_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator) -> dict:
     """Multiplicativity defect and point separation of the hat map on pure
     states; the defect vanishes exactly for commutative algebras."""
     dec = alg.decomposition()
@@ -637,7 +619,7 @@ def hat_map_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         beta = random_pure_state(dec, rng)
         if not pure_equal(alpha, beta):
             if all(
-                abs(hat(alg, bb, alpha) - hat(alg, bb, beta)) <= tol.lattice_tol
+                abs(hat(alg, bb, alpha) - hat(alg, bb, beta)) <= LATTICE_TOL
                 for bb in alg.basis
             ):
                 separated = False

@@ -48,9 +48,12 @@ def _write_text(text: str, out: str | None):
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(pathlib.Path(path).read_text())
+        obj = json.loads(pathlib.Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise click.exceptions.Exit(_input_error(f"cannot read {path}: {exc}"))
+    if not isinstance(obj, dict):
+        raise click.exceptions.Exit(_input_error(f"{path} must hold a JSON object"))
+    return obj
 
 
 def _input_error(msg: str) -> int:
@@ -270,7 +273,7 @@ def spectral_group():
 @spectral_group.command("report")
 @click.argument("matrix_file")
 @click.option("--seed", required=True, type=int)
-@click.option("--samples", default=2000, type=int)
+@click.option("--samples", default=2000, type=click.IntRange(min=1))
 @click.option("--out", default=None)
 @click.option("--plot-data", "plot_data", default=None,
               help="write CSV plot data (support sweep + sample cloud)")
@@ -306,7 +309,7 @@ def _plot_csv(rep: spectral.SpectralReport) -> str:
 @click.option("--mode", default="oracle",
               type=click.Choice(["paper", "oracle", "both"]))
 @click.option("--seed", required=True, type=int)
-@click.option("--samples", default=2000, type=int)
+@click.option("--samples", default=2000, type=click.IntRange(min=1))
 @click.option("--out", default=None)
 def invsub(matrix_file, mode, seed, samples, out):
     """Candidate invariant subspaces with measured invariance defects."""

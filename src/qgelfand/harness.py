@@ -56,17 +56,19 @@ class RunConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
-        if self.seed is None or int(self.seed) < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed is mandatory and must be a nonnegative integer")
-        self.seed = int(self.seed)
-        if int(self.samples) <= 0:
-            raise ConfigError("samples must be positive")
-        self.samples = int(self.samples)
+        if not _is_int(self.samples) or self.samples <= 0:
+            raise ConfigError("samples must be a positive integer")
+        if not isinstance(self.instances, list):
+            raise ConfigError("instances must be a list of paths or inline instances")
         if not self.instances:
             raise ConfigError("at least one instance is required")
 
     @classmethod
     def from_json(cls, obj: dict, base_dir: pathlib.Path | None = None) -> "RunConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError("claims config must be a JSON object")
         # a misspelt or retired key would otherwise run silently with defaults
         for key in obj:
             if key not in CONFIG_KEYS:
@@ -75,13 +77,18 @@ class RunConfig:
         try:
             return cls(
                 suite=obj["suite"],
-                instances=list(obj["instances"]),
+                instances=obj["instances"],
                 seed=obj["seed"],
                 samples=obj.get("samples", 1000),
                 base_dir=base_dir or pathlib.Path(),
             )
         except KeyError as exc:
             raise ConfigError(f"claims config missing field {exc}") from exc
+
+
+def _is_int(v) -> bool:
+    # JSON true/false decode to bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:
@@ -93,6 +100,8 @@ def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:
             obj = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read instance {entry}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ConfigError(f"instance {entry} must hold a JSON object")
         name = pathlib.Path(entry).stem
         extras = {k: obj[k] for k in ("element", "center", "radius") if k in obj}
         return name, FdAlgebra.from_json(obj), extras

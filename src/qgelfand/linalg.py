@@ -17,27 +17,11 @@ class NonHermitianError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds shared across the library.
-
-    rank_tol governs rank decisions (which singular/eigen values count as
-    zero), eig_tol bounds decomposition residuals, lattice_tol is the slack
-    allowed in projector-lattice identities.
-    """
-
-    eig_tol: float = 1e-10
-    rank_tol: float = 1e-8
-    lattice_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.eig_tol <= 0 or self.rank_tol <= 0 or self.lattice_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.rank_tol < self.eig_tol:
-            raise ValueError("rank_tol must be >= eig_tol")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# The numerical thresholds every verdict rests on.  RANK_TOL decides which
+# singular values, eigenvalues and residual norms count as zero; LATTICE_TOL
+# is the slack allowed in projector-lattice identities.
+RANK_TOL = 1e-8
+LATTICE_TOL = 1e-8
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -73,7 +57,7 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
-def hermitian_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+def hermitian_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, unitary eigenbasis).  Each eigenvector is
@@ -84,18 +68,18 @@ def hermitian_eig(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("matrix must be square")
     scale = max(1.0, op_norm(a))
-    if op_norm(a - a.conj().T) > tol.rank_tol * scale:
+    if op_norm(a - a.conj().T) > RANK_TOL * scale:
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
     vecs = _phase_normalize(vecs)
     return vals, vecs
 
 
-def _phase_normalize(vecs: np.ndarray, thresh: float = 1e-12) -> np.ndarray:
+def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > thresh * max(1.0, np.abs(col).max()))
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
         if nz.size:
             pivot = col[nz[0]]
             out[:, j] = col * (pivot.conjugate() / abs(pivot))
@@ -116,10 +100,10 @@ def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def orthonormalize(columns: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def orthonormalize(columns: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
-    Columns whose residual drops below rank_tol are discarded; the returned
+    Columns whose residual drops below RANK_TOL are discarded; the returned
     matrix holds an orthonormal basis of the numerically detected span (may
     have zero columns).
     """
@@ -133,7 +117,7 @@ def orthonormalize(columns: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> n
             for b in basis:
                 v -= b * (b.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm >= tol.rank_tol:
+        if norm >= RANK_TOL:
             basis.append(v / norm)
     if not basis:
         return np.zeros((cols.shape[0], 0), dtype=complex)
@@ -145,15 +129,14 @@ class Projector:
     """Hermitian idempotent matrix representing a closed subspace."""
 
     matrix: np.ndarray
-    tol: float = DEFAULT_TOL.lattice_tol
 
     def __post_init__(self):
         m = as_cmatrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError("projector must be square")
-        if op_norm(m - m.conj().T) > self.tol:
+        if op_norm(m - m.conj().T) > LATTICE_TOL:
             raise ValueError("projector is not Hermitian within tol")
-        if op_norm(m @ m - m) > self.tol:
+        if op_norm(m @ m - m) > LATTICE_TOL:
             raise ValueError("projector is not idempotent within tol")
         object.__setattr__(self, "matrix", m)
 
@@ -165,8 +148,8 @@ class Projector:
     def rank(self) -> int:
         return int(round(float(np.real(np.trace(self.matrix)))))
 
-    def range_basis(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        vals, vecs = hermitian_eig(self.matrix, tol)
+    def range_basis(self) -> np.ndarray:
+        vals, vecs = hermitian_eig(self.matrix)
         keep = vals > 0.5
         return vecs[:, keep]
 
@@ -175,25 +158,24 @@ class Projector:
             return NotImplemented
         return (
             self.dim == other.dim
-            and op_norm(self.matrix - other.matrix) <= max(self.tol, other.tol)
+            and op_norm(self.matrix - other.matrix) <= LATTICE_TOL
         )
 
     def __hash__(self):
         return hash((self.dim, self.rank))
 
 
-def projector_from_basis(basis: np.ndarray, dim: int | None = None,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def projector_from_basis(basis: np.ndarray, dim: int | None = None) -> Projector:
     """Projector onto the span of the given columns (may be empty)."""
     basis = np.asarray(basis, dtype=complex)
     if basis.size == 0:
         if dim is None:
             dim = basis.shape[0]
-        return Projector(np.zeros((dim, dim), dtype=complex), tol.lattice_tol)
-    q = orthonormalize(basis, tol)
+        return Projector(np.zeros((dim, dim), dtype=complex))
+    q = orthonormalize(basis)
     if q.shape[1] == 0:
-        return Projector(np.zeros((basis.shape[0],) * 2, dtype=complex), tol.lattice_tol)
-    return Projector(q @ q.conj().T, tol.lattice_tol)
+        return Projector(np.zeros((basis.shape[0],) * 2, dtype=complex))
+    return Projector(q @ q.conj().T)
 
 
 def _check_same_dim(p: Projector, q: Projector):
@@ -202,29 +184,29 @@ def _check_same_dim(p: Projector, q: Projector):
 
 
 def proj_ortho(p: Projector) -> Projector:
-    return Projector(np.eye(p.dim) - p.matrix, p.tol)
+    return Projector(np.eye(p.dim) - p.matrix)
 
 
-def proj_meet(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def proj_meet(p: Projector, q: Projector) -> Projector:
     """Projector onto range(p) ∩ range(q).
 
     Computed as the eigenspace of p + q at eigenvalue 2: the sum attains 2
     exactly on the intersection.
     """
     _check_same_dim(p, q)
-    vals, vecs = hermitian_eig(p.matrix + q.matrix, tol)
-    keep = vals > 2 - tol.rank_tol
-    return projector_from_basis(vecs[:, keep], dim=p.dim, tol=tol)
+    vals, vecs = hermitian_eig(p.matrix + q.matrix)
+    keep = vals > 2 - RANK_TOL
+    return projector_from_basis(vecs[:, keep], dim=p.dim)
 
 
-def proj_join(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def proj_join(p: Projector, q: Projector) -> Projector:
     """Projector onto span(range(p) ∪ range(q))."""
     _check_same_dim(p, q)
-    cols = np.hstack([p.range_basis(tol), q.range_basis(tol)])
-    return projector_from_basis(cols, dim=p.dim, tol=tol)
+    cols = np.hstack([p.range_basis(), q.range_basis()])
+    return projector_from_basis(cols, dim=p.dim)
 
 
-def sasaki_product(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def sasaki_product(p: Projector, q: Projector) -> Projector:
     """The projector p ∧ (p⊥ ∨ q), i.e. compression of q into p at lattice level.
 
     Closed form: p ∧ (p⊥ ∨ q) is the range projection of p·range(q).  If
@@ -232,13 +214,13 @@ def sasaki_product(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TO
     x = px = pz; conversely pz = z − p⊥z lies in both p and p⊥ ∨ q.
     """
     _check_same_dim(p, q)
-    return projector_from_basis(p.matrix @ q.range_basis(tol), dim=p.dim, tol=tol)
+    return projector_from_basis(p.matrix @ q.range_basis(), dim=p.dim)
 
 
-def proj_leq(p: Projector, q: Projector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def proj_leq(p: Projector, q: Projector) -> bool:
     """Order of the projection lattice: p <= q iff pq = qp = p."""
     _check_same_dim(p, q)
-    return op_norm(p.matrix @ q.matrix - p.matrix) <= tol.lattice_tol
+    return op_norm(p.matrix @ q.matrix - p.matrix) <= LATTICE_TOL
 
 
 def haar_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,7 +240,6 @@ def haar_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def random_projector(dim: int, rank: int, rng: np.random.Generator,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> Projector:
+def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
     cols = np.column_stack([haar_unit_vector(dim, rng) for _ in range(rank)])
-    return projector_from_basis(cols, dim=dim, tol=tol)
+    return projector_from_basis(cols, dim=dim)

@@ -21,10 +21,9 @@ from .algebra import (
     random_pure_state,
 )
 from .linalg import (
-    DEFAULT_TOL,
+    LATTICE_TOL,
     DimensionMismatchError,
     Projector,
-    ToleranceConfig,
     cluster_eigenvalues,
     hermitian_eig,
     op_norm,
@@ -53,8 +52,8 @@ class QSubset:
         if [p.dim for p in self.projectors] != [b.irrep_dim for b in self.decomposition.blocks]:
             raise DimensionMismatchError("need one projector per block on its irrep space")
 
-    def contains(self, alpha: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        return _in_range(self.projectors[alpha.block], alpha.vector, tol)
+    def contains(self, alpha: PureState) -> bool:
+        return _in_range(self.projectors[alpha.block], alpha.vector)
 
     def is_empty(self) -> bool:
         return all(p.rank == 0 for p in self.projectors)
@@ -71,8 +70,8 @@ class QSubset:
         )
 
 
-def _in_range(p: Projector, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return np.linalg.norm(p.matrix @ v - v) <= 1e3 * tol.lattice_tol
+def _in_range(p: Projector, v: np.ndarray) -> bool:
+    return np.linalg.norm(p.matrix @ v - v) <= 1e3 * LATTICE_TOL
 
 
 def _zero_projectors(dec: BlockDecomposition) -> list[Projector]:
@@ -315,7 +314,7 @@ def _json_value(v):
 
 def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: float,
                        samples: int, rng: np.random.Generator,
-                       instance: str = "", tol: float = 1e-9) -> ClaimsReport:
+                       instance: str = "") -> ClaimsReport:
     """Is the preimage of a disc under â closed under singleton joins?
 
     Samples equivalent pairs inside the preimage and measures how far â
@@ -379,7 +378,7 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
                                 "holds-within-tol", [])
         return ClaimsReport("hat_preimage_qness", instance, {"violation": None},
                             "inconclusive", [])
-    verdict = "holds-within-tol" if worst <= tol else "fails"
+    verdict = "holds-within-tol" if worst <= 1e-9 else "fails"
     return ClaimsReport(
         "hat_preimage_qness", instance,
         {"violation": worst, "pairs_checked": pairs, "preimage_size": len(inside)},

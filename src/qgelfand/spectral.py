@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import FdAlgebra, generate_algebra, gns, vector_state
 from .linalg import (
-    DEFAULT_TOL,
+    RANK_TOL,
     Projector,
     as_cmatrix,
     haar_unit_vectors,
@@ -40,6 +40,11 @@ def spectrum(a: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
+# slack of the Sigma(a) decisions: a single point, equal to sigma(a), and
+# the containment query
+SIGMA_TOL = 1e-6
+
+
 @dataclass
 class SpectralReport:
     """sigma(a) against Sigma(a) = union over blocks of the numerical
@@ -53,13 +58,10 @@ class SpectralReport:
     cloud: np.ndarray  # complex samples of a-hat over Haar pure states
     sigma_singleton: bool
     sigma_equals_big: bool
-    hausdorff_tol: float
 
-    def contains(self, z: complex, tol: float | None = None) -> bool:
+    def contains(self, z: complex, tol: float = SIGMA_TOL) -> bool:
         """z in Sigma(a) iff some block's support function dominates it at
         every swept angle (numerical ranges are convex)."""
-        if tol is None:
-            tol = self.hausdorff_tol
         for supports in self.block_supports:
             proj = np.real(np.exp(-1j * self.thetas) * z)
             if np.all(proj <= supports + tol):
@@ -83,8 +85,7 @@ class SpectralReport:
 
 
 def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
-              rng: np.random.Generator | None = None,
-              hausdorff_tol: float = 1e-6) -> SpectralReport:
+              rng: np.random.Generator | None = None) -> SpectralReport:
     """Sigma(a): the set of values of a-hat over pure states of the
     algebra generated by a.
 
@@ -117,14 +118,14 @@ def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
     cloud = _quadratic_values(a, haar_unit_vectors(samples, a.shape[0], rng))
 
     all_boundary = np.concatenate(block_boundaries)
-    singleton = bool(np.max(np.abs(all_boundary - all_boundary[0])) <= hausdorff_tol)
+    singleton = bool(np.max(np.abs(all_boundary - all_boundary[0])) <= SIGMA_TOL)
     # Hausdorff check: every boundary point near sigma and vice versa
     d1 = _distances_to(sig, all_boundary).max()
-    equals = bool(d1 <= 10 * hausdorff_tol)
+    equals = bool(d1 <= 10 * SIGMA_TOL)
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
-                            cloud, singleton, equals, hausdorff_tol)
+                            cloud, singleton, equals)
     for lam in sig:
-        if not report.contains(lam, 100 * hausdorff_tol):
+        if not report.contains(lam, 100 * SIGMA_TOL):
             raise RuntimeError("eigenvalue escaped the swept Sigma region")
     return report
 
@@ -176,7 +177,7 @@ def cyclic_decompose(a: np.ndarray) -> CyclicDecomposition:
         e = np.zeros(n, dtype=complex)
         e[j] = 1.0
         resid = e - covered @ (covered.conj().T @ e)
-        if np.linalg.norm(resid) < DEFAULT_TOL.rank_tol:
+        if np.linalg.norm(resid) < RANK_TOL:
             continue
         h = resid / np.linalg.norm(resid)
         basis = orbit_basis(alg, h)
@@ -288,8 +289,7 @@ def _oracle_result(a: np.ndarray) -> InvariantSubspaceResult:
 
 
 def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
-                    rng: np.random.Generator,
-                    scalar_tol: float = 1e-8) -> InvariantSubspaceResult:
+                    rng: np.random.Generator) -> InvariantSubspaceResult:
     """The sigma-versus-Sigma dichotomy, with measured defects in place of
     asserted invariance.
 
@@ -310,7 +310,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
         e[0, 0] = 1.0
         p = projector_from_basis(e, dim=n)
         defect = invariance_defect(a, p)
-        if scalar_gap > scalar_tol * norm_a:
+        if scalar_gap > RANK_TOL * norm_a:
             return InvariantSubspaceResult(
                 p, defect, (1, n), "scalar-case", "paper-construction",
                 "scalar-discrepancy",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -239,6 +240,25 @@ def test_claims_unknown_config_key(runner, files, key, value):
     assert f"unknown claims config field '{key}'" in res.stderr
 
 
+@pytest.mark.parametrize("change, args, message", [
+    ({"seed": "x"}, [], "seed"),
+    ({"seed": 1.7}, [], "seed"),
+    ({"seed": True}, [], "seed"),
+    ({"samples": "many"}, [], "samples"),
+    ({"instances": "diag3.json"}, [], "instances must be a list"),
+    (None, ["--seed", "3"], "JSON object"),  # the whole config is a JSON list
+])
+def test_claims_config_types(runner, files, change, args, message):
+    # wrong-typed fields are input errors, not crashes or silent coercions
+    obj = {"suite": "prop1", "instances": ["diag3.json"], "seed": 1, "samples": 5}
+    obj = [obj] if change is None else {**obj, **change}
+    cfg = files["tmp"] / "cfg_types.json"
+    cfg.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg), *args])
+    assert res.exit_code == 2
+    assert message in res.stderr
+
+
 def test_claims_missing_seed(runner, files):
     cfg = files["tmp"] / "cfg3.json"
     cfg.write_text(json.dumps({
@@ -290,6 +310,48 @@ def test_invsub(runner, files):
     assert tags == {"sigma-split-case", "oracle"}
     oracle = next(r for r in rows if r["case_tag"] == "oracle")
     assert oracle["invariance_defect"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "report", "{list}", "--seed", "0"],
+    ["invsub", "{list}", "--seed", "0"],
+    ["alg", "generate", "{list}"],
+    ["claims", "run", "--config", "{cfg}"],
+])
+def test_non_object_json_input(runner, files, argv):
+    # a top-level JSON list is an input error wherever an object is expected
+    (files["tmp"] / "list.json").write_text("[1, 2]")
+    cfg = files["tmp"] / "cfg_list.json"
+    cfg.write_text(json.dumps({"suite": "prop1", "instances": ["list.json"], "seed": 1}))
+    argv = [a.format(list=files["tmp"] / "list.json", cfg=cfg) for a in argv]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "must hold a JSON object" in res.stderr
+
+
+@pytest.mark.parametrize("command", [["spectral", "report"], ["invsub", "--mode", "paper"]])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one(runner, files, command, samples):
+    res = runner.invoke(main, [*command, files["e12.json"], "--seed", "0",
+                               "--samples", samples])
+    assert res.exit_code == 2
+    assert "--samples" in res.output
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["spectral", "report"],
+     "8c0c679cd339ffa7c34908a8778a857c6ad14eac9be997fe67697a25804c9393"),
+    (["invsub", "--mode", "both"],
+     "bf340c219de613e840056a613a655a8f815d7882212227ad044bc865244517f8"),
+])
+def test_spectral_report_bytes(runner, tmp_path, argv, digest):
+    # sha256 of the outputs written while the Sigma(a) and scalar-case
+    # thresholds were still keyword arguments; the shift needs no seeded input
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(matrix_to_json(np.eye(3, k=1))))
+    res = runner.invoke(main, [*argv, str(path), "--seed", "0", "--samples", "200"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 def test_out_flag_writes_file(runner, files):

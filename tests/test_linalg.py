@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qgelfand.linalg import (
     NonHermitianError,
     Projector,
-    ToleranceConfig,
     as_cmatrix,
     haar_unit_vector,
     hermitian_eig,
@@ -24,15 +23,6 @@ from qgelfand.linalg import (
 )
 
 RNG = np.random.default_rng(2024)
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(eig_tol=-1.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(eig_tol=1e-6, rank_tol=1e-10)
-    t = ToleranceConfig()
-    assert t.rank_tol >= t.eig_tol
 
 
 def test_as_cmatrix_rejects_nonfinite():
