@@ -140,6 +140,10 @@ class FdAlgebra:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FdAlgebra":
+        if not (isinstance(obj, dict) and isinstance(obj.get("ambient_dim"), int)
+                and isinstance(obj.get("generators"), list)):
+            raise ValueError('an algebra must be an object with an integer "ambient_dim" '
+                             'and a list of "generators"')
         gens = [matrix_from_json(g) for g in obj["generators"]]
         alg = generate_algebra(gens)
         if alg.ambient_dim != obj["ambient_dim"]:
@@ -257,9 +261,6 @@ class BlockDecomposition:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def irreps(self, a: np.ndarray) -> list[np.ndarray]:
-        return [blk.irrep(a) for blk in self.blocks]
 
     def reconstruct(self, a: np.ndarray) -> np.ndarray:
         return sum(blk.embed(blk.irrep(a)) for blk in self.blocks)

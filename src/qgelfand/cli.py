@@ -31,19 +31,15 @@ EXIT_BUDGET = 3
 EXIT_NUMERICAL = 4
 
 
-def _dump(obj: dict, out: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out:
-        pathlib.Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
-
-
 def _write_text(text: str, out: str | None):
     if out:
         pathlib.Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
+
+
+def _dump(obj: dict, out: str | None):
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
 
 
 def _load_json(path: str) -> dict:
@@ -75,7 +71,7 @@ def _load_matrix(path: str) -> np.ndarray:
     obj = _load_json(path)
     try:
         m = matrix_from_json(obj)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise click.exceptions.Exit(_input_error(str(exc)))
     if m.shape[0] != m.shape[1]:
         raise click.exceptions.Exit(_input_error("matrix must be square"))
@@ -190,7 +186,7 @@ def alg_generate(algebra_file, out):
     obj = _load_json(algebra_file)
     try:
         alg = FdAlgebra.from_json(obj)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         sys.exit(_input_error(str(exc)))
     _dump({"ambient_dim": alg.ambient_dim, "dim": alg.dim,
            "commutative": alg.is_commutative()}, out)
@@ -206,7 +202,7 @@ def alg_blocks(algebra_file, out):
     try:
         alg = FdAlgebra.from_json(obj)
         dec = alg.decomposition()
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         sys.exit(_input_error(str(exc)))
     except DecompositionError as exc:
         click.echo(f"numerical failure: {exc}", err=True)

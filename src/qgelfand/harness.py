@@ -102,21 +102,16 @@ def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:
             raise ConfigError(f"cannot read instance {entry}: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"instance {entry} must hold a JSON object")
-        name = pathlib.Path(entry).stem
-        extras = {k: obj[k] for k in ("element", "center", "radius") if k in obj}
-        return name, FdAlgebra.from_json(obj), extras
-    if isinstance(entry, dict):
-        try:
-            alg = FdAlgebra.from_json(entry["algebra"])
-        except KeyError as exc:
-            raise ConfigError(f"inline instance missing field {exc}") from exc
-        extras = {k: entry[k] for k in ("element", "center", "radius") if k in entry}
-        return entry.get("name", "inline"), alg, extras
-    raise ConfigError(f"instance entries must be paths or dicts, got {type(entry)}")
-
-
-def _random_hermitian(alg: FdAlgebra, rng: np.random.Generator) -> np.ndarray:
-    return alg.random_element(rng, hermitian=True)
+        name, alg_obj = pathlib.Path(entry).stem, obj
+    elif isinstance(entry, dict):
+        name, alg_obj, obj = entry.get("name", "inline"), entry.get("algebra"), entry
+    else:
+        raise ConfigError(f"instance entries must be paths or dicts, got {type(entry)}")
+    try:
+        alg = FdAlgebra.from_json(alg_obj)
+    except ValueError as exc:
+        raise ConfigError(f"instance {name}: {exc}") from exc
+    return name, alg, {k: obj[k] for k in ("element", "center", "radius") if k in obj}
 
 
 def _suite_prop1(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
@@ -161,8 +156,8 @@ def _instance_projectors(alg, extras, rng) -> list[np.ndarray]:
         h = (a + a.conj().T) / 2
         return [_top_spectral_projector(alg, h)]
     return [
-        _top_spectral_projector(alg, _random_hermitian(alg, rng)),
-        _top_spectral_projector(alg, _random_hermitian(alg, rng)),
+        _top_spectral_projector(alg, alg.random_element(rng, hermitian=True)),
+        _top_spectral_projector(alg, alg.random_element(rng, hermitian=True)),
     ]
 
 
@@ -178,8 +173,8 @@ def _suite_prop7(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
 
 def _suite_prop9(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     dec = alg.decomposition()
-    a = _random_hermitian(alg, rng)
-    b = _random_hermitian(alg, rng)
+    a = alg.random_element(rng, hermitian=True)
+    b = alg.random_element(rng, hermitian=True)
     state = random_pure_state(dec, rng)
     rep = prop9_defect(alg, state, a, b, instance=name)
     p = _instance_projectors(alg, extras, rng)[0]

@@ -29,7 +29,7 @@ def as_cmatrix(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -45,12 +45,17 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    a = re + 1j * im
-    if a.shape != (obj["rows"], obj["cols"]):
+    """re and im must each have shape (rows, cols): nothing broadcasts."""
+    if not isinstance(obj, dict) or not {"rows", "cols", "re", "im"} <= obj.keys():
+        raise ValueError('a matrix must be an object with "rows", "cols", "re" and "im"')
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix entries must be numbers: {exc}") from exc
+    if not re.shape == im.shape == (obj["rows"], obj["cols"]):
         raise ValueError("matrix JSON shape fields disagree with data")
-    return as_cmatrix(a)
+    return as_cmatrix(re + 1j * im)
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -70,9 +75,14 @@ def hermitian_eig(a: np.ndarray):
     scale = max(1.0, op_norm(a))
     if op_norm(a - a.conj().T) > RANK_TOL * scale:
         raise NonHermitianError("matrix is not Hermitian within tolerance")
+    return _eigh(a)
+
+
+def _eigh(a: np.ndarray):
+    """hermitian_eig without its input checks, for complex matrices that
+    are Hermitian by construction."""
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    vecs = _phase_normalize(vecs)
-    return vals, vecs
+    return vals, _phase_normalize(vecs)
 
 
 def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
@@ -149,7 +159,7 @@ class Projector:
         return int(round(float(np.real(np.trace(self.matrix)))))
 
     def range_basis(self) -> np.ndarray:
-        vals, vecs = hermitian_eig(self.matrix)
+        vals, vecs = _eigh(self.matrix)
         keep = vals > 0.5
         return vecs[:, keep]
 
@@ -165,17 +175,25 @@ class Projector:
         return hash((self.dim, self.rank))
 
 
+def _projector(m: np.ndarray) -> Projector:
+    """A Projector on a complex matrix that is a Hermitian idempotent by
+    construction, without __post_init__'s checks."""
+    p = object.__new__(Projector)
+    object.__setattr__(p, "matrix", m)
+    return p
+
+
 def projector_from_basis(basis: np.ndarray, dim: int | None = None) -> Projector:
     """Projector onto the span of the given columns (may be empty)."""
     basis = np.asarray(basis, dtype=complex)
     if basis.size == 0:
         if dim is None:
             dim = basis.shape[0]
-        return Projector(np.zeros((dim, dim), dtype=complex))
+        return _projector(np.zeros((dim, dim), dtype=complex))
     q = orthonormalize(basis)
     if q.shape[1] == 0:
-        return Projector(np.zeros((basis.shape[0],) * 2, dtype=complex))
-    return Projector(q @ q.conj().T)
+        return _projector(np.zeros((basis.shape[0],) * 2, dtype=complex))
+    return _projector(q @ q.conj().T)
 
 
 def _check_same_dim(p: Projector, q: Projector):
@@ -184,7 +202,7 @@ def _check_same_dim(p: Projector, q: Projector):
 
 
 def proj_ortho(p: Projector) -> Projector:
-    return Projector(np.eye(p.dim) - p.matrix)
+    return _projector(np.eye(p.dim) - p.matrix)
 
 
 def proj_meet(p: Projector, q: Projector) -> Projector:
@@ -194,7 +212,7 @@ def proj_meet(p: Projector, q: Projector) -> Projector:
     exactly on the intersection.
     """
     _check_same_dim(p, q)
-    vals, vecs = hermitian_eig(p.matrix + q.matrix)
+    vals, vecs = _eigh(p.matrix + q.matrix)
     keep = vals > 2 - RANK_TOL
     return projector_from_basis(vecs[:, keep], dim=p.dim)
 

@@ -330,10 +330,12 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
     """
     dec = alg.decomposition()
     a = alg.require_member(a)
+    # a is checked once here; each sample is hat's arithmetic on a's images
+    images = [blk.irrep(a) for blk in dec.blocks]
     inside: list[PureState] = []
     for _ in range(samples):
         s = random_pure_state(dec, rng)
-        if abs(hat(alg, a, s) - center) <= radius:
+        if abs(complex(np.vdot(s.vector, images[s.block] @ s.vector)) - center) <= radius:
             inside.append(s)
     worst = 0.0
     witness = None
@@ -348,7 +350,7 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
         if w.shape[1] < 2:
             continue
         joined.append((s.block, w))
-        ms.append(w.conj().T @ dec.blocks[s.block].irrep(a) @ w)
+        ms.append(w.conj().T @ images[s.block] @ w)
         if pairs >= 200:
             break
     if ms:
@@ -463,11 +465,13 @@ def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
     p = alg.require_member(p)
     if op_norm(p @ p - p) > 1e-8:
         raise ValueError("p must be a projection in the algebra")
+    # p is checked once here; each sample is hat's arithmetic on p's images
+    images = [blk.irrep(p) for blk in dec.blocks]
     worst = 0.0
     witness = None
     for _ in range(samples):
         s = random_pure_state(dec, rng)
-        v = hat(alg, p, s)
+        v = complex(np.vdot(s.vector, images[s.block] @ s.vector))
         val = min(abs(v), abs(1 - v))
         if val > worst:
             worst, witness = val, s

@@ -85,9 +85,6 @@ class BaerSemigroup:
     def identity(self) -> int:
         return self._index[tuple(range(self.lattice.n))]
 
-    def element_index(self, action) -> int:
-        return self._index[tuple(action)]
-
     def compose(self, i: int, j: int) -> int:
         key = (i, j)
         hit = self._compose_cache.get(key)
@@ -95,11 +92,6 @@ class BaerSemigroup:
             hit = self._index[compose_actions(self.actions[i], self.actions[j])]
             self._compose_cache[key] = hit
         return hit
-
-    def composition_table(self) -> np.ndarray:
-        return np.array(
-            [[self.compose(i, j) for j in range(self.size)] for i in range(self.size)]
-        )
 
     def subset_of(self, i: int) -> int:
         """U_φ = φ(top), as a lattice element."""
@@ -397,9 +389,6 @@ class ChiFunction:
         if npts == 0:
             return 0.0
         return max(abs(self.evaluate(x)) for x in range(npts))
-
-    def coeff_l1(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
 
 
 def chi(sp: QSetProduct, points) -> ChiFunction:

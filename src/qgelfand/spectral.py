@@ -158,17 +158,15 @@ def orbit_basis(alg: FdAlgebra, h: np.ndarray) -> np.ndarray:
     return orthonormalize(cols)
 
 
-def cyclic_decompose(a: np.ndarray) -> CyclicDecomposition:
-    """Split the ambient space into orbit subspaces of the *-algebra
-    generated by a, each with a star-cyclic vector.
+def cyclic_decompose(alg: FdAlgebra) -> CyclicDecomposition:
+    """Split the ambient space into orbit subspaces of the *-algebra, each
+    with a star-cyclic vector.
 
     Greedy: take the first standard basis vector with a component outside
     the span so far, project it out, and form its orbit.  Orbits of a
     *-closed algebra are reducing, so the pieces stay orthogonal.
     """
-    a = as_cmatrix(a)
-    n = a.shape[0]
-    alg = generate_algebra([a])
+    n = alg.ambient_dim
     pieces: list[tuple[Projector, np.ndarray]] = []
     covered = np.zeros((n, 0), dtype=complex)
     for j in range(n):
@@ -210,18 +208,16 @@ class IntertwiningReport:
         return op_norm(x - u @ self.representation.pi(x) @ u.conj().T)
 
 
-def fc_unitary(a: np.ndarray, h: np.ndarray) -> IntertwiningReport:
+def fc_unitary(alg: FdAlgebra, h: np.ndarray) -> IntertwiningReport:
     """The unitary [x] -> x h from the GNS space of the vector state at h
     onto the ambient space, verified to carry every algebra element to its
     GNS left-multiplication image.
 
-    Requires h star-cyclic for the algebra generated by a.
+    Requires h star-cyclic for the algebra.
     """
-    a = as_cmatrix(a)
-    n = a.shape[0]
+    n = alg.ambient_dim
     h = np.asarray(h, dtype=complex).reshape(-1)
     h = h / np.linalg.norm(h)
-    alg = generate_algebra([a])
     orbit = orbit_basis(alg, h)
     if orbit.shape[1] < n:
         raise NotCyclicError(orbit.shape[1], n)

@@ -213,7 +213,7 @@ def test_09_fc_intertwining():
         d = np.diag(np.arange(1.0, n + 1)).astype(complex)
         instances.append((d, np.ones(n) / np.sqrt(n)))
     for a, h in instances:
-        rep = fc_unitary(a, h)
+        rep = fc_unitary(generate_algebra([a]), h)
         assert rep.unitarity_defect <= 1e-8
         alg = rep.representation.algebra
         for _ in range(20):

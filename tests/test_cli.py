@@ -329,6 +329,46 @@ def test_non_object_json_input(runner, files, argv):
     assert "must hold a JSON object" in res.stderr
 
 
+@pytest.mark.parametrize("instance, message", [
+    ({"ambient_dim": 2}, "instance bad_alg: an algebra must be an object"),
+    ({"generators": [matrix_to_json(E12)]}, "instance bad_alg: an algebra must be an object"),
+    ({"ambient_dim": 2, "generators": [5]}, "instance bad_alg: a matrix must be an object"),
+    ({"ambient_dim": 3, "generators": [matrix_to_json(E12)]},
+     "instance bad_alg: ambient_dim disagrees"),
+    ({"ambient_dim": 2, "generators": [{**matrix_to_json(E12), "im": 5}]},
+     "instance bad_alg: matrix JSON shape fields disagree"),
+    ({"name": "inl", "algebra": [1]}, "instance inl: an algebra must be an object"),
+    ({"name": "inl"}, "instance inl: an algebra must be an object"),
+])
+def test_malformed_algebra_instance(runner, files, instance, message):
+    # a malformed algebra is an input error naming its instance, not a crash;
+    # an entry with a "name" is inline, any other is written to a file
+    if "name" in instance:
+        entry = instance
+    else:
+        (files["tmp"] / "bad_alg.json").write_text(json.dumps(instance))
+        entry = "bad_alg.json"
+    cfg = files["tmp"] / "cfg_bad_alg.json"
+    cfg.write_text(json.dumps({"suite": "prop1", "instances": [entry], "seed": 1}))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert f"input error: {message}" in res.stderr
+    if "name" not in instance:
+        for command in ("generate", "blocks"):
+            res = runner.invoke(main, ["alg", command, str(files["tmp"] / "bad_alg.json")])
+            assert res.exit_code == 2
+            assert "input error:" in res.stderr
+
+
+@pytest.mark.parametrize("im", [5, [0, 0]])
+def test_matrix_im_does_not_broadcast(runner, files, im):
+    path = files["tmp"] / "bcast.json"
+    path.write_text(json.dumps({**matrix_to_json(E12), "im": im}))
+    res = runner.invoke(main, ["spectral", "report", str(path), "--seed", "0"])
+    assert res.exit_code == 2
+    assert "input error: matrix JSON shape fields disagree" in res.stderr
+
+
 @pytest.mark.parametrize("command", [["spectral", "report"], ["invsub", "--mode", "paper"]])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_samples_below_one(runner, files, command, samples):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgelfand.algebra import generate_algebra
 from qgelfand.linalg import (
+    RANK_TOL,
     NonHermitianError,
     Projector,
     as_cmatrix,
@@ -30,6 +32,41 @@ def test_as_cmatrix_rejects_nonfinite():
         as_cmatrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_cmatrix([1, 2, 3])
+    # NaN or inf in either part, also in a transpose
+    for bad in (complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(0, -np.inf)):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        for x in (m, m.T):
+            with pytest.raises(ValueError, match="non-finite"):
+                as_cmatrix(x)
+
+
+def test_transposed_input_matches_contiguous_copy():
+    # a complex transpose's last axis is not contiguous; every entry point
+    # accepts it and gives its contiguous copy's result bit for bit
+    m = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+    h = m + m.conj().T
+    p = random_projector(3, 2, RNG).matrix
+    assert np.array_equal(as_cmatrix(m.T), m.T.copy())
+    assert np.array_equal(Projector(p.T).matrix, Projector(p.T.copy()).matrix)
+    for x, y in zip(hermitian_eig(h.T), hermitian_eig(h.T.copy())):
+        assert np.array_equal(x, y)
+    a, b = generate_algebra([m.T]), generate_algebra([m.T.copy()])
+    assert a.dim == b.dim == 9
+    assert all(np.array_equal(x, y) for x, y in zip(a.basis, b.basis))
+
+
+@pytest.mark.parametrize("change", [
+    {"im": 5}, {"im": [0, 0]}, {"re": [[1.0, 0.0]]}, {"re": "x"}, {"re": [[{}, 0], [0, 0]]},
+])
+def test_matrix_from_json_requires_full_shapes(change):
+    # re and im must each have shape (rows, cols): nothing broadcasts
+    obj = {**matrix_to_json(np.eye(2)), **change}
+    with pytest.raises(ValueError):
+        matrix_from_json(obj)
+    for obj in (5, [1], {"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]]}):
+        with pytest.raises(ValueError):
+            matrix_from_json(obj)
 
 
 def test_matrix_json_roundtrip():
@@ -160,3 +197,18 @@ def test_random_projector_rank():
     p = random_projector(5, 3, RNG)
     assert p.rank == 3
     assert op_norm(p.matrix @ p.matrix - p.matrix) < 1e-10
+
+
+@given(projector_pairs())
+def test_lattice_results_pass_projector_checks(pair):
+    # the lattice kernels build their results without Projector's checks and
+    # take eigenvectors without hermitian_eig's; both checks hold on them
+    p, q = pair
+    results = [p, q, proj_ortho(p), proj_meet(p, q), proj_join(p, q), sasaki_product(p, q)]
+    for r in results:
+        assert np.array_equal(Projector(r.matrix).matrix, r.matrix)
+        vals, vecs = hermitian_eig(r.matrix)
+        assert np.array_equal(r.range_basis(), vecs[:, vals > 0.5])
+    vals, vecs = hermitian_eig(p.matrix + q.matrix)
+    meet = projector_from_basis(vecs[:, vals > 2 - RANK_TOL], dim=p.dim)
+    assert np.array_equal(proj_meet(p, q).matrix, meet.matrix)

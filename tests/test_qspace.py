@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import E12, SIGMA_X, diagonal_algebra
+from qgelfand import qspace
 from qgelfand.algebra import (
     PureState,
     State,
@@ -373,6 +374,42 @@ def test_preimage_sweep_matches_per_angle_loop(name, seed):
         (got,) = rep.witnesses
         assert got.block == witness.block
         assert np.array_equal(got.vector, witness.vector)
+
+
+@pytest.fixture()
+def drawn(monkeypatch):
+    """The pure states the qspace probes sample, in draw order."""
+    states = []
+
+    def record(dec, rng):
+        states.append(random_pure_state(dec, rng))
+        return states[-1]
+
+    monkeypatch.setattr(qspace, "random_pure_state", record)
+    return states
+
+
+@pytest.mark.parametrize("name", ["M2", "M3", "E12xI2", "rand_M2xI2", "rand_M2xI2_proj"])
+def test_preimage_samples_evaluate_hat(drawn, name):
+    # the probe evaluates samples on the element's block images, not through
+    # hat; radii equal to sampled distances put states exactly on the disc
+    # boundary, so membership is decided by the last bit of each value
+    alg, a, center, _, samples = _preimage_case(name, np.random.default_rng(7))
+    hat_preimage_qness(alg, a, center, 1.0, samples, np.random.default_rng(1))
+    dists = sorted(abs(hat(alg, a, s) - center) for s in drawn)
+    for radius in dists[::7]:
+        rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(1))
+        assert rep.defects["preimage_size"] == sum(d <= radius for d in dists)
+
+
+@pytest.mark.parametrize("name", ["M2", "M3", "E12xI2", "rand_M2xI2_proj"])
+def test_characteristic_samples_evaluate_hat(drawn, name):
+    alg, p, _, _, _ = _preimage_case(name, np.random.default_rng(7))
+    rep = hat_is_characteristic_defect(alg, p, 300, np.random.default_rng(2))
+    values = [hat(alg, p, s) for s in drawn]
+    defects = [min(abs(v), abs(1 - v)) for v in values]
+    assert rep.defects["defect"] == max(defects)
+    assert rep.witnesses[0] is drawn[int(np.argmax(defects))]
 
 
 @pytest.fixture(scope="module")

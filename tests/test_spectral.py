@@ -71,17 +71,17 @@ def test_sigma_contains_eigenvalues_random():
 
 
 def test_cyclic_decompose_examples():
-    cd = cyclic_decompose(np.eye(2))
+    cd = cyclic_decompose(generate_algebra([np.eye(2)]))
     assert [p.rank for p, _ in cd.pieces] == [1, 1]
-    cd = cyclic_decompose(E12)
+    cd = cyclic_decompose(generate_algebra([E12]))
     assert [p.rank for p, _ in cd.pieces] == [2]
-    cd = cyclic_decompose(np.diag([1.0, 2.0]))
+    cd = cyclic_decompose(generate_algebra([np.diag([1.0, 2.0])]))
     assert [p.rank for p, _ in cd.pieces] == [1, 1]
 
 
 def test_cyclic_decompose_certificates():
     a = RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))
-    cd = cyclic_decompose(a)
+    cd = cyclic_decompose(generate_algebra([a]))
     assert cd.orthogonality_defect < 1e-8
     assert cd.completeness_defect < 1e-8
     # each piece really is the orbit closure of its cyclic vector
@@ -93,27 +93,27 @@ def test_cyclic_decompose_certificates():
 
 def test_fc_unitary_diagonal():
     h = np.array([1.0, 1.0]) / np.sqrt(2)
-    rep = fc_unitary(np.diag([1.0, 2.0]), h)
+    rep = fc_unitary(generate_algebra([np.diag([1.0, 2.0])]), h)
     assert rep.gns_dim == 2
     assert rep.unitarity_defect < 1e-10
     assert rep.intertwining_defect < 1e-10
 
 
 def test_fc_unitary_e12():
-    rep = fc_unitary(E12, np.array([1.0, 0.0]))
+    rep = fc_unitary(generate_algebra([E12]), np.array([1.0, 0.0]))
     assert rep.gns_dim == 2
     assert rep.intertwining_defect < 1e-10
 
 
 def test_fc_unitary_identity_not_cyclic():
     with pytest.raises(NotCyclicError) as exc:
-        fc_unitary(np.eye(2), np.array([1.0, 0.0]))
+        fc_unitary(generate_algebra([np.eye(2)]), np.array([1.0, 0.0]))
     assert exc.value.achieved == 1 and exc.value.ambient == 2
 
 
 def test_fc_unitary_not_cyclic_diagonal():
     with pytest.raises(NotCyclicError):
-        fc_unitary(np.diag([1.0, 2.0]), np.array([1.0, 0.0]))
+        fc_unitary(generate_algebra([np.diag([1.0, 2.0])]), np.array([1.0, 0.0]))
 
 
 def test_invariant_subspace_scalar():
