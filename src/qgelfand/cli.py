@@ -67,6 +67,18 @@ def _load_lattice(path: str):
         raise click.exceptions.Exit(_input_error(str(exc)))
 
 
+def _load_oml(path: str) -> FiniteOml:
+    """A lattice file as a FiniteOml that passes verify_oml; exit 2 otherwise."""
+    lat = _load_lattice(path)
+    if isinstance(lat, SetOml):
+        lat = lat.to_finite_oml()
+    violations = oml.verify_oml(lat)
+    if violations:
+        raise click.exceptions.Exit(
+            _input_error(f"not an orthomodular lattice: {violations[0]}"))
+    return lat
+
+
 def _load_matrix(path: str) -> np.ndarray:
     obj = _load_json(path)
     try:
@@ -121,9 +133,7 @@ def oml_verify(lattice_file, out):
 def oml_semigroup(lattice_file, cap, out):
     """Enumerate the Sasaki-map semigroup and verify the lattice recovery
     from its closed projections."""
-    lat = _load_lattice(lattice_file)
-    if isinstance(lat, SetOml):
-        lat = lat.to_finite_oml()
+    lat = _load_oml(lattice_file)
     try:
         sg = sasaki.enumerate_semigroup(lat, cap=cap)
     except sasaki.SemigroupBudgetError as exc:
@@ -156,9 +166,7 @@ def oml_semigroup(lattice_file, cap, out):
 def oml_boolean(lattice_file, out):
     """Report whether the skew meet is symmetric (Boolean test) with a
     witness pair when it is not, cross-checked against distributivity."""
-    lat = _load_lattice(lattice_file)
-    if isinstance(lat, SetOml):
-        lat = lat.to_finite_oml()
+    lat = _load_oml(lattice_file)
     boolean, witness = oml.is_boolean(lat)
     report = {
         "boolean": boolean,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field
 
@@ -109,9 +110,37 @@ def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:
         raise ConfigError(f"instance entries must be paths or dicts, got {type(entry)}")
     try:
         alg = FdAlgebra.from_json(alg_obj)
+        extras = _instance_extras(alg, obj)
     except ValueError as exc:
         raise ConfigError(f"instance {name}: {exc}") from exc
-    return name, alg, {k: obj[k] for k in ("element", "center", "radius") if k in obj}
+    return name, alg, extras
+
+
+def _instance_extras(alg: FdAlgebra, obj: dict) -> dict:
+    """The optional element (a member of alg), disc center (complex) and
+    radius (finite, > 0) of an instance, parsed and checked."""
+    extras = {}
+    if "element" in obj:
+        a = matrix_from_json(obj["element"])
+        n = alg.ambient_dim
+        if a.shape != (n, n):
+            raise ValueError(f"element must be {n}x{n}, got {a.shape[0]}x{a.shape[1]}")
+        extras["element"] = alg.require_member(a)
+    if "center" in obj:
+        c = obj["center"]
+        if not (isinstance(c, list) and len(c) == 2 and all(_is_finite(x) for x in c)):
+            raise ValueError("center must be a pair of finite numbers [re, im]")
+        extras["center"] = complex(*c)
+    if "radius" in obj:
+        r = obj["radius"]
+        if not (_is_finite(r) and r > 0):
+            raise ValueError("radius must be a finite number > 0")
+        extras["radius"] = float(r)
+    return extras
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _suite_prop1(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
@@ -152,7 +181,7 @@ def _suite_prop2(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
 
 def _instance_projectors(alg, extras, rng) -> list[np.ndarray]:
     if "element" in extras:
-        a = alg.require_member(matrix_from_json(extras["element"]))
+        a = extras["element"]
         h = (a + a.conj().T) / 2
         return [_top_spectral_projector(alg, h)]
     return [
@@ -187,8 +216,8 @@ def _suite_thm3(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
 
 def _suite_preimage(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     a = _instance_projectors(alg, extras, rng)[0]
-    center = complex(*extras["center"]) if "center" in extras else 1.0 + 0j
-    radius = float(extras.get("radius", 0.1))
+    center = extras.get("center", 1.0 + 0j)
+    radius = extras.get("radius", 0.1)
     return [hat_preimage_qness(alg, a, center, radius, cfg.samples, rng, instance=name)]
 
 

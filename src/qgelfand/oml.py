@@ -4,6 +4,7 @@ dichotomy."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -24,6 +25,26 @@ class Violation:
 
 
 NO_ELEMENT = -1
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry, or NO_ELEMENT."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else NO_ELEMENT
+
+
+def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product: some k has a[..., i, k] and b[k, j].
+
+    Counted in float32 through BLAS, exact for up to 2**24 terms and far
+    faster than numpy's boolean matmul loop.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _unique_member(cands: np.ndarray) -> np.ndarray:
+    """table[p, q] = the one r with cands[p, q, r], else NO_ELEMENT."""
+    return np.where(cands.sum(axis=2) == 1, cands.argmax(axis=2), NO_ELEMENT)
 
 
 class FiniteOml:
@@ -52,31 +73,27 @@ class FiniteOml:
         self.leq = leq
         self.ortho = ortho
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        self.bottom = self._find_bound(lambda p, q: leq[p, q])
-        self.top = self._find_bound(lambda p, q: leq[q, p])
+        self.bottom = _first(leq.all(axis=1))
+        self.top = _first(leq.all(axis=0))
         self.meet, self.join = self._bound_tables()
 
-    def _find_bound(self, below) -> int:
-        for p in range(self.n):
-            if all(below(p, q) for q in range(self.n)):
-                return p
-        return NO_ELEMENT
-
     def _bound_tables(self):
-        n, leq = self.n, self.leq
-        meet = np.full((n, n), NO_ELEMENT, dtype=int)
-        join = np.full((n, n), NO_ELEMENT, dtype=int)
-        for p in range(n):
-            for q in range(n):
-                lower = [r for r in range(n) if leq[r, p] and leq[r, q]]
-                greatest = [r for r in lower if all(leq[s, r] for s in lower)]
-                if len(greatest) == 1:
-                    meet[p, q] = greatest[0]
-                upper = [r for r in range(n) if leq[p, r] and leq[q, r]]
-                least = [r for r in upper if all(leq[r, s] for s in upper)]
-                if len(least) == 1:
-                    join[p, q] = least[0]
-        return meet, join
+        """meet[p, q] is the greatest element of the lower set of {p, q}
+        and join[p, q] the least of its upper set, or NO_ELEMENT where the
+        candidate is not unique."""
+        leq = self.leq
+        # lower[p, q, r]: r ≤ p and r ≤ q; a member is greatest iff no
+        # member of the same set fails to lie below it
+        lower = leq.T[:, None, :] & leq.T[None, :, :]
+        greatest = lower & ~_bool_matmul(lower, ~leq)
+        upper = leq[:, None, :] & leq[None, :, :]
+        least = upper & ~_bool_matmul(upper, ~leq.T)
+        return _unique_member(greatest), _unique_member(least)
+
+    @functools.cached_property
+    def skew(self) -> np.ndarray:
+        """skew[p, q] = p ∧ (p⊥ ∨ q), the Sasaki (skew) meet table."""
+        return np.take_along_axis(self.meet, self.join[self.ortho], axis=1)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteOml):
@@ -101,30 +118,42 @@ class FiniteOml:
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteOml":
         try:
-            return cls(obj["leq"], obj["ortho"], obj.get("labels"))
+            leq, ortho = obj["leq"], obj["ortho"]
         except KeyError as exc:
             raise StructureError(f"lattice JSON missing field {exc}") from exc
+        # bool and numpy casts would silently coerce 2 to true and 1.7 to 1
+        if not (isinstance(leq, list) and all(isinstance(row, list) for row in leq)
+                and all(type(v) in (bool, int) and v in (0, 1) for row in leq for v in row)):
+            raise StructureError("leq must be a list of rows of 0, 1, true or false")
+        if not _is_int_list(ortho):
+            raise StructureError("ortho must be a list of integers")
+        return cls(leq, ortho, obj.get("labels"))
+
+
+def _is_int_list(v) -> bool:
+    # JSON true/false decode to bool, a subclass of int
+    return isinstance(v, list) and all(type(x) is int for x in v)
 
 
 def verify_oml(lat: FiniteOml) -> list[Violation]:
     """Check the bounded-lattice and orthocomplementation axioms.
 
     Empty report means the instance is an orthomodular lattice.  Each
-    violation names the failed axiom and the witnessing element(s).
+    violation names the failed axiom and the witnessing element(s), in the
+    lexicographic order of the witnesses.
     """
     out: list[Violation] = []
     n, leq, ortho = lat.n, lat.leq, lat.ortho
 
     # partial order
-    for p in range(n):
-        if not leq[p, p]:
-            out.append(Violation("order.reflexive", (p,)))
-    for p, q in itertools.permutations(range(n), 2):
-        if leq[p, q] and leq[q, p]:
-            out.append(Violation("order.antisymmetric", (p, q)))
-    for p, q, r in itertools.product(range(n), repeat=3):
-        if leq[p, q] and leq[q, r] and not leq[p, r]:
-            out.append(Violation("order.transitive", (p, q, r)))
+    _extend(out, ~leq.diagonal(), "order.reflexive")
+    _extend(out, leq & leq.T & ~np.eye(n, dtype=bool), "order.antisymmetric")
+    # (p, q, r) with p ≤ q ≤ r but not p ≤ r, listed only if one exists
+    if (_bool_matmul(leq, leq) & ~leq).any():
+        for p in range(n):
+            bad = leq[p][:, None] & leq & ~leq[p][None, :]
+            out.extend(Violation("order.transitive", (p, q, r))
+                       for q, r in np.argwhere(bad).tolist())
     if out:
         return out
 
@@ -132,50 +161,56 @@ def verify_oml(lat: FiniteOml) -> list[Violation]:
         out.append(Violation("bounds.bottom", ()))
     if lat.top == NO_ELEMENT:
         out.append(Violation("bounds.top", ()))
-    for p, q in itertools.product(range(n), repeat=2):
-        if lat.meet[p, q] == NO_ELEMENT:
-            out.append(Violation("lattice.meet", (p, q)))
-        if lat.join[p, q] == NO_ELEMENT:
-            out.append(Violation("lattice.join", (p, q)))
+    _extend(out, np.stack([lat.meet, lat.join], axis=-1) == NO_ELEMENT,
+            "lattice.meet", "lattice.join")
     if out:
         return out
 
-    for p in range(n):
-        if ortho[ortho[p]] != p:
-            out.append(Violation("ortho.involution", (p,)))
-    for p, q in itertools.product(range(n), repeat=2):
-        if leq[p, q] and not leq[ortho[q], ortho[p]]:
-            out.append(Violation("ortho.order_reversing", (p, q)))
-    for p in range(n):
-        if lat.join[p, ortho[p]] != lat.top:
-            out.append(Violation("ortho.complement_join", (p,)))
-        if lat.meet[p, ortho[p]] != lat.bottom:
-            out.append(Violation("ortho.complement_meet", (p,)))
-    for p, q in itertools.product(range(n), repeat=2):
-        if leq[p, q] and lat.join[p, lat.meet[ortho[p], q]] != q:
-            out.append(Violation("orthomodular", (p, q)))
+    elems = np.arange(n)
+    _extend(out, ortho[ortho] != elems, "ortho.involution")
+    # leq[ortho[q], ortho[p]] at [p, q]
+    _extend(out, leq & ~leq[np.ix_(ortho, ortho)].T, "ortho.order_reversing")
+    _extend(out, np.stack([lat.join[elems, ortho] != lat.top,
+                           lat.meet[elems, ortho] != lat.bottom], axis=-1),
+            "ortho.complement_join", "ortho.complement_meet")
+    # join[p, meet[ortho[p], q]] at [p, q]
+    p_and_back = np.take_along_axis(lat.join, lat.meet[ortho], axis=1)
+    _extend(out, leq & (p_and_back != elems), "orthomodular")
     return out
+
+
+def _extend(out: list[Violation], mask: np.ndarray, *axioms: str):
+    """Append one violation per true entry of mask, in row-major order.
+
+    With several axioms, the last axis of mask picks the axiom and the other
+    axes are the witnesses.
+    """
+    if len(axioms) == 1:
+        mask = mask[..., None]
+    for *witnesses, k in np.argwhere(mask).tolist():
+        out.append(Violation(axioms[k], tuple(witnesses)))
 
 
 def skew_meet(lat: FiniteOml, p: int, q: int) -> int:
     """The Sasaki (skew) meet p ∧ (p⊥ ∨ q)."""
-    return int(lat.meet[p, lat.join[lat.ortho[p], q]])
+    return int(lat.skew[p, q])
 
 
 def is_boolean(lat: FiniteOml) -> tuple[bool, tuple[int, int] | None]:
     """True iff the skew meet is symmetric; otherwise the first bad pair."""
-    for p, q in itertools.combinations(range(lat.n), 2):
-        if skew_meet(lat, p, q) != skew_meet(lat, q, p):
-            return False, (p, q)
+    s = lat.skew
+    bad = np.argwhere(np.triu(s != s.T, 1))
+    if bad.size:
+        return False, (int(bad[0, 0]), int(bad[0, 1]))
     return True, None
 
 
 def is_distributive(lat: FiniteOml) -> bool:
     """Exhaustive distributivity check, independent of skew_meet."""
-    for p, q, r in itertools.product(range(lat.n), repeat=3):
-        lhs = lat.meet[p, lat.join[q, r]]
-        rhs = lat.join[lat.meet[p, q], lat.meet[p, r]]
-        if lhs != rhs:
+    meet, join = lat.meet, lat.join
+    for p in range(lat.n):
+        # p ∧ (q ∨ r) against (p ∧ q) ∨ (p ∧ r), over all (q, r)
+        if not np.array_equal(meet[p][join], join[np.ix_(meet[p], meet[p])]):
             return False
     return True
 
@@ -369,13 +404,16 @@ class SetOml:
     @classmethod
     def from_json(cls, obj: dict) -> "SetOml":
         try:
-            return cls(
-                list(obj["ground"]),
-                [frozenset(m) for m in obj["members"]],
-                list(obj["ortho"]),
-            )
+            ground, members, ortho = obj["ground"], obj["members"], obj["ortho"]
         except KeyError as exc:
             raise StructureError(f"SetOml JSON missing field {exc}") from exc
+        if not (isinstance(ground, list) and all(isinstance(x, str) for x in ground)):
+            raise StructureError("ground must be a list of point names")
+        if not (isinstance(members, list) and all(_is_int_list(m) for m in members)):
+            raise StructureError("members must be lists of integer point indices")
+        if not _is_int_list(ortho):
+            raise StructureError("ortho must be a list of integers")
+        return cls(ground, [frozenset(m) for m in members], ortho)
 
 
 def powerset_quantum_set(ground: list[str]) -> SetOml:

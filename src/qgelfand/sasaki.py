@@ -31,12 +31,12 @@ def sasaki_action(lat: FiniteOml, p: int) -> tuple[int, ...]:
     The classical formula (not the bare meet): this is the one whose closed
     projections recover the lattice.
     """
-    return tuple(int(lat.meet[p, lat.join[lat.ortho[p], q]]) for q in range(lat.n))
+    return tuple(lat.skew[p].tolist())
 
 
 def literal_meet_action(lat: FiniteOml, p: int) -> tuple[int, ...]:
     """Comparison mode: the bare-meet map q ↦ p ∧ q."""
-    return tuple(int(lat.meet[p, q]) for q in range(lat.n))
+    return tuple(lat.meet[p].tolist())
 
 
 def is_monotone(lat: FiniteOml, action: tuple[int, ...]) -> bool:
@@ -75,6 +75,8 @@ class BaerSemigroup:
 
     def __post_init__(self):
         self._index = {a: i for i, a in enumerate(self.actions)}
+        # the actions as one (size, n) array, for the whole-semigroup checks
+        self.table = np.array(self.actions, dtype=np.intp).reshape(-1, self.lattice.n)
         self._compose_cache = {}
 
     @property
@@ -119,72 +121,92 @@ def enumerate_semigroup(
     products in (element, generator) order.  Raises SemigroupBudgetError
     instead of silently truncating.
     """
-    gens: list[tuple[int, ...]] = []
-    gen_of: dict[int, int] = {}
-    index: dict[tuple[int, ...], int] = {}
-    actions: list[tuple[int, ...]] = []
-    words: list[tuple[int, ...]] = []
-
-    def add(action, word) -> int | None:
-        if action in index:
-            return None
-        index[action] = len(actions)
-        actions.append(action)
-        words.append(word)
-        return index[action]
-
+    n = lat.n
     # the identity is phi_top, so it enters through the generators and keeps
-    # a nonempty word (its perp is phi_bottom, not itself)
-    identity = tuple(range(lat.n))
-    for p in range(lat.n):
-        a = sasaki(lat, p)
-        gens.append(a)
-        add(a, (p,))
-        gen_of[p] = index[a]
+    # a nonempty word (its perp is phi_bottom, not itself).  Actions are
+    # stored in the smallest signed type that holds range(n), which keeps the
+    # keys short and each level's products small.
+    gens = np.array([sasaki(lat, p) for p in range(n)], dtype=np.min_scalar_type(-n))
+    gens = gens.reshape(n, n)
+    width = n * gens.itemsize
 
-    frontier = list(range(len(actions)))
-    while frontier:
-        if len(actions) > cap:
-            raise SemigroupBudgetError(cap, len(actions), len(frontier))
+    def keys(acts: np.ndarray) -> list[bytes]:
+        """One dictionary key per row of acts."""
+        raw = acts.tobytes()
+        return [raw[k * width:(k + 1) * width] for k in range(acts.shape[0])]
+
+    index: dict[bytes, int] = {}
+    words: list[tuple[int, ...]] = []
+    parent: list[int] = []  # element whose word this one extends, -1 for generators
+    levels: list[np.ndarray] = []  # the new actions of each BFS level
+
+    def add_level(cands: np.ndarray, word_of):
+        """Append the rows of cands not seen yet, in row order."""
         fresh = []
-        for i in frontier:
-            for p in range(lat.n):
-                new = add(compose_actions(gens[p], actions[i]), (p,) + words[i])
-                if new is not None:
-                    fresh.append(new)
-        frontier = fresh
-    if len(actions) > cap:
-        raise SemigroupBudgetError(cap, len(actions), 0)
+        for k, key in enumerate(keys(cands)):
+            if key not in index:
+                index[key] = len(words)
+                fresh.append(k)
+                word, par = word_of(k)
+                words.append(word)
+                parent.append(par)
+        levels.append(cands[fresh])
 
-    def resolve(word_actions) -> int:
-        acc = identity
-        for a in word_actions:
-            acc = compose_actions(acc, a)
-        return index[acc]
+    add_level(gens, lambda p: ((p,), -1))
+    gen_of = {p: index[key] for p, key in enumerate(keys(gens))}
+    while levels[-1].size:
+        frontier = levels[-1]
+        if len(words) > cap:
+            raise SemigroupBudgetError(cap, len(words), frontier.shape[0])
+        # row f * n + p is phi_p ∘ (frontier element f)
+        cands = gens[:, frontier].transpose(1, 0, 2).reshape(-1, n)
+        base = len(words) - frontier.shape[0]
+        add_level(cands, lambda k: ((k % n,) + words[base + k // n], base + k // n))
+    if len(words) > cap:
+        raise SemigroupBudgetError(cap, len(words), 0)
+    table = np.concatenate(levels)
+    size = table.shape[0]
 
-    star = np.array([resolve([gens[p] for p in reversed(w)]) for w in words])
+    # star reverses the word: (phi_p ∘ psi)* = psi* ∘ phi_p, resolved level
+    # by level so that psi* is known before it is used
+    star = np.empty(size, dtype=int)
+    letter = np.array([w[0] for w in words], dtype=np.intp)
+    parents = np.array(parent, dtype=np.intp)
+    lo = 0
+    for level in levels:
+        hi = lo + level.shape[0]
+        acts = gens[letter[lo:hi]]
+        if lo:
+            acts = np.take_along_axis(table[star[parents[lo:hi]]], acts, axis=1)
+        star[lo:hi] = [index[key] for key in keys(acts)]
+        lo = hi
 
     # Perp via the right annihilator: phi-perp is the Sasaki map of the
     # largest element killed by phi.  The generator-substitution extension
     # ((phi psi)-perp := psi-perp phi-perp) is not well defined -- distinct
     # words for one map resolve to different elements already on Boolean
     # lattices -- so we use the intrinsic definition, which agrees with
-    # phi_p -> phi_{p-perp} on the generators.
-    perp = np.empty(len(actions), dtype=int)
-    for i, a in enumerate(actions):
-        kernel = [q for q in range(lat.n) if a[q] == lat.bottom]
-        k = kernel[0]
-        for q in kernel[1:]:
-            k = int(lat.join[k, q])
-        if a[k] != lat.bottom:
-            # happens in the bare-meet comparison mode on non-Boolean
-            # lattices; with verification on this is a hard error
-            if verify:
-                raise StructureError(f"kernel of element {i} has no greatest element")
-            perp[i] = NO_ELEMENT
-            continue
-        perp[i] = gen_of[k]
+    # phi_p -> phi_{p-perp} on the generators.  The join is folded over each
+    # kernel in lattice order, for all elements at once; an empty kernel
+    # leaves k = 0, which the open-kernel test below flags.
+    killed = table == lat.bottom
+    least = killed.argmax(axis=1)
+    k = least.copy()
+    for q in range(n):
+        step = killed[:, q] & (least < q)
+        k[step] = lat.join[k[step], q]
+    gen_table = np.array([gen_of[p] for p in range(n)])
+    perp = gen_table[k]
+    open_kernel = table[np.arange(size), k] != lat.bottom
+    if open_kernel.any():
+        # happens in the bare-meet comparison mode on non-Boolean
+        # lattices; with verification on this is a hard error
+        if verify:
+            i = int(np.argmax(open_kernel))
+            raise StructureError(f"kernel of element {i} has no greatest element")
+        perp[open_kernel] = NO_ELEMENT
 
+    actions = [tuple(a) for a in table.tolist()]
     sg = BaerSemigroup(lat, actions, words, star, perp, gen_of)
     if verify:
         # fails for the bare-meet comparison mode on non-Boolean lattices
@@ -193,27 +215,21 @@ def enumerate_semigroup(
 
 
 def _verify_semigroup(sg: BaerSemigroup):
-    lat = sg.lattice
-    for i, a in enumerate(sg.actions):
-        if not is_monotone(lat, a):
-            raise StructureError(f"element {i} is not monotone")
+    lat, table = sg.lattice, sg.table
+    below, above = np.nonzero(lat.leq)
+    monotone = lat.leq[table[:, below], table[:, above]].all(axis=1)
+    if not monotone.all():
+        raise StructureError(f"element {int(np.argmin(monotone))} is not monotone")
     if not np.array_equal(sg.star[sg.star], np.arange(sg.size)):
         raise StructureError("star is not an involution")
-    for i in range(sg.size):
-        if not _adjoint_law(sg, i, sg.star[i]):
-            raise StructureError(f"adjoint law fails for element {i}")
-
-
-def _adjoint_law(sg: BaerSemigroup, i: int, j: int) -> bool:
-    """φ[φ*(p⊥)⊥] ≤ p and φ*[φ(p⊥)⊥] ≤ p for all p, with φ = i, φ* = j."""
-    lat = sg.lattice
-    phi, phs = sg.actions[i], sg.actions[j]
-    for p in range(lat.n):
-        if not lat.leq[phi[lat.ortho[phs[lat.ortho[p]]]], p]:
-            return False
-        if not lat.leq[phs[lat.ortho[phi[lat.ortho[p]]]], p]:
-            return False
-    return True
+    # φ[φ*(p⊥)⊥] ≤ p and φ*[φ(p⊥)⊥] ≤ p for all p, with φ* = star(φ)
+    o, ps = lat.ortho, np.arange(lat.n)
+    phi, phs = table, table[sg.star]
+    lhs = np.take_along_axis(phi, o[phs[:, o]], axis=1)
+    rhs = np.take_along_axis(phs, o[phi[:, o]], axis=1)
+    law = (lat.leq[lhs, ps] & lat.leq[rhs, ps]).all(axis=1)
+    if not law.all():
+        raise StructureError(f"adjoint law fails for element {int(np.argmin(law))}")
 
 
 def closed_projections(sg: BaerSemigroup):
@@ -224,25 +240,24 @@ def closed_projections(sg: BaerSemigroup):
     projections are exactly the Sasaki maps and p ↦ φ_p is an OML
     isomorphism.
     """
-    closed = [
-        i
-        for i in range(sg.size)
-        if sg.compose(i, i) == i and sg.star[i] == i and sg.perp[sg.perp[i]] == i
-    ]
+    table, ids = sg.table, np.arange(sg.size)
+    idempotent = (np.take_along_axis(table, table, axis=1) == table).all(axis=1)
+    closed = np.flatnonzero(
+        idempotent & (sg.star == ids) & (sg.perp[sg.perp] == ids)).tolist()
     sasaki_set = sorted(set(sg.generator_of.values()))
-    if sorted(closed) != sasaki_set:
+    if closed != sasaki_set:
         raise StructureError(
-            f"closed projections {sorted(closed)} differ from Sasaki set {sasaki_set}"
+            f"closed projections {closed} differ from Sasaki set {sasaki_set}"
         )
-    local = {e: k for k, e in enumerate(closed)}
-    m = len(closed)
-    leq = np.zeros((m, m), dtype=bool)
-    for a, b in itertools.product(range(m), repeat=2):
-        i, j = closed[a], closed[b]
-        leq[a, b] = sg.compose(i, j) == i and sg.compose(j, i) == i
-    ortho = np.array([local[sg.perp[e]] for e in closed])
-    recovered = FiniteOml(leq, ortho)
-    iso = {p: local[sg.generator_of[p]] for p in range(sg.lattice.n)}
+    local = np.full(sg.size, NO_ELEMENT)
+    local[closed] = np.arange(len(closed))
+    # φ_a ≤ φ_b iff φ_a ∘ φ_b = φ_a = φ_b ∘ φ_a; comp[a, b] = φ_a ∘ φ_b
+    maps = table[closed]
+    comp = maps[:, maps]
+    leq = ((comp == maps[:, None, :]).all(axis=2)
+           & (comp.transpose(1, 0, 2) == maps[:, None, :]).all(axis=2))
+    recovered = FiniteOml(leq, local[sg.perp[closed]])
+    iso = {p: int(local[sg.generator_of[p]]) for p in range(sg.lattice.n)}
     _check_isomorphism(sg.lattice, recovered, iso)
     return recovered, closed, iso
 
@@ -250,12 +265,14 @@ def closed_projections(sg: BaerSemigroup):
 def _check_isomorphism(src: FiniteOml, dst: FiniteOml, iso: dict[int, int]):
     if src.n != dst.n or sorted(iso.values()) != list(range(dst.n)):
         raise StructureError("recovered lattice is not in bijection with the input")
-    for p, q in itertools.product(range(src.n), repeat=2):
-        if src.leq[p, q] != dst.leq[iso[p], iso[q]]:
-            raise StructureError(f"order not preserved at ({p},{q})")
-    for p in range(src.n):
-        if iso[src.ortho[p]] != dst.ortho[iso[p]]:
-            raise StructureError(f"orthocomplement not preserved at {p}")
+    f = np.array([iso[p] for p in range(src.n)])
+    moved = np.argwhere(src.leq != dst.leq[np.ix_(f, f)])
+    if moved.size:
+        p, q = moved[0].tolist()
+        raise StructureError(f"order not preserved at ({p},{q})")
+    moved = np.flatnonzero(f[src.ortho] != dst.ortho[f])
+    if moved.size:
+        raise StructureError(f"orthocomplement not preserved at {int(moved[0])}")
 
 
 def star_antihom_defects(sg: BaerSemigroup) -> list[tuple[int, int]]:

@@ -95,6 +95,48 @@ def test_oml_boolean(runner, files):
     assert not json.loads(res.output)["boolean"]
 
 
+@pytest.mark.parametrize("command", ["boolean", "semigroup"])
+@pytest.mark.parametrize("lattice, violation", [
+    # an antichain: no bottom and no top
+    ({"leq": [[1, 0], [0, 1]], "ortho": [1, 0]}, "bounds.bottom()"),
+    # the 3-chain 0 < 1 < 2, whose middle element is its own complement
+    ({"leq": [[1, 1, 1], [0, 1, 1], [0, 0, 1]], "ortho": [2, 1, 0]},
+     "ortho.complement_join(1,)"),
+])
+def test_oml_commands_reject_non_oml(runner, tmp_path, command, lattice, violation):
+    # the Boolean test and the semigroup are defined on OMLs only; before the
+    # check the antichain read as Boolean and both crashed the semigroup
+    path = tmp_path / "not_oml.json"
+    path.write_text(json.dumps(lattice))
+    res = runner.invoke(main, ["oml", command, str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == f"input error: not an orthomodular lattice: {violation}\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "boolean", "semigroup"])
+@pytest.mark.parametrize("lattice, message", [
+    ({"leq": [[1, 0], [1, 1]], "ortho": [1.7, 0]}, "ortho must be a list of integers"),
+    ({"leq": [[1, 0], [1, 1]], "ortho": [True, 0]}, "ortho must be a list of integers"),
+    ({"leq": [[1, 0], [2, 1]], "ortho": [1, 0]}, "leq must be a list of rows"),
+    ({"leq": [[1, 0], [0.5, 1]], "ortho": [1, 0]}, "leq must be a list of rows"),
+    ({"leq": [[1, 0], ["1", 1]], "ortho": [1, 0]}, "leq must be a list of rows"),
+    ({"leq": [1, 0], "ortho": [1, 0]}, "leq must be a list of rows"),
+    ({"ground": ["a", "b"], "members": [[], [0.5], [1], [0, 1]], "ortho": [3, 2, 1, 0]},
+     "members must be lists of integer point indices"),
+    ({"ground": ["a", "b"], "members": [[], [0], [1], [0, 1]], "ortho": [3.5, 2, 1, 0]},
+     "ortho must be a list of integers"),
+])
+def test_oml_strict_lattice_json(runner, tmp_path, command, lattice, message):
+    # casting would read 1.7 as 1 and 2 or 0.5 as true; a point 0.5 of a
+    # quantum set used to crash boolean and semigroup with a TypeError
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(lattice))
+    res = runner.invoke(main, ["oml", command, str(path)])
+    assert res.exit_code == 2
+    assert f"input error: {message}" in res.stderr
+
+
 def test_alg_generate_and_blocks(runner, files):
     res = runner.invoke(main, ["alg", "generate", files["m2.json"]])
     assert res.exit_code == 0
@@ -360,6 +402,33 @@ def test_malformed_algebra_instance(runner, files, instance, message):
             assert "input error:" in res.stderr
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"element": 5}, "a matrix must be an object"),
+    ({"element": matrix_to_json(np.eye(2))}, "element must be 3x3, got 2x2"),
+    ({"element": matrix_to_json(np.eye(3, k=1))}, "matrix is not in the algebra"),
+    ({"center": [1.0]}, "center must be a pair of finite numbers"),
+    ({"center": "1+0j"}, "center must be a pair of finite numbers"),
+    ({"center": [1.0, float("nan")]}, "center must be a pair of finite numbers"),
+    ({"center": [True, 0]}, "center must be a pair of finite numbers"),
+    ({"radius": 0}, "radius must be a finite number > 0"),
+    ({"radius": -0.5}, "radius must be a finite number > 0"),
+    ({"radius": float("inf")}, "radius must be a finite number > 0"),
+    ({"radius": "0.1"}, "radius must be a finite number > 0"),
+])
+def test_malformed_instance_extras(runner, files, extra, message):
+    # element, center and radius are checked when the instance loads, so a
+    # bad one is an input error naming the instance, not a crash in a suite
+    alg = {"ambient_dim": 3,
+           "generators": [matrix_to_json(np.diag([1.0, 2.0, 3.0]).astype(complex))]}
+    cfg = files["tmp"] / "cfg_extras.json"
+    cfg.write_text(json.dumps({
+        "suite": "preimage", "seed": 0, "samples": 4,
+        "instances": [{"name": "d3", "algebra": alg, **extra}]}))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert f"input error: instance d3: {message}" in res.stderr
+
+
 @pytest.mark.parametrize("im", [5, [0, 0]])
 def test_matrix_im_does_not_broadcast(runner, files, im):
     path = files["tmp"] / "bcast.json"
@@ -390,6 +459,29 @@ def test_spectral_report_bytes(runner, tmp_path, argv, digest):
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(matrix_to_json(np.eye(3, k=1))))
     res = runner.invoke(main, [*argv, str(path), "--seed", "0", "--samples", "200"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, name, digest", [
+    ("verify", "MO3", "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18"),
+    ("boolean", "MO3", "463d0f43bd605ed80d609b089fe7c985f186c4c8ed126992bc332b0f5a917074"),
+    ("semigroup", "MO3", "4d27517ad628135f40e7763a318396274a74dc525f04dedf26d0ff41dcb8671d"),
+    ("verify", "hsum_B2_B3",
+     "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18"),
+    ("boolean", "hsum_B2_B3",
+     "463d0f43bd605ed80d609b089fe7c985f186c4c8ed126992bc332b0f5a917074"),
+    ("semigroup", "hsum_B2_B3",
+     "f17993d2a67b8ffddd8f6d6b034d123561ead2be51c1fc27ff08e2e7240fbf67"),
+    ("verify", "B4", "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18"),
+    ("boolean", "B4", "ea7c8ca3e729d37c522b0adad866393de0da9e3cc0ab65060234a00c2c8e1226"),
+    ("semigroup", "B4", "3dfffec7a012bb438284a3206fa91fb9e31dc4571a18bd67354a6aeb94545c5c"),
+])
+def test_lattice_report_bytes(runner, tmp_path, command, name, digest):
+    # sha256 of the reports the pure-Python lattice loops wrote
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(lattice_zoo()[name].to_json()))
+    res = runner.invoke(main, ["oml", command, str(path)])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 

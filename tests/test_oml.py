@@ -89,6 +89,43 @@ def test_finite_oml_json_roundtrip():
         FiniteOml.from_json({"n": 2})
 
 
+@pytest.mark.parametrize("change", [
+    {"ortho": [1.7, 0]},
+    {"ortho": [1.0, 0]},
+    {"ortho": [False, 0]},
+    {"ortho": "10"},
+    {"leq": [[1, 0], [2, 1]]},
+    {"leq": [[1, 0], [1.0, 1]]},
+    {"leq": [[1, 0], [None, 1]]},
+    {"leq": [[1, 0], 1]},
+    {"leq": "11"},
+])
+def test_finite_oml_json_is_strict(change):
+    # a bool or int cast would read 2 as true and 1.7 as 1
+    obj = {**boolean_lattice(1).to_json(), **change}
+    with pytest.raises(StructureError):
+        FiniteOml.from_json(obj)
+
+
+def test_finite_oml_json_accepts_json_booleans():
+    obj = {"leq": [[True, True], [False, True]], "ortho": [1, 0]}
+    assert FiniteOml.from_json(obj) == boolean_lattice(1)
+
+
+@pytest.mark.parametrize("change", [
+    {"members": [[], [0.5], [1], [0, 1]]},
+    {"members": [[], [True], [1], [0, 1]]},
+    {"members": [[], 0, [1], [0, 1]]},
+    {"ortho": [3.5, 2, 1, 0]},
+    {"ground": "ab"},
+    {"ground": [1, 2]},
+])
+def test_set_oml_json_is_strict(change):
+    obj = {**powerset_quantum_set(["a", "b"]).to_json(), **change}
+    with pytest.raises(StructureError):
+        SetOml.from_json(obj)
+
+
 def test_powerset_quantum_set():
     qs = powerset_quantum_set(["x", "y", "z"])
     assert verify_quantum_set(qs) == []
