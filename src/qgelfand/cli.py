@@ -280,9 +280,17 @@ def spectral_group():
 @click.option("--samples", default=2000, type=click.IntRange(min=1))
 @click.option("--out", default=None)
 @click.option("--plot-data", "plot_data", default=None,
-              help="write CSV plot data (support sweep + sample cloud)")
+              help="write the support sweep (angles, supports, boundary "
+                   "points) and the sample cloud as CSV; the JSON report "
+                   "holds neither")
 def spectral_report(matrix_file, seed, samples, out, plot_data):
-    """Spectrum, numerical-range sweep, and sample cloud for a matrix."""
+    """Spectrum against the pure-state image Sigma(a) of a matrix.
+
+    The report holds sigma, each block's support values, the sizes of the
+    angle grid and the sample cloud (n_angles, samples), sigma_gap (the
+    largest distance from a swept boundary point to sigma, which decides
+    sigma_equals_big) and the two flags.  The angles, the boundary points
+    and the cloud go only to --plot-data."""
     a = _load_matrix(matrix_file)
     try:
         rep = spectral.sigma_big(a, samples=samples,

@@ -19,9 +19,14 @@ class NonHermitianError(ValueError):
 
 # The numerical thresholds every verdict rests on.  RANK_TOL decides which
 # singular values, eigenvalues and residual norms count as zero; LATTICE_TOL
-# is the slack allowed in projector-lattice identities.
+# is the slack allowed in projector-lattice identities.  VERDICT_TOL is the
+# largest measured defect a claims verdict reads as holds-within-tol, and
+# SPECTRAL_CLUSTER_GAP the eigenvalue gap that separates the spectral
+# projections qspace takes of a Hermitian element.
 RANK_TOL = 1e-8
 LATTICE_TOL = 1e-8
+VERDICT_TOL = 1e-9
+SPECTRAL_CLUSTER_GAP = 1e-9
 
 
 def as_cmatrix(entries) -> np.ndarray:

@@ -127,7 +127,13 @@ class FiniteOml:
             raise StructureError("leq must be a list of rows of 0, 1, true or false")
         if not _is_int_list(ortho):
             raise StructureError("ortho must be a list of integers")
-        return cls(leq, ortho, obj.get("labels"))
+        if "n" in obj and not (type(obj["n"]) is int and obj["n"] == len(leq)):
+            raise StructureError("n must be an integer equal to the number of leq rows")
+        labels = obj.get("labels")
+        if "labels" in obj and not (isinstance(labels, list)
+                                    and all(isinstance(x, str) for x in labels)):
+            raise StructureError("labels must be a list of strings")
+        return cls(leq, ortho, labels)
 
 
 def _is_int_list(v) -> bool:

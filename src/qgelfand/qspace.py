@@ -22,6 +22,8 @@ from .algebra import (
 )
 from .linalg import (
     LATTICE_TOL,
+    SPECTRAL_CLUSTER_GAP,
+    VERDICT_TOL,
     DimensionMismatchError,
     Projector,
     cluster_eigenvalues,
@@ -257,7 +259,7 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
         for i, blk in enumerate(dec.blocks):
             m = blk.irrep(part)
             vals, vecs = hermitian_eig(m)
-            for idx in cluster_eigenvalues(vals, 1e-9):
+            for idx in cluster_eigenvalues(vals, SPECTRAL_CLUSTER_GAP):
                 lam = float(np.mean(vals[idx]))
                 if abs(lam) <= 1e-14:
                     continue
@@ -380,7 +382,7 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
                                 "holds-within-tol", [])
         return ClaimsReport("hat_preimage_qness", instance, {"violation": None},
                             "inconclusive", [])
-    verdict = "holds-within-tol" if worst <= 1e-9 else "fails"
+    verdict = "holds-within-tol" if worst <= VERDICT_TOL else "fails"
     return ClaimsReport(
         "hat_preimage_qness", instance,
         {"violation": worst, "pairs_checked": pairs, "preimage_size": len(inside)},
@@ -397,7 +399,7 @@ def cstar_identity_defect(f: QFunction, instance: str = "") -> ClaimsReport:
     return ClaimsReport(
         "cstar_identity", instance,
         {"norm_f_star_fbar": lhs, "norm_f_sq": rhs, "defect": defect},
-        "holds-within-tol" if defect <= 1e-9 else "fails",
+        "holds-within-tol" if defect <= VERDICT_TOL else "fails",
         [],
     )
 
@@ -436,14 +438,14 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     defects["characteristic"] = max(
         min(abs(hat(alg, pp, state)), abs(1 - hat(alg, pp, state))) for pp in projs
     )
-    verdict = "holds-within-tol" if max(defects.values()) <= 1e-9 else "fails"
+    verdict = "holds-within-tol" if max(defects.values()) <= VERDICT_TOL else "fails"
     return ClaimsReport("prop9", instance, defects, verdict,
                         [pure_alpha] if pure_alpha is not None else [])
 
 
 def _top_spectral_projector(alg: FdAlgebra, h: np.ndarray) -> np.ndarray:
     vals, vecs = hermitian_eig(h)
-    idx = cluster_eigenvalues(vals, 1e-9)[-1]
+    idx = cluster_eigenvalues(vals, SPECTRAL_CLUSTER_GAP)[-1]
     w = vecs[:, idx]
     return w @ w.conj().T
 
@@ -477,7 +479,7 @@ def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
             worst, witness = val, s
     return ClaimsReport(
         "hat_is_characteristic", instance, {"defect": worst, "samples": samples},
-        "holds-within-tol" if worst <= 1e-9 else "fails",
+        "holds-within-tol" if worst <= VERDICT_TOL else "fails",
         [witness] if witness is not None else [],
     )
 

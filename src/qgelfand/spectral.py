@@ -49,7 +49,11 @@ SIGMA_TOL = 1e-6
 class SpectralReport:
     """sigma(a) against Sigma(a) = union over blocks of the numerical
     range of the block image, described by support functions on a uniform
-    angle grid plus a Monte-Carlo sample cloud."""
+    angle grid plus a Monte-Carlo sample cloud.
+
+    The canonical JSON keeps the verdict and what it rests on; the angle
+    grid, the boundary polylines and the cloud stay on the object for the
+    plot data."""
 
     sigma: np.ndarray
     thetas: np.ndarray
@@ -58,6 +62,7 @@ class SpectralReport:
     cloud: np.ndarray  # complex samples of a-hat over Haar pure states
     sigma_singleton: bool
     sigma_equals_big: bool
+    sigma_gap: float  # largest distance from a boundary point to sigma
 
     def contains(self, z: complex, tol: float = SIGMA_TOL) -> bool:
         """z in Sigma(a) iff some block's support function dominates it at
@@ -71,12 +76,10 @@ class SpectralReport:
     def to_json(self) -> dict:
         return {
             "sigma": [[z.real, z.imag] for z in self.sigma],
-            "thetas": self.thetas.tolist(),
             "block_supports": [s.tolist() for s in self.block_supports],
-            "block_boundaries": [
-                [[z.real, z.imag] for z in b] for b in self.block_boundaries
-            ],
-            "cloud": [[z.real, z.imag] for z in self.cloud],
+            "n_angles": len(self.thetas),
+            "samples": len(self.cloud),
+            "sigma_gap": float(self.sigma_gap),
             "flags": {
                 "sigma_singleton": self.sigma_singleton,
                 "sigma_equals_big": self.sigma_equals_big,
@@ -120,10 +123,10 @@ def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
     all_boundary = np.concatenate(block_boundaries)
     singleton = bool(np.max(np.abs(all_boundary - all_boundary[0])) <= SIGMA_TOL)
     # Hausdorff check: every boundary point near sigma and vice versa
-    d1 = _distances_to(sig, all_boundary).max()
-    equals = bool(d1 <= 10 * SIGMA_TOL)
+    gap = _distances_to(sig, all_boundary).max()
+    equals = bool(gap <= 10 * SIGMA_TOL)
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
-                            cloud, singleton, equals)
+                            cloud, singleton, equals, gap)
     for lam in sig:
         if not report.contains(lam, 100 * SIGMA_TOL):
             raise RuntimeError("eigenvalue escaped the swept Sigma region")
@@ -315,8 +318,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
         return InvariantSubspaceResult(p, defect, (1, n), "scalar-case",
                                        "paper-construction", "nontrivial",
                                        {"lambda": lam})
-    gap = _distances_to(report.sigma, np.concatenate(report.block_boundaries)).max()
-    if gap <= split_tol:
+    if report.sigma_gap <= split_tol:
         return InvariantSubspaceResult(
             None, None, (0, n), "out-of-dichotomy", "paper-construction",
             "out-of-dichotomy",
@@ -345,7 +347,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
         p, defect, (p.rank, n), "sigma-split-case", "paper-construction",
         "nontrivial" if 0 < p.rank < n else "trivial",
         {"fiber_size": len(fiber), "quantile_fallback": quantile_fallback,
-         "sigma_gap": gap},
+         "sigma_gap": report.sigma_gap},
     )
 
 

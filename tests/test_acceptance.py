@@ -276,10 +276,13 @@ def test_12_determinism(tmp_path):
                          samples=200, base_dir=tmp_path)
         r2 = json.dumps(run_suite(cfg2), sort_keys=True)
         assert r1 == r2, suite
-    s1 = json.dumps(sigma_big(E12, samples=500,
-                              rng=np.random.default_rng(5)).to_json(),
-                    sort_keys=True)
-    s2 = json.dumps(sigma_big(E12, samples=500,
-                              rng=np.random.default_rng(5)).to_json(),
-                    sort_keys=True)
+    rep1 = sigma_big(E12, samples=500, rng=np.random.default_rng(5))
+    rep2 = sigma_big(E12, samples=500, rng=np.random.default_rng(5))
+    s1 = json.dumps(rep1.to_json(), sort_keys=True)
+    s2 = json.dumps(rep2.to_json(), sort_keys=True)
     assert s1 == s2
+    # the plot arrays are not in the JSON report
+    assert np.array_equal(rep1.thetas, rep2.thetas)
+    assert np.array_equal(rep1.cloud, rep2.cloud)
+    for b1, b2 in zip(rep1.block_boundaries, rep2.block_boundaries, strict=True):
+        assert np.array_equal(b1, b2)

@@ -137,6 +137,21 @@ def test_oml_strict_lattice_json(runner, tmp_path, command, lattice, message):
     assert f"input error: {message}" in res.stderr
 
 
+@pytest.mark.parametrize("lattice, message", [
+    ({"n": 5, "leq": [[1, 1], [0, 1]], "ortho": [1, 0], "labels": ["0", "1"]},
+     "n must be an integer equal to the number of leq rows"),
+    ({"n": 2, "leq": [[1, 1], [0, 1]], "ortho": [1, 0], "labels": [1, 2]},
+     "labels must be a list of strings"),
+])
+def test_oml_verify_rejects_wrong_n_or_labels(runner, tmp_path, lattice, message):
+    # both used to pass oml verify as a 2-element OML with exit 0
+    path = tmp_path / "mislabeled.json"
+    path.write_text(json.dumps(lattice))
+    res = runner.invoke(main, ["oml", "verify", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == f"input error: {message}\n"
+
+
 def test_alg_generate_and_blocks(runner, files):
     res = runner.invoke(main, ["alg", "generate", files["m2.json"]])
     assert res.exit_code == 0
@@ -329,11 +344,18 @@ def test_spectral_report(runner, files):
     assert res.exit_code == 0
     rep = json.loads(res.output)
     assert not rep["flags"]["sigma_singleton"]
-    boundary = rep["block_boundaries"][0]
-    radii = [abs(complex(re, im)) for re, im in boundary]
+    lines = plot.read_text().splitlines()
+    assert lines[0] == "kind,block,theta,support,re,im"
+    rows = [line.split(",") for line in lines[1:]]
+    boundary = [complex(float(re), float(im))
+                for kind, block, _, _, re, im in rows if kind == "boundary" and block == "0"]
+    radii = [abs(z) for z in boundary]
     assert max(radii) == pytest.approx(0.5, abs=1e-8)
-    header = plot.read_text().splitlines()[0]
-    assert header == "kind,block,theta,support,re,im"
+    assert rep["n_angles"] == len(boundary) == 720
+    assert rep["samples"] == sum(row[0] == "cloud" for row in rows) == 200
+    # sigma = {0}, so the gap is the largest boundary radius
+    assert rep["sigma_gap"] == pytest.approx(0.5, abs=1e-8)
+    assert not {"thetas", "block_boundaries", "cloud"} & rep.keys()
 
 
 def test_spectral_nonsquare(runner, files):
@@ -449,18 +471,60 @@ def test_samples_below_one(runner, files, command, samples):
 
 @pytest.mark.parametrize("argv, digest", [
     (["spectral", "report"],
-     "8c0c679cd339ffa7c34908a8778a857c6ad14eac9be997fe67697a25804c9393"),
+     "081bacccb846641701cda4942123b946af18c826528f73711a54ecf5f4058a35"),
     (["invsub", "--mode", "both"],
      "bf340c219de613e840056a613a655a8f815d7882212227ad044bc865244517f8"),
 ])
 def test_spectral_report_bytes(runner, tmp_path, argv, digest):
     # sha256 of the outputs written while the Sigma(a) and scalar-case
-    # thresholds were still keyword arguments; the shift needs no seeded input
+    # thresholds were still keyword arguments; the shift needs no seeded
+    # input.  The spectral report's digest was re-recorded when the angle
+    # grid, boundary and cloud left its JSON for --plot-data.
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(matrix_to_json(np.eye(3, k=1))))
     res = runner.invoke(main, [*argv, str(path), "--seed", "0", "--samples", "200"])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+# sha256 of the --plot-data CSV, and of the report keys that stayed
+# (everything but thetas, block_boundaries and cloud), as written while the
+# JSON report still held the plot arrays
+_PLOT_PINS = [
+    pytest.param(np.eye(3, k=1),
+                 "5f9f761abe95e5dc029c9c1e893712d265718ea9017bcd8d590201e1655b018e",
+                 "753a2ac7e66905d5804a20cab6aa9d14243b638e0a892a817019e2dbb581763c",
+                 id="shift3"),
+    pytest.param(np.diag([1, 2j, -1]),
+                 "832f214658282ba90177b2b8dcbf46fc4b37033ea425e9f88158b09e8caf4fb5",
+                 "e5f365f1435260b36e0dce255dc35c3633c8851bde185cc08a50df5909f226b2",
+                 id="normal3"),
+]
+
+
+def _spectral_report_with_plot(runner, tmp_path, a):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix_to_json(a)))
+    plot = tmp_path / "plot.csv"
+    res = runner.invoke(main, ["spectral", "report", str(path), "--seed", "0",
+                               "--samples", "200", "--plot-data", str(plot)])
+    assert res.exit_code == 0
+    return json.loads(res.output), plot.read_bytes()
+
+
+@pytest.mark.parametrize("a, csv_digest, kept_digest", _PLOT_PINS)
+def test_spectral_plot_csv_bytes(runner, tmp_path, a, csv_digest, kept_digest):
+    _, csv_bytes = _spectral_report_with_plot(runner, tmp_path, a)
+    assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest
+
+
+@pytest.mark.parametrize("a, csv_digest, kept_digest", _PLOT_PINS)
+def test_spectral_report_kept_keys(runner, tmp_path, a, csv_digest, kept_digest):
+    # sigma, block_supports and flags are unchanged; the three scalars are new
+    rep, _ = _spectral_report_with_plot(runner, tmp_path, a)
+    kept = {k: v for k, v in rep.items() if k not in ("n_angles", "samples", "sigma_gap")}
+    text = json.dumps(kept, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == kept_digest
 
 
 @pytest.mark.parametrize("command, name, digest", [

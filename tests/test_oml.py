@@ -99,9 +99,16 @@ def test_finite_oml_json_roundtrip():
     {"leq": [[1, 0], [None, 1]]},
     {"leq": [[1, 0], 1]},
     {"leq": "11"},
+    {"n": 5},
+    {"n": 2.0},
+    {"n": "2"},
+    {"labels": [1, 2]},
+    {"labels": "01"},
+    {"labels": None},
 ])
 def test_finite_oml_json_is_strict(change):
-    # a bool or int cast would read 2 as true and 1.7 as 1
+    # a bool or int cast would read 2 as true and 1.7 as 1; n and labels,
+    # when present, must agree with leq and be strings
     obj = {**boolean_lattice(1).to_json(), **change}
     with pytest.raises(StructureError):
         FiniteOml.from_json(obj)
