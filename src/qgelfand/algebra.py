@@ -18,7 +18,6 @@ from .linalg import (
     haar_unit_vector,
     hermitian_eig,
     matrix_from_json,
-    matrix_to_json,
     op_norm,
 )
 
@@ -85,12 +84,15 @@ class FdAlgebra:
     """A unital *-closed algebra of n×n matrices.
 
     basis is orthonormal for the Hilbert-Schmidt inner product and spans
-    the algebra; the span is closed under products and adjoints.
+    the algebra; the span is closed under products and adjoints.  letters
+    (a k × n × n stack) generate it as a unital algebra: x commutes with
+    the algebra exactly when it commutes with every letter.
     """
 
-    def __init__(self, ambient_dim: int, basis: list[np.ndarray]):
+    def __init__(self, ambient_dim: int, basis: list[np.ndarray], letters: np.ndarray):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self.letters = letters
         self._decomposition: "BlockDecomposition | None" = None
 
     @property
@@ -121,22 +123,18 @@ class FdAlgebra:
         return a
 
     def is_commutative(self) -> bool:
+        # the letters hold each generator and its adjoint, so the pairs
+        # include every generator's normality check
         return all(
             op_norm(a @ b - b @ a) <= LATTICE_TOL
-            for i, a in enumerate(self.basis)
-            for b in self.basis[i + 1:]
+            for i, a in enumerate(self.letters)
+            for b in self.letters[i + 1:]
         )
 
     def decomposition(self) -> "BlockDecomposition":
         if self._decomposition is None:
             self._decomposition = block_decompose(self)
         return self._decomposition
-
-    def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "generators": [matrix_to_json(b) for b in self.basis],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "FdAlgebra":
@@ -160,7 +158,8 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
     every pairwise product of the current HS-orthonormal basis with one
     stacked matmul and re-orthonormalizes basis + products + adjoints in
     that order.  The closure terminates because the dimension strictly
-    increases each round (bounded by n²).
+    increases each round (bounded by n²).  The scaled generators and their
+    adjoints become the algebra's letters.
     """
     gens = [as_cmatrix(g) for g in generators]
     if not gens:
@@ -182,7 +181,7 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
         adjoints = basis.conj().transpose(0, 2, 1)
         new_basis = _hs_orthonormalize(np.concatenate([basis, products, adjoints]))
         if len(new_basis) == len(basis):
-            return FdAlgebra(n, new_basis)
+            return FdAlgebra(n, new_basis, np.array(seed[1:]))
         basis = np.array(new_basis)
 
 
@@ -207,18 +206,20 @@ def commutant_basis(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
 
 def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
     """HS-orthonormal basis of the center, solved in algebra coordinates:
-    x = Σ c_j b_j with [x, b_k] = 0 for every basis element."""
+    x = Σ c_j b_j with [x, g] = 0 for every letter g."""
     basis = np.array(alg.basis)
-    d, n = len(basis), alg.ambient_dim
-    prods = np.matmul(basis[:, None], basis[None, :])  # [j, k] = b_j b_k
-    comms = prods - prods.transpose(1, 0, 2, 3)
-    # column j stacks the vec'd commutators [b_j, b_k] over k
-    system = comms.transpose(1, 2, 3, 0).reshape(d * n * n, d)
-    # thin SVD: the system is (d·n²) × d, so vh is d × d either way and the
-    # (d·n²)² left factor of a full SVD would go unused
+    letters = alg.letters
+    d, k, n = len(basis), len(letters), alg.ambient_dim
+    comms = (np.matmul(basis[:, None], letters[None, :])
+             - np.matmul(letters[None, :], basis[:, None]))  # [j, l] = [b_j, g_l]
+    # column j stacks the vec'd commutators [b_j, g_l] over l
+    system = comms.transpose(1, 2, 3, 0).reshape(k * n * n, d)
+    # thin SVD: vh is d × d and the (k·n²)² left factor of a full SVD
+    # would go unused
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    # basis is HS-orthonormal, so commutators are O(1); floor the scale at 1
-    # to keep a noise-level system (fully commutative algebra) fully null
+    # basis and letters have HS norm at most 1, so commutators are O(1);
+    # floor the scale at 1 to keep a noise-level system (fully commutative
+    # algebra) fully null
     scale = max(1.0, svals[0]) if len(svals) else 1.0
     nkeep = int(np.sum(svals > RANK_TOL * scale))
     null = vh.conj().T[:, nkeep:]
@@ -278,29 +279,37 @@ def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
     minimal central idempotents come from the eigendecomposition of a
     random Hermitian central element (retried on eigenvalue collisions);
     inside each isotypic component the multiplicity space is split along a
-    random Hermitian element of the commutant.  The random elements are
-    drawn from default_rng(0), so the decomposition is reproducible.
+    random Hermitian element of the commutant.  Both commutation systems
+    are solved against the algebra's letters (its generators and their
+    adjoints), not its whole basis: commuting with the letters is
+    commuting with the algebra.  The random elements are drawn from
+    default_rng(0), so the decomposition is reproducible.
     """
     rng = np.random.default_rng(0)
     center = center_basis(alg)
     n_central = len(center)
 
     projectors = _central_projectors(center, n_central, rng)
+    basis = np.array(alg.basis)
     blocks = []
     for p in projectors:
         vals, vecs = hermitian_eig(p)
         w = vecs[:, vals > 0.5]  # isotypic component basis
         ni = w.shape[1]
-        compressed = [w.conj().T @ b @ w for b in alg.basis]
-        comp_basis = _hs_orthonormalize(compressed)
-        d2 = len(comp_basis)
+        wh = w.conj().T
+        # the compressed algebra's dimension d² is the rank of the
+        # compressed basis; compression is a *-homomorphism, so the
+        # compressed letters generate it
+        compressed = (wh @ basis @ w).reshape(len(basis), ni * ni)
+        svals = np.linalg.svd(compressed, compute_uv=False)
+        d2 = int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
         d = int(round(np.sqrt(d2)))
         if d * d != d2 or ni % d != 0:
             raise DecompositionError(
                 f"block dimensions inconsistent: span {d2}, component {ni}"
             )
         m = ni // d
-        frames = _multiplicity_frames(comp_basis, ni, d, m, rng)
+        frames = _multiplicity_frames(list(wh @ alg.letters @ w), ni, d, m, rng)
         iso = w @ np.hstack(frames)
         blocks.append(Block(d, m, iso, p))
     dec = BlockDecomposition(alg, blocks)
@@ -332,13 +341,14 @@ def _central_projectors(center, n_central, rng) -> list[np.ndarray]:
     )
 
 
-def _multiplicity_frames(comp_basis, ni, d, m, rng) -> list[np.ndarray]:
+def _multiplicity_frames(comp_letters, ni, d, m, rng) -> list[np.ndarray]:
     """Orthonormal frames B_k (ni × d), one per multiplicity copy, chosen so
-    the compressed algebra acts identically on every copy."""
+    the compressed algebra, generated by comp_letters, acts identically on
+    every copy."""
     if m == 1:
         # single copy: any orthonormal basis works, fix the identity frame
         return [np.eye(ni, dtype=complex)]
-    comm = commutant_basis(comp_basis, ni)
+    comm = commutant_basis(comp_letters, ni)
     if len(comm) != m * m:
         raise DecompositionError(
             f"commutant dimension {len(comm)} != multiplicity² = {m * m}"
@@ -540,8 +550,9 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
 
 
 def is_irreducible(rep: GnsRepresentation) -> bool:
-    """True iff the commutant of the representation is one-dimensional."""
-    comm = commutant_basis(rep.rep_basis, rep.dim)
+    """True iff the commutant of the representation is one-dimensional:
+    the commutant of the letters' images, which generate pi(algebra)."""
+    comm = commutant_basis([rep.pi(g) for g in rep.algebra.letters], rep.dim)
     return len(comm) == 1
 
 

@@ -22,11 +22,17 @@ class NonHermitianError(ValueError):
 # is the slack allowed in projector-lattice identities.  VERDICT_TOL is the
 # largest measured defect a claims verdict reads as holds-within-tol, and
 # SPECTRAL_CLUSTER_GAP the eigenvalue gap that separates the spectral
-# projections qspace takes of a Hermitian element.
+# projections qspace takes of a Hermitian element.  DENSITY_TOL is the slack
+# of qspace's literal purity test (eigenvalues ≥ 0, trace 1) and
+# PURE_RANK_TOL the eigenvalue that counts toward its rank; NEGLIGIBLE_TOL
+# is the norm below which the hat surrogate drops a part or an eigenvalue.
 RANK_TOL = 1e-8
 LATTICE_TOL = 1e-8
 VERDICT_TOL = 1e-9
 SPECTRAL_CLUSTER_GAP = 1e-9
+DENSITY_TOL = 1e-12
+PURE_RANK_TOL = 1e-9
+NEGLIGIBLE_TOL = 1e-14
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -64,7 +70,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def op_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    # the largest singular value, from the same LAPACK call np.linalg.norm(a, 2)
+    # makes, without that wrapper's dispatch
+    return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
 def hermitian_eig(a: np.ndarray):

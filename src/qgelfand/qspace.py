@@ -21,7 +21,10 @@ from .algebra import (
     random_pure_state,
 )
 from .linalg import (
+    DENSITY_TOL,
     LATTICE_TOL,
+    NEGLIGIBLE_TOL,
+    PURE_RANK_TOL,
     SPECTRAL_CLUSTER_GAP,
     VERDICT_TOL,
     DimensionMismatchError,
@@ -113,7 +116,8 @@ def literal_join(alpha: PureState, beta: PureState) -> list[PureState]:
     for c1, c2 in [(1.0, 0.0), (0.0, 1.0)]:
         rho = c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj())
         vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if vals.min() > -1e-12 and abs(vals.sum() - 1) < 1e-12 and np.sum(vals > 1e-9) == 1:
+        if (vals.min() > -DENSITY_TOL and abs(vals.sum() - 1) < DENSITY_TOL
+                and np.sum(vals > PURE_RANK_TOL) == 1):
             out.append(alpha if c1 == 1.0 else beta)
     return out
 
@@ -254,14 +258,14 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
     terms: list[tuple[complex, QSubset]] = []
     zeros = _zero_projectors(dec)
     for part, scale in ((h, 1.0), (k, 1j)):
-        if op_norm(part) <= 1e-14:
+        if op_norm(part) <= NEGLIGIBLE_TOL:
             continue
         for i, blk in enumerate(dec.blocks):
             m = blk.irrep(part)
             vals, vecs = hermitian_eig(m)
             for idx in cluster_eigenvalues(vals, SPECTRAL_CLUSTER_GAP):
                 lam = float(np.mean(vals[idx]))
-                if abs(lam) <= 1e-14:
+                if abs(lam) <= NEGLIGIBLE_TOL:
                     continue
                 projs = zeros.copy()
                 projs[i] = projector_from_basis(vecs[:, idx], dim=blk.irrep_dim)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import E12, SIGMA_X, diagonal_algebra
 from qgelfand.algebra import (
@@ -28,7 +30,7 @@ from qgelfand.algebra import (
     vector_state,
     _hs_orthonormalize,
 )
-from qgelfand.linalg import RANK_TOL, op_norm
+from qgelfand.linalg import LATTICE_TOL, RANK_TOL, op_norm
 
 RNG = np.random.default_rng(7)
 
@@ -298,8 +300,10 @@ def test_thin_svd_center_matches_full_svd(algebra_zoo):
 
 
 def test_center_basis_memory_guard():
-    # a full SVD of the M8 commutator system builds a 4096 x 4096 left
-    # factor and peaks near 264 MB; the thin SVD stays near 12 MB
+    # against the whole basis the M8 commutator system is 4096 x 64: its full
+    # SVD builds a 4096 x 4096 left factor and peaks near 264 MB, its thin
+    # SVD near 12 MB.  Against the two letters it is 128 x 64 and the center
+    # peaks near 0.5 MB
     alg = _random_full_algebra(8, 7)
     assert alg.dim == 64
     tracemalloc.start()
@@ -309,7 +313,7 @@ def test_center_basis_memory_guard():
     finally:
         tracemalloc.stop()
     assert len(center) == 1
-    assert peak < 32 * 2**20
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
@@ -330,3 +334,90 @@ def test_closure_power_of_two_scaling_is_exact():
         scaled = generate_algebra([np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)]).basis
         assert len(scaled) == len(base)
         assert all(np.array_equal(x, y) for x, y in zip(base, scaled))
+
+
+# ---------------------------------------------------------------------------
+# oracles for the systems solved against the letters: each must agree with
+# the same system solved against the whole algebra basis
+
+
+ZOO_NAMES = ["C2", "C3", "M2", "M3", "M2+C", "CI2"]
+# a direct sum of M_k ⊗ I_m summands, a seed and a generator count
+SUMMANDS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3)
+RANDOM_SPECS = st.tuples(SUMMANDS, st.integers(0, 2**32 - 1), st.integers(1, 2)).filter(
+    lambda spec: sum(k * m for k, m in spec[0]) <= 6)
+ALGEBRA_SPECS = st.one_of(st.sampled_from(ZOO_NAMES), RANDOM_SPECS)
+
+
+def _summand_algebra(summands, seed, n_gens):
+    """The algebra of generic elements of ⊕ M_k ⊗ I_m, in a Haar frame."""
+    rng = np.random.default_rng(seed)
+    n = sum(k * m for k, m in summands)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    gens = []
+    for _ in range(n_gens):
+        g = np.zeros((n, n), dtype=complex)
+        lo = 0
+        for k, m in summands:
+            x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            g[lo:lo + k * m, lo:lo + k * m] = np.kron(x, np.eye(m))
+            lo += k * m
+        gens.append(u @ g @ u.conj().T)
+    return generate_algebra(gens)
+
+
+def _algebra(spec, algebra_zoo):
+    return algebra_zoo[spec] if isinstance(spec, str) else _summand_algebra(*spec)
+
+
+def _same_span(fast, slow):
+    gap = op_norm(_span_projector(fast) - _span_projector(slow))
+    return len(fast) == len(slow) and gap < 1e-10
+
+
+@settings(max_examples=40)
+@given(spec=ALGEBRA_SPECS)
+def test_center_against_letters_matches_full_basis(algebra_zoo, spec):
+    alg = _algebra(spec, algebra_zoo)
+    assert _same_span(center_basis(alg), _full_svd_center_basis(alg))
+
+
+@settings(max_examples=40)
+@given(spec=ALGEBRA_SPECS)
+def test_commutant_of_compressed_letters_matches_full_basis(algebra_zoo, spec):
+    alg = _algebra(spec, algebra_zoo)
+    for blk in alg.decomposition().blocks:
+        vals, vecs = np.linalg.eigh(blk.central_projector)
+        w = vecs[:, vals > 0.5]
+        wh, ni = w.conj().T, w.shape[1]
+        letters = commutant_basis(list(wh @ alg.letters @ w), ni)
+        full = commutant_basis([wh @ b @ w for b in alg.basis], ni)
+        assert len(letters) == blk.multiplicity ** 2
+        assert _same_span(letters, full)
+
+
+@settings(max_examples=25)
+@given(spec=ALGEBRA_SPECS, state_seed=st.integers(0, 2**32 - 1))
+def test_is_irreducible_matches_full_rep_basis(algebra_zoo, spec, state_seed):
+    alg = _algebra(spec, algebra_zoo)
+    dec = alg.decomposition()
+    rng = np.random.default_rng(state_seed)
+    n = alg.ambient_dim
+    states = [
+        vector_state(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        pure_to_state(dec, random_pure_state(dec, rng)),
+    ]
+    for state in states:
+        rep = gns(alg, state)
+        full = commutant_basis(rep.rep_basis, rep.dim)
+        assert is_irreducible(rep) == (len(full) == 1)
+
+
+@settings(max_examples=40)
+@given(spec=ALGEBRA_SPECS)
+def test_is_commutative_matches_all_basis_pairs(algebra_zoo, spec):
+    alg = _algebra(spec, algebra_zoo)
+    all_pairs = all(op_norm(a @ b - b @ a) <= LATTICE_TOL
+                    for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
+    assert alg.is_commutative() == all_pairs

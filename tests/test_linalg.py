@@ -187,6 +187,29 @@ def test_sasaki_closed_form_matches_lattice_chain(pair):
     assert op_norm(closed.matrix - chain.matrix) <= 1e-12
 
 
+@st.composite
+def norm_matrices(draw):
+    """Real or complex matrices of 1..8 rows and columns and any rank up to
+    full, so zero and rank-deficient matrices come up."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = rng.standard_normal((rows, rank)), rng.standard_normal((rank, cols))
+    if draw(st.booleans()):
+        left = left + 1j * rng.standard_normal((rows, rank))
+        right = right + 1j * rng.standard_normal((rank, cols))
+    return left @ right
+
+
+@given(norm_matrices())
+def test_op_norm_matches_numpy_two_norm(a):
+    assert op_norm(a) == float(np.linalg.norm(a, 2))
+
+
+def test_op_norm_of_an_empty_matrix_is_zero():
+    assert op_norm(np.zeros((0, 3))) == 0.0
+
+
 def test_haar_unit_vector_norm():
     for _ in range(10):
         v = haar_unit_vector(6, RNG)
