@@ -85,8 +85,8 @@ class FdAlgebra:
 
     basis is orthonormal for the Hilbert-Schmidt inner product and spans
     the algebra; the span is closed under products and adjoints.  letters
-    (a k × n × n stack) generate it as a unital algebra: x commutes with
-    the algebra exactly when it commutes with every letter.
+    (a k × n × n stack, k ≥ 0) generate it as a unital algebra: x commutes
+    with the algebra exactly when it commutes with every letter.
     """
 
     def __init__(self, ambient_dim: int, basis: list[np.ndarray], letters: np.ndarray):
@@ -123,12 +123,14 @@ class FdAlgebra:
         return a
 
     def is_commutative(self) -> bool:
-        # the letters hold each generator and its adjoint, so the pairs
-        # include every generator's normality check
+        # each basis element against each letter.  Pairs of letters are not
+        # enough: for H + εN (H Hermitian, N nilpotent, ε near RANK_TOL) the
+        # closure drops the adjoint's residual, so one letter is left, yet
+        # its powers close to M_n
         return all(
-            op_norm(a @ b - b @ a) <= LATTICE_TOL
-            for i, a in enumerate(self.letters)
-            for b in self.letters[i + 1:]
+            op_norm(b @ g - g @ b) <= LATTICE_TOL
+            for b in self.basis
+            for g in self.letters
         )
 
     def decomposition(self) -> "BlockDecomposition":
@@ -158,8 +160,12 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
     every pairwise product of the current HS-orthonormal basis with one
     stacked matmul and re-orthonormalizes basis + products + adjoints in
     that order.  The closure terminates because the dimension strictly
-    increases each round (bounded by n²).  The scaled generators and their
-    adjoints become the algebra's letters.
+    increases each round (bounded by n²).  The algebra's letters are the
+    first basis without its identity element: the HS-orthonormalized
+    non-scalar parts of the scaled generators and their adjoints.  So the
+    commutation systems solved against them keep the closure's first rank
+    decisions and see each letter at unit scale, however nearly scalar
+    its generator is.
     """
     gens = [as_cmatrix(g) for g in generators]
     if not gens:
@@ -176,19 +182,23 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
         seed.append(g)
         seed.append(g.conj().T)
     basis = np.array(_hs_orthonormalize(seed))
+    letters = basis[1:]  # basis[0] is the identity, accepted first
     while True:
         products = np.matmul(basis[:, None], basis[None, :]).reshape(-1, n, n)
         adjoints = basis.conj().transpose(0, 2, 1)
         new_basis = _hs_orthonormalize(np.concatenate([basis, products, adjoints]))
         if len(new_basis) == len(basis):
-            return FdAlgebra(n, new_basis, np.array(seed[1:]))
+            return FdAlgebra(n, new_basis, letters)
         basis = np.array(new_basis)
 
 
 def commutant_basis(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
     """HS-orthonormal basis of {x : xm = mx for all m}."""
     if not mats:
-        return [np.eye(dim, dtype=complex)]
+        # nothing to commute with: every matrix unit, in the column-stacking
+        # order the SVD of a zero system gives
+        units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+        return list(units.transpose(0, 2, 1))
     rows = []
     ident = np.eye(dim)
     for m in mats:
@@ -210,6 +220,8 @@ def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
     basis = np.array(alg.basis)
     letters = alg.letters
     d, k, n = len(basis), len(letters), alg.ambient_dim
+    if k == 0:
+        return list(alg.basis)  # the scalars, whose center is themselves
     comms = (np.matmul(basis[:, None], letters[None, :])
              - np.matmul(letters[None, :], basis[:, None]))  # [j, l] = [b_j, g_l]
     # column j stacks the vec'd commutators [b_j, g_l] over l
@@ -281,10 +293,26 @@ def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
     inside each isotypic component the multiplicity space is split along a
     random Hermitian element of the commutant.  Both commutation systems
     are solved against the algebra's letters (its generators and their
-    adjoints), not its whole basis: commuting with the letters is
-    commuting with the algebra.  The random elements are drawn from
-    default_rng(0), so the decomposition is reproducible.
+    adjoints, orthonormalized), not its whole basis: commuting with the
+    letters is commuting with the algebra.  The random elements are drawn
+    from default_rng(0), so the decomposition is reproducible.
+
+    Every basis element must be rebuilt from the blocks.  When one is not,
+    or the letter systems leave the blocks ambiguous, the decomposition is
+    solved once more against the whole basis: the closure accepts a
+    direction whose residual is barely above RANK_TOL and normalizes it,
+    and a commutator with the letters is that much smaller than one with
+    the basis element it became.
     """
+    try:
+        return _decompose(alg)
+    except DecompositionError:
+        # the whole basis generates the algebra too
+        spanned = FdAlgebra(alg.ambient_dim, alg.basis, np.array(alg.basis))
+        return BlockDecomposition(alg, _decompose(spanned).blocks)
+
+
+def _decompose(alg: FdAlgebra) -> BlockDecomposition:
     rng = np.random.default_rng(0)
     center = center_basis(alg)
     n_central = len(center)
@@ -550,10 +578,25 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
 
 
 def is_irreducible(rep: GnsRepresentation) -> bool:
-    """True iff the commutant of the representation is one-dimensional:
-    the commutant of the letters' images, which generate pi(algebra)."""
+    """True iff the commutant of the representation is one-dimensional.
+
+    The letters' images generate pi(algebra), so their commutant is solved
+    first.  One larger than the scalars is narrowed, in its own
+    coordinates, to the elements that also commute with every image of the
+    basis: near RANK_TOL a commutator with a letter can be far smaller
+    than one with a basis element the closure normalized from a small
+    residual.
+    """
     comm = commutant_basis([rep.pi(g) for g in rep.algebra.letters], rep.dim)
-    return len(comm) == 1
+    if len(comm) == 1:
+        return True
+    x, r = np.array(comm), np.array(rep.rep_basis)
+    comms = np.matmul(x[:, None], r[None, :]) - np.matmul(r[None, :], x[:, None])
+    # column i stacks the vec'd commutators [x_i, pi(b_j)] over j
+    system = comms.transpose(1, 2, 3, 0).reshape(-1, len(x))
+    svals = np.linalg.svd(system, compute_uv=False)
+    rank = int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
+    return len(x) - rank == 1
 
 
 def gns_equivalent(dec: BlockDecomposition, a: PureState, b: PureState) -> bool:

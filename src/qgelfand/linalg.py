@@ -22,17 +22,11 @@ class NonHermitianError(ValueError):
 # is the slack allowed in projector-lattice identities.  VERDICT_TOL is the
 # largest measured defect a claims verdict reads as holds-within-tol, and
 # SPECTRAL_CLUSTER_GAP the eigenvalue gap that separates the spectral
-# projections qspace takes of a Hermitian element.  DENSITY_TOL is the slack
-# of qspace's literal purity test (eigenvalues ≥ 0, trace 1) and
-# PURE_RANK_TOL the eigenvalue that counts toward its rank; NEGLIGIBLE_TOL
-# is the norm below which the hat surrogate drops a part or an eigenvalue.
+# projections qspace takes of a Hermitian element.
 RANK_TOL = 1e-8
 LATTICE_TOL = 1e-8
 VERDICT_TOL = 1e-9
 SPECTRAL_CLUSTER_GAP = 1e-9
-DENSITY_TOL = 1e-12
-PURE_RANK_TOL = 1e-9
-NEGLIGIBLE_TOL = 1e-14
 
 
 def as_cmatrix(entries) -> np.ndarray:

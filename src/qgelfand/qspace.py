@@ -21,10 +21,7 @@ from .algebra import (
     random_pure_state,
 )
 from .linalg import (
-    DENSITY_TOL,
     LATTICE_TOL,
-    NEGLIGIBLE_TOL,
-    PURE_RANK_TOL,
     SPECTRAL_CLUSTER_GAP,
     VERDICT_TOL,
     DimensionMismatchError,
@@ -39,6 +36,14 @@ from .linalg import (
     projector_from_basis,
     sasaki_product,
 )
+
+# DENSITY_TOL is the slack of the literal join's purity test (eigenvalues
+# ≥ 0, trace 1) and PURE_RANK_TOL the eigenvalue that counts toward its
+# rank; NEGLIGIBLE_TOL is the norm below which the hat surrogate drops a
+# part or an eigenvalue.
+DENSITY_TOL = 1e-12
+PURE_RANK_TOL = 1e-9
+NEGLIGIBLE_TOL = 1e-14
 
 
 @dataclass

@@ -292,6 +292,10 @@ def test_thin_svd_center_matches_full_svd(algebra_zoo):
     algebras = dict(algebra_zoo)
     for n in (2, 3, 4):
         algebras[f"M{n}"] = _random_full_algebra(n, n)
+    for spec in SUMMAND_CASES:
+        algebras[str(spec)] = _summand_algebra(*spec)
+    for spec in NEARLY_SCALAR_CASES:
+        algebras[str(spec)] = _nearly_scalar_algebra(*spec)
     for name, alg in algebras.items():
         fast = center_basis(alg)
         slow = _full_svd_center_basis(alg)
@@ -338,7 +342,8 @@ def test_closure_power_of_two_scaling_is_exact():
 
 # ---------------------------------------------------------------------------
 # oracles for the systems solved against the letters: each must agree with
-# the same system solved against the whole algebra basis
+# the same system solved against the whole algebra basis (the center's is
+# test_thin_svd_center_matches_full_svd above)
 
 
 ZOO_NAMES = ["C2", "C3", "M2", "M3", "M2+C", "CI2"]
@@ -346,15 +351,36 @@ ZOO_NAMES = ["C2", "C3", "M2", "M3", "M2+C", "CI2"]
 SUMMANDS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3)
 RANDOM_SPECS = st.tuples(SUMMANDS, st.integers(0, 2**32 - 1), st.integers(1, 2)).filter(
     lambda spec: sum(k * m for k, m in spec[0]) <= 6)
-ALGEBRA_SPECS = st.one_of(st.sampled_from(ZOO_NAMES), RANDOM_SPECS)
+# the dimension, a seed, ε and whether the perturbation is normal
+NEARLY_SCALAR_SPECS = st.tuples(st.integers(2, 4), st.integers(0, 2**32 - 1),
+                                st.sampled_from([1e-6, 1e-4]), st.booleans())
+ALGEBRA_SPECS = st.one_of(st.sampled_from(ZOO_NAMES), RANDOM_SPECS, NEARLY_SCALAR_SPECS)
+# fixed draws of both kinds for the center oracle, whose full SVD is costly
+SUMMAND_CASES = [([(2, 2)], 1, 1), ([(1, 1), (2, 1)], 2, 2), ([(3, 1), (1, 2)], 3, 1),
+                 ([(1, 3)], 4, 1), ([(2, 1), (1, 1), (1, 2)], 5, 2)]
+NEARLY_SCALAR_CASES = [(2, 6, 1e-6, False), (3, 7, 1e-6, False), (3, 8, 1e-4, True)]
+
+
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _nearly_scalar_algebra(n, seed, eps, normal):
+    """The algebra of I + εX in a Haar frame, X diagonal or nilpotent: M_n
+    or the diagonals, from a generator within ε of the scalars."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    x = np.diag(np.diag(x)) if normal else np.triu(x, 1)
+    u = _haar_unitary(rng, n)
+    return generate_algebra([u @ (np.eye(n) + eps * x) @ u.conj().T])
 
 
 def _summand_algebra(summands, seed, n_gens):
     """The algebra of generic elements of ⊕ M_k ⊗ I_m, in a Haar frame."""
     rng = np.random.default_rng(seed)
     n = sum(k * m for k, m in summands)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    u = _haar_unitary(rng, n)
     gens = []
     for _ in range(n_gens):
         g = np.zeros((n, n), dtype=complex)
@@ -368,19 +394,14 @@ def _summand_algebra(summands, seed, n_gens):
 
 
 def _algebra(spec, algebra_zoo):
-    return algebra_zoo[spec] if isinstance(spec, str) else _summand_algebra(*spec)
+    if isinstance(spec, str):
+        return algebra_zoo[spec]
+    return _summand_algebra(*spec) if isinstance(spec[0], list) else _nearly_scalar_algebra(*spec)
 
 
 def _same_span(fast, slow):
     gap = op_norm(_span_projector(fast) - _span_projector(slow))
     return len(fast) == len(slow) and gap < 1e-10
-
-
-@settings(max_examples=40)
-@given(spec=ALGEBRA_SPECS)
-def test_center_against_letters_matches_full_basis(algebra_zoo, spec):
-    alg = _algebra(spec, algebra_zoo)
-    assert _same_span(center_basis(alg), _full_svd_center_basis(alg))
 
 
 @settings(max_examples=40)
@@ -421,3 +442,38 @@ def test_is_commutative_matches_all_basis_pairs(algebra_zoo, spec):
     all_pairs = all(op_norm(a @ b - b @ a) <= LATTICE_TOL
                     for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
     assert alg.is_commutative() == all_pairs
+
+
+def test_nearly_scalar_generator_of_m2_is_not_commutative():
+    alg = generate_algebra([np.array([[1, 1e-6], [0, 1]])])
+    assert alg.dim == 4
+    assert not alg.is_commutative()
+    assert r_is_discrete(alg.decomposition()) is False
+
+
+def test_scalar_algebra_has_no_letters():
+    alg = generate_algebra([np.eye(2)])
+    assert len(alg.letters) == 0 and alg.is_commutative()
+    assert len(commutant_basis([], 3)) == 9
+    (blk,) = alg.decomposition().blocks
+    assert (blk.irrep_dim, blk.multiplicity) == (1, 2)
+
+
+@pytest.mark.parametrize("eps", [3e-9, 1e-8, 3e-8, 1e-7, 3e-7])
+def test_generator_near_rank_tol_matches_full_basis(eps):
+    # H + εN closes to M_n for ε above RANK_TOL, through directions the
+    # closure normalizes from residuals near RANK_TOL; commutators with the
+    # letters are then O(ε) where the basis elements' are O(1)
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            h = rng.standard_normal((n, n))
+            alg = generate_algebra([h + h.T + eps * np.triu(rng.standard_normal((n, n)), 1)])
+            dec = alg.decomposition()
+            all_pairs = all(op_norm(a @ b - b @ a) <= LATTICE_TOL
+                            for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
+            assert alg.is_commutative() == all_pairs == r_is_discrete(dec)
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for state in (vector_state(x), pure_to_state(dec, random_pure_state(dec, rng))):
+                rep = gns(alg, state)
+                assert is_irreducible(rep) == (len(commutant_basis(rep.rep_basis, rep.dim)) == 1)
