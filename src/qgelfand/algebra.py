@@ -231,9 +231,8 @@ def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
     # basis and letters have HS norm at most 1, so commutators are O(1);
     # floor the scale at 1 to keep a noise-level system (fully commutative
-    # algebra) fully null
-    scale = max(1.0, svals[0]) if len(svals) else 1.0
-    nkeep = int(np.sum(svals > RANK_TOL * scale))
+    # algebra) fully null.  k ≥ 1 and d ≥ 1, so svals is nonempty
+    nkeep = int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
     null = vh.conj().T[:, nkeep:]
     mats = np.tensordot(null.T, basis, axes=1)
     return _hs_orthonormalize(mats)
@@ -314,10 +313,7 @@ def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
 
 def _decompose(alg: FdAlgebra) -> BlockDecomposition:
     rng = np.random.default_rng(0)
-    center = center_basis(alg)
-    n_central = len(center)
-
-    projectors = _central_projectors(center, n_central, rng)
+    projectors = _central_projectors(center_basis(alg), rng)
     basis = np.array(alg.basis)
     blocks = []
     for p in projectors:
@@ -345,10 +341,12 @@ def _decompose(alg: FdAlgebra) -> BlockDecomposition:
     return dec
 
 
-def _central_projectors(center, n_central, rng) -> list[np.ndarray]:
-    n = center[0].shape[0] if center else 0
+def _central_projectors(center, rng) -> list[np.ndarray]:
+    """One projector per minimal central projection.  The identity is
+    central, so center is never empty."""
+    n_central = len(center)
     if n_central == 1:
-        return [np.eye(n, dtype=complex)]
+        return [np.eye(center[0].shape[0], dtype=complex)]
     for _ in range(_MAX_RETRIES):
         z = _random_hermitian_from(center, rng)
         vals, vecs = hermitian_eig(z)

@@ -75,20 +75,24 @@ class FiniteOml:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         self.bottom = _first(leq.all(axis=1))
         self.top = _first(leq.all(axis=0))
-        self.meet, self.join = self._bound_tables()
 
-    def _bound_tables(self):
-        """meet[p, q] is the greatest element of the lower set of {p, q}
-        and join[p, q] the least of its upper set, or NO_ELEMENT where the
-        candidate is not unique."""
-        leq = self.leq
+    @functools.cached_property
+    def meet(self) -> np.ndarray:
+        """meet[p, q] is the greatest element of the lower set of {p, q},
+        or NO_ELEMENT where the candidate is not unique."""
         # lower[p, q, r]: r ≤ p and r ≤ q; a member is greatest iff no
         # member of the same set fails to lie below it
+        leq = self.leq
         lower = leq.T[:, None, :] & leq.T[None, :, :]
-        greatest = lower & ~_bool_matmul(lower, ~leq)
+        return _unique_member(lower & ~_bool_matmul(lower, ~leq))
+
+    @functools.cached_property
+    def join(self) -> np.ndarray:
+        """join[p, q] is the least element of the upper set of {p, q}, or
+        NO_ELEMENT where the candidate is not unique."""
+        leq = self.leq
         upper = leq[:, None, :] & leq[None, :, :]
-        least = upper & ~_bool_matmul(upper, ~leq.T)
-        return _unique_member(greatest), _unique_member(least)
+        return _unique_member(upper & ~_bool_matmul(upper, ~leq.T))
 
     @functools.cached_property
     def skew(self) -> np.ndarray:

@@ -493,6 +493,16 @@ def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
     )
 
 
+# thm3_diagnostics reads the hat map as injective when the smallest singular
+# value of a ↦ ⊕ (block compressions of a) exceeds INJECTIVITY_TOL, two
+# states as unseparated when every basis element's hats agree within
+# SEPARATION_TOL, and the homomorphism as holding when its defect is at most
+# HOMOMORPHISM_TOL.
+INJECTIVITY_TOL = 1e-8
+SEPARATION_TOL = 1e-10
+HOMOMORPHISM_TOL = 1e-10
+
+
 def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
                      instance: str = "") -> ClaimsReport:
     """Injectivity, point separation, and homomorphism defect of the hat map.
@@ -507,7 +517,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
     for bmat in alg.basis:
         cols.append(np.concatenate([blk.irrep(bmat).ravel() for blk in dec.blocks]))
     sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    injective = bool(sv[-1] > 1e-8)
+    injective = bool(sv[-1] > INJECTIVITY_TOL)
 
     separated = True
     sep_witness = None
@@ -515,7 +525,8 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         s, t = random_pure_state(dec, rng), random_pure_state(dec, rng)
         if pure_equal(s, t):
             continue
-        if all(abs(hat(alg, bb, s) - hat(alg, bb, t)) <= 1e-10 for bb in alg.basis):
+        if all(abs(hat(alg, bb, s) - hat(alg, bb, t)) <= SEPARATION_TOL
+               for bb in alg.basis):
             separated = False
             sep_witness = (s, t)
             break
@@ -537,7 +548,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         "separation": separated,
         "homomorphism_defect": hom_defect,
     }
-    ok = injective and separated and hom_defect <= 1e-10
+    ok = injective and separated and hom_defect <= HOMOMORPHISM_TOL
     witnesses = [w for w in (sep_witness, hom_witness) if w is not None]
     return ClaimsReport(
         "thm3", instance, defects,

@@ -25,109 +25,59 @@ class SemigroupBudgetError(RuntimeError):
         self.frontier = frontier
 
 
-def sasaki_action(lat: FiniteOml, p: int) -> tuple[int, ...]:
-    """Action table of the Sasaki projection q ↦ p ∧ (p⊥ ∨ q).
-
-    The classical formula (not the bare meet): this is the one whose closed
-    projections recover the lattice.
-    """
-    return tuple(lat.skew[p].tolist())
-
-
-def literal_meet_action(lat: FiniteOml, p: int) -> tuple[int, ...]:
-    """Comparison mode: the bare-meet map q ↦ p ∧ q."""
-    return tuple(lat.meet[p].tolist())
-
-
-def is_monotone(lat: FiniteOml, action: tuple[int, ...]) -> bool:
-    return all(
-        lat.leq[action[p], action[q]]
-        for p in range(lat.n)
-        for q in range(lat.n)
-        if lat.leq[p, q]
-    )
-
-
-def compose_actions(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
-    """(first ∘ second)(q) = first(second(q))."""
-    return tuple(first[x] for x in second)
-
-
 @dataclass
 class BaerSemigroup:
     """The semigroup generated by the Sasaki projections of a finite OML.
 
-    Elements are deduplicated action tables; each carries one generator
-    word (sequence of lattice elements p standing for the Sasaki map of p).
-    star is the involution resolved from word reversal; perp maps each
-    element to the Sasaki projection of the largest element it annihilates
-    (so perp is idempotent-valued, not a permutation).
+    Row i of table is the action of element i on the lattice, in discovery
+    order, and index maps each row's bytes back to i.  Each element carries
+    one generator word (sequence of lattice elements p standing for the
+    Sasaki map of p).  star is the involution resolved from word reversal;
+    perp maps each element to the Sasaki projection of the largest element
+    it annihilates (so perp is idempotent-valued, not a permutation).
     """
 
     lattice: FiniteOml
-    actions: list[tuple[int, ...]]
+    table: np.ndarray
+    index: dict[bytes, int] = field(repr=False)
     words: list[tuple[int, ...]]
     star: np.ndarray
     perp: np.ndarray
     generator_of: dict[int, int]  # lattice element -> semigroup element index
-    _index: dict[tuple[int, ...], int] = field(repr=False, default=None)
-    _compose_cache: dict[tuple[int, int], int] = field(repr=False, default=None)
-
-    def __post_init__(self):
-        self._index = {a: i for i, a in enumerate(self.actions)}
-        # the actions as one (size, n) array, for the whole-semigroup checks
-        self.table = np.array(self.actions, dtype=np.intp).reshape(-1, self.lattice.n)
-        self._compose_cache = {}
 
     @property
     def size(self) -> int:
-        return len(self.actions)
+        return self.table.shape[0]
 
     @property
     def identity(self) -> int:
-        return self._index[tuple(range(self.lattice.n))]
+        return self.index[np.arange(self.lattice.n, dtype=self.table.dtype).tobytes()]
 
     def compose(self, i: int, j: int) -> int:
-        key = (i, j)
-        hit = self._compose_cache.get(key)
-        if hit is None:
-            hit = self._index[compose_actions(self.actions[i], self.actions[j])]
-            self._compose_cache[key] = hit
-        return hit
+        """The element acting as (φ_i ∘ φ_j)(q) = φ_i(φ_j(q))."""
+        return self.index[self.table[i][self.table[j]].tobytes()]
 
     def subset_of(self, i: int) -> int:
         """U_φ = φ(top), as a lattice element."""
-        return self.actions[i][self.lattice.top]
-
-    def to_json(self) -> dict:
-        return {
-            "lattice": self.lattice.to_json(),
-            "actions": [list(a) for a in self.actions],
-            "words": [list(w) for w in self.words],
-            "star": self.star.tolist(),
-            "perp": self.perp.tolist(),
-        }
+        return int(self.table[i, self.lattice.top])
 
 
-def enumerate_semigroup(
-    lat: FiniteOml,
-    cap: int = 10_000,
-    sasaki=sasaki_action,
-    verify: bool = True,
-) -> BaerSemigroup:
-    """Breadth-first closure of the Sasaki maps under composition.
+def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000) -> BaerSemigroup:
+    """Breadth-first closure of the Sasaki maps q ↦ p ∧ (p⊥ ∨ q) under
+    composition, verified as a Baer*-semigroup.
 
-    Deterministic discovery order: generators in lattice order, then
-    products in (element, generator) order.  Raises SemigroupBudgetError
-    instead of silently truncating.
+    These maps, not the bare meets q ↦ p ∧ q, are the ones whose closed
+    projections recover the lattice.  Deterministic discovery order:
+    generators in lattice order, then products in (element, generator)
+    order.  Raises SemigroupBudgetError instead of silently truncating, and
+    StructureError where the semigroup axioms fail.
     """
     n = lat.n
     # the identity is phi_top, so it enters through the generators and keeps
     # a nonempty word (its perp is phi_bottom, not itself).  Actions are
     # stored in the smallest signed type that holds range(n), which keeps the
     # keys short and each level's products small.
-    gens = np.array([sasaki(lat, p) for p in range(n)], dtype=np.min_scalar_type(-n))
-    gens = gens.reshape(n, n)
+    gens = lat.skew.astype(np.min_scalar_type(-n))
     width = n * gens.itemsize
 
     def keys(acts: np.ndarray) -> list[bytes]:
@@ -188,29 +138,21 @@ def enumerate_semigroup(
     # lattices -- so we use the intrinsic definition, which agrees with
     # phi_p -> phi_{p-perp} on the generators.  The join is folded over each
     # kernel in lattice order, for all elements at once; an empty kernel
-    # leaves k = 0, which the open-kernel test below flags.
+    # leaves k = 0, which the open-kernel test below rejects.
     killed = table == lat.bottom
     least = killed.argmax(axis=1)
     k = least.copy()
     for q in range(n):
         step = killed[:, q] & (least < q)
         k[step] = lat.join[k[step], q]
-    gen_table = np.array([gen_of[p] for p in range(n)])
-    perp = gen_table[k]
     open_kernel = table[np.arange(size), k] != lat.bottom
     if open_kernel.any():
-        # happens in the bare-meet comparison mode on non-Boolean
-        # lattices; with verification on this is a hard error
-        if verify:
-            i = int(np.argmax(open_kernel))
-            raise StructureError(f"kernel of element {i} has no greatest element")
-        perp[open_kernel] = NO_ELEMENT
+        i = int(np.argmax(open_kernel))
+        raise StructureError(f"kernel of element {i} has no greatest element")
+    perp = np.array([gen_of[p] for p in range(n)])[k]
 
-    actions = [tuple(a) for a in table.tolist()]
-    sg = BaerSemigroup(lat, actions, words, star, perp, gen_of)
-    if verify:
-        # fails for the bare-meet comparison mode on non-Boolean lattices
-        _verify_semigroup(sg)
+    sg = BaerSemigroup(lat, table, index, words, star, perp, gen_of)
+    _verify_semigroup(sg)
     return sg
 
 

@@ -353,8 +353,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
 
 def invariant_subspace(a: np.ndarray, mode: str = "oracle",
                        samples: int = 2000,
-                       rng: np.random.Generator | None = None,
-                       n_angles: int = 720) -> list[InvariantSubspaceResult]:
+                       rng: np.random.Generator | None = None) -> list[InvariantSubspaceResult]:
     """Candidate invariant subspaces for a.
 
     'oracle' returns an eigenvector line (always exists over C) with its
@@ -370,7 +369,7 @@ def invariant_subspace(a: np.ndarray, mode: str = "oracle",
         rng = np.random.default_rng(0)
     out = []
     if mode in ("paper", "both"):
-        report = sigma_big(a, n_angles=n_angles, samples=min(samples, 500), rng=rng)
+        report = sigma_big(a, samples=min(samples, 500), rng=rng)
         out.append(_modeled_result(a, report, samples, rng))
     if mode in ("oracle", "both"):
         out.append(_oracle_result(a))

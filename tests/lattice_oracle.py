@@ -3,7 +3,9 @@ code in ``qgelfand.oml`` and ``qgelfand.sasaki``.
 
 These are the loop formulations the array code replaced.  The oracle tests
 require the array code to return exactly what these return (``==``), on
-lattices that are orthomodular and on lattices that are not.
+lattices that are orthomodular and on lattices that are not.  The semigroup
+enumeration also takes other generator families than the Sasaki maps, such
+as the bare meets q ↦ p ∧ q, for comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import numpy as np
 
 from qgelfand.oml import NO_ELEMENT, FiniteOml, StructureError, Violation
-from qgelfand.sasaki import SemigroupBudgetError, sasaki_action
+from qgelfand.sasaki import SemigroupBudgetError
 
 
 def find_bounds(lat: FiniteOml) -> tuple[int, int]:
@@ -110,13 +112,29 @@ def is_distributive(lat: FiniteOml) -> bool:
     return True
 
 
+def sasaki_action(lat: FiniteOml, p: int) -> tuple[int, ...]:
+    """The Sasaki projection q ↦ p ∧ (p⊥ ∨ q) as a tuple."""
+    return tuple(skew_meet(lat, p, q) for q in range(lat.n))
+
+
+def literal_meet_action(lat: FiniteOml, p: int) -> tuple[int, ...]:
+    """The bare-meet map q ↦ p ∧ q as a tuple."""
+    return tuple(int(lat.meet[p, q]) for q in range(lat.n))
+
+
+def is_monotone(lat: FiniteOml, action) -> bool:
+    return all(lat.leq[action[p], action[q]] for p in range(lat.n)
+               for q in range(lat.n) if lat.leq[p, q])
+
+
 def compose(first, second):
+    """(first ∘ second)(q) = first(second(q))."""
     return tuple(first[x] for x in second)
 
 
 def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000, sasaki=sasaki_action,
                         verify: bool = True) -> dict:
-    """Breadth-first closure of the generator maps, one tuple at a time.
+    """Breadth-first closure of the maps sasaki(lat, p), one tuple at a time.
 
     Returns the fields the array code must reproduce: actions, words,
     star, perp and generator_of.  Raises SemigroupBudgetError with the
@@ -180,9 +198,7 @@ def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000, sasaki=sasaki_action,
 
     if verify:
         for i, a in enumerate(actions):
-            monotone = all(lat.leq[a[p], a[q]] for p in range(lat.n)
-                           for q in range(lat.n) if lat.leq[p, q])
-            if not monotone:
+            if not is_monotone(lat, a):
                 raise StructureError(f"element {i} is not monotone")
         if [star[s] for s in star] != list(range(len(actions))):
             raise StructureError("star is not an involution")
