@@ -34,16 +34,12 @@ class StateError(ValueError):
     pass
 
 
-def _hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    # <a, b> = tr(b* a)
-    return complex(np.vdot(b, a))
-
-
 _GS_CHUNK = 64  # candidates projected against the basis in one matmul
 
 
-def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray]) -> list[np.ndarray]:
-    """HS-orthonormal basis of the span of mats, accepted in input order.
+def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """HS-orthonormal basis of the span of mats, accepted in input order,
+    as one stack.
 
     Same selection as sequential Gram-Schmidt with one re-orthogonalization
     pass: the next basis element is the first remaining candidate whose
@@ -52,11 +48,9 @@ def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray]) -> list[np.ndarray]:
     with one matmul (twice), then each pivot accepted inside it is
     projected out of the chunk's remaining rows at once (twice).
     """
-    if len(mats) == 0:
-        return []
     stack = np.array(mats, dtype=complex)
     shape = stack.shape[1:]
-    rows = stack.reshape(len(stack), -1)
+    rows = stack.reshape(len(stack), math.prod(shape))
     basis = np.empty((0, rows.shape[1]), dtype=complex)
     for lo in range(0, len(rows), _GS_CHUNK):
         if len(basis) == rows.shape[1]:
@@ -77,19 +71,20 @@ def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray]) -> list[np.ndarray]:
             for _ in range(2):
                 rest -= np.outer(rest @ v.conj(), v)
             start = i + 1
-    return list(basis.reshape((-1, *shape)))
+    return basis.reshape((-1, *shape))
 
 
 class FdAlgebra:
     """A unital *-closed algebra of n×n matrices.
 
-    basis is orthonormal for the Hilbert-Schmidt inner product and spans
-    the algebra; the span is closed under products and adjoints.  letters
-    (a k × n × n stack, k ≥ 0) generate it as a unital algebra: x commutes
-    with the algebra exactly when it commutes with every letter.
+    basis (a d × n × n stack) is orthonormal for the Hilbert-Schmidt inner
+    product and spans the algebra; the span is closed under products and
+    adjoints.  letters (a k × n × n stack, k ≥ 0) generate it as a unital
+    algebra: x commutes with the algebra exactly when it commutes with
+    every letter.
     """
 
-    def __init__(self, ambient_dim: int, basis: list[np.ndarray], letters: np.ndarray):
+    def __init__(self, ambient_dim: int, basis: np.ndarray, letters: np.ndarray):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.letters = letters
@@ -100,11 +95,14 @@ class FdAlgebra:
         return len(self.basis)
 
     def coords(self, a: np.ndarray) -> np.ndarray:
-        return np.array([_hs_inner(a, b) for b in self.basis])
+        """HS coordinates <a, b_j> = tr(b_j* a) of a matrix, or of each
+        matrix of a stack (..., n, n) -> (..., d)."""
+        a = np.asarray(a)
+        rows = self.basis.reshape(self.dim, -1)
+        return a.reshape(*a.shape[:-2], rows.shape[1]) @ rows.conj().T
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        c = self.coords(a)
-        return sum(cj * bj for cj, bj in zip(c, self.basis))
+        return np.tensordot(self.coords(a), self.basis, axes=1)
 
     def contains(self, a: np.ndarray) -> bool:
         return op_norm(as_cmatrix(a) - self.project(a)) <= RANK_TOL * max(1.0, op_norm(a))
@@ -127,11 +125,9 @@ class FdAlgebra:
         # enough: for H + εN (H Hermitian, N nilpotent, ε near RANK_TOL) the
         # closure drops the adjoint's residual, so one letter is left, yet
         # its powers close to M_n
-        return all(
-            op_norm(b @ g - g @ b) <= LATTICE_TOL
-            for b in self.basis
-            for g in self.letters
-        )
+        b, g = self.basis[:, None], self.letters[None]
+        norms = np.linalg.svd(b @ g - g @ b, compute_uv=False)[..., 0]
+        return bool(np.all(norms <= LATTICE_TOL))
 
     def decomposition(self) -> "BlockDecomposition":
         if self._decomposition is None:
@@ -181,7 +177,7 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
             g = g * 2.0 ** -math.frexp(norm)[1]
         seed.append(g)
         seed.append(g.conj().T)
-    basis = np.array(_hs_orthonormalize(seed))
+    basis = _hs_orthonormalize(seed)
     letters = basis[1:]  # basis[0] is the identity, accepted first
     while True:
         products = np.matmul(basis[:, None], basis[None, :]).reshape(-1, n, n)
@@ -189,16 +185,16 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
         new_basis = _hs_orthonormalize(np.concatenate([basis, products, adjoints]))
         if len(new_basis) == len(basis):
             return FdAlgebra(n, new_basis, letters)
-        basis = np.array(new_basis)
+        basis = new_basis
 
 
-def commutant_basis(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """HS-orthonormal basis of {x : xm = mx for all m}."""
-    if not mats:
+def commutant_basis(mats: np.ndarray, dim: int) -> np.ndarray:
+    """HS-orthonormal basis of {x : xm = mx for all m in the stack mats}."""
+    if len(mats) == 0:
         # nothing to commute with: every matrix unit, in the column-stacking
         # order the SVD of a zero system gives
         units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-        return list(units.transpose(0, 2, 1))
+        return units.transpose(0, 2, 1)
     rows = []
     ident = np.eye(dim)
     for m in mats:
@@ -209,19 +205,18 @@ def commutant_basis(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
     # the full dim² × dim² right factor
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
     null_mask = svals <= RANK_TOL * max(1.0, svals[0])
-    basis_vecs = vh.conj().T[:, null_mask]
-    mats_out = [basis_vecs[:, j].reshape(dim, dim, order="F") for j in range(basis_vecs.shape[1])]
+    # row j of vh[null_mask].conj() is vec(x_j): unstack it column-major
+    mats_out = vh[null_mask].conj().reshape(-1, dim, dim).transpose(0, 2, 1)
     return _hs_orthonormalize(mats_out)
 
 
-def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
+def center_basis(alg: FdAlgebra) -> np.ndarray:
     """HS-orthonormal basis of the center, solved in algebra coordinates:
     x = Σ c_j b_j with [x, g] = 0 for every letter g."""
-    basis = np.array(alg.basis)
-    letters = alg.letters
+    basis, letters = alg.basis, alg.letters
     d, k, n = len(basis), len(letters), alg.ambient_dim
     if k == 0:
-        return list(alg.basis)  # the scalars, whose center is themselves
+        return basis  # the scalars, whose center is themselves
     comms = (np.matmul(basis[:, None], letters[None, :])
              - np.matmul(letters[None, :], basis[:, None]))  # [j, l] = [b_j, g_l]
     # column j stacks the vec'd commutators [b_j, g_l] over l
@@ -238,7 +233,7 @@ def center_basis(alg: FdAlgebra) -> list[np.ndarray]:
     return _hs_orthonormalize(mats)
 
 
-def _random_hermitian_from(basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+def _random_hermitian_from(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     a = sum(
         (rng.standard_normal() + 1j * rng.standard_normal()) * b for b in basis
     )
@@ -307,14 +302,14 @@ def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
         return _decompose(alg)
     except DecompositionError:
         # the whole basis generates the algebra too
-        spanned = FdAlgebra(alg.ambient_dim, alg.basis, np.array(alg.basis))
+        spanned = FdAlgebra(alg.ambient_dim, alg.basis, alg.basis)
         return BlockDecomposition(alg, _decompose(spanned).blocks)
 
 
 def _decompose(alg: FdAlgebra) -> BlockDecomposition:
     rng = np.random.default_rng(0)
     projectors = _central_projectors(center_basis(alg), rng)
-    basis = np.array(alg.basis)
+    basis = alg.basis
     blocks = []
     for p in projectors:
         vals, vecs = hermitian_eig(p)
@@ -333,7 +328,7 @@ def _decompose(alg: FdAlgebra) -> BlockDecomposition:
                 f"block dimensions inconsistent: span {d2}, component {ni}"
             )
         m = ni // d
-        frames = _multiplicity_frames(list(wh @ alg.letters @ w), ni, d, m, rng)
+        frames = _multiplicity_frames(wh @ alg.letters @ w, ni, d, m, rng)
         iso = w @ np.hstack(frames)
         blocks.append(Block(d, m, iso, p))
     dec = BlockDecomposition(alg, blocks)
@@ -407,7 +402,7 @@ def _check_decomposition(dec: BlockDecomposition):
     total = sum(blk.central_projector for blk in dec.blocks)
     if op_norm(total - np.eye(n)) > 100 * LATTICE_TOL:
         raise DecompositionError("central idempotents do not sum to the identity")
-    basis = np.array(alg.basis)
+    basis = alg.basis
     # irrep and embed broadcast over the stack of basis elements
     defects = np.linalg.norm(dec.reconstruct(basis) - basis, 2, axis=(1, 2))
     scales = np.maximum(1.0, np.linalg.norm(basis, 2, axis=(1, 2)))
@@ -529,50 +524,48 @@ def pure_equal(a: PureState, b: PureState) -> bool:
 class GnsRepresentation:
     algebra: FdAlgebra
     dim: int
-    rep_basis: list[np.ndarray]  # images of the algebra basis
+    rep_basis: np.ndarray  # d × r × r: the images of the algebra basis
     cyclic_vector: np.ndarray
     _embed: np.ndarray  # coordinates-on-basis -> GNS coordinates
 
     def pi(self, a: np.ndarray) -> np.ndarray:
-        c = self.algebra.coords(a)
-        return sum(cj * rj for cj, rj in zip(c, self.rep_basis))
+        """pi of an algebra element, or of each element of a stack."""
+        return np.tensordot(self.algebra.coords(a), self.rep_basis, axes=1)
 
     def vector_of(self, a: np.ndarray) -> np.ndarray:
-        """GNS class of an algebra element."""
-        return self._embed @ self.algebra.coords(a)
+        """GNS class of an algebra element, or of each element of a stack."""
+        return self.algebra.coords(a) @ self._embed.T
 
 
 def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
     """GNS representation of (algebra, state).
 
     The pre-Hilbert space is the algebra with ⟨x, y⟩ = α(y*x); the null
-    space is removed by spectral truncation of the Gram matrix.
+    space is removed by spectral truncation of the Gram matrix.  Each step
+    is one contraction over the basis stack.
     """
-    d = alg.dim
-    gram = np.zeros((d, d), dtype=complex)
-    for j, bj in enumerate(alg.basis):
-        for k, bk in enumerate(alg.basis):
-            gram[j, k] = state(bj.conj().T @ bk)
-    # coords u, v: <u, v> = v† G u with G[j,k] = α(b_j† b_k) — note the
-    # conjugate-linear slot; gram above is already that matrix transposed
+    basis, rho = alg.basis, state.rho
+    # G[j, k] = α(b_j† b_k) = tr(b_j† (b_k rho)) = <b_k rho, b_j>_HS; in
+    # coordinates u, v, <u, v> = v† G u — note the conjugate-linear slot
+    gram = alg.coords(basis @ rho).T
     gram = (gram + gram.conj().T) / 2
     vals, vecs = hermitian_eig(gram)
     keep = vals > RANK_TOL * max(1.0, vals.max())
     basis_coords = vecs[:, keep] / np.sqrt(vals[keep])
     embed = basis_coords.conj().T @ gram
 
-    rep = []
-    for a in alg.basis:
-        la = np.array([alg.coords(a @ bk) for bk in alg.basis]).T
-        rep.append(embed @ la @ basis_coords)
-    unit_coords = alg.coords(np.eye(alg.ambient_dim))
-    omega = embed @ unit_coords
-    g = GnsRepresentation(alg, int(keep.sum()), rep, omega, embed)
-    for a in alg.basis:
-        lhs = complex(np.vdot(omega, g.pi(a) @ omega))
-        if abs(lhs - state(a)) > 1e-7 * max(1.0, op_norm(a)):
-            raise StateError("GNS contract violated: <pi(a)Ω, Ω> != α(a)")
-    return g
+    # left[a, j, k]: coordinate j of b_a b_k, so left[a] is left
+    # multiplication by b_a in coordinates
+    left = alg.coords(basis[:, None] @ basis[None]).transpose(0, 2, 1)
+    rep = embed @ left @ basis_coords
+    omega = embed @ alg.coords(np.eye(alg.ambient_dim))
+    # <pi(b_a)Ω, Ω> against α(b_a) = tr(rho b_a); an HS-unit b_a has
+    # operator norm at most 1, so the slack is 1e-7 for every a
+    lhs = (rep @ omega) @ omega.conj()
+    alpha = np.einsum("ij,aji->a", rho, basis)
+    if np.any(np.abs(lhs - alpha) > 1e-7):
+        raise StateError("GNS contract violated: <pi(a)Ω, Ω> != α(a)")
+    return GnsRepresentation(alg, int(keep.sum()), rep, omega, embed)
 
 
 def is_irreducible(rep: GnsRepresentation) -> bool:
@@ -585,10 +578,10 @@ def is_irreducible(rep: GnsRepresentation) -> bool:
     than one with a basis element the closure normalized from a small
     residual.
     """
-    comm = commutant_basis([rep.pi(g) for g in rep.algebra.letters], rep.dim)
+    comm = commutant_basis(rep.pi(rep.algebra.letters), rep.dim)
     if len(comm) == 1:
         return True
-    x, r = np.array(comm), np.array(rep.rep_basis)
+    x, r = comm, rep.rep_basis
     comms = np.matmul(x[:, None], r[None, :]) - np.matmul(r[None, :], x[:, None])
     # column i stacks the vec'd commutators [x_i, pi(b_j)] over j
     system = comms.transpose(1, 2, 3, 0).reshape(-1, len(x))
@@ -653,32 +646,3 @@ def hat(alg: FdAlgebra, a: np.ndarray, state) -> complex:
         pa = dec.blocks[state.block].irrep(a)
         return complex(np.vdot(state.vector, pa @ state.vector))
     return state(a)
-
-
-def hat_map_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator) -> dict:
-    """Multiplicativity defect and point separation of the hat map on pure
-    states; the defect vanishes exactly for commutative algebras."""
-    dec = alg.decomposition()
-    defect = 0.0
-    witness = None
-    separated = True
-    for _ in range(samples):
-        alpha = random_pure_state(dec, rng)
-        a = alg.random_element(rng)
-        b = alg.random_element(rng)
-        val = abs(hat(alg, a @ b, alpha) - hat(alg, a, alpha) * hat(alg, b, alpha))
-        if val > defect:
-            defect, witness = val, (alpha, a, b)
-        beta = random_pure_state(dec, rng)
-        if not pure_equal(alpha, beta):
-            if all(
-                abs(hat(alg, bb, alpha) - hat(alg, bb, beta)) <= LATTICE_TOL
-                for bb in alg.basis
-            ):
-                separated = False
-    return {
-        "commutative": alg.is_commutative(),
-        "multiplicativity_defect": defect,
-        "defect_witness": witness,
-        "separation": separated,
-    }

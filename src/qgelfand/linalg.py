@@ -93,28 +93,24 @@ def _eigh(a: np.ndarray):
 
 
 def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
+    """Turn each column's pivot, its first entry above 1e-12·max(1, column
+    max), into a positive real; a column without one is left as it is."""
+    mag = np.abs(vecs)
+    live = mag > 1e-12 * np.maximum(1.0, mag.max(axis=0, initial=0.0))
+    cols = np.flatnonzero(live.any(axis=0))
+    pivots = vecs[live.argmax(axis=0)[cols], cols]
     out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    out[:, cols] *= pivots.conj() / np.abs(pivots)
     return out
 
 
 def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[np.ndarray]:
     """Group sorted eigenvalues into clusters separated by more than gap.
 
-    Returns index arrays, one per cluster.
+    Returns index arrays, one per cluster (one empty cluster for no
+    eigenvalues).
     """
-    clusters = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > gap:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    return [np.array(c) for c in clusters]
+    return np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > gap) + 1)
 
 
 def orthonormalize(columns: np.ndarray) -> np.ndarray:

@@ -43,6 +43,8 @@ def spectrum(a: np.ndarray) -> np.ndarray:
 # slack of the Sigma(a) decisions: a single point, equal to sigma(a), and
 # the containment query
 SIGMA_TOL = 1e-6
+# angles of the support-line sweep, uniform on [0, 2π)
+N_ANGLES = 720
 
 
 @dataclass
@@ -87,7 +89,7 @@ class SpectralReport:
         }
 
 
-def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
+def sigma_big(a: np.ndarray, samples: int = 2000,
               rng: np.random.Generator | None = None) -> SpectralReport:
     """Sigma(a): the set of values of a-hat over pure states of the
     algebra generated by a.
@@ -105,7 +107,7 @@ def sigma_big(a: np.ndarray, n_angles: int = 720, samples: int = 2000,
     alg = generate_algebra([a])
     dec = alg.decomposition()
     sig = spectrum(a)
-    thetas = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    thetas = np.linspace(0.0, 2 * np.pi, N_ANGLES, endpoint=False)
     phases = np.exp(-1j * thetas)[:, None, None]
 
     block_supports = []
@@ -157,8 +159,7 @@ class CyclicDecomposition:
 
 def orbit_basis(alg: FdAlgebra, h: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orbit span {x h : x in the algebra}."""
-    cols = np.column_stack([b @ h for b in alg.basis])
-    return orthonormalize(cols)
+    return orthonormalize((alg.basis @ h).T)
 
 
 def cyclic_decompose(alg: FdAlgebra) -> CyclicDecomposition:
@@ -229,13 +230,12 @@ def fc_unitary(alg: FdAlgebra, h: np.ndarray) -> IntertwiningReport:
     if rep.dim != n:
         raise NotCyclicError(rep.dim, n)
     # U solves U . (GNS class of b_j) = b_j h over the basis
-    classes = np.column_stack([rep.vector_of(b) for b in alg.basis])
-    images = np.column_stack([b @ h for b in alg.basis])
-    u = images @ np.linalg.pinv(classes)
+    classes = rep.vector_of(alg.basis).T
+    u = (alg.basis @ h).T @ np.linalg.pinv(classes)
     unit_defect = op_norm(u.conj().T @ u - np.eye(n))
-    defect = 0.0
-    for b in alg.basis:
-        defect = max(defect, op_norm(b - u @ rep.pi(b) @ u.conj().T))
+    # rep_basis[j] is pi(b_j)
+    residuals = alg.basis - u @ rep.rep_basis @ u.conj().T
+    defect = float(np.linalg.svd(residuals, compute_uv=False)[:, 0].max())
     return IntertwiningReport(u, unit_defect, defect, rep.dim, rep)
 
 

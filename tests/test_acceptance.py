@@ -187,14 +187,14 @@ def test_08_spectral_containment():
     for i in range(100):
         n = int(rng.integers(2, 6))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rep = sigma_big(a, n_angles=180, samples=20,
+        rep = sigma_big(a, samples=20,
                         rng=np.random.default_rng(i))
         for lam in rep.sigma:
             assert rep.contains(lam, 1e-6)
     for i in range(20):
         n = int(rng.integers(2, 6))
         h = rng.standard_normal((n, n))
-        rep = sigma_big(h + h.T, n_angles=180, samples=10)
+        rep = sigma_big(h + h.T, samples=10)
         assert rep.sigma_equals_big, (i, n)
     rep = sigma_big(E12, samples=100_000, rng=np.random.default_rng(12))
     assert np.max(np.abs(rep.cloud)) == pytest.approx(0.5, abs=1e-3)

@@ -241,9 +241,10 @@ def test_claims_report_format(runner, files):
 
 
 def test_claims_preimage_m3_report_bytes(runner, files):
-    # on M3 every joined pair ties at violation 0.4 up to rounding, so the
-    # witness is the first thing a reordered sweep would move; these are the
-    # bytes the per-angle loop wrote
+    # on M3 every joined pair ties at violation 0.4 up to rounding.  The
+    # violation is the bytes the per-angle loop wrote; the witness was
+    # re-recorded when violations within LATTICE_TOL of the largest came to
+    # tie, the first in sweep order winning, instead of rounding picking it
     gen = np.zeros((3, 3), dtype=complex)
     gen[0, 1] = gen[1, 2] = 1.0
     (files["tmp"] / "m3.json").write_text(json.dumps({
@@ -255,9 +256,9 @@ def test_claims_preimage_m3_report_bytes(runner, files):
         "suite": "preimage", "instances": ["m3.json"], "samples": 60, "seed": 0,
     }))
     witness = {"block": 0, "vector": [
-        [0.6105641274231206, -0.48444317447934077],
-        [0.15834123256888644, -0.05587003634303264],
-        [-0.5904195920444071, -0.12544941387719968],
+        [-0.05564803085603823, -0.7726103259756034],
+        [-0.2724784403494423, -0.13162459617304711],
+        [-0.3287875331135334, 0.4475553643448509],
     ]}
     expected = {
         "suite": "preimage",
@@ -273,6 +274,38 @@ def test_claims_preimage_m3_report_bytes(runner, files):
     res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
     assert res.exit_code == 0
     assert res.output == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def _claims_output(runner, tmp_path, suite, instance):
+    """What claims run writes for one suite on one instance, 20 samples at
+    seed 0."""
+    gens = {"E12xI2": np.kron(E12, np.eye(2)), "M3": np.eye(3, k=1)}
+    (tmp_path / f"{instance}.json").write_text(json.dumps({
+        "ambient_dim": len(gens[instance]), "generators": [matrix_to_json(gens[instance])]}))
+    cfg = tmp_path / f"cfg_{suite}_{instance}.json"
+    cfg.write_text(json.dumps({
+        "suite": suite, "instances": [f"{instance}.json"], "samples": 20, "seed": 0,
+    }))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 0
+    return res.output
+
+
+@pytest.mark.parametrize("suite, instance, digest", [
+    ("prop2", "E12xI2",
+     "55fdabd8dd94eb01304e5cc4c6020b98091dfb28d64b3e6b3e7fa001c00422c7"),
+    ("prop2", "M3",
+     "82f827a0ccf7e23e386ad2e830e6a747ebea92d01dac06906981c60fa4d72917"),
+    ("thm3", "E12xI2",
+     "6e3963bea6d17310f0d046816281ba25058f4615d21b8c34c51f9794c91c5263"),
+    ("thm3", "M3",
+     "4d5b804efcaae1fbd66654eb1b92f03a30f21ab23a43ea8eee5d462873ae7430"),
+])
+def test_claims_gns_and_thm3_report_bytes(runner, tmp_path, suite, instance, digest):
+    # sha256 of the reports written while gns, is_irreducible and thm3's
+    # probes looped over the algebra basis one element at a time
+    output = _claims_output(runner, tmp_path, suite, instance)
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
 
 
 def test_claims_mode_option_removed(runner, files):

@@ -8,7 +8,9 @@ from qgelfand.linalg import (
     RANK_TOL,
     NonHermitianError,
     Projector,
+    _phase_normalize,
     as_cmatrix,
+    cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
     matrix_from_json,
@@ -235,3 +237,75 @@ def test_lattice_results_pass_projector_checks(pair):
     vals, vecs = hermitian_eig(p.matrix + q.matrix)
     meet = projector_from_basis(vecs[:, vals > 2 - RANK_TOL], dim=p.dim)
     assert np.array_equal(proj_meet(p, q).matrix, meet.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the column loops that _phase_normalize and cluster_eigenvalues replaced, as
+# oracles: the array versions must agree with them exactly
+
+
+def _loop_phase_normalize(vecs):
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
+        if nz.size:
+            pivot = col[nz[0]]
+            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+def _loop_cluster_eigenvalues(vals, gap):
+    clusters = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[i - 1] > gap:
+            clusters.append([i])
+        else:
+            clusters[-1].append(i)
+    return [np.array(c) for c in clusters]
+
+
+def _phase_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in (1, 2, 3, 5):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases.append(np.linalg.eigh(m + m.conj().T)[1])
+    # leading entries at and below the pivot threshold, a zero column, tiny
+    # and large columns, and a 1×1 zero
+    v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    v[0, 0], v[:2, 1], v[:, 2] = 1e-13, [1e-12, 2e-12], 0.0
+    cases += [v, 1e-14 * v, 1e14 * v, np.zeros((1, 1), dtype=complex)]
+    # degenerate spectra: the eigenvectors of projectors and of the identity
+    p = random_projector(4, 2, rng).matrix
+    cases += [np.linalg.eigh(p)[1], np.linalg.eigh(np.eye(3, dtype=complex))[1]]
+    return cases
+
+
+@pytest.mark.parametrize("i", range(len(_phase_cases())))
+def test_phase_normalize_matches_column_loop(i):
+    vecs = _phase_cases()[i]
+    got = _phase_normalize(vecs)
+    assert got.dtype == vecs.dtype
+    assert np.array_equal(got, _loop_phase_normalize(vecs))
+
+
+@pytest.mark.parametrize("vals, gap", [
+    (np.array([0.5]), 1e-9),
+    (np.array([1.0, 1.0, 1.0]), 1e-9),
+    (np.array([0.0, 0.0, 1.0, 1.0 + 1e-10, 2.0]), 1e-9),
+    (np.array([-1.0, 0.0, 1e-7, 1.0]), 1e-6),
+    (np.sort(np.random.default_rng(8).standard_normal(12)), 0.1),
+    (np.linalg.eigvalsh(np.kron(np.diag([1.0, 2.0]), np.eye(3))), 1e-9),
+])
+def test_cluster_eigenvalues_matches_loop(vals, gap):
+    got, ref = cluster_eigenvalues(vals, gap), _loop_cluster_eigenvalues(vals, gap)
+    assert len(got) == len(ref)
+    for x, y in zip(got, ref):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_cluster_eigenvalues_of_nothing_is_one_empty_cluster():
+    # the loop returned [array([0])], an index into an empty array
+    (cluster,) = cluster_eigenvalues(np.array([]), 1e-9)
+    assert cluster.size == 0

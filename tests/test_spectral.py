@@ -64,7 +64,7 @@ def test_sigma_contains_eigenvalues_random():
     for i in range(20):
         n = int(RNG.integers(2, 6))
         a = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
-        rep = sigma_big(a, n_angles=180, samples=20,
+        rep = sigma_big(a, samples=20,
                         rng=np.random.default_rng(i))
         for lam in rep.sigma:
             assert rep.contains(lam, 1e-6)
@@ -202,7 +202,7 @@ def test_stacked_sweep_matches_per_angle_loop():
     two_blocks[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     two_blocks[2, 2] = 0.3 - 0.7j
     for a in (E12, g3, two_blocks, np.diag([1.0, 2.0 + 1j])):
-        rep = sigma_big(a, n_angles=90, samples=10)
+        rep = sigma_big(a, samples=10)
         dec = generate_algebra([a]).decomposition()
         assert len(rep.block_supports) == dec.n_blocks
         for blk, supports, boundary in zip(dec.blocks, rep.block_supports,
@@ -215,7 +215,7 @@ def test_stacked_sweep_matches_per_angle_loop():
 def test_vectorized_cloud_matches_haar_loop():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rep = sigma_big(a, n_angles=36, samples=300, rng=np.random.default_rng(9))
+    rep = sigma_big(a, samples=300, rng=np.random.default_rng(9))
     ref_rng = np.random.default_rng(9)
     ref = []
     for _ in range(300):
