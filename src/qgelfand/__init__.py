@@ -6,6 +6,7 @@ spectral/invariant-subspace diagnostics."""
 from .linalg import (
     Projector,
     projector_from_basis,
+    projector_from_matrix,
     proj_join,
     proj_meet,
     proj_ortho,
@@ -58,6 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Projector",
     "projector_from_basis",
+    "projector_from_matrix",
     "proj_join",
     "proj_meet",
     "proj_ortho",

@@ -25,7 +25,7 @@ from .algebra import (
     r_is_discrete,
     random_pure_state,
 )
-from .linalg import Projector, matrix_from_json
+from .linalg import matrix_from_json, projector_from_matrix
 from .qspace import (
     ClaimsReport,
     QFunction,
@@ -195,7 +195,8 @@ def _suite_prop7(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     projs = _instance_projectors(alg, extras, rng)
     if len(projs) == 1:
         projs = projs * 2
-    subsets = [QSubset(dec, [Projector(blk.irrep(p)) for blk in dec.blocks]) for p in projs]
+    subsets = [QSubset(dec, [projector_from_matrix(blk.irrep(p)) for blk in dec.blocks])
+               for p in projs]
     f = QFunction(dec, [(1.0 + 0j, subsets[0]), (1j, subsets[1])])
     return [cstar_identity_defect(f, instance=name)]
 

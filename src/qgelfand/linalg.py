@@ -4,7 +4,7 @@ lattice (meet, join, orthocomplement, Sasaki product)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,8 +121,8 @@ def orthonormalize(columns: np.ndarray) -> np.ndarray:
     have zero columns).
     """
     cols = np.asarray(columns, dtype=complex)
-    if cols.ndim != 2 or cols.shape[1] == 0:
-        raise ValueError("need at least one column")
+    if cols.ndim != 2:
+        raise ValueError("need a matrix of columns")
     basis: list[np.ndarray] = []
     for j in range(cols.shape[1]):
         v = cols[:, j].copy()
@@ -137,34 +137,28 @@ def orthonormalize(columns: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Projector:
-    """Hermitian idempotent matrix representing a closed subspace."""
+    """Orthogonal projector onto a closed subspace, held as an orthonormal
+    basis of its range (dim × rank, rank may be 0); the matrix is derived.
 
-    matrix: np.ndarray
+    The basis is taken as given: projector_from_matrix and
+    projector_from_basis are the entries that make one.
+    """
+
+    basis: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = as_cmatrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError("projector must be square")
-        if op_norm(m - m.conj().T) > LATTICE_TOL:
-            raise ValueError("projector is not Hermitian within tol")
-        if op_norm(m @ m - m) > LATTICE_TOL:
-            raise ValueError("projector is not idempotent within tol")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", self.basis @ self.basis.conj().T)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
 
     @property
     def rank(self) -> int:
-        return int(round(float(np.real(np.trace(self.matrix)))))
-
-    def range_basis(self) -> np.ndarray:
-        vals, vecs = _eigh(self.matrix)
-        keep = vals > 0.5
-        return vecs[:, keep]
+        return self.basis.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Projector):
@@ -178,25 +172,23 @@ class Projector:
         return hash((self.dim, self.rank))
 
 
-def _projector(m: np.ndarray) -> Projector:
-    """A Projector on a complex matrix that is a Hermitian idempotent by
-    construction, without __post_init__'s checks."""
-    p = object.__new__(Projector)
-    object.__setattr__(p, "matrix", m)
-    return p
+def projector_from_matrix(m) -> Projector:
+    """Projector onto the range of a Hermitian idempotent matrix; the
+    checked entry for matrices from outside the lattice kernels."""
+    m = as_cmatrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError("projector must be square")
+    if op_norm(m - m.conj().T) > LATTICE_TOL:
+        raise ValueError("projector is not Hermitian within tol")
+    if op_norm(m @ m - m) > LATTICE_TOL:
+        raise ValueError("projector is not idempotent within tol")
+    vals, vecs = _eigh(m)
+    return Projector(basis=vecs[:, vals > 0.5])
 
 
-def projector_from_basis(basis: np.ndarray, dim: int | None = None) -> Projector:
-    """Projector onto the span of the given columns (may be empty)."""
-    basis = np.asarray(basis, dtype=complex)
-    if basis.size == 0:
-        if dim is None:
-            dim = basis.shape[0]
-        return _projector(np.zeros((dim, dim), dtype=complex))
-    q = orthonormalize(basis)
-    if q.shape[1] == 0:
-        return _projector(np.zeros((basis.shape[0],) * 2, dtype=complex))
-    return _projector(q @ q.conj().T)
+def projector_from_basis(columns: np.ndarray) -> Projector:
+    """Projector onto the span of the given columns (may be none)."""
+    return Projector(basis=orthonormalize(columns))
 
 
 def _check_same_dim(p: Projector, q: Projector):
@@ -205,7 +197,8 @@ def _check_same_dim(p: Projector, q: Projector):
 
 
 def proj_ortho(p: Projector) -> Projector:
-    return _projector(np.eye(p.dim) - p.matrix)
+    vals, vecs = _eigh(p.matrix)
+    return Projector(basis=vecs[:, vals < 0.5])
 
 
 def proj_meet(p: Projector, q: Projector) -> Projector:
@@ -216,15 +209,13 @@ def proj_meet(p: Projector, q: Projector) -> Projector:
     """
     _check_same_dim(p, q)
     vals, vecs = _eigh(p.matrix + q.matrix)
-    keep = vals > 2 - RANK_TOL
-    return projector_from_basis(vecs[:, keep], dim=p.dim)
+    return projector_from_basis(vecs[:, vals > 2 - RANK_TOL])
 
 
 def proj_join(p: Projector, q: Projector) -> Projector:
     """Projector onto span(range(p) ∪ range(q))."""
     _check_same_dim(p, q)
-    cols = np.hstack([p.range_basis(), q.range_basis()])
-    return projector_from_basis(cols, dim=p.dim)
+    return projector_from_basis(np.hstack([p.basis, q.basis]))
 
 
 def sasaki_product(p: Projector, q: Projector) -> Projector:
@@ -235,7 +226,7 @@ def sasaki_product(p: Projector, q: Projector) -> Projector:
     x = px = pz; conversely pz = z − p⊥z lies in both p and p⊥ ∨ q.
     """
     _check_same_dim(p, q)
-    return projector_from_basis(p.matrix @ q.range_basis(), dim=p.dim)
+    return projector_from_basis(p.matrix @ q.basis)
 
 
 def proj_leq(p: Projector, q: Projector) -> bool:
@@ -263,4 +254,4 @@ def haar_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndar
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
     cols = np.column_stack([haar_unit_vector(dim, rng) for _ in range(rank)])
-    return projector_from_basis(cols, dim=dim)
+    return projector_from_basis(cols)

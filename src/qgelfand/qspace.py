@@ -34,6 +34,7 @@ from .linalg import (
     proj_meet,
     proj_ortho,
     projector_from_basis,
+    projector_from_matrix,
     sasaki_product,
 )
 
@@ -81,15 +82,16 @@ class QSubset:
 
 
 def _in_range(p: Projector, v: np.ndarray) -> bool:
-    return np.linalg.norm(p.matrix @ v - v) <= 1e3 * LATTICE_TOL
+    return np.linalg.norm(p.basis @ (p.basis.conj().T @ v) - v) <= 1e3 * LATTICE_TOL
 
 
 def _zero_projectors(dec: BlockDecomposition) -> list[Projector]:
-    return [Projector(np.zeros((b.irrep_dim,) * 2, dtype=complex)) for b in dec.blocks]
+    return [Projector(basis=np.zeros((b.irrep_dim, 0), dtype=complex)) for b in dec.blocks]
 
 
 def full_qsubset(dec: BlockDecomposition) -> QSubset:
-    return QSubset(dec, [Projector(np.eye(b.irrep_dim, dtype=complex)) for b in dec.blocks])
+    return QSubset(dec, [Projector(basis=np.eye(b.irrep_dim, dtype=complex))
+                         for b in dec.blocks])
 
 
 def empty_qsubset(dec: BlockDecomposition) -> QSubset:
@@ -135,7 +137,7 @@ def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> QSubset:
     projs = _zero_projectors(dec)
     for i in {s.block for s in seeds}:
         vecs = np.column_stack([s.vector for s in seeds if s.block == i])
-        projs[i] = projector_from_basis(vecs, dim=dec.blocks[i].irrep_dim)
+        projs[i] = projector_from_basis(vecs)
     return QSubset(dec, projs)
 
 
@@ -273,7 +275,7 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
                 if abs(lam) <= NEGLIGIBLE_TOL:
                     continue
                 projs = zeros.copy()
-                projs[i] = projector_from_basis(vecs[:, idx], dim=blk.irrep_dim)
+                projs[i] = Projector(basis=vecs[:, idx])
                 terms.append((scale * lam, QSubset(dec, projs)))
     return QFunction(dec, terms)
 
@@ -438,9 +440,8 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     pure_alpha = _as_pure_state(alg, state)
     projs = [_top_spectral_projector(alg, h) for h in hs]
     p, q = projs
-    meets = []
-    for blk in dec.blocks:
-        meets.append(proj_meet(Projector(blk.irrep(p)), Projector(blk.irrep(q))))
+    meets = [proj_meet(projector_from_matrix(blk.irrep(p)), projector_from_matrix(blk.irrep(q)))
+             for blk in dec.blocks]
     meet_elem = sum(
         blk.embed(m.matrix) for blk, m in zip(dec.blocks, meets)
     )
@@ -548,7 +549,9 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         b = alg.random_element(rng)
         fa, fb = hat_as_qfunction(alg, a), hat_as_qfunction(alg, b)
         model = qfunction_star_at(fa, fb, s)
-        val = abs(hat(alg, a @ b, s) - model)
+        # hat(alg, a @ b, s) without re-checking two checked members' product
+        ab = dec.blocks[s.block].irrep(a @ b)
+        val = abs(complex(np.vdot(s.vector, ab @ s.vector)) - model)
         if val > hom_defect:
             hom_defect, hom_witness = val, (s,)
     defects = {

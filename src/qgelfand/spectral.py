@@ -183,7 +183,7 @@ def cyclic_decompose(alg: FdAlgebra) -> CyclicDecomposition:
             continue
         h = resid / np.linalg.norm(resid)
         basis = orbit_basis(alg, h)
-        pieces.append((projector_from_basis(basis, dim=n), h))
+        pieces.append((Projector(basis=basis), h))
         covered = orthonormalize(np.hstack([covered, basis]))
     ortho = 0.0
     for i in range(len(pieces)):
@@ -279,7 +279,7 @@ def _oracle_result(a: np.ndarray) -> InvariantSubspaceResult:
     vals, vecs = np.linalg.eig(a)
     order = np.lexsort((vals.imag, vals.real))
     v = vecs[:, order[0]]
-    p = projector_from_basis(v.reshape(-1, 1), dim=n)
+    p = projector_from_basis(v.reshape(-1, 1))
     defect = invariance_defect(a, p)
     verdict = "nontrivial" if 0 < p.rank < n else "trivial"
     return InvariantSubspaceResult(p, defect, (p.rank, n), "oracle",
@@ -305,9 +305,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
     if report.sigma_singleton:
         lam = complex(np.mean(np.concatenate(report.block_boundaries)))
         scalar_gap = op_norm(a - lam * np.eye(n))
-        e = np.zeros((n, 1), dtype=complex)
-        e[0, 0] = 1.0
-        p = projector_from_basis(e, dim=n)
+        p = Projector(basis=np.eye(n, 1, dtype=complex))
         defect = invariance_defect(a, p)
         if scalar_gap > RANK_TOL * norm_a:
             return InvariantSubspaceResult(
@@ -341,7 +339,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
         cols = cand
     if cols.shape[1] == 0:
         cols = fiber[0].reshape(-1, 1)
-    p = projector_from_basis(cols, dim=n)
+    p = projector_from_basis(cols)
     defect = invariance_defect(a, p)
     return InvariantSubspaceResult(
         p, defect, (p.rank, n), "sigma-split-case", "paper-construction",

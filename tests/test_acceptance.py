@@ -23,12 +23,12 @@ from qgelfand.algebra import (
     vector_state,
 )
 from qgelfand.linalg import (
-    Projector,
     op_norm,
     proj_join,
     proj_meet,
     proj_ortho,
     projector_from_basis,
+    projector_from_matrix,
     random_projector,
     sasaki_product,
 )
@@ -73,7 +73,7 @@ def test_01_oml_axiom_suite(zoo):
         assert op_norm(proj_ortho(proj_join(p, q)).matrix
                        - proj_meet(proj_ortho(p), proj_ortho(q)).matrix) < tol
         # orthomodular law on a comparable pair built from q
-        sub = projector_from_basis(q.range_basis()[:, :1], dim=n)
+        sub = projector_from_basis(q.basis[:, :1])
         lhs = proj_join(sub, proj_meet(proj_ortho(sub), q))
         assert op_norm(lhs.matrix - q.matrix) < tol
     assert time.monotonic() - t0 < 10.0
@@ -171,9 +171,9 @@ def test_06_r_discrete_dichotomy(algebra_zoo):
 def test_07_sasaki_witness():
     """Criterion 7: compression of |+><+| by |0><0| is |0><0| itself while
     the lattice meet vanishes, at 1e-10."""
-    p = Projector(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+    p = projector_from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    q = projector_from_basis(plus.reshape(-1, 1), dim=2)
+    q = projector_from_basis(plus.reshape(-1, 1))
     assert op_norm(sasaki_product(p, q).matrix - p.matrix) <= 1e-10
     assert op_norm(sasaki_product(q, p).matrix - q.matrix) <= 1e-10
     assert op_norm(proj_meet(p, q).matrix) <= 1e-10

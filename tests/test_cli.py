@@ -308,6 +308,24 @@ def test_claims_gns_and_thm3_report_bytes(runner, tmp_path, suite, instance, dig
     assert hashlib.sha256(output.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("suite, instance, digest", [
+    ("prop7", "E12xI2",
+     "47731582eacf5d2105288d6adc8acac2186f5bcd93ac6fd95a808937f1d41ea6"),
+    ("prop7", "M3",
+     "00bbc8cdd75ff298a14d78caf38dc5611a9087db593537bf3b65e924a8258d97"),
+    ("prop9", "E12xI2",
+     "ebf25bbfc697a46b667b2157fe6a202c369d6a75f200e9c79ec5c529944c0e47"),
+    ("prop9", "M3",
+     "1884a7d08abfefdaddccff98d6e431dc23d3bac9d2e0ce20b84eeb7e0ae70a2b"),
+])
+def test_claims_projector_report_bytes(runner, tmp_path, suite, instance, digest):
+    # sha256 of the reports written while a Projector held only its matrix
+    # and read its range basis back with an eigh; prop7 and prop9 build
+    # their projectors from algebra elements and take meets and sup-norms
+    output = _claims_output(runner, tmp_path, suite, instance)
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+
 def test_claims_mode_option_removed(runner, files):
     cfg = files["tmp"] / "cfg5.json"
     cfg.write_text(json.dumps({

@@ -22,6 +22,7 @@ from qgelfand.linalg import (
     proj_meet,
     proj_ortho,
     projector_from_basis,
+    projector_from_matrix,
     random_projector,
     sasaki_product,
 )
@@ -50,7 +51,8 @@ def test_transposed_input_matches_contiguous_copy():
     h = m + m.conj().T
     p = random_projector(3, 2, RNG).matrix
     assert np.array_equal(as_cmatrix(m.T), m.T.copy())
-    assert np.array_equal(Projector(p.T).matrix, Projector(p.T.copy()).matrix)
+    assert np.array_equal(projector_from_matrix(p.T).matrix,
+                          projector_from_matrix(p.T.copy()).matrix)
     for x, y in zip(hermitian_eig(h.T), hermitian_eig(h.T.copy())):
         assert np.array_equal(x, y)
     a, b = generate_algebra([m.T]), generate_algebra([m.T.copy()])
@@ -114,19 +116,28 @@ def test_orthonormalize_rank_and_orthogonality():
     q = orthonormalize(cols)
     assert q.shape[1] == 2
     assert op_norm(q.conj().T @ q - np.eye(2)) < 1e-12
+    # no columns: an (n, 0) basis, and the zero projector on C^n
+    assert orthonormalize(np.zeros((3, 0))).shape == (3, 0)
+    p = projector_from_basis(np.zeros((3, 0)))
+    assert (p.dim, p.rank) == (3, 0)
+    assert np.array_equal(p.matrix, np.zeros((3, 3)))
 
 
 def test_projector_validation():
     with pytest.raises(ValueError):
-        Projector(np.array([[0.5, 0.5], [0.5, 0.6]]))
-    p = Projector(np.diag([1.0, 0.0]))
+        projector_from_matrix(np.array([[0.5, 0.5], [0.5, 0.6]]))
+    p = projector_from_matrix(np.diag([1.0, 0.0]))
     assert p.rank == 1 and p.dim == 2
+    # a Projector is built from its range basis, by keyword only: a matrix
+    # passed positionally is not read as a basis
+    with pytest.raises(TypeError):
+        Projector(np.diag([1.0, 0.0]))
 
 
 def test_projector_lattice_ops_commuting_oracle():
     # on commuting (diagonal) projectors, meet is the product, join the max
-    p = Projector(np.diag([1.0, 1.0, 0.0, 0.0]))
-    q = Projector(np.diag([0.0, 1.0, 1.0, 0.0]))
+    p = projector_from_matrix(np.diag([1.0, 1.0, 0.0, 0.0]))
+    q = projector_from_matrix(np.diag([0.0, 1.0, 1.0, 0.0]))
     assert op_norm(proj_meet(p, q).matrix - p.matrix @ q.matrix) < 1e-10
     assert op_norm(proj_join(p, q).matrix - np.diag([1.0, 1, 1, 0])) < 1e-10
     assert op_norm(proj_ortho(p).matrix - np.diag([0.0, 0, 1, 1])) < 1e-10
@@ -147,16 +158,15 @@ def test_orthomodular_law_random_projectors():
     # p <= q implies p v (p-perp ^ q) = q; force p <= q by construction
     for _ in range(20):
         q = random_projector(4, 3, RNG)
-        basis = q.range_basis()
-        p = projector_from_basis(basis[:, :2], dim=4)
+        p = projector_from_basis(q.basis[:, :2])
         lhs = proj_join(p, proj_meet(proj_ortho(p), q))
         assert op_norm(lhs.matrix - q.matrix) < 1e-8
 
 
 def test_sasaki_product_witness():
-    p = Projector(np.array([[1.0, 0], [0, 0]], dtype=complex))
+    p = projector_from_matrix(np.array([[1.0, 0], [0, 0]], dtype=complex))
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    q = projector_from_basis(plus.reshape(-1, 1), dim=2)
+    q = projector_from_basis(plus.reshape(-1, 1))
     assert op_norm(sasaki_product(p, q).matrix - p.matrix) < 1e-10
     assert op_norm(sasaki_product(q, p).matrix - q.matrix) < 1e-10
     assert proj_meet(p, q).rank == 0
@@ -175,7 +185,7 @@ def projector_pairs(draw):
             cols = np.eye(n)[:, draw(st.permutations(range(n)))[:rank]]
         else:
             cols = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-        return projector_from_basis(cols, dim=n)
+        return projector_from_basis(cols)
 
     return projector(), projector()
 
@@ -226,17 +236,53 @@ def test_random_projector_rank():
 
 @given(projector_pairs())
 def test_lattice_results_pass_projector_checks(pair):
-    # the lattice kernels build their results without Projector's checks and
-    # take eigenvectors without hermitian_eig's; both checks hold on them
+    # the lattice kernels build their results from a basis without
+    # projector_from_matrix's checks; every result passes them, and its
+    # matrix is its orthonormal basis multiplied out
     p, q = pair
     results = [p, q, proj_ortho(p), proj_meet(p, q), proj_join(p, q), sasaki_product(p, q)]
     for r in results:
-        assert np.array_equal(Projector(r.matrix).matrix, r.matrix)
-        vals, vecs = hermitian_eig(r.matrix)
-        assert np.array_equal(r.range_basis(), vecs[:, vals > 0.5])
+        checked = projector_from_matrix(r.matrix)
+        assert checked.rank == r.rank
+        assert op_norm(checked.matrix - r.matrix) <= 1e-12
+        assert op_norm(r.basis.conj().T @ r.basis - np.eye(r.rank)) <= 1e-12
+        assert np.array_equal(r.matrix, r.basis @ r.basis.conj().T)
     vals, vecs = hermitian_eig(p.matrix + q.matrix)
-    meet = projector_from_basis(vecs[:, vals > 2 - RANK_TOL], dim=p.dim)
+    meet = projector_from_basis(vecs[:, vals > 2 - RANK_TOL])
     assert np.array_equal(proj_meet(p, q).matrix, meet.matrix)
+
+
+# the lattice formulas that read a range basis back from the matrix with an
+# eigh (and took the orthocomplement as I − P), as oracles for the kernels
+# that work from the stored basis
+
+
+def _eigh_range_basis(m):
+    vals, vecs = hermitian_eig(m)
+    return vecs[:, vals > 0.5]
+
+
+def _oracle_join(p, q):
+    return projector_from_basis(np.hstack([_eigh_range_basis(p.matrix),
+                                           _eigh_range_basis(q.matrix)]))
+
+
+def _oracle_sasaki(p, q):
+    return projector_from_basis(p.matrix @ _eigh_range_basis(q.matrix))
+
+
+def _oracle_ortho(p):
+    return projector_from_matrix(np.eye(p.dim) - p.matrix)
+
+
+@given(projector_pairs())
+def test_lattice_kernels_match_eigh_formulas(pair):
+    p, q = pair
+    for got, ref in [(proj_join(p, q), _oracle_join(p, q)),
+                     (sasaki_product(p, q), _oracle_sasaki(p, q)),
+                     (proj_ortho(p), _oracle_ortho(p))]:
+        assert got.rank == ref.rank
+        assert op_norm(got.matrix - ref.matrix) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

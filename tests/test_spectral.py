@@ -156,9 +156,9 @@ def test_invariance_defect_oracle():
 
     # span{e1} is invariant for upper-triangular matrices
     a = np.array([[1.0, 5.0], [0.0, 2.0]], dtype=complex)
-    p = projector_from_basis(np.array([[1.0], [0.0]]), dim=2)
+    p = projector_from_basis(np.array([[1.0], [0.0]]))
     assert invariance_defect(a, p) < 1e-12
-    q = projector_from_basis(np.array([[0.0], [1.0]]), dim=2)
+    q = projector_from_basis(np.array([[0.0], [1.0]]))
     assert invariance_defect(a, q) == pytest.approx(5.0)
 
 

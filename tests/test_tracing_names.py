@@ -25,4 +25,7 @@ def test_traced_method_resolves(span):
     for module, cls_name, attr in tracing.METHODS[span]:
         cls = getattr(importlib.import_module(f"qgelfand.{module}"), cls_name, None)
         assert isinstance(cls, type), (module, cls_name)
-        assert callable(getattr(cls, attr, None)), (cls_name, attr)
+        # install() reads the class's own __dict__, so an inherited or moved
+        # method would resolve through getattr and still crash a traced run
+        assert attr in cls.__dict__, (cls_name, attr)
+        assert callable(getattr(cls, attr)), (cls_name, attr)
