@@ -1,7 +1,13 @@
 """Finite-dimensional unital *-algebras of matrices: generated-subalgebra
 closure, Wedderburn block decomposition, states and pure states, the GNS
 construction, equivalence of pure states, orthogonality, and the hat map
-a ↦ (evaluation against states)."""
+a ↦ (evaluation against states).
+
+The decomposition is read off one solve, the commutant of the algebra's
+letters: M_n when that commutant is the scalars, otherwise the blocks come
+from random elements of it, in a fixed order (largest irrep first, then
+largest multiplicity, then the letters' spectra); the center is spanned by
+the blocks' central projections."""
 
 from __future__ import annotations
 
@@ -13,11 +19,13 @@ import numpy as np
 from .linalg import (
     LATTICE_TOL,
     RANK_TOL,
+    _eigh,
     as_cmatrix,
     cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
     matrix_from_json,
+    numerical_rank,
     op_norm,
 )
 
@@ -204,40 +212,21 @@ def commutant_basis(mats: np.ndarray, dim: int) -> np.ndarray:
     # (len(mats)·dim²) × dim² with len(mats) ≥ 1, so the thin SVD's vh is
     # the full dim² × dim² right factor
     _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    null_mask = svals <= RANK_TOL * max(1.0, svals[0])
-    # row j of vh[null_mask].conj() is vec(x_j): unstack it column-major
-    mats_out = vh[null_mask].conj().reshape(-1, dim, dim).transpose(0, 2, 1)
+    # row j of the null rows of vh, conjugated, is vec(x_j): unstack it
+    # column-major
+    mats_out = vh[numerical_rank(svals):].conj().reshape(-1, dim, dim).transpose(0, 2, 1)
     return _hs_orthonormalize(mats_out)
 
 
 def center_basis(alg: FdAlgebra) -> np.ndarray:
-    """HS-orthonormal basis of the center, solved in algebra coordinates:
-    x = Σ c_j b_j with [x, g] = 0 for every letter g."""
-    basis, letters = alg.basis, alg.letters
-    d, k, n = len(basis), len(letters), alg.ambient_dim
-    if k == 0:
-        return basis  # the scalars, whose center is themselves
-    comms = (np.matmul(basis[:, None], letters[None, :])
-             - np.matmul(letters[None, :], basis[:, None]))  # [j, l] = [b_j, g_l]
-    # column j stacks the vec'd commutators [b_j, g_l] over l
-    system = comms.transpose(1, 2, 3, 0).reshape(k * n * n, d)
-    # thin SVD: vh is d × d and the (k·n²)² left factor of a full SVD
-    # would go unused
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    # basis and letters have HS norm at most 1, so commutators are O(1);
-    # floor the scale at 1 to keep a noise-level system (fully commutative
-    # algebra) fully null.  k ≥ 1 and d ≥ 1, so svals is nonempty
-    nkeep = int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
-    null = vh.conj().T[:, nkeep:]
-    mats = np.tensordot(null.T, basis, axes=1)
-    return _hs_orthonormalize(mats)
+    """HS-orthonormal basis of the center: the minimal central projections
+    of the decomposition, in block order, each scaled to HS norm 1."""
+    projs = np.array([blk.central_projector for blk in alg.decomposition().blocks])
+    return projs / np.linalg.norm(projs, axis=(1, 2), keepdims=True)
 
 
-def _random_hermitian_from(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    a = sum(
-        (rng.standard_normal() + 1j * rng.standard_normal()) * b for b in basis
-    )
-    return (a + a.conj().T) / 2
+def _random_combination(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return sum((rng.standard_normal() + 1j * rng.standard_normal()) * b for b in basis)
 
 
 @dataclass
@@ -248,7 +237,10 @@ class Block:
     irrep_dim: int
     multiplicity: int
     isometry: np.ndarray  # n × (d·m), column (k, s) = copy k, irrep coordinate s
-    central_projector: np.ndarray
+
+    @property
+    def central_projector(self) -> np.ndarray:
+        return self.isometry @ self.isometry.conj().T
 
     def irrep(self, a: np.ndarray) -> np.ndarray:
         w = self.isometry[:, : self.irrep_dim]
@@ -280,23 +272,30 @@ _MAX_RETRIES = 8
 def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
     """Wedderburn decomposition of a *-closed matrix algebra.
 
-    The random-element method of Murota, Kanno, Kojima & Kojima (Japan J.
-    Indust. Appl. Math. 27, 2010) and Maehara & Murota (same volume, 2010):
-    minimal central idempotents come from the eigendecomposition of a
-    random Hermitian central element (retried on eigenvalue collisions);
-    inside each isotypic component the multiplicity space is split along a
-    random Hermitian element of the commutant.  Both commutation systems
-    are solved against the algebra's letters (its generators and their
-    adjoints, orthonormalized), not its whole basis: commuting with the
-    letters is commuting with the algebra.  The random elements are drawn
-    from default_rng(0), so the decomposition is reproducible.
+    Everything is read off the commutant A′ of the algebra's letters (its
+    generators and their adjoints, orthonormalized; commuting with the
+    letters is commuting with the algebra), solved once.  A scalar commutant
+    means the algebra is all of M_n (Burnside): one block whose isometry is
+    the identity.  Otherwise the random-element method of Murota, Kanno,
+    Kojima & Kojima (Japan J. Indust. Appl. Math. 27, 2010) and Maehara &
+    Murota (same volume, 2010) applies: the eigenspaces of a random
+    Hermitian x in A′ are irreducible subspaces, and for a random y in A′
+    the compression V_j* y V_i of y between two of them is invertible when
+    their irreps are equivalent and zero when not.  Equivalent subspaces
+    form one block, their frames aligned by the polar factor of that
+    compression.  The draws are retried when a compression is neither, or
+    when the blocks' Σ m² is not dim A′; they come from default_rng(0), so
+    the decomposition is reproducible.
+
+    The blocks are in a fixed order: irrep dimension, largest first, then
+    multiplicity, largest first, then the sorted spectra of the letters'
+    irrep images.
 
     Every basis element must be rebuilt from the blocks.  When one is not,
-    or the letter systems leave the blocks ambiguous, the decomposition is
-    solved once more against the whole basis: the closure accepts a
-    direction whose residual is barely above RANK_TOL and normalizes it,
-    and a commutator with the letters is that much smaller than one with
-    the basis element it became.
+    or the draws stay ambiguous, the decomposition is solved once more
+    against the whole basis: the closure accepts a direction whose residual
+    is barely above RANK_TOL and normalizes it, and a commutator with the
+    letters is that much smaller than one with the basis element it became.
     """
     try:
         return _decompose(alg)
@@ -307,93 +306,57 @@ def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
 
 
 def _decompose(alg: FdAlgebra) -> BlockDecomposition:
-    rng = np.random.default_rng(0)
-    projectors = _central_projectors(center_basis(alg), rng)
-    basis = alg.basis
-    blocks = []
-    for p in projectors:
-        vals, vecs = hermitian_eig(p)
-        w = vecs[:, vals > 0.5]  # isotypic component basis
-        ni = w.shape[1]
-        wh = w.conj().T
-        # the compressed algebra's dimension d² is the rank of the
-        # compressed basis; compression is a *-homomorphism, so the
-        # compressed letters generate it
-        compressed = (wh @ basis @ w).reshape(len(basis), ni * ni)
-        svals = np.linalg.svd(compressed, compute_uv=False)
-        d2 = int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
-        d = int(round(np.sqrt(d2)))
-        if d * d != d2 or ni % d != 0:
-            raise DecompositionError(
-                f"block dimensions inconsistent: span {d2}, component {ni}"
-            )
-        m = ni // d
-        frames = _multiplicity_frames(wh @ alg.letters @ w, ni, d, m, rng)
-        iso = w @ np.hstack(frames)
-        blocks.append(Block(d, m, iso, p))
+    n, letters = alg.ambient_dim, alg.letters
+    comm = commutant_basis(letters, n)
+    if len(comm) == 1:
+        blocks = [Block(n, 1, np.eye(n, dtype=complex))]
+    else:
+        blocks = sorted(_isotypic_blocks(comm), key=lambda blk: _block_key(blk, letters))
     dec = BlockDecomposition(alg, blocks)
     _check_decomposition(dec)
     return dec
 
 
-def _central_projectors(center, rng) -> list[np.ndarray]:
-    """One projector per minimal central projection.  The identity is
-    central, so center is never empty."""
-    n_central = len(center)
-    if n_central == 1:
-        return [np.eye(center[0].shape[0], dtype=complex)]
+def _isotypic_blocks(comm: np.ndarray) -> list[Block]:
+    """The blocks, in no fixed order, from random elements of the
+    commutant comm (an HS-orthonormal stack)."""
+    rng = np.random.default_rng(0)
     for _ in range(_MAX_RETRIES):
-        z = _random_hermitian_from(center, rng)
-        vals, vecs = hermitian_eig(z)
-        clusters = cluster_eigenvalues(vals, _CLUSTER_GAP)
-        if len(clusters) != n_central:
-            continue
-        gaps = [
-            vals[clusters[i + 1][0]] - vals[clusters[i][-1]]
-            for i in range(len(clusters) - 1)
-        ]
-        if min(gaps) < 10 * _CLUSTER_GAP:
-            continue
-        return [
-            vecs[:, c] @ vecs[:, c].conj().T for c in clusters
-        ]
+        x = _random_combination(comm, rng)
+        vals, vecs = _eigh(x)  # _eigh takes the Hermitian part
+        spaces = [vecs[:, c] for c in cluster_eigenvalues(vals, _CLUSTER_GAP)]
+        groups = _equivalent_frames(spaces, _random_combination(comm, rng))
+        if groups is not None and sum(len(g) ** 2 for g in groups) == len(comm):
+            return [Block(g[0].shape[1], len(g), np.hstack(g)) for g in groups]
     raise DecompositionError(
-        f"central element eigenvalues stayed ambiguous after {_MAX_RETRIES} retries"
-    )
+        f"commutant eigenspaces stayed ambiguous after {_MAX_RETRIES} retries")
 
 
-def _multiplicity_frames(comp_letters, ni, d, m, rng) -> list[np.ndarray]:
-    """Orthonormal frames B_k (ni × d), one per multiplicity copy, chosen so
-    the compressed algebra, generated by comp_letters, acts identically on
-    every copy."""
-    if m == 1:
-        # single copy: any orthonormal basis works, fix the identity frame
-        return [np.eye(ni, dtype=complex)]
-    comm = commutant_basis(comp_letters, ni)
-    if len(comm) != m * m:
-        raise DecompositionError(
-            f"commutant dimension {len(comm)} != multiplicity² = {m * m}"
-        )
-    for _ in range(_MAX_RETRIES):
-        x = _random_hermitian_from(comm, rng)
-        vals, vecs = hermitian_eig(x)
-        clusters = cluster_eigenvalues(vals, _CLUSTER_GAP)
-        if len(clusters) != m or any(len(c) != d for c in clusters):
-            continue
-        raw = [vecs[:, c] for c in clusters]
-        frames = [raw[0]]
-        y = sum(
-            (rng.standard_normal() + 1j * rng.standard_normal()) * b for b in comm
-        )
-        for k in range(1, m):
-            s = raw[k].conj().T @ y @ raw[0]  # intertwiner between copies
-            u, sv, vh = np.linalg.svd(s)
-            if sv[-1] <= RANK_TOL:
+def _equivalent_frames(spaces: list[np.ndarray], y: np.ndarray) -> list[list[np.ndarray]] | None:
+    """Group the irreducible subspaces by equivalence, each frame aligned
+    with its group's first; None when a compression of y is neither
+    invertible nor zero."""
+    groups: list[list[np.ndarray]] = []
+    for v in spaces:
+        for g in groups:
+            if g[0].shape[1] != v.shape[1]:
+                continue
+            # an intertwiner between the two irreps: c times a unitary
+            u, sv, vh = np.linalg.svd(v.conj().T @ y @ g[0])
+            rank = numerical_rank(sv)
+            if rank == len(sv):
+                g.append(v @ (u @ vh))
                 break
-            frames.append(raw[k] @ (u @ vh))
+            if rank:
+                return None
         else:
-            return frames
-    raise DecompositionError("multiplicity splitting stayed ambiguous after retries")
+            groups.append([v])
+    return groups
+
+
+def _block_key(blk: Block, letters: np.ndarray) -> tuple:
+    spectra = np.sort(np.linalg.eigvals(blk.irrep(letters)), axis=-1)
+    return (-blk.irrep_dim, -blk.multiplicity, *spectra.ravel().view(float).tolist())
 
 
 def _check_decomposition(dec: BlockDecomposition):
@@ -550,7 +513,8 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
     gram = alg.coords(basis @ rho).T
     gram = (gram + gram.conj().T) / 2
     vals, vecs = hermitian_eig(gram)
-    keep = vals > RANK_TOL * max(1.0, vals.max())
+    # eigh sorts ascending, so the kept eigenvalues are the last ones
+    keep = slice(len(vals) - numerical_rank(vals[::-1]), None)
     basis_coords = vecs[:, keep] / np.sqrt(vals[keep])
     embed = basis_coords.conj().T @ gram
 
@@ -565,7 +529,7 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
     alpha = np.einsum("ij,aji->a", rho, basis)
     if np.any(np.abs(lhs - alpha) > 1e-7):
         raise StateError("GNS contract violated: <pi(a)Ω, Ω> != α(a)")
-    return GnsRepresentation(alg, int(keep.sum()), rep, omega, embed)
+    return GnsRepresentation(alg, basis_coords.shape[1], rep, omega, embed)
 
 
 def is_irreducible(rep: GnsRepresentation) -> bool:
@@ -585,9 +549,7 @@ def is_irreducible(rep: GnsRepresentation) -> bool:
     comms = np.matmul(x[:, None], r[None, :]) - np.matmul(r[None, :], x[:, None])
     # column i stacks the vec'd commutators [x_i, pi(b_j)] over j
     system = comms.transpose(1, 2, 3, 0).reshape(-1, len(x))
-    svals = np.linalg.svd(system, compute_uv=False)
-    rank = int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
-    return len(x) - rank == 1
+    return len(x) - numerical_rank(np.linalg.svd(system, compute_uv=False)) == 1
 
 
 def gns_equivalent(dec: BlockDecomposition, a: PureState, b: PureState) -> bool:

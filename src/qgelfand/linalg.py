@@ -69,6 +69,13 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
+def numerical_rank(svals: np.ndarray) -> int:
+    """How many of the descending, nonempty singular values count as
+    nonzero: those above RANK_TOL times the largest, the scale floored at 1
+    so that a noise-level system has rank 0."""
+    return int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
+
+
 def hermitian_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -253,5 +260,5 @@ def haar_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndar
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
-    cols = np.column_stack([haar_unit_vector(dim, rng) for _ in range(rank)])
-    return projector_from_basis(cols)
+    cols = np.array([haar_unit_vector(dim, rng) for _ in range(rank)], dtype=complex)
+    return projector_from_basis(cols.reshape(rank, dim).T)

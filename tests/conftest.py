@@ -25,27 +25,32 @@ def zoo() -> dict[str, FiniteOml]:
     return lattice_zoo()
 
 
+def diagonal_generator(n: int) -> np.ndarray:
+    return np.diag(np.arange(1.0, n + 1)).astype(complex)
+
+
 def diagonal_algebra(n: int) -> FdAlgebra:
-    return generate_algebra([np.diag(np.arange(1.0, n + 1)).astype(complex)])
+    return generate_algebra([diagonal_generator(n)])
+
+
+_M3_GEN = np.eye(3, k=1, dtype=complex)
+_M2C_GEN = np.zeros((3, 3), dtype=complex)
+_M2C_GEN[0, 1] = 1.0
+# the generators of the algebra zoo {C2, C3, M2, M3, M2+C, CI2}: the
+# commutative/noncommutative spread used by the purity and dichotomy checks
+ALGEBRA_ZOO_GENERATORS = {
+    "C2": [diagonal_generator(2)],
+    "C3": [diagonal_generator(3)],
+    "M2": [E12],
+    "M3": [_M3_GEN],
+    "M2+C": [_M2C_GEN],
+    "CI2": [np.eye(2, dtype=complex)],
+}
 
 
 @pytest.fixture(scope="session")
 def algebra_zoo() -> dict[str, FdAlgebra]:
-    """{C2, C3, M2, M3, M2+C, CI2}: the commutative/noncommutative spread
-    used by the purity and dichotomy checks."""
-    m3_gen = np.zeros((3, 3), dtype=complex)
-    m3_gen[0, 1] = 1.0
-    m3_gen[1, 2] = 1.0
-    m2c_gen = np.zeros((3, 3), dtype=complex)
-    m2c_gen[0, 1] = 1.0
-    return {
-        "C2": diagonal_algebra(2),
-        "C3": diagonal_algebra(3),
-        "M2": generate_algebra([E12]),
-        "M3": generate_algebra([m3_gen]),
-        "M2+C": generate_algebra([m2c_gen]),
-        "CI2": generate_algebra([np.eye(2, dtype=complex)]),
-    }
+    return {name: generate_algebra(gens) for name, gens in ALGEBRA_ZOO_GENERATORS.items()}
 
 
 @pytest.fixture(scope="session")

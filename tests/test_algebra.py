@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E12, SIGMA_X, diagonal_algebra
+from conftest import ALGEBRA_ZOO_GENERATORS, E12, SIGMA_X, diagonal_algebra
 from qgelfand.algebra import (
     AlgebraMembershipError,
     GnsRepresentation,
@@ -71,7 +71,12 @@ def test_commutant_and_center(algebra_zoo):
     assert len(center_basis(algebra_zoo["C3"])) == 3
 
 
+def _block_list(alg):
+    return [(b.irrep_dim, b.multiplicity) for b in alg.decomposition().blocks]
+
+
 def test_block_structures(algebra_zoo):
+    # in block order: largest irrep first, then largest multiplicity
     expected = {
         "C2": [(1, 1), (1, 1)],
         "C3": [(1, 1), (1, 1), (1, 1)],
@@ -81,9 +86,11 @@ def test_block_structures(algebra_zoo):
         "CI2": [(1, 2)],
     }
     for name, alg in algebra_zoo.items():
-        dec = alg.decomposition()
-        got = sorted((b.irrep_dim, b.multiplicity) for b in dec.blocks)
-        assert got == sorted(expected[name]), name
+        assert _block_list(alg) == expected[name], name
+    # a scalar commutant: M_n, in the standard frame exactly
+    for alg in (algebra_zoo["M2"], algebra_zoo["M3"], _random_full_algebra(4, 3)):
+        (blk,) = alg.decomposition().blocks
+        assert np.array_equal(blk.isometry, np.eye(alg.ambient_dim))
 
 
 def test_block_reconstruction_oracle(algebra_zoo):
@@ -366,6 +373,10 @@ def _nearly_scalar_algebra(n, seed, eps, normal):
 
 def _summand_algebra(summands, seed, n_gens):
     """The algebra of generic elements of ⊕ M_k ⊗ I_m, in a Haar frame."""
+    return generate_algebra(_summand_generators(summands, seed, n_gens))
+
+
+def _summand_generators(summands, seed, n_gens):
     rng = np.random.default_rng(seed)
     n = sum(k * m for k, m in summands)
     u = _haar_unitary(rng, n)
@@ -378,7 +389,35 @@ def _summand_algebra(summands, seed, n_gens):
             g[lo:lo + k * m, lo:lo + k * m] = np.kron(x, np.eye(m))
             lo += k * m
         gens.append(u @ g @ u.conj().T)
-    return generate_algebra(gens)
+    return gens
+
+
+_ORDER_CASES = {**ALGEBRA_ZOO_GENERATORS,
+                **{str(spec): _summand_generators(*spec) for spec in SUMMAND_CASES}}
+
+
+@pytest.mark.parametrize("name", list(_ORDER_CASES))
+def test_block_order_is_invariant_under_rotation_and_scale(name):
+    gens = _ORDER_CASES[name]
+    alg = generate_algebra(gens)
+    blocks = alg.decomposition().blocks
+    pairs = _block_list(alg)
+    assert [p[0] for p in pairs] == sorted((p[0] for p in pairs), reverse=True)
+    # a ↦ 2^k a scales exactly, so the decomposition is bitwise the same
+    for k in (-30, 20):
+        scaled = generate_algebra([2.0 ** k * g for g in gens])
+        assert _block_list(scaled) == pairs
+        for blk, other in zip(blocks, scaled.decomposition().blocks):
+            assert np.array_equal(blk.isometry, other.isometry)
+    # a ↦ UaU*: the same blocks in the same order, each irrep recognized by
+    # the characteristic polynomials of the generators' images
+    u = _haar_unitary(np.random.default_rng(41), alg.ambient_dim)
+    rotated_gens = [u @ g @ u.conj().T for g in gens]
+    rotated = generate_algebra(rotated_gens)
+    assert _block_list(rotated) == pairs
+    for blk, other in zip(blocks, rotated.decomposition().blocks):
+        for g, h in zip(gens, rotated_gens):
+            assert np.allclose(np.poly(blk.irrep(g)), np.poly(other.irrep(h)), atol=1e-8)
 
 
 def _algebra(spec, algebra_zoo):

@@ -543,16 +543,18 @@ def test_spectral_report_bytes(runner, tmp_path, argv, digest):
 # JSON report still held the plot arrays.  normal3's two digests were
 # re-recorded when the center came to be solved against the generators: its
 # algebra is commutative, so the center's basis is an arbitrary basis of a
-# fully null system and the blocks came out in another order
-# (test_spectral_block_supports_order_free pins the blocks themselves)
+# fully null system and the blocks came out in another order.  They were
+# re-recorded again when the blocks came to be sorted by a fixed key (irrep
+# dimension, multiplicity, then the letters' spectra), which fixes that
+# order (test_spectral_block_supports_order_free pins the blocks themselves)
 _PLOT_PINS = [
     pytest.param(np.eye(3, k=1),
                  "5f9f761abe95e5dc029c9c1e893712d265718ea9017bcd8d590201e1655b018e",
                  "753a2ac7e66905d5804a20cab6aa9d14243b638e0a892a817019e2dbb581763c",
                  id="shift3"),
     pytest.param(np.diag([1, 2j, -1]),
-                 "c68a074b323f2b14cb73a7071c50669005c3b53735355e6fd270d64a66a54461",
-                 "4c3ae496b538d38f8483753740f183c059870cf5c0a794e160dbe333ae76b8e2",
+                 "ee25e80afb4703c2a2ef50de46ca729a69c24dbc5d47b8f3c7ee8a008471ca71",
+                 "d76d9ca518c8172dd0eadb670163c70790a985fe7506e8bf5e6a8fd721cb938f",
                  id="normal3"),
 ]
 

@@ -232,6 +232,9 @@ def test_random_projector_rank():
     p = random_projector(5, 3, RNG)
     assert p.rank == 3
     assert op_norm(p.matrix @ p.matrix - p.matrix) < 1e-10
+    empty = random_projector(4, 0, RNG)
+    assert empty.rank == 0 and empty.dim == 4
+    assert np.array_equal(empty.matrix, np.zeros((4, 4)))
 
 
 @given(projector_pairs())
