@@ -265,7 +265,6 @@ class BlockDecomposition:
         return sum(blk.embed(blk.irrep(a)) for blk in self.blocks)
 
 
-_CLUSTER_GAP = 1e-6
 _MAX_RETRIES = 8
 
 
@@ -324,7 +323,7 @@ def _isotypic_blocks(comm: np.ndarray) -> list[Block]:
     for _ in range(_MAX_RETRIES):
         x = _random_combination(comm, rng)
         vals, vecs = _eigh(x)  # _eigh takes the Hermitian part
-        spaces = [vecs[:, c] for c in cluster_eigenvalues(vals, _CLUSTER_GAP)]
+        spaces = [vecs[:, c] for c in cluster_eigenvalues(vals)]
         groups = _equivalent_frames(spaces, _random_combination(comm, rng))
         if groups is not None and sum(len(g) ** 2 for g in groups) == len(comm):
             return [Block(g[0].shape[1], len(g), np.hstack(g)) for g in groups]
@@ -369,7 +368,7 @@ def _check_decomposition(dec: BlockDecomposition):
     # irrep and embed broadcast over the stack of basis elements
     defects = np.linalg.norm(dec.reconstruct(basis) - basis, 2, axis=(1, 2))
     scales = np.maximum(1.0, np.linalg.norm(basis, 2, axis=(1, 2)))
-    if np.any(defects > 1e-8 * scales):
+    if np.any(defects > RANK_TOL * scales):
         raise DecompositionError("block reconstruction fails on a basis element")
 
 
@@ -524,10 +523,10 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
     rep = embed @ left @ basis_coords
     omega = embed @ alg.coords(np.eye(alg.ambient_dim))
     # <pi(b_a)Ω, Ω> against α(b_a) = tr(rho b_a); an HS-unit b_a has
-    # operator norm at most 1, so the slack is 1e-7 for every a
+    # operator norm at most 1, so one slack serves every a
     lhs = (rep @ omega) @ omega.conj()
     alpha = np.einsum("ij,aji->a", rho, basis)
-    if np.any(np.abs(lhs - alpha) > 1e-7):
+    if np.any(np.abs(lhs - alpha) > 10 * RANK_TOL):
         raise StateError("GNS contract violated: <pi(a)Ω, Ω> != α(a)")
     return GnsRepresentation(alg, basis_coords.shape[1], rep, omega, embed)
 

@@ -17,16 +17,19 @@ class NonHermitianError(ValueError):
     pass
 
 
-# The numerical thresholds every verdict rests on.  RANK_TOL decides which
-# singular values, eigenvalues and residual norms count as zero; LATTICE_TOL
-# is the slack allowed in projector-lattice identities.  VERDICT_TOL is the
-# largest measured defect a claims verdict reads as holds-within-tol, and
-# SPECTRAL_CLUSTER_GAP the eigenvalue gap that separates the spectral
-# projections qspace takes of a Hermitian element.
+# The numerical thresholds every verdict rests on; no other module holds
+# one.  RANK_TOL decides which singular values, eigenvalues and residual
+# norms count as zero; LATTICE_TOL is the slack allowed in projector-lattice
+# identities; VERDICT_TOL is the largest measured defect a claims verdict
+# reads as holds-within-tol; CLUSTER_GAP is the eigenvalue gap that
+# separates one cluster of a Hermitian spectrum from the next; SIGMA_TOL is
+# the slack of the Sigma(a) decisions of the spectral module.  The sixth,
+# the pivot threshold of _phase_normalize, only fixes eigenvector phases.
 RANK_TOL = 1e-8
 LATTICE_TOL = 1e-8
 VERDICT_TOL = 1e-9
-SPECTRAL_CLUSTER_GAP = 1e-9
+CLUSTER_GAP = 1e-9
+SIGMA_TOL = 1e-6
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -111,13 +114,14 @@ def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def cluster_eigenvalues(vals: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters separated by more than gap.
+def cluster_eigenvalues(vals: np.ndarray) -> list[np.ndarray]:
+    """Group sorted eigenvalues into clusters separated by more than
+    CLUSTER_GAP.
 
     Returns index arrays, one per cluster (one empty cluster for no
     eigenvalues).
     """
-    return np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > gap) + 1)
+    return np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_GAP) + 1)
 
 
 def orthonormalize(columns: np.ndarray) -> np.ndarray:

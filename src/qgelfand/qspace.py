@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .linalg import (
     LATTICE_TOL,
-    SPECTRAL_CLUSTER_GAP,
+    RANK_TOL,
     VERDICT_TOL,
     DimensionMismatchError,
     Projector,
@@ -31,20 +31,13 @@ from .linalg import (
     op_norm,
     orthonormalize,
     proj_join,
+    proj_leq,
     proj_meet,
     proj_ortho,
     projector_from_basis,
     projector_from_matrix,
     sasaki_product,
 )
-
-# DENSITY_TOL is the slack of the literal join's purity test (eigenvalues
-# ≥ 0, trace 1) and PURE_RANK_TOL the eigenvalue that counts toward its
-# rank; NEGLIGIBLE_TOL is the norm below which the hat surrogate drops a
-# part or an eigenvalue.
-DENSITY_TOL = 1e-12
-PURE_RANK_TOL = 1e-9
-NEGLIGIBLE_TOL = 1e-14
 
 
 @dataclass
@@ -75,10 +68,7 @@ class QSubset:
     def __eq__(self, other):
         if not isinstance(other, QSubset):
             return NotImplemented
-        return all(
-            op_norm(p.matrix - q.matrix) <= 1e-7
-            for p, q in zip(self.projectors, other.projectors)
-        )
+        return self.projectors == other.projectors
 
 
 def _in_range(p: Projector, v: np.ndarray) -> bool:
@@ -123,8 +113,8 @@ def literal_join(alpha: PureState, beta: PureState) -> list[PureState]:
     for c1, c2 in [(1.0, 0.0), (0.0, 1.0)]:
         rho = c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj())
         vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if (vals.min() > -DENSITY_TOL and abs(vals.sum() - 1) < DENSITY_TOL
-                and np.sum(vals > PURE_RANK_TOL) == 1):
+        if (vals.min() > -RANK_TOL and abs(vals.sum() - 1) < RANK_TOL
+                and np.sum(vals > RANK_TOL) == 1):
             out.append(alpha if c1 == 1.0 else beta)
     return out
 
@@ -210,7 +200,7 @@ def _pattern_realizable(comps: list[tuple[complex, Projector]], pattern: tuple[i
         if inter.rank == 0:
             return False
     return not any(
-        p.rank > 0 and proj_meet(inter, p).rank >= inter.rank
+        p.rank > 0 and proj_leq(inter, p)
         for s, (_, p) in enumerate(comps)
         if s not in pattern
     )
@@ -265,14 +255,14 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
     terms: list[tuple[complex, QSubset]] = []
     zeros = _zero_projectors(dec)
     for part, scale in ((h, 1.0), (k, 1j)):
-        if op_norm(part) <= NEGLIGIBLE_TOL:
+        if op_norm(part) <= VERDICT_TOL:
             continue
         for i, blk in enumerate(dec.blocks):
             m = blk.irrep(part)
             vals, vecs = hermitian_eig(m)
-            for idx in cluster_eigenvalues(vals, SPECTRAL_CLUSTER_GAP):
+            for idx in cluster_eigenvalues(vals):
                 lam = float(np.mean(vals[idx]))
-                if abs(lam) <= NEGLIGIBLE_TOL:
+                if abs(lam) <= VERDICT_TOL:
                     continue
                 projs = zeros.copy()
                 projs[i] = Projector(basis=vecs[:, idx])
@@ -458,7 +448,7 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
 
 def _top_spectral_projector(alg: FdAlgebra, h: np.ndarray) -> np.ndarray:
     vals, vecs = hermitian_eig(h)
-    idx = cluster_eigenvalues(vals, SPECTRAL_CLUSTER_GAP)[-1]
+    idx = cluster_eigenvalues(vals)[-1]
     w = vecs[:, idx]
     return w @ w.conj().T
 
@@ -478,7 +468,7 @@ def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
     {0,1}-valued on the sample."""
     dec = alg.decomposition()
     p = alg.require_member(p)
-    if op_norm(p @ p - p) > 1e-8:
+    if op_norm(p @ p - p) > LATTICE_TOL:
         raise ValueError("p must be a projection in the algebra")
     # p is checked once here; each sample is hat's arithmetic on p's images
     images = [blk.irrep(p) for blk in dec.blocks]
@@ -495,16 +485,6 @@ def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
         "holds-within-tol" if worst <= VERDICT_TOL else "fails",
         [witness] if witness is not None else [],
     )
-
-
-# thm3_diagnostics reads the hat map as injective when the smallest singular
-# value of a ↦ ⊕ (block compressions of a) exceeds INJECTIVITY_TOL, two
-# states as unseparated when every basis element's hats agree within
-# SEPARATION_TOL, and the homomorphism as holding when its defect is at most
-# HOMOMORPHISM_TOL.
-INJECTIVITY_TOL = 1e-8
-SEPARATION_TOL = 1e-10
-HOMOMORPHISM_TOL = 1e-10
 
 
 def _basis_hats(images: list[np.ndarray], s: PureState) -> np.ndarray:
@@ -528,7 +508,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
     images = [blk.irrep(alg.basis) for blk in dec.blocks]
     injection = np.concatenate([im.reshape(alg.dim, -1) for im in images], axis=1).T
     sv = np.linalg.svd(injection, compute_uv=False)
-    injective = bool(sv[-1] > INJECTIVITY_TOL)
+    injective = bool(sv[-1] > RANK_TOL)
 
     separated = True
     sep_witness = None
@@ -536,7 +516,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         s, t = random_pure_state(dec, rng), random_pure_state(dec, rng)
         if pure_equal(s, t):
             continue
-        if np.all(np.abs(_basis_hats(images, s) - _basis_hats(images, t)) <= SEPARATION_TOL):
+        if np.all(np.abs(_basis_hats(images, s) - _basis_hats(images, t)) <= RANK_TOL):
             separated = False
             sep_witness = (s, t)
             break
@@ -560,7 +540,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         "separation": separated,
         "homomorphism_defect": hom_defect,
     }
-    ok = injective and separated and hom_defect <= HOMOMORPHISM_TOL
+    ok = injective and separated and hom_defect <= VERDICT_TOL
     witnesses = [w for w in (sep_witness, hom_witness) if w is not None]
     return ClaimsReport(
         "thm3", instance, defects,

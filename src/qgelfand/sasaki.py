@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import VERDICT_TOL
 from .oml import NO_ELEMENT, FiniteOml, SetOml, StructureError, relative_lattice
 
 
@@ -410,6 +411,6 @@ def saturation_check(
         fx = chi_star(chi(sp, u), chi(sp, v))
         fy = chi_star(chi(sub_sp, u & yset), chi(sub_sp, v & yset))
         for x in sorted(yset):
-            if abs(fx.evaluate(x) - fy.evaluate(x)) > 1e-12:
+            if abs(fx.evaluate(x) - fy.evaluate(x)) > VERDICT_TOL:
                 return False, (u, v, x)
     return True, None

@@ -12,6 +12,7 @@ import numpy as np
 from .algebra import FdAlgebra, generate_algebra, gns, vector_state
 from .linalg import (
     RANK_TOL,
+    SIGMA_TOL,
     Projector,
     as_cmatrix,
     haar_unit_vectors,
@@ -40,9 +41,6 @@ def spectrum(a: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-# slack of the Sigma(a) decisions: a single point, equal to sigma(a), and
-# the containment query
-SIGMA_TOL = 1e-6
 # angles of the support-line sweep, uniform on [0, 2π)
 N_ANGLES = 720
 
@@ -301,7 +299,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
     """
     n = a.shape[0]
     norm_a = max(1.0, op_norm(a))
-    split_tol = 1e-6 * norm_a
+    split_tol = SIGMA_TOL * norm_a
     if report.sigma_singleton:
         lam = complex(np.mean(np.concatenate(report.block_boundaries)))
         scalar_gap = op_norm(a - lam * np.eye(n))
@@ -337,8 +335,6 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
         if cand.shape[1] >= n:
             break
         cols = cand
-    if cols.shape[1] == 0:
-        cols = fiber[0].reshape(-1, 1)
     p = projector_from_basis(cols)
     defect = invariance_defect(a, p)
     return InvariantSubspaceResult(

@@ -554,3 +554,33 @@ def test_generator_near_rank_tol_matches_full_basis(eps):
             for state in (vector_state(x), pure_to_state(dec, random_pure_state(dec, rng))):
                 rep = gns(alg, state)
                 assert is_irreducible(rep) == (len(commutant_basis(rep.rep_basis, rep.dim)) == 1)
+
+
+def _probe_generators(count=870, seed=2718):
+    """Generators within ε of a scalar or of a real symmetric matrix, in a
+    Haar frame: I + εN (N strictly upper triangular, so nilpotent), I + εD
+    (D diagonal) and H + εN, by turns, with n from 2 to 4 and ε
+    log-uniform over 1e-10..1e-3."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for i in range(count):
+        n = int(rng.integers(2, 5))
+        eps = 10.0 ** rng.uniform(-10, -3)
+        x = rng.standard_normal((n, n))
+        base, pert = np.eye(n), np.triu(x, 1)
+        if i % 3 == 1:
+            pert = np.diag(np.diag(x))
+        elif i % 3 == 2:
+            h = rng.standard_normal((n, n))
+            base = h + h.T
+        u = _haar_unitary(rng, n)
+        gens.append((u @ (base + eps * pert) @ u.conj().T, int(rng.integers(-30, 31))))
+    return gens
+
+
+def test_nearly_scalar_probe_decomposes_at_every_scale():
+    # a DecompositionError would propagate: the whole-basis fallback has
+    # already run
+    for g, k in _probe_generators():
+        pairs = _block_list(generate_algebra([g]))
+        assert _block_list(generate_algebra([2.0 ** k * g])) == pairs

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qgelfand.algebra import generate_algebra
 from qgelfand.linalg import (
+    CLUSTER_GAP,
     RANK_TOL,
     NonHermitianError,
     Projector,
@@ -288,6 +289,34 @@ def test_lattice_kernels_match_eigh_formulas(pair):
         assert op_norm(got.matrix - ref.matrix) <= 1e-12
 
 
+def _oracle_leq(p, q):
+    # containment read off a meet: range(p) lies in range(q) when their
+    # meet keeps all of p's rank
+    return proj_meet(p, q).rank >= p.rank
+
+
+def _containment_pairs():
+    """(p, q, p <= q) with p nested in q, equal to q in another basis, or
+    drawn independently of q."""
+    rng = np.random.default_rng(12)
+    pairs = []
+    for n in (2, 3, 5):
+        for rank in range(n + 1):
+            q = random_projector(n, rank, rng)
+            for k in range(rank + 1):
+                mix = rng.standard_normal((rank, k)) + 1j * rng.standard_normal((rank, k))
+                pairs.append((projector_from_basis(q.basis @ mix), q, True))
+                generic = random_projector(n, k, rng)
+                pairs.append((generic, q, k == 0 or rank == n))
+    return pairs
+
+
+def test_proj_leq_matches_meet_rank_oracle():
+    for p, q, nested in _containment_pairs():
+        assert proj_leq(p, q) == _oracle_leq(p, q) == nested
+        assert proj_leq(q, p) == _oracle_leq(q, p)
+
+
 # ---------------------------------------------------------------------------
 # the column loops that _phase_normalize and cluster_eigenvalues replaced, as
 # oracles: the array versions must agree with them exactly
@@ -339,16 +368,23 @@ def test_phase_normalize_matches_column_loop(i):
     assert np.array_equal(got, _loop_phase_normalize(vecs))
 
 
-@pytest.mark.parametrize("vals, gap", [
-    (np.array([0.5]), 1e-9),
-    (np.array([1.0, 1.0, 1.0]), 1e-9),
-    (np.array([0.0, 0.0, 1.0, 1.0 + 1e-10, 2.0]), 1e-9),
-    (np.array([-1.0, 0.0, 1e-7, 1.0]), 1e-6),
-    (np.sort(np.random.default_rng(8).standard_normal(12)), 0.1),
-    (np.linalg.eigvalsh(np.kron(np.diag([1.0, 2.0]), np.eye(3))), 1e-9),
-])
-def test_cluster_eigenvalues_matches_loop(vals, gap):
-    got, ref = cluster_eigenvalues(vals, gap), _loop_cluster_eigenvalues(vals, gap)
+_CLUSTER_CASES = [
+    np.array([0.5]),
+    np.array([1.0, 1.0, 1.0]),
+    np.array([0.0, 0.0, 1.0, 1.0 + 1e-10, 2.0]),
+    # gaps just below, at and above CLUSTER_GAP
+    np.array([-1.0, 0.0, 5e-10, 1.5e-9, 3.5e-9, 1.0]),
+    # random values, each with copies 1e-10 and 1e-8 above it
+    np.sort((np.random.default_rng(8).standard_normal(6) + [[0.0], [1e-10], [1e-8]]).ravel()),
+    np.linalg.eigvalsh(np.kron(np.diag([1.0, 2.0]), np.eye(3))),
+]
+
+
+# each case is named by the gap it is clustered at
+@pytest.mark.parametrize("vals", _CLUSTER_CASES, ids=[
+    f"vals{i}-{CLUSTER_GAP:g}" for i in range(len(_CLUSTER_CASES))])
+def test_cluster_eigenvalues_matches_loop(vals):
+    got, ref = cluster_eigenvalues(vals), _loop_cluster_eigenvalues(vals, CLUSTER_GAP)
     assert len(got) == len(ref)
     for x, y in zip(got, ref):
         assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -356,5 +392,5 @@ def test_cluster_eigenvalues_matches_loop(vals, gap):
 
 def test_cluster_eigenvalues_of_nothing_is_one_empty_cluster():
     # the loop returned [array([0])], an index into an empty array
-    (cluster,) = cluster_eigenvalues(np.array([]), 1e-9)
+    (cluster,) = cluster_eigenvalues(np.array([]))
     assert cluster.size == 0
