@@ -85,18 +85,27 @@ def _hs_orthonormalize(mats: np.ndarray | list[np.ndarray]) -> np.ndarray:
 class FdAlgebra:
     """A unital *-closed algebra of n×n matrices.
 
-    basis (a d × n × n stack) is orthonormal for the Hilbert-Schmidt inner
-    product and spans the algebra; the span is closed under products and
-    adjoints.  letters (a k × n × n stack, k ≥ 0) generate it as a unital
-    algebra: x commutes with the algebra exactly when it commutes with
-    every letter.
+    letters (a k × n × n stack, k ≥ 0, HS-orthonormal and orthogonal to the
+    identity) generate it as a unital algebra: x commutes with the algebra
+    exactly when it commutes with every letter.  basis (a d × n × n stack)
+    is orthonormal for the Hilbert-Schmidt inner product and spans the
+    algebra; it is the closure of the identity and the letters under
+    products and adjoints, computed when first read and then kept.  The
+    decomposition of an algebra whose letters' commutant is the scalars
+    never reads it.
     """
 
-    def __init__(self, ambient_dim: int, basis: np.ndarray, letters: np.ndarray):
+    def __init__(self, ambient_dim: int, letters: np.ndarray):
         self.ambient_dim = ambient_dim
-        self.basis = basis
         self.letters = letters
+        self._basis: np.ndarray | None = None
         self._decomposition: "BlockDecomposition | None" = None
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            self._basis = _close(self.ambient_dim, self.letters)
+        return self._basis
 
     @property
     def dim(self) -> int:
@@ -156,20 +165,18 @@ class FdAlgebra:
 
 
 def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
-    """Smallest unital *-closed algebra containing the generators.
+    """Smallest unital *-closed algebra containing the generators, as its
+    letters.
 
     Each nonzero generator is first scaled by a power of two to a
     Frobenius norm in [1/2, 1): the generated algebra does not depend on
-    scale, so the rank decisions must not either.  Each round then forms
-    every pairwise product of the current HS-orthonormal basis with one
-    stacked matmul and re-orthonormalizes basis + products + adjoints in
-    that order.  The closure terminates because the dimension strictly
-    increases each round (bounded by n²).  The algebra's letters are the
-    first basis without its identity element: the HS-orthonormalized
-    non-scalar parts of the scaled generators and their adjoints.  So the
-    commutation systems solved against them keep the closure's first rank
-    decisions and see each letter at unit scale, however nearly scalar
-    its generator is.
+    scale, so the rank decisions must not either.  The identity, then each
+    scaled generator and its adjoint, are HS-orthonormalized in that order;
+    the letters are the result without its identity element: the
+    HS-orthonormalized non-scalar parts of the scaled generators and their
+    adjoints.  So the commutation systems solved against them see each
+    letter at unit scale, however nearly scalar its generator is.  The
+    closure under products runs only when the algebra's basis is read.
     """
     gens = [as_cmatrix(g) for g in generators]
     if not gens:
@@ -185,14 +192,27 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
             g = g * 2.0 ** -math.frexp(norm)[1]
         seed.append(g)
         seed.append(g.conj().T)
-    basis = _hs_orthonormalize(seed)
-    letters = basis[1:]  # basis[0] is the identity, accepted first
+    # the identity is accepted first
+    return FdAlgebra(n, _hs_orthonormalize(seed)[1:])
+
+
+def _close(n: int, letters: np.ndarray) -> np.ndarray:
+    """HS-orthonormal basis of the unital *-algebra the letters generate.
+
+    The first basis is the identity's unit followed by the letters, which
+    is what orthonormalizing the identity and the letters gives.  Each
+    round forms every pairwise product of the current basis with one
+    stacked matmul and re-orthonormalizes basis + products + adjoints in
+    that order.  The closure terminates because the dimension strictly
+    increases each round (bounded by n²).
+    """
+    basis = np.concatenate([_hs_orthonormalize([np.eye(n, dtype=complex)]), letters])
     while True:
         products = np.matmul(basis[:, None], basis[None, :]).reshape(-1, n, n)
         adjoints = basis.conj().transpose(0, 2, 1)
         new_basis = _hs_orthonormalize(np.concatenate([basis, products, adjoints]))
         if len(new_basis) == len(basis):
-            return FdAlgebra(n, new_basis, letters)
+            return new_basis
         basis = new_basis
 
 
@@ -290,27 +310,30 @@ def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
     multiplicity, largest first, then the sorted spectra of the letters'
     irrep images.
 
-    Every basis element must be rebuilt from the blocks.  When one is not,
-    or the draws stay ambiguous, the decomposition is solved once more
-    against the whole basis: the closure accepts a direction whose residual
-    is barely above RANK_TOL and normalizes it, and a commutator with the
-    letters is that much smaller than one with the basis element it became.
+    Every basis element of a reducible algebra must be rebuilt from the
+    blocks; this check is what reads (and so closes) the basis.  When one
+    is not, or the draws stay ambiguous, the decomposition is solved once
+    more against the whole basis: the closure accepts a direction whose
+    residual is barely above RANK_TOL and normalizes it, and a commutator
+    with the letters is that much smaller than one with the basis element
+    it became.  M_n skips the check and never reads the basis: the
+    identity frame rebuilds every matrix exactly.
     """
     try:
-        return _decompose(alg)
+        return _decompose(alg, alg.letters)
     except DecompositionError:
         # the whole basis generates the algebra too
-        spanned = FdAlgebra(alg.ambient_dim, alg.basis, alg.basis)
-        return BlockDecomposition(alg, _decompose(spanned).blocks)
+        return _decompose(alg, alg.basis)
 
 
-def _decompose(alg: FdAlgebra) -> BlockDecomposition:
-    n, letters = alg.ambient_dim, alg.letters
+def _decompose(alg: FdAlgebra, letters: np.ndarray) -> BlockDecomposition:
+    """The decomposition of alg read off the commutant of letters, which
+    generate it."""
+    n = alg.ambient_dim
     comm = commutant_basis(letters, n)
     if len(comm) == 1:
-        blocks = [Block(n, 1, np.eye(n, dtype=complex))]
-    else:
-        blocks = sorted(_isotypic_blocks(comm), key=lambda blk: _block_key(blk, letters))
+        return BlockDecomposition(alg, [Block(n, 1, np.eye(n, dtype=complex))])
+    blocks = sorted(_isotypic_blocks(comm), key=lambda blk: _block_key(blk, letters))
     dec = BlockDecomposition(alg, blocks)
     _check_decomposition(dec)
     return dec

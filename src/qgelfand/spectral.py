@@ -67,11 +67,8 @@ class SpectralReport:
     def contains(self, z: complex, tol: float = SIGMA_TOL) -> bool:
         """z in Sigma(a) iff some block's support function dominates it at
         every swept angle (numerical ranges are convex)."""
-        for supports in self.block_supports:
-            proj = np.real(np.exp(-1j * self.thetas) * z)
-            if np.all(proj <= supports + tol):
-                return True
-        return False
+        proj = np.real(np.exp(-1j * self.thetas) * z)
+        return any(np.all(proj <= supports + tol) for supports in self.block_supports)
 
     def to_json(self) -> dict:
         return {

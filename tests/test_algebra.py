@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALGEBRA_ZOO_GENERATORS, E12, SIGMA_X, diagonal_algebra
+from qgelfand import algebra as algebra_module
 from qgelfand.algebra import (
     AlgebraMembershipError,
     GnsRepresentation,
@@ -30,7 +32,8 @@ from qgelfand.algebra import (
     vector_state,
     _hs_orthonormalize,
 )
-from qgelfand.linalg import LATTICE_TOL, RANK_TOL, hermitian_eig, op_norm
+from qgelfand.linalg import LATTICE_TOL, RANK_TOL, as_cmatrix, hermitian_eig, op_norm
+from qgelfand.spectral import sigma_big
 
 RNG = np.random.default_rng(7)
 
@@ -584,3 +587,108 @@ def test_nearly_scalar_probe_decomposes_at_every_scale():
     for g, k in _probe_generators():
         pairs = _block_list(generate_algebra([g]))
         assert _block_list(generate_algebra([2.0 ** k * g])) == pairs
+
+
+# ---------------------------------------------------------------------------
+# the closure runs only when the basis is read
+
+
+def _eager_basis(generators):
+    """Reference: the closure as one loop from the generators, run before
+    anything reads the basis."""
+    gens = [as_cmatrix(g) for g in generators]
+    n = gens[0].shape[0]
+    seed = [np.eye(n, dtype=complex)]
+    for g in gens:
+        norm = np.linalg.norm(g)
+        if norm > 0:
+            g = g * 2.0 ** -math.frexp(norm)[1]
+        seed.append(g)
+        seed.append(g.conj().T)
+    basis = _hs_orthonormalize(seed)
+    while True:
+        products = np.matmul(basis[:, None], basis[None, :]).reshape(-1, n, n)
+        adjoints = basis.conj().transpose(0, 2, 1)
+        new_basis = _hs_orthonormalize(np.concatenate([basis, products, adjoints]))
+        if len(new_basis) == len(basis):
+            return new_basis
+        basis = new_basis
+
+
+def _spectral_input(structure, n):
+    """The spectral benchmark's four structures: generic (M_n), the shift
+    (M_n, exact), a repeated summand M_{n/2} ⊗ I_2 and a normal matrix (n
+    one-dimensional blocks), the last two in a Haar frame."""
+    rng = np.random.default_rng(n)
+    if structure == "generic":
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if structure == "shift":
+        return np.eye(n, k=1)
+    u = _haar_unitary(rng, n)
+    if structure == "dsum":
+        x = rng.standard_normal((n // 2, n // 2)) + 1j * rng.standard_normal((n // 2, n // 2))
+        return u @ np.kron(np.eye(2), x) @ u.conj().T
+    return u @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ u.conj().T
+
+
+SPECTRAL_CASES = ([(s, n) for s in ("generic", "shift", "normal") for n in range(2, 9)]
+                  + [("dsum", n) for n in (2, 4, 6, 8)])
+_CLOSURE_CASES = {**_ORDER_CASES,
+                  **{f"{s}{n}": [_spectral_input(s, n)] for s, n in SPECTRAL_CASES}}
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_CLOSURE_CASES))
+def test_lazy_basis_matches_eager_closure(name):
+    gens = _CLOSURE_CASES[name]
+    assert _bitwise_equal(generate_algebra(gens).basis, _eager_basis(gens))
+
+
+def test_lazy_basis_matches_eager_closure_on_nearly_scalar_probe():
+    # every tenth generator: all three kinds, ε over the whole range
+    for g, _ in _probe_generators()[::10]:
+        assert _bitwise_equal(generate_algebra([g]).basis, _eager_basis([g]))
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The letters of every closure run while the test runs."""
+    runs = []
+    close = algebra_module._close
+
+    def counted(n, letters):
+        runs.append(letters)
+        return close(n, letters)
+
+    monkeypatch.setattr(algebra_module, "_close", counted)
+    return runs
+
+
+@pytest.mark.parametrize("structure", ["generic", "shift"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_irreducible_input_is_never_closed(closures, structure, n):
+    a = _spectral_input(structure, n)
+    alg = generate_algebra([a])
+    dec = alg.decomposition()
+    sigma_big(a, samples=20)
+    assert not closures
+    assert _block_list(alg) == [(n, 1)]
+    # why the reconstruction check may be skipped: the identity frame
+    # rebuilds every basis element exactly (a zero may change its sign)
+    basis = alg.basis
+    assert len(closures) == 1
+    assert np.array_equal(dec.reconstruct(basis), basis)
+
+
+@pytest.mark.parametrize("structure, n", [("dsum", 4), ("dsum", 8), ("normal", 3), ("normal", 8)])
+def test_reducible_input_is_closed_by_its_check(closures, structure, n):
+    a = _spectral_input(structure, n)
+    alg = generate_algebra([a])
+    assert not closures
+    alg.decomposition()
+    assert len(closures) == 1
+    sigma_big(a, samples=20)
+    assert len(closures) == 2
