@@ -19,7 +19,6 @@ import numpy as np
 from .linalg import (
     LATTICE_TOL,
     RANK_TOL,
-    _eigh,
     as_cmatrix,
     cluster_eigenvalues,
     haar_unit_vector,
@@ -216,6 +215,14 @@ def _close(n: int, letters: np.ndarray) -> np.ndarray:
         basis = new_basis
 
 
+def _commutation_system(mats: np.ndarray, dim: int) -> np.ndarray:
+    """The (len(mats)·dim²) × dim² matrix that maps vec(x) to the stacked
+    vec(mx - xm) = (I ⊗ m - m^T ⊗ I) vec(x) over the stack mats, with vec
+    = column stacking."""
+    ident = np.eye(dim)
+    return np.vstack([np.kron(ident, m) - np.kron(m.T, ident) for m in mats])
+
+
 def commutant_basis(mats: np.ndarray, dim: int) -> np.ndarray:
     """HS-orthonormal basis of {x : xm = mx for all m in the stack mats}."""
     if len(mats) == 0:
@@ -223,15 +230,9 @@ def commutant_basis(mats: np.ndarray, dim: int) -> np.ndarray:
         # order the SVD of a zero system gives
         units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
         return units.transpose(0, 2, 1)
-    rows = []
-    ident = np.eye(dim)
-    for m in mats:
-        # vec(mx - xm) = (I ⊗ m - m^T ⊗ I) vec(x), with vec = column stacking
-        rows.append(np.kron(ident, m) - np.kron(m.T, ident))
-    system = np.vstack(rows)
-    # (len(mats)·dim²) × dim² with len(mats) ≥ 1, so the thin SVD's vh is
-    # the full dim² × dim² right factor
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    # len(mats) ≥ 1, so the thin SVD's vh is the full dim² × dim² right
+    # factor
+    _, svals, vh = np.linalg.svd(_commutation_system(mats, dim), full_matrices=False)
     # row j of the null rows of vh, conjugated, is vec(x_j): unstack it
     # column-major
     mats_out = vh[numerical_rank(svals):].conj().reshape(-1, dim, dim).transpose(0, 2, 1)
@@ -345,7 +346,7 @@ def _isotypic_blocks(comm: np.ndarray) -> list[Block]:
     rng = np.random.default_rng(0)
     for _ in range(_MAX_RETRIES):
         x = _random_combination(comm, rng)
-        vals, vecs = _eigh(x)  # _eigh takes the Hermitian part
+        vals, vecs = hermitian_eig((x + x.conj().T) / 2)
         spaces = [vecs[:, c] for c in cluster_eigenvalues(vals)]
         groups = _equivalent_frames(spaces, _random_combination(comm, rng))
         if groups is not None and sum(len(g) ** 2 for g in groups) == len(comm):
@@ -557,21 +558,14 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
 def is_irreducible(rep: GnsRepresentation) -> bool:
     """True iff the commutant of the representation is one-dimensional.
 
-    The letters' images generate pi(algebra), so their commutant is solved
-    first.  One larger than the scalars is narrowed, in its own
-    coordinates, to the elements that also commute with every image of the
-    basis: near RANK_TOL a commutator with a letter can be far smaller
-    than one with a basis element the closure normalized from a small
-    residual.
+    Decided from the singular values alone of one commutation system
+    against the images of the whole basis: its null space is the
+    commutant.  The letters' images would generate pi(algebra) too, but
+    near RANK_TOL a commutator with a letter can be far smaller than one
+    with a basis element the closure normalized from a small residual.
     """
-    comm = commutant_basis(rep.pi(rep.algebra.letters), rep.dim)
-    if len(comm) == 1:
-        return True
-    x, r = comm, rep.rep_basis
-    comms = np.matmul(x[:, None], r[None, :]) - np.matmul(r[None, :], x[:, None])
-    # column i stacks the vec'd commutators [x_i, pi(b_j)] over j
-    system = comms.transpose(1, 2, 3, 0).reshape(-1, len(x))
-    return len(x) - numerical_rank(np.linalg.svd(system, compute_uv=False)) == 1
+    system = _commutation_system(rep.rep_basis, rep.dim)
+    return rep.dim ** 2 - numerical_rank(np.linalg.svd(system, compute_uv=False)) == 1
 
 
 def gns_equivalent(dec: BlockDecomposition, a: PureState, b: PureState) -> bool:

@@ -25,7 +25,7 @@ from .algebra import (
     r_is_discrete,
     random_pure_state,
 )
-from .linalg import matrix_from_json, projector_from_matrix
+from .linalg import _is_int, matrix_from_json, projector_from_matrix
 from .qspace import (
     ClaimsReport,
     QFunction,
@@ -85,11 +85,6 @@ class RunConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"claims config missing field {exc}") from exc
-
-
-def _is_int(v) -> bool:
-    # JSON true/false decode to bool, a subclass of int
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:

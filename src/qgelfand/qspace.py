@@ -37,6 +37,7 @@ from .linalg import (
     projector_from_basis,
     projector_from_matrix,
     sasaki_product,
+    support_sweep,
 )
 
 
@@ -325,13 +326,12 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
     whether â can be q-continuous for the modeled subset lattice.
 
     The values of â on a joined pair's vector states form the numerical
-    range of the compressed 2×2 matrix m, traced by Johnson's support-line
-    sweep (SIAM J. Numer. Anal. 15, 1978): at each of 64 angles the top
-    eigenvector η of the Hermitian part of e^{-iθ} m gives the boundary
-    point <η, mη>.  All pairs and angles go through one stacked eigh.  The
-    violation is the largest one; violations within LATTICE_TOL of it tie,
-    and the witness is the first of them in (pair, angle) order, so
-    rounding noise cannot pick it.
+    range of the compressed 2×2 matrix m, traced by linalg.support_sweep:
+    at each of 64 angles the top eigenvector η of the Hermitian part of
+    e^{-iθ} m gives the boundary point <η, mη>.  All pairs and angles go
+    through one stacked eigh.  The violation is the largest one; violations
+    within LATTICE_TOL of it tie, and the witness is the first of them in
+    (pair, angle) order, so rounding noise cannot pick it.
     """
     dec = alg.decomposition()
     a = alg.require_member(a)
@@ -351,19 +351,15 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
         if s.block != t.block or pure_equal(s, t):
             continue
         pairs += 1
+        # pure_equal excludes parallel vectors, so w has two columns
         w = orthonormalize(np.column_stack([s.vector, t.vector]))
-        if w.shape[1] < 2:
-            continue
         joined.append((s.block, w))
         ms.append(w.conj().T @ images[s.block] @ w)
         if pairs >= 200:
             break
     if ms:
         ms = np.array(ms)
-        phases = np.exp(-1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
-        rot = phases[:, None, None] * ms[:, None]
-        _, vecs = np.linalg.eigh((rot + rot.conj().swapaxes(-1, -2)) / 2)
-        eta = vecs[..., -1]  # (pairs, angles, 2)
+        _, eta = support_sweep(ms, 64)  # eta: (pairs, angles, 2)
         # the reported violation matches the per-angle scalar code bit for
         # bit: two stacked matmuls give np.vdot(η, m @ η), which an einsum
         # does not, and hypot gives Python's complex abs, which np.abs does

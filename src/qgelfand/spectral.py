@@ -19,6 +19,7 @@ from .linalg import (
     op_norm,
     orthonormalize,
     projector_from_basis,
+    support_sweep,
 )
 
 
@@ -90,11 +91,9 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     algebra generated by a.
 
     Per block, the numerical range of the block image is traced by
-    Johnson's support-line sweep (SIAM J. Numer. Anal. 15, 1978): for each
-    angle the top eigenvector of the Hermitian part of e^{-i theta} m gives
-    a boundary point.  All angles of a block go through one stacked eigh.
-    A Haar sample cloud over ambient unit vectors is attached for
-    diagnostics.
+    linalg.support_sweep: for each angle the top eigenvector of the
+    Hermitian part of e^{-i theta} m gives a boundary point.  A Haar sample
+    cloud over ambient unit vectors is attached for diagnostics.
     """
     a = as_cmatrix(a)
     if rng is None:
@@ -103,16 +102,13 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     dec = alg.decomposition()
     sig = spectrum(a)
     thetas = np.linspace(0.0, 2 * np.pi, N_ANGLES, endpoint=False)
-    phases = np.exp(-1j * thetas)[:, None, None]
 
     block_supports = []
     block_boundaries = []
     for blk in dec.blocks:
         m = blk.irrep(a)
-        rot = phases * m
-        vals, vecs = np.linalg.eigh((rot + rot.conj().transpose(0, 2, 1)) / 2)
-        v = vecs[:, :, -1]
-        block_supports.append(vals[:, -1])
+        supports, v = support_sweep(m, N_ANGLES)
+        block_supports.append(supports)
         block_boundaries.append(_quadratic_values(m, v))
 
     cloud = _quadratic_values(a, haar_unit_vectors(samples, a.shape[0], rng))
@@ -360,7 +356,7 @@ def invariant_subspace(a: np.ndarray, mode: str = "oracle",
         rng = np.random.default_rng(0)
     out = []
     if mode in ("paper", "both"):
-        report = sigma_big(a, samples=min(samples, 500), rng=rng)
+        report = sigma_big(a, samples=0)
         out.append(_modeled_result(a, report, samples, rng))
     if mode in ("oracle", "both"):
         out.append(_oracle_result(a))

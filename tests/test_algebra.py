@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import ALGEBRA_ZOO_GENERATORS, E12, SIGMA_X, diagonal_algebra
 from qgelfand import algebra as algebra_module
+from qgelfand import linalg as linalg_module
+from qgelfand import qspace as qspace_module
 from qgelfand.algebra import (
     AlgebraMembershipError,
     GnsRepresentation,
@@ -32,8 +34,16 @@ from qgelfand.algebra import (
     vector_state,
     _hs_orthonormalize,
 )
-from qgelfand.linalg import LATTICE_TOL, RANK_TOL, as_cmatrix, hermitian_eig, op_norm
-from qgelfand.spectral import sigma_big
+from qgelfand.harness import RunConfig, run_suite
+from qgelfand.linalg import (
+    LATTICE_TOL,
+    RANK_TOL,
+    as_cmatrix,
+    hermitian_eig,
+    matrix_to_json,
+    op_norm,
+)
+from qgelfand.spectral import invariant_subspace, sigma_big
 
 RNG = np.random.default_rng(7)
 
@@ -692,3 +702,30 @@ def test_reducible_input_is_closed_by_its_check(closures, structure, n):
     assert len(closures) == 1
     sigma_big(a, samples=20)
     assert len(closures) == 2
+
+
+def test_hermitian_eig_is_given_only_hermitian_matrices(monkeypatch):
+    # hermitian_eig takes the Hermitian part and checks nothing, because
+    # every caller passes a matrix that is Hermitian by construction; this
+    # oracle holds the check it dropped, at every call of the claims suites
+    # on the algebra zoo and of the spectral pipeline
+    calls = []
+
+    def checked(a):
+        calls.append(a.shape)
+        assert op_norm(a - a.conj().T) <= RANK_TOL * max(1.0, op_norm(a))
+        return hermitian_eig(a)
+
+    for module in (linalg_module, algebra_module, qspace_module):
+        monkeypatch.setattr(module, "hermitian_eig", checked)
+    # inline instances build fresh algebras, so each decomposition runs here
+    instances = [{"name": name, "algebra": {"ambient_dim": gens[0].shape[0],
+                                            "generators": [matrix_to_json(g) for g in gens]}}
+                 for name, gens in ALGEBRA_ZOO_GENERATORS.items()]
+    for suite in ("prop2", "prop7", "prop9", "thm3"):
+        assert run_suite(RunConfig(suite, instances, seed=0, samples=5))["rows"]
+    rng = np.random.default_rng(16)
+    for a in (np.eye(3, k=1), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))):
+        sigma_big(a, samples=10)
+        invariant_subspace(a, mode="both", samples=50)
+    assert calls

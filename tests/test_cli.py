@@ -454,6 +454,8 @@ def test_non_object_json_input(runner, files, argv):
      "instance bad_alg: matrix JSON shape fields disagree"),
     ({"name": "inl", "algebra": [1]}, "instance inl: an algebra must be an object"),
     ({"name": "inl"}, "instance inl: an algebra must be an object"),
+    ({"ambient_dim": 2, "generators": [{**matrix_to_json(E12), "re": [["1", "0"], [True, "2.5"]]}]},
+     "instance bad_alg: matrix entries must be numbers"),
 ])
 def test_malformed_algebra_instance(runner, files, instance, message):
     # a malformed algebra is an input error naming its instance, not a crash;
@@ -524,13 +526,17 @@ def test_samples_below_one(runner, files, command, samples):
     (["spectral", "report"],
      "081bacccb846641701cda4942123b946af18c826528f73711a54ecf5f4058a35"),
     (["invsub", "--mode", "both"],
-     "bf340c219de613e840056a613a655a8f815d7882212227ad044bc865244517f8"),
+     "13b70bb077732674c44040614335e6d04b62131f55b2f4b8a5ccbe77b8288786"),
 ])
 def test_spectral_report_bytes(runner, tmp_path, argv, digest):
     # sha256 of the outputs written while the Sigma(a) and scalar-case
     # thresholds were still keyword arguments; the shift needs no seeded
     # input.  The spectral report's digest was re-recorded when the angle
-    # grid, boundary and cloud left its JSON for --plot-data.
+    # grid, boundary and cloud left its JSON for --plot-data.  The invsub
+    # digest was re-recorded when invsub stopped drawing the Haar cloud it
+    # never read: the sigma fiber is now drawn from the start of the seeded
+    # stream, so the paper result's projector and defect moved; its case
+    # tag, verdict, rank and notes did not.
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(matrix_to_json(np.eye(3, k=1))))
     res = runner.invoke(main, [*argv, str(path), "--seed", "0", "--samples", "200"])

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import E12, SIGMA_X
 from qgelfand.algebra import generate_algebra
-from qgelfand.linalg import haar_unit_vector
+from qgelfand.linalg import haar_unit_vector, support_sweep
 from qgelfand.spectral import (
     NotCyclicError,
     cyclic_decompose,
@@ -209,6 +209,19 @@ def test_stacked_sweep_matches_per_angle_loop():
                                            rep.block_boundaries):
             ref_s, ref_b = _loop_sweep(blk.irrep(a), rep.thetas)
             assert np.max(np.abs(supports - ref_s)) < 1e-12
+            assert np.max(np.abs(boundary - ref_b)) < 1e-12
+    # the kernel itself, on (2, 3, d, d) stacks: one support value and top
+    # eigenvector per matrix and angle, whatever the batch axes
+    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    for d in (1, 2, 3):
+        ms = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        supports, vecs = support_sweep(ms, len(thetas))
+        assert supports.shape == (2, 3, 16) and vecs.shape == (2, 3, 16, d)
+        for idx in np.ndindex(2, 3):
+            m = ms[idx]
+            ref_s, ref_b = _loop_sweep(m, thetas)
+            boundary = np.einsum("ki,ij,kj->k", vecs[idx].conj(), m, vecs[idx])
+            assert np.max(np.abs(supports[idx] - ref_s)) < 1e-12
             assert np.max(np.abs(boundary - ref_b)) < 1e-12
 
 
