@@ -120,14 +120,50 @@ def support_sweep(ms: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray
 
     At angle θ the top eigenpair of the Hermitian part of e^{-iθ} m is the
     support value of m's numerical range in direction θ and a vector η whose
-    <η, mη> is a boundary point.  All matrices and angles go through one
-    stacked eigh.  Returns the support values (..., n_angles) and the top
-    eigenvectors (..., n_angles, d).
+    <η, mη> is a boundary point.  For d ≤ 2 the eigenpair is in closed form
+    (see _top_eigenpair_2x2); larger matrices and all their angles go
+    through one stacked eigh.  Returns the support values (..., n_angles)
+    and the unit vectors η (..., n_angles, d).
     """
     phases = np.exp(-1j * np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False))
+    d = ms.shape[-1]
+    if d == 1:
+        support = (phases * ms[..., 0, :]).real
+        return support, np.ones(support.shape + (1,), dtype=complex)
+    if d == 2:
+        return _top_eigenpair_2x2(phases, ms)
     rot = phases[:, None, None] * ms[..., None, :, :]
     vals, vecs = np.linalg.eigh((rot + rot.conj().swapaxes(-1, -2)) / 2)
     return vals[..., -1], vecs[..., -1]
+
+
+def _top_eigenpair_2x2(phases: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpair of the Hermitian part [[α, β], [β̄, δ]] of e^{-iθ} m
+    for each phase e^{-iθ} and 2×2 matrix m of a (..., 2, 2) stack.
+
+    With h = (α − δ)/2 and r = hypot(h, |β|) the eigenvalue is
+    (α + δ)/2 + r, and the eigenvector (β, r − h) for h ≤ 0, else
+    (r + h, β̄): the choice keeps its larger entry at least r, so neither
+    cancels.  A scalar Hermitian part (r = 0) gets e₂, as LAPACK returns
+    for a scalar matrix.  r, |β| and the norm of η come from hypot, which
+    neither overflows nor underflows where squaring an entry would.
+    """
+    alpha = (phases * ms[..., 0, 0, None]).real
+    delta = (phases * ms[..., 1, 1, None]).real
+    beta = (phases * ms[..., 0, 1, None] + (phases * ms[..., 1, 0, None]).conj()) / 2
+    h = (alpha - delta) / 2
+    abs_beta = np.abs(beta)
+    r = np.hypot(h, abs_beta)
+    lower = h <= 0
+    eta = np.empty(h.shape + (2,), dtype=complex)
+    eta[..., 0] = np.where(lower, beta, r + h)
+    eta[..., 1] = np.where(lower, r - h, beta.conj())
+    norm = np.hypot(abs_beta, r + np.abs(h))
+    scalar = norm == 0
+    eta[scalar, 1] = 1
+    norm[scalar] = 1
+    eta *= (1 / norm)[..., None]  # a real factor: no complex division
+    return (alpha + delta) / 2 + r, eta
 
 
 def cluster_eigenvalues(vals: np.ndarray) -> list[np.ndarray]:

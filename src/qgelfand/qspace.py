@@ -29,7 +29,6 @@ from .linalg import (
     cluster_eigenvalues,
     hermitian_eig,
     op_norm,
-    orthonormalize,
     proj_join,
     proj_leq,
     proj_meet,
@@ -328,10 +327,12 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
     The values of â on a joined pair's vector states form the numerical
     range of the compressed 2×2 matrix m, traced by linalg.support_sweep:
     at each of 64 angles the top eigenvector η of the Hermitian part of
-    e^{-iθ} m gives the boundary point <η, mη>.  All pairs and angles go
-    through one stacked eigh.  The violation is the largest one; violations
-    within LATTICE_TOL of it tie, and the witness is the first of them in
-    (pair, angle) order, so rounding noise cannot pick it.
+    e^{-iθ} m gives the boundary point <η, mη>.  The first 200 joined pairs
+    are orthonormalized and compressed as one stack, and all pairs and
+    angles go through the sweep's closed form for 2×2 matrices at once.
+    The violation is the largest one; violations within LATTICE_TOL of it
+    tie, and the witness is the first of them in (pair, angle) order, so
+    rounding noise cannot pick it.
     """
     dec = alg.decomposition()
     a = alg.require_member(a)
@@ -344,35 +345,39 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
             inside.append(s)
     worst = 0.0
     witness = None
-    pairs = 0
-    joined: list[tuple[int, np.ndarray]] = []  # (block, orthonormal 2-frame)
-    ms = []
-    for s, t in itertools.combinations(inside, 2):
-        if s.block != t.block or pure_equal(s, t):
-            continue
-        pairs += 1
-        # pure_equal excludes parallel vectors, so w has two columns
-        w = orthonormalize(np.column_stack([s.vector, t.vector]))
-        joined.append((s.block, w))
-        ms.append(w.conj().T @ images[s.block] @ w)
-        if pairs >= 200:
-            break
-    if ms:
-        ms = np.array(ms)
+    # every block's irrep space is padded with zeros to the largest one, so
+    # that pairs of all blocks share one stack: the padding adds exact zeros
+    # to every product and stays zero in every frame
+    dim = max(blk.irrep_dim for blk in dec.blocks)
+    vecs = np.zeros((len(inside), dim), dtype=complex)
+    for k, s in enumerate(inside):
+        vecs[k, :len(s.vector)] = s.vector
+    blocks = np.array([s.block for s in inside], dtype=int)
+    first, second = _join_pairs(blocks, vecs, 200)
+    pairs = len(first)
+    if pairs:
+        # two-pass Gram–Schmidt of each pair; pure_equal excluded parallel
+        # vectors, so the second residual is far above RANK_TOL
+        x, y = vecs[first], vecs[second]
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        for _ in range(2):
+            y = y - x * np.sum(x.conj() * y, axis=1, keepdims=True)
+        w = np.stack([x, y / np.linalg.norm(y, axis=1, keepdims=True)], axis=-1)
+        padded = np.zeros((dec.n_blocks, dim, dim), dtype=complex)
+        for i, im in enumerate(images):
+            padded[i, :len(im), :len(im)] = im
+        ms = w.conj().swapaxes(-1, -2) @ padded[blocks[first]] @ w
         _, eta = support_sweep(ms, 64)  # eta: (pairs, angles, 2)
-        # the reported violation matches the per-angle scalar code bit for
-        # bit: two stacked matmuls give np.vdot(η, m @ η), which an einsum
-        # does not, and hypot gives Python's complex abs, which np.abs does
-        # not off the real axis
-        z = np.matmul(eta.conj()[..., None, :], np.matmul(ms[:, None], eta[..., None]))[..., 0, 0]
+        # <η, mη>, with mη for all angles of a pair from one η mᵀ product
+        z = np.sum(eta.conj() * (eta @ ms.swapaxes(-1, -2)), axis=-1)
         d = z - center
         viol = np.hypot(d.real, d.imag) - radius
         top = viol.max()
         if top > 0:
             worst = float(top)
             k, j = np.unravel_index(np.argmax(viol >= top - LATTICE_TOL), viol.shape)
-            block, w = joined[k]
-            witness = PureState(block, w @ eta[k, j])
+            block = int(blocks[first[k]])
+            witness = PureState(block, (w[k] @ eta[k, j])[:dec.blocks[block].irrep_dim])
     if pairs == 0:
         # no inequivalent same-block pairs: joins add nothing, closure holds
         if inside:
@@ -388,6 +393,26 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
         {"violation": worst, "pairs_checked": pairs, "preimage_size": len(inside)},
         verdict, [witness] if witness is not None else [],
     )
+
+
+def _join_pairs(blocks: np.ndarray, vecs: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first cap pairs (i, j), i < j, in itertools.combinations order,
+    of samples in one block whose states are not pure_equal: (the i's, the
+    j's).  Found row by row, sample i against every later sample, so only
+    the rows up to the cap are formed, not all pairs."""
+    first, second = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    found = 0
+    for i in range(len(blocks) - 1):
+        later = i + 1 + np.flatnonzero(blocks[i + 1:] == blocks[i])
+        # pure_equal's rule on the overlaps |<v_i, v_j>|
+        later = later[np.abs(np.abs(vecs[later] @ vecs[i].conj()) - 1.0) > RANK_TOL]
+        later = later[:cap - found]
+        first.append(np.full(len(later), i))
+        second.append(later)
+        found += len(later)
+        if found >= cap:
+            break
+    return np.concatenate(first), np.concatenate(second)
 
 
 def cstar_identity_defect(f: QFunction, instance: str = "") -> ClaimsReport:

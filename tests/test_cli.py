@@ -242,9 +242,14 @@ def test_claims_report_format(runner, files):
 
 def test_claims_preimage_m3_report_bytes(runner, files):
     # on M3 every joined pair ties at violation 0.4 up to rounding.  The
-    # violation is the bytes the per-angle loop wrote; the witness was
-    # re-recorded when violations within LATTICE_TOL of the largest came to
-    # tie, the first in sweep order winning, instead of rounding picking it
+    # witness was re-recorded when violations within LATTICE_TOL of the
+    # largest came to tie, the first in sweep order winning, instead of
+    # rounding picking it.  Witness and violation were re-recorded when the
+    # sweep of 2×2 compressions came to be taken in closed form: the witness
+    # is the same state, its vector times a unit phase (3e-17 apart once the
+    # phase is aligned), and the violation moved by 4 ulps, from the per-angle
+    # loop's 0.40000000000000024 to 0.4; pairs_checked, preimage_size and the
+    # verdict did not move
     gen = np.zeros((3, 3), dtype=complex)
     gen[0, 1] = gen[1, 2] = 1.0
     (files["tmp"] / "m3.json").write_text(json.dumps({
@@ -256,9 +261,9 @@ def test_claims_preimage_m3_report_bytes(runner, files):
         "suite": "preimage", "instances": ["m3.json"], "samples": 60, "seed": 0,
     }))
     witness = {"block": 0, "vector": [
-        [-0.05564803085603823, -0.7726103259756034],
-        [-0.2724784403494423, -0.13162459617304711],
-        [-0.3287875331135334, 0.4475553643448509],
+        [0.7441874900965576, -0.21496138891919322],
+        [0.07213842149762265, -0.2938802186551753],
+        [-0.5061016272969863, -0.2286223718975845],
     ]}
     expected = {
         "suite": "preimage",
@@ -266,7 +271,7 @@ def test_claims_preimage_m3_report_bytes(runner, files):
                    "instances": ["m3.json"]},
         "rows": [{"claim": "hat_preimage_qness", "instance": "m3",
                   "defects": {"pairs_checked": 190, "preimage_size": 20,
-                              "violation": 0.40000000000000024},
+                              "violation": 0.4},
                   "verdict": "fails", "witnesses": [witness],
                   "mode": "superposition", "seed": 0}],
         "ok": True,

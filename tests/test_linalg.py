@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgelfand import linalg
 from qgelfand.algebra import generate_algebra
 from qgelfand.linalg import (
     CLUSTER_GAP,
@@ -25,6 +26,7 @@ from qgelfand.linalg import (
     projector_from_matrix,
     random_projector,
     sasaki_product,
+    support_sweep,
 )
 
 RNG = np.random.default_rng(2024)
@@ -396,3 +398,56 @@ def test_cluster_eigenvalues_of_nothing_is_one_empty_cluster():
     # the loop returned [array([0])], an index into an empty array
     (cluster,) = cluster_eigenvalues(np.array([]))
     assert cluster.size == 0
+
+
+def _small_sweep_inputs():
+    """(3, k, d, d) stacks for d = 1 and 2: k matrices at the scales 1,
+    1e-150 and 1e150, where squaring an entry would under- or overflow."""
+    rng = np.random.default_rng(17)
+    ones = np.array([[2 + 1j], [-0.5j], [3.0]])[:, :, None]
+    twos = np.array([
+        (2 + 1j) * np.eye(2),  # scalar: every Hermitian part is scalar too
+        np.diag([1.0, 1.0 + 1e-12]),  # the two eigenvalues all but tie
+        [[1.0, 2 - 1j], [2 + 1j, -3.0]],  # Hermitian
+        [[0.0, 1.0], [0.0, 0.0]],  # nilpotent E12
+        *(rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))),
+    ], dtype=complex)
+    scales = np.array([1.0, 1e-150, 1e150])[:, None, None, None]
+    return [scales * ones[None], scales * twos[None]]
+
+
+@pytest.mark.parametrize("ms", _small_sweep_inputs(), ids=["d1", "d2"])
+def test_closed_form_sweep_matches_eigh_loop(ms):
+    # the closed form against one eigh per matrix and angle: support value,
+    # unit η, eigen-residual and boundary point <η, mη>, each relative to
+    # the matrix norm
+    thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    supports, etas = support_sweep(ms, len(thetas))
+    assert supports.shape == ms.shape[:2] + (64,)
+    assert etas.shape == ms.shape[:2] + (64, ms.shape[-1])
+    for idx in np.ndindex(ms.shape[:2]):
+        m = ms[idx]
+        tol = 1e-13 * np.linalg.norm(m, 2)
+        for k, theta in enumerate(thetas):
+            rot = np.exp(-1j * theta) * m
+            h = (rot + rot.conj().T) / 2
+            vals, vecs = np.linalg.eigh(h)
+            lam, eta = supports[idx][k], etas[idx][k]
+            assert abs(lam - vals[-1]) <= tol
+            assert abs(np.linalg.norm(eta) - 1) <= 1e-15 * len(eta)
+            assert np.linalg.norm(h @ eta - lam * eta) <= tol
+            assert abs(np.vdot(eta, m @ eta) - np.vdot(vecs[:, -1], m @ vecs[:, -1])) <= tol
+
+
+def test_closed_form_sweep_never_calls_eigh(monkeypatch):
+    # stacks of 1×1 and 2×2 matrices stay on the closed form; a 3×3 stack
+    # reaches the patched eigh, so the patch is the one support_sweep sees
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", no_eigh)
+    for ms in _small_sweep_inputs():
+        support_sweep(ms, 64)
+        support_sweep(ms[0, 0], 720)
+    with pytest.raises(AssertionError, match="eigh called"):
+        support_sweep(np.eye(3, dtype=complex), 8)

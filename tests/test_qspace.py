@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,20 +296,21 @@ def test_claims_report_serializable(m2):
 
 
 def _preimage_sweep_reference(alg, a, center, radius, samples, rng):
-    """The per-pair, per-angle loop that hat_preimage_qness batches: returns
-    (worst violation, pairs checked, witness or None, every (violation,
-    candidate witness) in sweep order)."""
+    """The per-pair, per-angle loop that hat_preimage_qness stacks, with
+    per-pair orthonormalize and per-angle eigh: returns (worst violation,
+    the pairs (i, j) of preimage samples checked, witness or None, every
+    (violation, candidate witness) in (pair, angle) order)."""
     dec = alg.decomposition()
     inside = []
     for _ in range(samples):
         s = random_pure_state(dec, rng)
         if abs(hat(alg, a, s) - center) <= radius:
             inside.append(s)
-    sweep, pairs = [], 0
-    for s, t in itertools.combinations(inside, 2):
+    sweep, pairs = [], []
+    for (i, s), (j, t) in itertools.combinations(enumerate(inside), 2):
         if s.block != t.block or pure_equal(s, t):
             continue
-        pairs += 1
+        pairs.append((i, j))
         w = orthonormalize(np.column_stack([s.vector, t.vector]))
         if w.shape[1] < 2:
             continue
@@ -319,12 +321,38 @@ def _preimage_sweep_reference(alg, a, center, radius, samples, rng):
             eta = vecs[:, -1]
             z = complex(np.vdot(eta, m @ eta))
             sweep.append((abs(z - center) - radius, PureState(s.block, w @ eta)))
-        if pairs >= 200:
+        if len(pairs) >= 200:
             break
     worst = max([0.0] + [v for v, _ in sweep])
     # violations within LATTICE_TOL of the largest tie; the first one wins
     witness = next((c for v, c in sweep if v >= worst - LATTICE_TOL), None) if worst > 0 else None
     return worst, pairs, witness, sweep
+
+
+def _equal_up_to_phase(u, v):
+    phase = np.vdot(v, u)
+    return abs(abs(phase) - 1) <= 1e-12 and np.max(np.abs(u - phase / abs(phase) * v)) <= 1e-12
+
+
+def _first_match(sweep, state):
+    """Index of the first candidate of the loop's sweep that is state, up to
+    the phase of its vector: the (pair, angle) the probe's witness came from."""
+    return next(n for n, (_, c) in enumerate(sweep)
+                if c.block == state.block and _equal_up_to_phase(state.vector, c.vector))
+
+
+@pytest.fixture()
+def joined(monkeypatch):
+    """The (i's, j's) arrays of preimage-sample pairs the probe selects."""
+    calls = []
+    select = qspace._join_pairs
+
+    def record(*args):
+        calls.append(select(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(qspace, "_join_pairs", record)
+    return calls
 
 
 def _preimage_case(name, rng):
@@ -355,33 +383,34 @@ def _preimage_case(name, rng):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", ["M2", "M3", "E12xI2", "rand_M2xI2", "rand_M2xI2_proj", "C3"])
-def test_preimage_sweep_matches_per_angle_loop(name, seed):
-    # the stacked sweep reproduces the loop bit for bit: same violation, same
-    # pair count and the same witness, the first within LATTICE_TOL of the
-    # largest violation
+def test_preimage_sweep_matches_per_angle_loop(joined, name, seed):
+    # the stacked pass checks the loop's pairs; the closed-form sweep gives
+    # the loop's violation to within 8 ulps, and its witness is the loop's
+    # first near-tie (same pair and angle), up to the phase of η
     alg, a, center, radius, samples = _preimage_case(name, np.random.default_rng([seed, 99]))
-    worst, pairs, witness, _ = _preimage_sweep_reference(
+    worst, pairs, witness, sweep = _preimage_sweep_reference(
         alg, a, center, radius, samples, np.random.default_rng(seed))
     rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(seed))
-    assert rep.defects["pairs_checked"] == pairs
+    (selected,) = joined
+    assert list(zip(*(ix.tolist() for ix in selected))) == pairs
+    assert rep.defects["pairs_checked"] == len(pairs)
     if name == "M2":
-        assert pairs == 200  # the cap cut the sweep
+        assert len(pairs) == 200  # the cap cut the sweep
     if name == "C3":
-        assert pairs == 0 and rep.witnesses == []
+        assert pairs == [] and rep.witnesses == []
         return
-    assert rep.defects["violation"] == worst
+    assert abs(rep.defects["violation"] - worst) <= 8 * np.spacing(worst)
     if witness is None:
         assert rep.witnesses == []
-    else:
-        (got,) = rep.witnesses
-        assert got.block == witness.block
-        assert np.array_equal(got.vector, witness.vector)
+        return
+    (got,) = rep.witnesses
+    assert sweep[_first_match(sweep, got)][1] is witness
 
 
 def test_preimage_witness_is_first_near_tie():
-    # on M3 the violations tie at 0.4 up to rounding: here the first one in
-    # sweep order reads two ulps below the largest, which comes later.  The
-    # report keeps the largest value and takes the first as its witness
+    # on M3 the violations tie at 0.4 up to rounding: here the loop's first
+    # one in sweep order reads two ulps below its largest, which comes later.
+    # The report keeps the largest value and takes the first as its witness
     alg, a, center, radius, samples = _preimage_case("M3", np.random.default_rng([2, 99]))
     worst, _, _, sweep = _preimage_sweep_reference(
         alg, a, center, radius, samples, np.random.default_rng(2))
@@ -390,10 +419,35 @@ def test_preimage_witness_is_first_near_tie():
     assert first < largest and viols[largest] == worst
     assert 0 < worst - viols[first] <= 2 * np.spacing(worst)
     rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(2))
-    assert rep.defects["violation"] == worst
+    assert abs(rep.defects["violation"] - worst) <= 8 * np.spacing(worst)
     (got,) = rep.witnesses
-    assert np.array_equal(got.vector, sweep[first][1].vector)
-    assert not np.array_equal(got.vector, sweep[largest][1].vector)
+    assert _first_match(sweep, got) == first
+
+
+def test_preimage_pair_selection_is_lazy(joined):
+    # at 5000 samples about 3000 land in the preimage: all pairs would be
+    # some 4.5 million, 70 MB as two index arrays, and a k×k boolean mask
+    # alone is 9 MB.  The row-by-row selection finds the loop's first 200
+    # with a peak under 6 MB for the whole probe, samples included
+    alg, a, center, radius, _ = _preimage_case("M2", np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        rep = hat_preimage_qness(alg, a, center, radius, 5000, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+    assert rep.defects["pairs_checked"] == 200
+    ref_rng = np.random.default_rng(3)
+    dec = alg.decomposition()
+    inside = [s for s in (random_pure_state(dec, ref_rng) for _ in range(5000))
+              if abs(hat(alg, a, s) - center) <= radius]
+    assert rep.defects["preimage_size"] == len(inside)
+    pairs = itertools.islice(
+        ((i, j) for (i, s), (j, t) in itertools.combinations(enumerate(inside), 2)
+         if s.block == t.block and not pure_equal(s, t)), 200)
+    (selected,) = joined
+    assert list(zip(*(ix.tolist() for ix in selected))) == list(pairs)
 
 
 def test_thm3_separation_values_are_hat(star_algebras):
