@@ -39,7 +39,39 @@ def _write_text(text: str, out: str | None):
 
 
 def _dump(obj: dict, out: str | None):
-    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    _write_text(canonical_json(obj) + "\n", out)
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+# leaf types whose JSON text never holds ", ": a flat list of them is one
+# C-encoder call whose separators become the indented ones
+_FLAT_LEAVES = {int, float, bool, type(None)}
+
+
+def canonical_json(obj) -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), without the
+    pure-Python encoder that indent selects.
+
+    Dicts (str keys only) and lists or tuples are laid out here, one level
+    per recursion; every leaf, and every flat list of numbers, goes through
+    the stdlib's C encoder, so NaN, ±Infinity and string escapes are its own.
+    """
+    return _canonical(obj, "\n")
+
+
+def _canonical(obj, nl: str) -> str:
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("canonical JSON keys must be str")
+        return ("{" + inner + ("," + inner).join(
+            _ENCODE(k) + ": " + _canonical(obj[k], inner) for k in sorted(obj))
+            + nl + "}")
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _FLAT_LEAVES:
+            return "[" + inner + _ENCODE(obj)[1:-1].replace(", ", "," + inner) + nl + "]"
+        return "[" + inner + ("," + inner).join(_canonical(v, inner) for v in obj) + nl + "]"
+    return _ENCODE(obj)
 
 
 def _load_json(path: str) -> dict:
@@ -290,7 +322,7 @@ def spectral_report(matrix_file, seed, samples, out, plot_data):
     angle grid and the sample cloud (n_angles, samples), sigma_gap (the
     largest distance from a swept boundary point to sigma, which decides
     sigma_equals_big) and the two flags.  The angles, the boundary points
-    and the cloud go only to --plot-data."""
+    and the cloud go only to --plot-data, and the cloud is drawn only then."""
     a = _load_matrix(matrix_file)
     try:
         rep = spectral.sigma_big(a, samples=samples,

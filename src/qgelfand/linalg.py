@@ -118,13 +118,17 @@ def support_sweep(ms: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray
     matrix of a (..., d, d) stack over n_angles angles evenly spaced on
     [0, 2π).
 
-    At angle θ the top eigenpair of the Hermitian part of e^{-iθ} m is the
-    support value of m's numerical range in direction θ and a vector η whose
-    <η, mη> is a boundary point.  For d ≤ 2 the eigenpair is in closed form
-    (see _top_eigenpair_2x2); larger matrices and all their angles go
-    through one stacked eigh.  Returns the support values (..., n_angles)
-    and the unit vectors η (..., n_angles, d).
+    At angle θ the top eigenpair of the Hermitian part H(θ) of e^{-iθ} m is
+    the support value of m's numerical range in direction θ and a vector η
+    whose <η, mη> is a boundary point.  For d ≤ 2 the eigenpair is in closed
+    form (see _top_eigenpair_2x2).  Larger matrices go through one stacked
+    eigh over the first n_angles/2 angles only: H(θ + π) = −H(θ), so the
+    support at θ + π is minus the bottom eigenvalue at θ, with the bottom
+    eigenvector as η.  n_angles must be even.  Returns the support values
+    (..., n_angles) and the unit vectors η (..., n_angles, d).
     """
+    if n_angles % 2:
+        raise ValueError(f"n_angles must be even, got {n_angles}")
     phases = np.exp(-1j * np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False))
     d = ms.shape[-1]
     if d == 1:
@@ -132,9 +136,10 @@ def support_sweep(ms: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray
         return support, np.ones(support.shape + (1,), dtype=complex)
     if d == 2:
         return _top_eigenpair_2x2(phases, ms)
-    rot = phases[:, None, None] * ms[..., None, :, :]
+    rot = phases[:n_angles // 2, None, None] * ms[..., None, :, :]
     vals, vecs = np.linalg.eigh((rot + rot.conj().swapaxes(-1, -2)) / 2)
-    return vals[..., -1], vecs[..., -1]
+    return (np.concatenate([vals[..., -1], -vals[..., 0]], axis=-1),
+            np.concatenate([vecs[..., -1], vecs[..., 0]], axis=-2))
 
 
 def _top_eigenpair_2x2(phases: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

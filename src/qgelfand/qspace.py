@@ -27,6 +27,7 @@ from .linalg import (
     DimensionMismatchError,
     Projector,
     cluster_eigenvalues,
+    haar_unit_vector,
     hermitian_eig,
     op_norm,
     proj_join,
@@ -338,11 +339,14 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
     a = alg.require_member(a)
     # a is checked once here; each sample is hat's arithmetic on a's images
     images = [blk.irrep(a) for blk in dec.blocks]
+    # random_pure_state's draws, in its order; only the draws inside the
+    # disc become PureStates
     inside: list[PureState] = []
     for _ in range(samples):
-        s = random_pure_state(dec, rng)
-        if abs(complex(np.vdot(s.vector, images[s.block] @ s.vector)) - center) <= radius:
-            inside.append(s)
+        i = int(rng.integers(dec.n_blocks))
+        v = haar_unit_vector(dec.blocks[i].irrep_dim, rng)
+        if abs(complex(np.vdot(v, images[i] @ v)) - center) <= radius:
+            inside.append(PureState(i, v))
     worst = 0.0
     witness = None
     # every block's irrep space is padded with zeros to the largest one, so

@@ -54,16 +54,28 @@ class SpectralReport:
 
     The canonical JSON keeps the verdict and what it rests on; the angle
     grid, the boundary polylines and the cloud stay on the object for the
-    plot data."""
+    plot data.  The cloud, samples values <x, a x> over Haar unit vectors
+    x, is drawn from rng when first read and then kept: only the plot data
+    reads it."""
 
     sigma: np.ndarray
     thetas: np.ndarray
     block_supports: list[np.ndarray]  # support value per angle, per block
     block_boundaries: list[np.ndarray]  # complex boundary polyline per block
-    cloud: np.ndarray  # complex samples of a-hat over Haar pure states
     sigma_singleton: bool
     sigma_equals_big: bool
     sigma_gap: float  # largest distance from a boundary point to sigma
+    a: np.ndarray
+    samples: int
+    rng: np.random.Generator
+    _cloud: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def cloud(self) -> np.ndarray:
+        if self._cloud is None:
+            xs = haar_unit_vectors(self.samples, self.a.shape[0], self.rng)
+            self._cloud = _quadratic_values(self.a, xs)
+        return self._cloud
 
     def contains(self, z: complex, tol: float = SIGMA_TOL) -> bool:
         """z in Sigma(a) iff some block's support function dominates it at
@@ -76,7 +88,7 @@ class SpectralReport:
             "sigma": [[z.real, z.imag] for z in self.sigma],
             "block_supports": [s.tolist() for s in self.block_supports],
             "n_angles": len(self.thetas),
-            "samples": len(self.cloud),
+            "samples": self.samples,
             "sigma_gap": float(self.sigma_gap),
             "flags": {
                 "sigma_singleton": self.sigma_singleton,
@@ -93,7 +105,8 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     Per block, the numerical range of the block image is traced by
     linalg.support_sweep: for each angle the top eigenvector of the
     Hermitian part of e^{-i theta} m gives a boundary point.  A Haar sample
-    cloud over ambient unit vectors is attached for diagnostics.
+    cloud of samples ambient unit vectors is drawn from rng for diagnostics
+    when the report's cloud is first read.
     """
     a = as_cmatrix(a)
     if rng is None:
@@ -111,15 +124,13 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
         block_supports.append(supports)
         block_boundaries.append(_quadratic_values(m, v))
 
-    cloud = _quadratic_values(a, haar_unit_vectors(samples, a.shape[0], rng))
-
     all_boundary = np.concatenate(block_boundaries)
     singleton = bool(np.max(np.abs(all_boundary - all_boundary[0])) <= SIGMA_TOL)
     # Hausdorff check: every boundary point near sigma and vice versa
     gap = _distances_to(sig, all_boundary).max()
     equals = bool(gap <= 10 * SIGMA_TOL)
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
-                            cloud, singleton, equals, gap)
+                            singleton, equals, gap, a, samples, rng)
     for lam in sig:
         if not report.contains(lam, 100 * SIGMA_TOL):
             raise RuntimeError("eigenvalue escaped the swept Sigma region")
@@ -356,7 +367,7 @@ def invariant_subspace(a: np.ndarray, mode: str = "oracle",
         rng = np.random.default_rng(0)
     out = []
     if mode in ("paper", "both"):
-        report = sigma_big(a, samples=0)
+        report = sigma_big(a)
         out.append(_modeled_result(a, report, samples, rng))
     if mode in ("oracle", "both"):
         out.append(_oracle_result(a))

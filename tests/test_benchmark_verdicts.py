@@ -1,9 +1,12 @@
-"""The benchmark's recorded verdicts, checked on one cycle of its claims and
-spectral workloads at workload seed 0.  Each command runs through the CLI
-as the benchmark runs it, and each report is checked against
+"""The benchmark's recorded verdicts, checked on one cycle of each of its
+workloads at workload seed 0.  Each command runs through the CLI as the
+benchmark runs it, and each report is checked against
 perfbench/expected.json, so a flipped verdict fails here, not only in a
-benchmark run.  Nothing under perfbench/ is written."""
+benchmark run.  Each report must also be the canonical JSON of its own
+content, so a drift of the report writer from json.dumps(..., sort_keys=True,
+indent=2) fails here on real reports.  Nothing under perfbench/ is written."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from perfbench.run import invoke  # noqa: E402
 from qgelfand.cli import main  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["claims", "spectral"])
+@pytest.mark.parametrize("workload", ["claims", "spectral", "lattice"])
 def test_workload_cycle_keeps_recorded_verdicts(tmp_path, workload):
     expected = checks.load_expected()[workload]
     failures = []
@@ -24,4 +27,8 @@ def test_workload_cycle_keeps_recorded_verdicts(tmp_path, workload):
         passed, _, reason = checks.check(cmd, *invoke(main, cmd.argv), expected)
         if not passed:
             failures.append((cmd.name, reason))
+            continue
+        data = cmd.out.read_text()
+        if data != json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n":
+            failures.append((cmd.name, "not canonical JSON"))
     assert failures == []

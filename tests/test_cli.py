@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import E12
-from qgelfand.cli import main
+from qgelfand import spectral
+from qgelfand.cli import canonical_json, main
 from qgelfand.linalg import matrix_to_json
 from qgelfand.oml import lattice_zoo
 
@@ -414,6 +417,50 @@ def test_spectral_report(runner, files):
     assert not {"thetas", "block_boundaries", "cloud"} & rep.keys()
 
 
+def test_spectral_report_draws_cloud_only_for_plot_data(runner, files, monkeypatch):
+    # the report without --plot-data never draws the Haar cloud, and still
+    # counts the samples it would draw; with --plot-data the spy is reached
+    calls = []
+    draw = spectral.haar_unit_vectors
+
+    def spy(*args):
+        calls.append(args[:2])
+        return draw(*args)
+
+    monkeypatch.setattr(spectral, "haar_unit_vectors", spy)
+    argv = ["spectral", "report", files["e12.json"], "--seed", "4", "--samples", "300"]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["samples"] == 300
+    assert calls == []
+    res = runner.invoke(main, [*argv, "--plot-data", str(files["tmp"] / "plot.csv")])
+    assert res.exit_code == 0
+    assert calls == [(300, 2)]
+
+
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]),
+    st.floats())
+_JSON_INTS = st.one_of(st.integers(), st.integers(2**63, 2**70), st.integers(-2**70, -2**63))
+# lists of numbers, bools and None: the flat lists the writer encodes in one call
+_JSON_FLAT = st.lists(st.one_of(_JSON_FLOATS, _JSON_INTS, st.booleans(), st.none()))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_FLOATS, st.text(), _JSON_FLAT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20)
+
+
+@given(obj=_JSON_VALUES)
+@example(obj={"k\"\\\n\t\u00e9\u2028\U0001f600": [float("nan"), float("inf"), -float("inf"),
+                                                   -0.0, 5e-324, 1e308, 2**64, True, None],
+              "": {}, "e": [], "t": (1, (2.5, "a, b"), ()), "s": ["x", "y, z"]})
+def test_canonical_json_matches_stdlib_indent(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 def test_spectral_nonsquare(runner, files):
     ns = files["tmp"] / "ns.json"
     ns.write_text(json.dumps(matrix_to_json(np.zeros((2, 3)))))
@@ -528,8 +575,9 @@ def test_samples_below_one(runner, files, command, samples):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["spectral", "report"],
-     "081bacccb846641701cda4942123b946af18c826528f73711a54ecf5f4058a35"),
+    pytest.param(["spectral", "report"],
+                 "62e16bbfacbac415d69490149e2a97a6a81f43497495e0e73b6d312ed39fa79b",
+                 id="spectral report"),
     (["invsub", "--mode", "both"],
      "13b70bb077732674c44040614335e6d04b62131f55b2f4b8a5ccbe77b8288786"),
 ])
@@ -541,7 +589,10 @@ def test_spectral_report_bytes(runner, tmp_path, argv, digest):
     # digest was re-recorded when invsub stopped drawing the Haar cloud it
     # never read: the sigma fiber is now drawn from the start of the seeded
     # stream, so the paper result's projector and defect moved; its case
-    # tag, verdict, rank and notes did not.
+    # tag, verdict, rank and notes did not.  The spectral report's digest was
+    # re-recorded again when the sweep of blocks of size 3 or more came to
+    # solve half the angles and take the other half from H(θ+π) = −H(θ):
+    # the last bits of block_supports moved (by at most 3.4e-16).
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(matrix_to_json(np.eye(3, k=1))))
     res = runner.invoke(main, [*argv, str(path), "--seed", "0", "--samples", "200"])
@@ -557,11 +608,15 @@ def test_spectral_report_bytes(runner, tmp_path, argv, digest):
 # fully null system and the blocks came out in another order.  They were
 # re-recorded again when the blocks came to be sorted by a fixed key (irrep
 # dimension, multiplicity, then the letters' spectra), which fixes that
-# order (test_spectral_block_supports_order_free pins the blocks themselves)
+# order (test_spectral_block_supports_order_free pins the blocks themselves).
+# shift3's two digests were re-recorded when the sweep of a block of size 3
+# came to take the angles from π on from H(θ+π) = −H(θ): the last bits of its
+# supports and boundary points moved (by at most 1e-15); its cloud rows and
+# every other key kept their bytes
 _PLOT_PINS = [
     pytest.param(np.eye(3, k=1),
-                 "5f9f761abe95e5dc029c9c1e893712d265718ea9017bcd8d590201e1655b018e",
-                 "753a2ac7e66905d5804a20cab6aa9d14243b638e0a892a817019e2dbb581763c",
+                 "1c6ce25fd7f24443acfcc50be2be56d58c41974d7589b0a0ea441a189f5b5da9",
+                 "554d80bb24bb3d03fbb6f53e153a591ce134e370b4d839d6eb245c271bbf0470",
                  id="shift3"),
     pytest.param(np.diag([1, 2j, -1]),
                  "ee25e80afb4703c2a2ef50de46ca729a69c24dbc5d47b8f3c7ee8a008471ca71",

@@ -451,3 +451,73 @@ def test_closed_form_sweep_never_calls_eigh(monkeypatch):
         support_sweep(ms[0, 0], 720)
     with pytest.raises(AssertionError, match="eigh called"):
         support_sweep(np.eye(3, dtype=complex), 8)
+
+
+def _large_sweep_inputs(d):
+    """(k, d, d) stacks for d ≥ 3: random complex matrices, the nilpotent
+    shift, and a Hermitian matrix whose top eigenvalue is repeated; for
+    d = 3 also the random ones at the scales 1e-150 and 1e150."""
+    rng = np.random.default_rng(100 + d)
+    randoms = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    spectrum = np.concatenate([[2.0, 2.0], np.linspace(-1.0, 1.0, d - 2)])
+    hermitian = (u * spectrum) @ u.conj().T
+    ms = [*randoms, np.eye(d, k=1), (hermitian + hermitian.conj().T) / 2]
+    if d == 3:
+        ms += [scale * m for scale in (1e-150, 1e150) for m in randoms]
+    return np.array(ms, dtype=complex)
+
+
+@pytest.mark.parametrize("n_angles", [720, 64])
+@pytest.mark.parametrize("d", range(3, 9))
+def test_half_angle_sweep_matches_eigh_loop(d, n_angles):
+    # the stacked eigh over half the angles, with H(θ+π) = −H(θ) giving the
+    # other half, against one eigh per matrix and angle: support value, unit
+    # η and eigen-residual, each relative to the matrix norm, and the
+    # boundary point <η, mη> wherever it is unique.  It is unique when the
+    # face of the numerical range in direction θ, the numerical range of m
+    # compressed to the top eigenspace of H(θ), is one point: always for a
+    # simple top eigenvalue, and for the repeated one of the Hermitian input
+    # except where H(θ) = cos θ·m is all rounding (θ = π/2, 3π/2), and there
+    # the face is the whole segment [λ_min, λ_max].
+    ms = _large_sweep_inputs(d)
+    thetas = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    supports, etas = support_sweep(ms, n_angles)
+    assert supports.shape == (len(ms), n_angles)
+    assert etas.shape == (len(ms), n_angles, d)
+    for m, sup, eta in zip(ms, supports, etas):
+        tol = 1e-13 * np.linalg.norm(m, 2)
+        for k, theta in enumerate(thetas):
+            rot = np.exp(-1j * theta) * m
+            h = (rot + rot.conj().T) / 2
+            vals, vecs = np.linalg.eigh(h)
+            assert abs(sup[k] - vals[-1]) <= tol
+            assert abs(np.linalg.norm(eta[k]) - 1) <= 1e-15 * d
+            assert np.linalg.norm(h @ eta[k] - sup[k] * eta[k]) <= tol
+            top = vecs[:, vals >= vals[-1] - tol]
+            face = top.conj().T @ m @ top
+            if np.linalg.norm(face - np.trace(face) / len(face) * np.eye(len(face)), 2) <= tol:
+                assert abs(np.vdot(eta[k], m @ eta[k]) - np.vdot(vecs[:, -1], m @ vecs[:, -1])) <= tol
+
+
+def test_half_angle_sweep_solves_half_the_angles(monkeypatch):
+    eigh = np.linalg.eigh
+    stacks = []
+
+    def spy(h, *args, **kwargs):
+        stacks.append(h.shape)
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", spy)
+    ms = np.zeros((2, 3, 4, 4), dtype=complex)
+    for n_angles in (720, 64):
+        supports, etas = support_sweep(ms, n_angles)
+        assert supports.shape == (2, 3, n_angles) and etas.shape == (2, 3, n_angles, 4)
+        assert stacks.pop() == (2, 3, n_angles // 2, 4, 4)
+    assert stacks == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sweep_rejects_odd_angle_count(d):
+    with pytest.raises(ValueError, match="even"):
+        support_sweep(np.eye(d, dtype=complex), 63)
