@@ -98,6 +98,7 @@ class FdAlgebra:
         self.ambient_dim = ambient_dim
         self.letters = letters
         self._basis: np.ndarray | None = None
+        self._commutative: bool | None = None
         self._decomposition: "BlockDecomposition | None" = None
 
     @property
@@ -137,13 +138,16 @@ class FdAlgebra:
         return a
 
     def is_commutative(self) -> bool:
-        # each basis element against each letter.  Pairs of letters are not
-        # enough: for H + εN (H Hermitian, N nilpotent, ε near RANK_TOL) the
-        # closure drops the adjoint's residual, so one letter is left, yet
-        # its powers close to M_n
-        b, g = self.basis[:, None], self.letters[None]
-        norms = np.linalg.svd(b @ g - g @ b, compute_uv=False)[..., 0]
-        return bool(np.all(norms <= LATTICE_TOL))
+        """Computed when first asked and then kept, as decomposition() is."""
+        if self._commutative is None:
+            # each basis element against each letter.  Pairs of letters are
+            # not enough: for H + εN (H Hermitian, N nilpotent, ε near
+            # RANK_TOL) the closure drops the adjoint's residual, so one
+            # letter is left, yet its powers close to M_n
+            b, g = self.basis[:, None], self.letters[None]
+            norms = np.linalg.svd(b @ g - g @ b, compute_uv=False)[..., 0]
+            self._commutative = bool(np.all(norms <= LATTICE_TOL))
+        return self._commutative
 
     def decomposition(self) -> "BlockDecomposition":
         if self._decomposition is None:
@@ -218,9 +222,16 @@ def _close(n: int, letters: np.ndarray) -> np.ndarray:
 def _commutation_system(mats: np.ndarray, dim: int) -> np.ndarray:
     """The (len(mats)·dim²) × dim² matrix that maps vec(x) to the stacked
     vec(mx - xm) = (I ⊗ m - m^T ⊗ I) vec(x) over the stack mats, with vec
-    = column stacking."""
+    = column stacking.
+
+    Both Kronecker products are formed for the whole stack at once, as
+    broadcast products indexed (k, i, a, j, b) ↦ row (k, i, a), column
+    (j, b): the same products np.kron takes, so the same bits."""
+    mats = np.asarray(mats)
     ident = np.eye(dim)
-    return np.vstack([np.kron(ident, m) - np.kron(m.T, ident) for m in mats])
+    left = ident[None, :, None, :, None] * mats[:, None, :, None, :]
+    right = mats.transpose(0, 2, 1)[:, :, None, :, None] * ident[None, None, :, None, :]
+    return (left - right).reshape(len(mats) * dim * dim, dim * dim)
 
 
 def commutant_basis(mats: np.ndarray, dim: int) -> np.ndarray:
@@ -389,10 +400,10 @@ def _check_decomposition(dec: BlockDecomposition):
     if op_norm(total - np.eye(n)) > 100 * LATTICE_TOL:
         raise DecompositionError("central idempotents do not sum to the identity")
     basis = alg.basis
-    # irrep and embed broadcast over the stack of basis elements
+    # irrep and embed broadcast over the stack of basis elements; an HS-unit
+    # basis element has operator norm at most 1, so RANK_TOL is its bound
     defects = np.linalg.norm(dec.reconstruct(basis) - basis, 2, axis=(1, 2))
-    scales = np.maximum(1.0, np.linalg.norm(basis, 2, axis=(1, 2)))
-    if np.any(defects > RANK_TOL * scales):
+    if np.any(defects > RANK_TOL):
         raise DecompositionError("block reconstruction fails on a basis element")
 
 
@@ -556,16 +567,20 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
 
 
 def is_irreducible(rep: GnsRepresentation) -> bool:
-    """True iff the commutant of the representation is one-dimensional.
+    """True iff pi(algebra) is all of M_r, r = rep.dim.
 
-    Decided from the singular values alone of one commutation system
-    against the images of the whole basis: its null space is the
-    commutant.  The letters' images would generate pi(algebra) too, but
-    near RANK_TOL a commutator with a letter can be far smaller than one
-    with a basis element the closure normalized from a small residual.
+    By Burnside's theorem a *-algebra of r×r matrices is irreducible
+    exactly when it is M_r (see Lomonosov & Rosenthal, Linear Algebra Appl.
+    383, 2004), so this is the numerical rank of the images of the whole
+    basis, one d × r² matrix, against r²: one SVD of d rows in place of
+    the (d·r²) × r² commutation system whose null space is the commutant.
+    The letters' images would generate pi(algebra) too, but near RANK_TOL
+    a letter's image can be far smaller than that of a basis element the
+    closure normalized from a small residual.
     """
-    system = _commutation_system(rep.rep_basis, rep.dim)
-    return rep.dim ** 2 - numerical_rank(np.linalg.svd(system, compute_uv=False)) == 1
+    r2 = rep.dim ** 2
+    images = rep.rep_basis.reshape(len(rep.rep_basis), r2)
+    return numerical_rank(np.linalg.svd(images, compute_uv=False)) == r2
 
 
 def gns_equivalent(dec: BlockDecomposition, a: PureState, b: PureState) -> bool:

@@ -15,6 +15,7 @@ import io
 import json
 import pathlib
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -43,9 +44,30 @@ def _dump(obj: dict, out: str | None):
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
-# leaf types whose JSON text never holds ", ": a flat list of them is one
-# C-encoder call whose separators become the indented ones
+# leaf types whose JSON text never holds ", ": a long flat list of them is
+# one C-encoder call whose separators become the indented ones
 _FLAT_LEAVES = {int, float, bool, type(None)}
+# below this length a flat list costs less leaf by leaf than the C encoder
+# that encode() builds for each call
+_FLAT_MIN = 16
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# the stdlib encoder's text for each leaf of exactly these types; numpy's
+# float64 is a float subclass, written as its float repr
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    np.float64: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
 def canonical_json(obj) -> str:
@@ -53,24 +75,29 @@ def canonical_json(obj) -> str:
     pure-Python encoder that indent selects.
 
     Dicts (str keys only) and lists or tuples are laid out here, one level
-    per recursion; every leaf, and every flat list of numbers, goes through
-    the stdlib's C encoder, so NaN, ±Infinity and string escapes are its own.
+    per recursion.  A str, int, float, bool or None leaf is written as the
+    stdlib writes it (its string escapes, float repr, NaN and ±Infinity),
+    without building an encoder; a long flat list of numbers, and any other
+    leaf, goes through the stdlib's C encoder.
     """
     return _canonical(obj, "\n")
 
 
 def _canonical(obj, nl: str) -> str:
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     inner = nl + "  "
     if isinstance(obj, dict) and obj:
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("canonical JSON keys must be str")
-        return ("{" + inner + ("," + inner).join(
-            _ENCODE(k) + ": " + _canonical(obj[k], inner) for k in sorted(obj))
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _canonical(obj[k], inner) for k in sorted(obj)])
             + nl + "}")
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= _FLAT_LEAVES:
+        if len(obj) >= _FLAT_MIN and set(map(type, obj)) <= _FLAT_LEAVES:
             return "[" + inner + _ENCODE(obj)[1:-1].replace(", ", "," + inner) + nl + "]"
-        return "[" + inner + ("," + inner).join(_canonical(v, inner) for v in obj) + nl + "]"
+        return "[" + inner + ("," + inner).join([_canonical(v, inner) for v in obj]) + nl + "]"
     return _ENCODE(obj)
 
 

@@ -240,7 +240,7 @@ def qfunction_star_at(f: QFunction, g: QFunction, alpha: PureState) -> complex:
     return total
 
 
-def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
+def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int | None = None) -> QFunction:
     """The simple-function surrogate of â: per block, the spectral
     decomposition of the compressed element turned into characteristic
     functions of eigenspaces (split into Hermitian parts first).
@@ -248,6 +248,10 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
     Exact for commutative algebras; in the noncommutative case the
     surrogate differs from â on superpositions, which is precisely what
     the claims harness measures.
+
+    With a block index, only that block's terms are built, in the order
+    the full function has them: what qfunction_star_at reads at a state
+    of that block.
     """
     dec = alg.decomposition()
     a = alg.require_member(a)
@@ -255,11 +259,12 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray) -> QFunction:
     k = (a - a.conj().T) / (2j)
     terms: list[tuple[complex, QSubset]] = []
     zeros = _zero_projectors(dec)
+    indices = range(dec.n_blocks) if block is None else [block]
     for part, scale in ((h, 1.0), (k, 1j)):
         if op_norm(part) <= VERDICT_TOL:
             continue
-        for i, blk in enumerate(dec.blocks):
-            m = blk.irrep(part)
+        for i in indices:
+            m = dec.blocks[i].irrep(part)
             vals, vecs = hermitian_eig(m)
             for idx in cluster_eigenvalues(vals):
                 lam = float(np.mean(vals[idx]))
@@ -552,7 +557,8 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         s = random_pure_state(dec, rng)
         a = alg.random_element(rng)
         b = alg.random_element(rng)
-        fa, fb = hat_as_qfunction(alg, a), hat_as_qfunction(alg, b)
+        # qfunction_star_at reads only the terms in s's block
+        fa, fb = hat_as_qfunction(alg, a, s.block), hat_as_qfunction(alg, b, s.block)
         model = qfunction_star_at(fa, fb, s)
         # hat(alg, a @ b, s) without re-checking two checked members' product
         ab = dec.blocks[s.block].irrep(a @ b)

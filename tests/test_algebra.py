@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import ALGEBRA_ZOO_GENERATORS, E12, SIGMA_X, diagonal_algebra
 from qgelfand import algebra as algebra_module
+from qgelfand import harness as harness_module
 from qgelfand import linalg as linalg_module
 from qgelfand import qspace as qspace_module
 from qgelfand.algebra import (
     AlgebraMembershipError,
+    FdAlgebra,
     GnsRepresentation,
     PureState,
     State,
@@ -34,15 +36,17 @@ from qgelfand.algebra import (
     vector_state,
     _hs_orthonormalize,
 )
-from qgelfand.harness import RunConfig, run_suite
+from qgelfand.harness import SUITES, RunConfig, run_suite
 from qgelfand.linalg import (
     LATTICE_TOL,
     RANK_TOL,
     as_cmatrix,
+    haar_unit_vector,
     hermitian_eig,
     matrix_to_json,
     op_norm,
 )
+from qgelfand.qspace import hat_as_qfunction, qfunction_star_at
 from qgelfand.spectral import invariant_subspace, sigma_big
 
 RNG = np.random.default_rng(7)
@@ -567,6 +571,117 @@ def test_generator_near_rank_tol_matches_full_basis(eps):
             for state in (vector_state(x), pure_to_state(dec, random_pure_state(dec, rng))):
                 rep = gns(alg, state)
                 assert is_irreducible(rep) == (len(commutant_basis(rep.rep_basis, rep.dim)) == 1)
+
+
+def _kron_commutation_system(mats, dim):
+    """Reference: the commutation system as one np.kron pair per matrix."""
+    ident = np.eye(dim)
+    return np.vstack([np.kron(ident, m) - np.kron(m.T, ident) for m in mats])
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_broadcast_commutation_system_matches_kron_loop(n):
+    rng = np.random.default_rng(n)
+    for k in range(1, 17):
+        real = rng.standard_normal((k, n, n))
+        for mats in (real, real + 1j * rng.standard_normal((k, n, n))):
+            assert _same_bits(algebra_module._commutation_system(mats, n),
+                              _kron_commutation_system(mats, n))
+
+
+# the algebras of the claims suites: the zoo and a multiplicity-2 block
+CLAIMS_ALGEBRA_GENERATORS = {**ALGEBRA_ZOO_GENERATORS, "E12xI2": [np.kron(E12, np.eye(2))]}
+
+
+@pytest.mark.parametrize("name", list(CLAIMS_ALGEBRA_GENERATORS))
+def test_is_irreducible_matches_commutant_on_full_rank_states(name):
+    alg = generate_algebra(CLAIMS_ALGEBRA_GENERATORS[name])
+    dec = alg.decomposition()
+    rng = np.random.default_rng(19)
+    n = alg.ambient_dim
+    for _ in range(8):
+        # prop2's states: g g* / tr for a complex Ginibre g, full rank
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = g @ g.conj().T
+        state = State(rho / np.real(np.trace(rho)))
+        rep = gns(alg, state)
+        oracle = len(commutant_basis(rep.rep_basis, rep.dim)) == 1
+        assert is_irreducible(rep) == oracle == is_pure(dec, state)
+
+
+def test_prop2_builds_no_commutation_system_for_irreducibility(monkeypatch):
+    # irreducibility is the rank of pi(basis) (Burnside); only the
+    # decomposition, run before the spy counts, solves a commutant
+    systems = []
+    build = algebra_module._commutation_system
+
+    def spy(mats, dim):
+        systems.append(dim)
+        return build(mats, dim)
+
+    monkeypatch.setattr(algebra_module, "_commutation_system", spy)
+    cfg = RunConfig("prop2", ["unused"], seed=0, samples=4)
+    for name, gens in CLAIMS_ALGEBRA_GENERATORS.items():
+        alg = generate_algebra(gens)
+        alg.decomposition()
+        decomposed = len(systems)
+        (report,) = harness_module._suite_prop2(name, alg, {}, cfg, np.random.default_rng(0))
+        assert report.verdict == "holds-within-tol"
+        assert len(systems) == decomposed, name
+    assert systems  # the spy saw the decompositions
+
+
+def test_claims_run_computes_commutativity_at_most_once(monkeypatch):
+    computed = []  # each algebra, each time its commutativity is computed
+    ask = FdAlgebra.is_commutative
+
+    def counted(self):
+        if self._commutative is None:
+            computed.append(self)
+        return ask(self)
+
+    monkeypatch.setattr(FdAlgebra, "is_commutative", counted)
+    instances = [{"name": name, "algebra": {"ambient_dim": gens[0].shape[0],
+                                            "generators": [matrix_to_json(g) for g in gens]}}
+                 for name, gens in CLAIMS_ALGEBRA_GENERATORS.items()]
+    for suite in SUITES:
+        computed.clear()
+        run_suite(RunConfig(suite, instances, seed=0, samples=5))
+        assert len({id(alg) for alg in computed}) == len(computed), suite
+        if suite == "prop1":  # its report reads commutativity
+            assert len(computed) == len(instances)
+        if suite == "prop2":  # specified everywhere: a failure needs no excuse
+            assert not computed
+
+
+@settings(max_examples=30)
+@given(spec=ALGEBRA_SPECS, seed=st.integers(0, 2**32 - 1))
+def test_hat_model_in_one_block_matches_full_model(algebra_zoo, spec, seed):
+    alg = _algebra(spec, algebra_zoo)
+    dec = alg.decomposition()
+    rng = np.random.default_rng(seed)
+    a, b = alg.random_element(rng), alg.random_element(rng)
+    fa, fb = hat_as_qfunction(alg, a), hat_as_qfunction(alg, b)
+    for i, blk in enumerate(dec.blocks):
+        fa_i, fb_i = hat_as_qfunction(alg, a, i), hat_as_qfunction(alg, b, i)
+        for f, f_i in ((fa, fa_i), (fb, fb_i)):
+            # every term of the full model has members in exactly one block
+            full = [(c, u) for c, u in f.terms if u.projectors[i].rank > 0]
+            assert len(f_i.terms) == len(full)
+            for (c, u), (c_full, u_full) in zip(f_i.terms, full):
+                assert type(c) is type(c_full) and _same_bits(c, c_full)
+                assert all(_same_bits(p.basis, q.basis)
+                           for p, q in zip(u.projectors, u_full.projectors))
+        on_term = [u.projectors[i].basis[:, 0] for _, u in fa_i.terms[:1]]
+        for v in [haar_unit_vector(blk.irrep_dim, rng), *on_term]:
+            alpha = PureState(i, v)
+            value = qfunction_star_at(fa_i, fb_i, alpha)
+            assert _same_bits(value, qfunction_star_at(fa, fb, alpha))
 
 
 def _probe_generators(count=870, seed=2718):

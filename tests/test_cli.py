@@ -457,6 +457,10 @@ _JSON_VALUES = st.recursive(
 @example(obj={"k\"\\\n\t\u00e9\u2028\U0001f600": [float("nan"), float("inf"), -float("inf"),
                                                    -0.0, 5e-324, 1e308, 2**64, True, None],
               "": {}, "e": [], "t": (1, (2.5, "a, b"), ()), "s": ["x", "y, z"]})
+# a flat list long enough for the one C-encoder call, and one just short of it
+@example(obj={"long": [float("nan"), 1.5, -0.0, 2**64, True, None, -float("inf")] * 3,
+              "short": [0.1, -2, False, None, float("inf")] * 3,
+              "float64": [np.float64(0.1), np.float64("nan"), [np.float64(-0.0)] * 20]})
 def test_canonical_json_matches_stdlib_indent(obj):
     assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
 

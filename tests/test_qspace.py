@@ -533,3 +533,34 @@ def test_qfunction_star_at_matches_full_product(star_algebras, name, seed, hermi
         i = next(i for i, p in enumerate(u.projectors) if p.rank > 0)
         alpha = PureState(i, u.projectors[i].basis[:, 0])
     assert qfunction_star_at(f, g, alpha) == qfunction_star(f, g).evaluate(alpha)
+
+
+@pytest.mark.parametrize("name, dims", [("M2+C", [2, 1]), ("C3", [1, 1, 1])])
+def test_thm3_hat_model_solves_only_the_sampled_block(star_algebras, monkeypatch, name, dims):
+    alg = star_algebras[name]
+    assert [blk.irrep_dim for blk in alg.decomposition().blocks] == dims
+    calls = []  # per hat_as_qfunction call: its block and hermitian_eig's input shapes
+    inside = []
+    build, eig = qspace.hat_as_qfunction, qspace.hermitian_eig
+
+    def hat_spy(alg, a, block=None):
+        calls.append((block, []))
+        inside.append(True)
+        try:
+            return build(alg, a, block)
+        finally:
+            inside.pop()
+
+    def eig_spy(m):
+        if inside:
+            calls[-1][1].append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(qspace, "hat_as_qfunction", hat_spy)
+    monkeypatch.setattr(qspace, "hermitian_eig", eig_spy)
+    thm3_diagnostics(alg, 20, np.random.default_rng(3))
+    assert len(calls) == 40  # â and b̂ per homomorphism sample
+    for block, shapes in calls:
+        # a random element has a Hermitian and an anti-Hermitian part
+        assert shapes == [(dims[block], dims[block])] * 2
+    assert {block for block, _ in calls} == set(range(len(dims)))
