@@ -5,6 +5,7 @@ orthocomplement, Sasaki product)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,28 +182,59 @@ def cluster_eigenvalues(vals: np.ndarray) -> list[np.ndarray]:
     return np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_GAP) + 1)
 
 
-def orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+_GS_CHUNK = 64  # items projected against the basis in one matmul
 
-    Columns whose residual drops below RANK_TOL are discarded; the returned
-    matrix holds an orthonormal basis of the numerically detected span (may
-    have zero columns).
+
+def orthonormalize(items) -> np.ndarray:
+    """Orthonormal basis, as a stack (r, ...), of the span of a stack of k
+    items (k, ...): vectors, or matrices under the Hilbert-Schmidt inner
+    product; a matrix of columns goes through a transpose.
+
+    Items are accepted in input order when their residual after two
+    projections against the basis so far is at least RANK_TOL, and the scan
+    stops once the basis spans the whole space: classical Gram-Schmidt with
+    one re-orthogonalization, orthonormal to machine precision ("twice is
+    enough": Giraud, Langou, Rozložník & van den Eshof, Numer. Math. 101,
+    2005).  A chunk of items is projected against the basis with one matmul
+    (twice), then each item accepted inside it is projected out of the
+    chunk's later items at once (twice).  The argument is not written to.
     """
-    cols = np.asarray(columns, dtype=complex)
-    if cols.ndim != 2:
-        raise ValueError("need a matrix of columns")
-    basis: list[np.ndarray] = []
-    for j in range(cols.shape[1]):
-        v = cols[:, j].copy()
-        for _ in range(2):
-            for b in basis:
-                v -= b * (b.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm >= RANK_TOL:
-            basis.append(v / norm)
-    if not basis:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    return np.column_stack(basis)
+    stack = np.asarray(items, dtype=complex)
+    shape = stack.shape[1:]
+    rows = stack.reshape(len(stack), math.prod(shape))
+    full = rows.shape[1]
+    basis = np.empty((min(len(rows), full), full), dtype=complex)
+    r = 0
+    for lo in range(0, len(rows), _GS_CHUNK):
+        if r == full:
+            break
+        chunk = rows[lo:lo + _GS_CHUNK].copy()
+        if r:
+            done = basis[:r]
+            for _ in range(2):
+                chunk -= (chunk @ done.conj().T) @ done
+        start = 0
+        while start < len(chunk) and r < full:
+            live = np.square(chunk[start:].view(float)).sum(axis=1) >= RANK_TOL ** 2
+            i = int(live.argmax())
+            if not live[i]:
+                break
+            i += start
+            v = chunk[i]
+            if r:
+                done = basis[:r]
+                v = v - (done.conj() @ v) @ done
+            b = basis[r]
+            np.divide(v, np.linalg.norm(v), out=b)
+            rest = chunk[i + 1:]
+            if len(rest):
+                bc = b.conj()
+                for _ in range(2):
+                    rest -= (rest @ bc)[:, None] * b
+            r += 1
+            start = i + 1
+    # a copy, so that a kept basis does not hold the unused rows
+    return basis[:r].reshape((r, *shape)).copy()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -256,7 +288,10 @@ def projector_from_matrix(m) -> Projector:
 
 def projector_from_basis(columns: np.ndarray) -> Projector:
     """Projector onto the span of the given columns (may be none)."""
-    return Projector(basis=orthonormalize(columns))
+    cols = np.asarray(columns, dtype=complex)
+    if cols.ndim != 2:
+        raise ValueError("need a matrix of columns")
+    return Projector(basis=orthonormalize(cols.T).T)
 
 
 def _check_same_dim(p: Projector, q: Projector):

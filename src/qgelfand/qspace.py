@@ -261,13 +261,12 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int | None = None) ->
     zeros = _zero_projectors(dec)
     indices = range(dec.n_blocks) if block is None else [block]
     for part, scale in ((h, 1.0), (k, 1j)):
-        if op_norm(part) <= VERDICT_TOL:
-            continue
         for i in indices:
             m = dec.blocks[i].irrep(part)
             vals, vecs = hermitian_eig(m)
             for idx in cluster_eigenvalues(vals):
                 lam = float(np.mean(vals[idx]))
+                # |lam| ≤ ‖part‖, so a negligible part gives no term
                 if abs(lam) <= VERDICT_TOL:
                     continue
                 projs = zeros.copy()

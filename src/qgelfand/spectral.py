@@ -161,7 +161,7 @@ class CyclicDecomposition:
 
 def orbit_basis(alg: FdAlgebra, h: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orbit span {x h : x in the algebra}."""
-    return orthonormalize((alg.basis @ h).T)
+    return orthonormalize(alg.basis @ h).T
 
 
 def cyclic_decompose(alg: FdAlgebra) -> CyclicDecomposition:
@@ -186,7 +186,7 @@ def cyclic_decompose(alg: FdAlgebra) -> CyclicDecomposition:
         h = resid / np.linalg.norm(resid)
         basis = orbit_basis(alg, h)
         pieces.append((Projector(basis=basis), h))
-        covered = orthonormalize(np.hstack([covered, basis]))
+        covered = orthonormalize(np.hstack([covered, basis]).T).T
     ortho = 0.0
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
@@ -327,19 +327,12 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
     # split case: sample pure-state vectors, keep the sigma fiber
     xs = haar_unit_vectors(samples, n, rng)
     resid = _distances_to(report.sigma, _quadratic_values(a, xs))
-    fiber = [x for x, r in zip(xs, resid) if r <= split_tol]
-    quantile_fallback = not fiber
+    fiber = xs[resid <= split_tol]
+    quantile_fallback = not len(fiber)
     if quantile_fallback:
-        k = max(1, samples // 10)
-        order = np.argsort(resid)
-        fiber = [xs[i] for i in order[:k]]
-    cols = np.zeros((n, 0), dtype=complex)
-    for x in fiber:
-        cand = orthonormalize(np.hstack([cols, x.reshape(-1, 1)]))
-        if cand.shape[1] >= n:
-            break
-        cols = cand
-    p = projector_from_basis(cols)
+        fiber = xs[np.argsort(resid)[:max(1, samples // 10)]]
+    # the fiber's span, accepted in sample order and capped below C^n
+    p = Projector(basis=orthonormalize(fiber)[:n - 1].T)
     defect = invariance_defect(a, p)
     return InvariantSubspaceResult(
         p, defect, (p.rank, n), "sigma-split-case", "paper-construction",

@@ -34,7 +34,6 @@ from qgelfand.algebra import (
     random_pure_state,
     support_projection,
     vector_state,
-    _hs_orthonormalize,
 )
 from qgelfand.harness import SUITES, RunConfig, run_suite
 from qgelfand.linalg import (
@@ -45,6 +44,7 @@ from qgelfand.linalg import (
     hermitian_eig,
     matrix_to_json,
     op_norm,
+    orthonormalize,
 )
 from qgelfand.qspace import hat_as_qfunction, qfunction_star_at
 from qgelfand.spectral import invariant_subspace, sigma_big
@@ -291,13 +291,53 @@ def test_batched_orthonormalize_matches_sequential(algebra_zoo):
         (rng.standard_normal(1 + j // 20) @ dirs[: 1 + j // 20]).reshape(8, 8)
         for j in range(200)
     ]
+    # the lattice kernels' column sets, one item per column
+    cases.update({name: cols.T for name, cols in _column_sets().items()})
     for name, mats in cases.items():
-        fast = _hs_orthonormalize(mats)
+        fast = orthonormalize(mats)
         slow = _sequential_hs_orthonormalize(mats, 1e-8)
         assert len(fast) == len(slow), name
-        assert op_norm(_span_projector(fast) - _span_projector(slow)) < 1e-12, name
+        if not len(slow):
+            assert fast.shape == (0, *np.shape(mats)[1:]), name
+            continue
+        # a direction normalized from a 1e-6 residual is accurate to about
+        # machine epsilon / 1e-6
+        span_tol = 1e-9 if name.startswith("1e-06 off") else 1e-12
+        assert op_norm(_span_projector(fast) - _span_projector(slow)) < span_tol, name
         gram = np.array([[np.vdot(a, b) for b in fast] for a in fast])
         assert op_norm(gram - np.eye(len(fast))) < 1e-12, name
+
+
+def _column_sets():
+    """(d, k) column sets as projector_from_basis receives them from the
+    lattice kernels: k = 0..3 random columns on C^d, d ≤ 4, the same with a
+    last column within 1e-12 of the span of the others (dropped) or 1e-6
+    off it (kept where it leaves the span), and with an all-zero column in
+    front."""
+    rng = np.random.default_rng(13)
+    sets = {}
+    for d in range(1, 5):
+        for k in range(4):
+            cols = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+            sets[f"random {d}x{k}"] = cols
+            sets[f"zero first {d}x{k + 1}"] = np.hstack([np.zeros((d, 1)), cols])
+            if k:
+                inside = cols[:, :-1] @ rng.standard_normal(k - 1)
+                for off in (1e-12, 1e-6):
+                    near = inside + off * haar_unit_vector(d, rng)
+                    sets[f"{off:g} off span {d}x{k}"] = np.column_stack([cols[:, :-1], near])
+    return sets
+
+
+def test_orthonormalize_leaves_its_argument_unchanged(algebra_zoo):
+    # the kernel subtracts in place inside each chunk, on its own copy
+    cases = [np.array(_closure_round(alg)) for alg in algebra_zoo.values()]
+    cases += [cols.T for cols in _column_sets().values()]
+    cases += [np.ascontiguousarray(cols.T, dtype=complex) for cols in _column_sets().values()]
+    for items in cases:
+        before = items.copy()
+        orthonormalize(items)
+        assert np.array_equal(items, before)
 
 
 def test_thin_svd_center_matches_full_svd(algebra_zoo):
@@ -730,11 +770,11 @@ def _eager_basis(generators):
             g = g * 2.0 ** -math.frexp(norm)[1]
         seed.append(g)
         seed.append(g.conj().T)
-    basis = _hs_orthonormalize(seed)
+    basis = orthonormalize(seed)
     while True:
         products = np.matmul(basis[:, None], basis[None, :]).reshape(-1, n, n)
         adjoints = basis.conj().transpose(0, 2, 1)
-        new_basis = _hs_orthonormalize(np.concatenate([basis, products, adjoints]))
+        new_basis = orthonormalize(np.concatenate([basis, products, adjoints]))
         if len(new_basis) == len(basis):
             return new_basis
         basis = new_basis

@@ -118,11 +118,11 @@ def test_orthonormalize_rank_and_orthogonality():
     cols = np.column_stack([
         [1.0, 0, 0], [1.0, 1e-12, 0], [0, 1.0, 0],
     ]).astype(complex)
-    q = orthonormalize(cols)
+    q = orthonormalize(cols.T).T
     assert q.shape[1] == 2
     assert op_norm(q.conj().T @ q - np.eye(2)) < 1e-12
-    # no columns: an (n, 0) basis, and the zero projector on C^n
-    assert orthonormalize(np.zeros((3, 0))).shape == (3, 0)
+    # no items: a (0, n) basis, and the zero projector on C^n
+    assert orthonormalize(np.zeros((0, 3))).shape == (0, 3)
     p = projector_from_basis(np.zeros((3, 0)))
     assert (p.dim, p.rank) == (3, 0)
     assert np.array_equal(p.matrix, np.zeros((3, 3)))

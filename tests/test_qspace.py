@@ -18,7 +18,16 @@ from qgelfand.algebra import (
     random_pure_state,
     vector_state,
 )
-from qgelfand.linalg import LATTICE_TOL, DimensionMismatchError, orthonormalize, random_projector
+from qgelfand.linalg import (
+    LATTICE_TOL,
+    VERDICT_TOL,
+    DimensionMismatchError,
+    cluster_eigenvalues,
+    hermitian_eig,
+    op_norm,
+    orthonormalize,
+    random_projector,
+)
 from qgelfand.qspace import (
     QSubset,
     _top_spectral_projector,
@@ -311,7 +320,7 @@ def _preimage_sweep_reference(alg, a, center, radius, samples, rng):
         if s.block != t.block or pure_equal(s, t):
             continue
         pairs.append((i, j))
-        w = orthonormalize(np.column_stack([s.vector, t.vector]))
+        w = orthonormalize(np.stack([s.vector, t.vector])).T
         if w.shape[1] < 2:
             continue
         m = w.conj().T @ dec.blocks[s.block].irrep(a) @ w
@@ -564,3 +573,39 @@ def test_thm3_hat_model_solves_only_the_sampled_block(star_algebras, monkeypatch
         # a random element has a Hermitian and an anti-Hermitian part
         assert shapes == [(dims[block], dims[block])] * 2
     assert {block for block, _ in calls} == set(range(len(dims)))
+
+
+def _hat_terms_with_norm_skip(alg, a):
+    """hat_as_qfunction's terms as built while it skipped a Hermitian part
+    of operator norm at most VERDICT_TOL before its eigenvalue rule."""
+    dec = alg.decomposition()
+    h, k = (a + a.conj().T) / 2, (a - a.conj().T) / (2j)
+    terms = []
+    for part, scale in ((h, 1.0), (k, 1j)):
+        if op_norm(part) <= VERDICT_TOL:
+            continue
+        for i, blk in enumerate(dec.blocks):
+            vals, vecs = hermitian_eig(blk.irrep(part))
+            for idx in cluster_eigenvalues(vals):
+                lam = float(np.mean(vals[idx]))
+                if abs(lam) > VERDICT_TOL:
+                    terms.append((scale * lam, i, vecs[:, idx]))
+    return terms
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-12])
+@pytest.mark.parametrize("name", ["C3", "M2", "M2+C", "E12xI2"])
+def test_hat_terms_need_no_norm_skip(star_algebras, name, skew):
+    # a Hermitian element, and one whose skew part is about 1e-12: the
+    # eigenvalue rule alone drops the negligible part's terms
+    alg = star_algebras[name]
+    rng = np.random.default_rng(17)
+    a = alg.random_element(rng, hermitian=True) + 1j * skew * alg.random_element(rng, hermitian=True)
+    got = hat_as_qfunction(alg, a).terms
+    want = _hat_terms_with_norm_skip(alg, a)
+    assert len(got) == len(want) > 0
+    for (c, u), (c_ref, i, basis) in zip(got, want):
+        assert c == c_ref
+        assert [p.rank for p in u.projectors] == [
+            basis.shape[1] if j == i else 0 for j in range(len(u.projectors))]
+        assert np.array_equal(u.projectors[i].basis, basis)

@@ -3,9 +3,11 @@ import pytest
 
 from conftest import E12, SIGMA_X
 from qgelfand.algebra import generate_algebra
-from qgelfand.linalg import haar_unit_vector, support_sweep
+from qgelfand.linalg import RANK_TOL, SIGMA_TOL, haar_unit_vector, haar_unit_vectors, op_norm, support_sweep
 from qgelfand.spectral import (
     NotCyclicError,
+    _distances_to,
+    _quadratic_values,
     cyclic_decompose,
     fc_unitary,
     invariance_defect,
@@ -235,3 +237,92 @@ def test_vectorized_cloud_matches_haar_loop():
         xi = haar_unit_vector(4, ref_rng)
         ref.append(np.vdot(xi, a @ xi))
     assert np.max(np.abs(rep.cloud - np.array(ref))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the sigma fiber's span: the per-vector loop it replaced, as the oracle
+
+
+def _mgs_columns(cols):
+    """The per-column modified Gram-Schmidt loop, two passes, that
+    orthonormalized a fiber's columns before the one kernel."""
+    basis = []
+    for j in range(cols.shape[1]):
+        v = cols[:, j].copy()
+        for _ in range(2):
+            for b in basis:
+                v -= b * (b.conj() @ v)
+        norm = np.linalg.norm(v)
+        if norm >= RANK_TOL:
+            basis.append(v / norm)
+    return np.column_stack(basis) if basis else np.zeros((cols.shape[0], 0), dtype=complex)
+
+
+def _loop_fiber_basis(a, report, samples, rng):
+    """The fiber's span grown one sample at a time: [cols, x] is
+    re-orthonormalized per fiber vector, stopping before it spans C^n."""
+    n = a.shape[0]
+    xs = haar_unit_vectors(samples, n, rng)
+    resid = _distances_to(report.sigma, _quadratic_values(a, xs))
+    fiber = [x for x, r in zip(xs, resid) if r <= SIGMA_TOL * max(1.0, op_norm(a))]
+    if not fiber:
+        fiber = [xs[i] for i in np.argsort(resid)[:max(1, samples // 10)]]
+    cols = np.zeros((n, 0), dtype=complex)
+    for x in fiber:
+        cand = _mgs_columns(np.hstack([cols, x.reshape(-1, 1)]))
+        if cand.shape[1] >= n:
+            break
+        cols = cand
+    return _mgs_columns(cols)
+
+
+def _fiber_input(structure, n):
+    """The spectral benchmark's four structures: generic, the shift, a
+    repeated summand I_2 ⊗ x and a normal matrix, the last two in a Haar
+    frame."""
+    rng = np.random.default_rng(n)
+    ginibre = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if structure == "generic":
+        return ginibre
+    if structure == "shift":
+        return np.eye(n, k=1)
+    u, _ = np.linalg.qr(ginibre)
+    if structure == "dsum":
+        x = rng.standard_normal((n // 2, n // 2)) + 1j * rng.standard_normal((n // 2, n // 2))
+        return u @ np.kron(np.eye(2), x) @ u.conj().T
+    return u @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ u.conj().T
+
+
+FIBER_CASES = {f"{s}{n}": _fiber_input(s, n) for s in ("generic", "shift", "normal")
+               for n in (2, 3, 5)}
+FIBER_CASES.update({f"dsum{n}": _fiber_input("dsum", n) for n in (4, 6)})
+# at this scale SIGMA_TOL is wide against a's values: 11 of 200 samples
+# fall within it of sigma, an exact fiber (no quantile fallback) that spans
+# all of C^2
+FIBER_CASES["small upper triangular"] = 1e-5 * np.array([[1.0, 1.0], [0.0, 2.0]])
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_CASES))
+def test_fiber_span_matches_per_vector_loop(name):
+    a = FIBER_CASES[name]
+    report = sigma_big(a)
+    res = _modeled_result(a, report, 200, np.random.default_rng(9))
+    if name.startswith("normal"):
+        assert res.case_tag == "out-of-dichotomy"
+        return
+    assert res.case_tag == "sigma-split-case"
+    ref = _loop_fiber_basis(a, report, 200, np.random.default_rng(9))
+    assert res.projector.rank == ref.shape[1]
+    assert op_norm(res.projector.matrix - ref @ ref.conj().T) <= 1e-12
+
+
+def test_fiber_cases_cover_fallback_and_cap():
+    # the oracle comparison above sees both fiber rules, and fibers that
+    # span all of C^n, so that the n - 1 cap decides the rank
+    notes = {}
+    for name, a in FIBER_CASES.items():
+        res = _modeled_result(a, sigma_big(a), 200, np.random.default_rng(9))
+        if res.case_tag == "sigma-split-case":
+            notes[name] = (res.notes["quantile_fallback"], res.dims[0] == a.shape[0] - 1)
+    assert notes["small upper triangular"] == (False, True)
+    assert notes["shift5"] == (True, True)
