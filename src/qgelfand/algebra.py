@@ -1,7 +1,6 @@
 """Finite-dimensional unital *-algebras of matrices: generated-subalgebra
 closure, Wedderburn block decomposition, states and pure states, the GNS
-construction, equivalence of pure states, orthogonality, and the hat map
-a ↦ (evaluation against states).
+construction, and the hat map a ↦ (evaluation against states).
 
 The decomposition is read off one solve, the commutant of the algebra's
 letters: M_n when that commutant is the scalars, otherwise the blocks come
@@ -134,7 +133,9 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
 
     Each nonzero generator is first scaled by a power of two to a
     Frobenius norm in [1/2, 1): the generated algebra does not depend on
-    scale, so the rank decisions must not either.  The identity, then each
+    scale, so the rank decisions must not either.  The power of two of its
+    largest entry comes off first, so that the norm neither underflows
+    nor overflows, whatever the scale of the input.  The identity, then each
     scaled generator and its adjoint, are HS-orthonormalized in that order;
     the letters are the result without its identity element: the
     HS-orthonormalized non-scalar parts of the scaled generators and their
@@ -150,10 +151,13 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
         raise ValueError("generators must be square matrices of equal dimension")
     seed = [np.eye(n, dtype=complex)]
     for g in gens:
-        norm = np.linalg.norm(g)
-        if norm > 0:
-            # a power of two scales exactly, so an O(1) input keeps its rounding
-            g = g * 2.0 ** -math.frexp(norm)[1]
+        peak = np.max(np.abs(g))
+        if peak > 0:
+            # powers of two scale exactly (ldexp: subnormal entries too), so
+            # an O(1) input keeps its rounding
+            parts = np.ascontiguousarray(g).view(float)
+            g = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
+            g = g * 2.0 ** -math.frexp(np.linalg.norm(g))[1]
         seed.append(g)
         seed.append(g.conj().T)
     # the identity is accepted first
@@ -548,16 +552,6 @@ def is_irreducible(rep: GnsRepresentation) -> bool:
     return numerical_rank(np.linalg.svd(images, compute_uv=False)) == r2
 
 
-def gns_equivalent(dec: BlockDecomposition, a: PureState, b: PureState) -> bool:
-    """Equivalence of the GNS representations of two pure states.
-
-    Finite-dimensional fact: the irreducible representations of a
-    multi-matrix algebra are the block compressions, so equivalence is
-    equality of block indices.
-    """
-    return a.block == b.block
-
-
 def r_is_discrete(dec: BlockDecomposition) -> bool:
     """True iff every equivalence class of pure states is a singleton,
     i.e. every block is one-dimensional; cross-checked against direct
@@ -570,29 +564,7 @@ def r_is_discrete(dec: BlockDecomposition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# orthogonality and the hat map
-
-
-def support_projection(dec: BlockDecomposition, state: State) -> np.ndarray:
-    """Smallest projection p in the algebra with α(p) = 1."""
-    out = np.zeros((dec.algebra.ambient_dim,) * 2, dtype=complex)
-    for blk, rho_i in zip(dec.blocks, state_block_matrices(dec, state)):
-        vals, vecs = hermitian_eig(rho_i)
-        keep = vecs[:, vals > RANK_TOL]
-        if keep.shape[1]:
-            out += blk.embed(keep @ keep.conj().T)
-    return out
-
-
-def orthogonal_states(dec: BlockDecomposition, alpha: State, beta: State) -> bool:
-    """There is a projection p in the algebra with α(p) = 1 and β(p) = 0.
-
-    At finite dimension the enveloping algebra is the algebra itself, so
-    the net-based criterion collapses to support-projection orthogonality.
-    """
-    sa = support_projection(dec, alpha)
-    sb = support_projection(dec, beta)
-    return op_norm(sa @ sb) <= LATTICE_TOL
+# the hat map
 
 
 def hat(alg: FdAlgebra, a: np.ndarray, state) -> complex:

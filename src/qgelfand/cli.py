@@ -347,8 +347,8 @@ def spectral_report(matrix_file, seed, samples, out, plot_data):
 
     The report holds sigma, each block's support values, the sizes of the
     angle grid and the sample cloud (n_angles, samples), sigma_gap (the
-    largest distance from a swept boundary point to sigma, which decides
-    sigma_equals_big) and the two flags.  The angles, the boundary points
+    largest distance from a swept boundary point to sigma, a margin) and the
+    two flags, read off the Wedderburn blocks.  The angles, the boundary points
     and the cloud go only to --plot-data, and the cloud is drawn only then."""
     a = _load_matrix(matrix_file)
     try:

@@ -178,10 +178,10 @@ def _instance_projectors(alg, extras, rng) -> list[np.ndarray]:
     if "element" in extras:
         a = extras["element"]
         h = (a + a.conj().T) / 2
-        return [_top_spectral_projector(alg, h)]
+        return [_top_spectral_projector(h)]
     return [
-        _top_spectral_projector(alg, alg.random_element(rng, hermitian=True)),
-        _top_spectral_projector(alg, alg.random_element(rng, hermitian=True)),
+        _top_spectral_projector(alg.random_element(rng, hermitian=True)),
+        _top_spectral_projector(alg.random_element(rng, hermitian=True)),
     ]
 
 

@@ -21,8 +21,10 @@ class DimensionMismatchError(ValueError):
 # identities; VERDICT_TOL is the largest measured defect a claims verdict
 # reads as holds-within-tol; CLUSTER_GAP is the eigenvalue gap that
 # separates one cluster of a Hermitian spectrum from the next; SIGMA_TOL is
-# the slack of the Sigma(a) decisions of the spectral module.  The sixth,
-# the pivot threshold of _phase_normalize, only fixes eigenvector phases.
+# the slack, relative to the norm, of the spectral module's check that every
+# eigenvalue lies in the swept Sigma(a), and of invsub's sigma fiber.  The
+# sixth, the pivot threshold of _phase_normalize, only fixes eigenvector
+# phases.
 RANK_TOL = 1e-8
 LATTICE_TOL = 1e-8
 VERDICT_TOL = 1e-9

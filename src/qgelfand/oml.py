@@ -500,15 +500,3 @@ def relative_lattice(qs: SetOml, y) -> SetOml:
         if len(sj) == len(list(itertools.combinations_with_replacement(sorted(yset), 2))):
             sub.sjoin = sj
     return sub
-
-
-def is_q_map(point_map: dict[int, int], src: SetOml, dst: SetOml):
-    """True iff every member of dst has a preimage member in src."""
-    for x in range(len(src.ground)):
-        if x not in point_map:
-            raise StructureError(f"point map undefined at {x}")
-    for u, m in enumerate(dst.members):
-        pre = frozenset(x for x in range(len(src.ground)) if point_map[x] in m)
-        if pre not in src._index:
-            return False, u
-    return True, None

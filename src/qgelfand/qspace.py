@@ -457,7 +457,7 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     # mixed states are allowed: they are simply not members of any QSubset,
     # and the square defect then measures the variance directly
     pure_alpha = _as_pure_state(alg, state)
-    projs = [_top_spectral_projector(alg, h) for h in hs]
+    projs = [_top_spectral_projector(h) for h in hs]
     p, q = projs
     meets = [proj_meet(projector_from_matrix(blk.irrep(p)), projector_from_matrix(blk.irrep(q)))
              for blk in dec.blocks]
@@ -475,7 +475,7 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
                         [pure_alpha] if pure_alpha is not None else [])
 
 
-def _top_spectral_projector(alg: FdAlgebra, h: np.ndarray) -> np.ndarray:
+def _top_spectral_projector(h: np.ndarray) -> np.ndarray:
     vals, vecs = hermitian_eig(h)
     idx = cluster_eigenvalues(vals)[-1]
     w = vecs[:, idx]

@@ -52,6 +52,12 @@ class SpectralReport:
     range of the block image, described by support functions on a uniform
     angle grid plus a Monte-Carlo sample cloud.
 
+    The two flags are read off the Wedderburn blocks, not off the swept
+    geometry: Sigma(a) is a single point iff a is scalar (one block, of
+    irrep dimension 1), and equals sigma(a) iff every irrep is
+    1-dimensional (a is normal).  sigma_gap is the measured margin, not
+    the decision.
+
     The canonical JSON keeps the verdict and what it rests on; the angle
     grid, the boundary polylines and the cloud stay on the object for the
     plot data.  The cloud, samples values <x, a x> over Haar unit vectors
@@ -64,7 +70,7 @@ class SpectralReport:
     block_boundaries: list[np.ndarray]  # complex boundary polyline per block
     sigma_singleton: bool
     sigma_equals_big: bool
-    sigma_gap: float  # largest distance from a boundary point to sigma
+    sigma_gap: float  # largest distance from a swept boundary point to sigma
     a: np.ndarray
     samples: int
     rng: np.random.Generator
@@ -104,9 +110,12 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
 
     Per block, the numerical range of the block image is traced by
     linalg.support_sweep: for each angle the top eigenvector of the
-    Hermitian part of e^{-i theta} m gives a boundary point.  A Haar sample
-    cloud of samples ambient unit vectors is drawn from rng for diagnostics
-    when the report's cloud is first read.
+    Hermitian part of e^{-i theta} m gives a boundary point.  The flags
+    come from the block list alone (see SpectralReport), so they do not
+    depend on the scale of a.  Every eigenvalue must lie in the swept
+    region within 100 SIGMA_TOL ‖a‖, or RuntimeError is raised.  A Haar
+    sample cloud of samples ambient unit vectors is drawn from rng for
+    diagnostics when the report's cloud is first read.
     """
     a = as_cmatrix(a)
     if rng is None:
@@ -124,15 +133,16 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
         block_supports.append(supports)
         block_boundaries.append(_quadratic_values(m, v))
 
-    all_boundary = np.concatenate(block_boundaries)
-    singleton = bool(np.max(np.abs(all_boundary - all_boundary[0])) <= SIGMA_TOL)
-    # Hausdorff check: every boundary point near sigma and vice versa
-    gap = _distances_to(sig, all_boundary).max()
-    equals = bool(gap <= 10 * SIGMA_TOL)
+    # Sigma(a) is the union of the blocks' numerical ranges: one point iff
+    # a is scalar, sigma(a) iff every irrep is 1-dimensional (a is normal)
+    singleton = len(dec.blocks) == 1 and dec.blocks[0].irrep_dim == 1
+    equals = all(blk.irrep_dim == 1 for blk in dec.blocks)
+    gap = _distances_to(sig, np.concatenate(block_boundaries)).max()
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
                             singleton, equals, gap, a, samples, rng)
+    escape_tol = 100 * SIGMA_TOL * op_norm(a)
     for lam in sig:
-        if not report.contains(lam, 100 * SIGMA_TOL):
+        if not report.contains(lam, escape_tol):
             raise RuntimeError("eigenvalue escaped the swept Sigma region")
     return report
 
@@ -294,12 +304,17 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
     """The sigma-versus-Sigma dichotomy, with measured defects in place of
     asserted invariance.
 
+    The case comes from the report's two flags, which the Wedderburn
+    blocks decide: scalar (Sigma a single point) is scalar-case, normal
+    (Sigma equals sigma) is out-of-dichotomy, anything else is
+    sigma-split-case.
+
     Scalar case: Sigma a single point lambda; the claim 'a = lambda I'
     is checked, and its failure is recorded as a discrepancy witness.
     Split case: sigma strictly inside Sigma; the subspace is the span of
     sampled pure-state vectors whose a-hat value sits on sigma (nearest
     quantile fallback if the exact fiber is empty), rank-capped below the
-    ambient dimension.  Anything else is reported out-of-dichotomy.
+    ambient dimension.
     """
     n = a.shape[0]
     norm_a = max(1.0, op_norm(a))
@@ -318,7 +333,7 @@ def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
         return InvariantSubspaceResult(p, defect, (1, n), "scalar-case",
                                        "paper-construction", "nontrivial",
                                        {"lambda": lam})
-    if report.sigma_gap <= split_tol:
+    if report.sigma_equals_big:
         return InvariantSubspaceResult(
             None, None, (0, n), "out-of-dichotomy", "paper-construction",
             "out-of-dichotomy",

@@ -300,14 +300,18 @@ def _claims_output(runner, tmp_path, suite, instance):
 
 
 @pytest.mark.parametrize("suite, instance, digest", [
-    ("prop2", "E12xI2",
-     "55fdabd8dd94eb01304e5cc4c6020b98091dfb28d64b3e6b3e7fa001c00422c7"),
-    ("prop2", "M3",
-     "82f827a0ccf7e23e386ad2e830e6a747ebea92d01dac06906981c60fa4d72917"),
-    ("thm3", "E12xI2",
-     "6e3963bea6d17310f0d046816281ba25058f4615d21b8c34c51f9794c91c5263"),
-    ("thm3", "M3",
-     "4d5b804efcaae1fbd66654eb1b92f03a30f21ab23a43ea8eee5d462873ae7430"),
+    pytest.param("prop2", "E12xI2",
+                 "55fdabd8dd94eb01304e5cc4c6020b98091dfb28d64b3e6b3e7fa001c00422c7",
+                 id="prop2/E12xI2"),
+    pytest.param("prop2", "M3",
+                 "82f827a0ccf7e23e386ad2e830e6a747ebea92d01dac06906981c60fa4d72917",
+                 id="prop2/M3"),
+    pytest.param("thm3", "E12xI2",
+                 "6e3963bea6d17310f0d046816281ba25058f4615d21b8c34c51f9794c91c5263",
+                 id="thm3/E12xI2"),
+    pytest.param("thm3", "M3",
+                 "4d5b804efcaae1fbd66654eb1b92f03a30f21ab23a43ea8eee5d462873ae7430",
+                 id="thm3/M3"),
 ])
 def test_claims_gns_and_thm3_report_bytes(runner, tmp_path, suite, instance, digest):
     # sha256 of the reports written while gns, is_irreducible and thm3's
@@ -317,14 +321,18 @@ def test_claims_gns_and_thm3_report_bytes(runner, tmp_path, suite, instance, dig
 
 
 @pytest.mark.parametrize("suite, instance, digest", [
-    ("prop7", "E12xI2",
-     "47731582eacf5d2105288d6adc8acac2186f5bcd93ac6fd95a808937f1d41ea6"),
-    ("prop7", "M3",
-     "00bbc8cdd75ff298a14d78caf38dc5611a9087db593537bf3b65e924a8258d97"),
-    ("prop9", "E12xI2",
-     "ebf25bbfc697a46b667b2157fe6a202c369d6a75f200e9c79ec5c529944c0e47"),
-    ("prop9", "M3",
-     "1884a7d08abfefdaddccff98d6e431dc23d3bac9d2e0ce20b84eeb7e0ae70a2b"),
+    pytest.param("prop7", "E12xI2",
+                 "47731582eacf5d2105288d6adc8acac2186f5bcd93ac6fd95a808937f1d41ea6",
+                 id="prop7/E12xI2"),
+    pytest.param("prop7", "M3",
+                 "00bbc8cdd75ff298a14d78caf38dc5611a9087db593537bf3b65e924a8258d97",
+                 id="prop7/M3"),
+    pytest.param("prop9", "E12xI2",
+                 "ebf25bbfc697a46b667b2157fe6a202c369d6a75f200e9c79ec5c529944c0e47",
+                 id="prop9/E12xI2"),
+    pytest.param("prop9", "M3",
+                 "1884a7d08abfefdaddccff98d6e431dc23d3bac9d2e0ce20b84eeb7e0ae70a2b",
+                 id="prop9/M3"),
 ])
 def test_claims_projector_report_bytes(runner, tmp_path, suite, instance, digest):
     # sha256 of the reports written while a Projector held only its matrix
@@ -670,18 +678,33 @@ def test_spectral_block_supports_order_free(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command, name, digest", [
-    ("verify", "MO3", "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18"),
-    ("boolean", "MO3", "463d0f43bd605ed80d609b089fe7c985f186c4c8ed126992bc332b0f5a917074"),
-    ("semigroup", "MO3", "4d27517ad628135f40e7763a318396274a74dc525f04dedf26d0ff41dcb8671d"),
-    ("verify", "hsum_B2_B3",
-     "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18"),
-    ("boolean", "hsum_B2_B3",
-     "463d0f43bd605ed80d609b089fe7c985f186c4c8ed126992bc332b0f5a917074"),
-    ("semigroup", "hsum_B2_B3",
-     "f17993d2a67b8ffddd8f6d6b034d123561ead2be51c1fc27ff08e2e7240fbf67"),
-    ("verify", "B4", "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18"),
-    ("boolean", "B4", "ea7c8ca3e729d37c522b0adad866393de0da9e3cc0ab65060234a00c2c8e1226"),
-    ("semigroup", "B4", "3dfffec7a012bb438284a3206fa91fb9e31dc4571a18bd67354a6aeb94545c5c"),
+    pytest.param("verify", "MO3",
+                 "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18",
+                 id="verify/MO3"),
+    pytest.param("boolean", "MO3",
+                 "463d0f43bd605ed80d609b089fe7c985f186c4c8ed126992bc332b0f5a917074",
+                 id="boolean/MO3"),
+    pytest.param("semigroup", "MO3",
+                 "4d27517ad628135f40e7763a318396274a74dc525f04dedf26d0ff41dcb8671d",
+                 id="semigroup/MO3"),
+    pytest.param("verify", "hsum_B2_B3",
+                 "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18",
+                 id="verify/hsum_B2_B3"),
+    pytest.param("boolean", "hsum_B2_B3",
+                 "463d0f43bd605ed80d609b089fe7c985f186c4c8ed126992bc332b0f5a917074",
+                 id="boolean/hsum_B2_B3"),
+    pytest.param("semigroup", "hsum_B2_B3",
+                 "f17993d2a67b8ffddd8f6d6b034d123561ead2be51c1fc27ff08e2e7240fbf67",
+                 id="semigroup/hsum_B2_B3"),
+    pytest.param("verify", "B4",
+                 "12690ee6855462f392cd1e666a715e7161979a000e721ec1f2e161f6dcaa2b18",
+                 id="verify/B4"),
+    pytest.param("boolean", "B4",
+                 "ea7c8ca3e729d37c522b0adad866393de0da9e3cc0ab65060234a00c2c8e1226",
+                 id="boolean/B4"),
+    pytest.param("semigroup", "B4",
+                 "3dfffec7a012bb438284a3206fa91fb9e31dc4571a18bd67354a6aeb94545c5c",
+                 id="semigroup/B4"),
 ])
 def test_lattice_report_bytes(runner, tmp_path, command, name, digest):
     # sha256 of the reports the pure-Python lattice loops wrote

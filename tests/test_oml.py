@@ -9,7 +9,6 @@ from qgelfand.oml import (
     horizontal_sum,
     is_boolean,
     is_distributive,
-    is_q_map,
     lattice_zoo,
     mo_lattice,
     powerset_quantum_set,
@@ -161,17 +160,6 @@ def test_relative_lattice_singleton(mo2_qset):
     lat = sub.to_finite_oml()
     assert lat.n == 2
     assert verify_oml(lat) == []
-
-
-def test_is_q_map(mo2_qset):
-    ident = {i: i for i in range(4)}
-    ok, witness = is_q_map(ident, mo2_qset, mo2_qset)
-    assert ok and witness is None
-    # same points mapped into the powerset: the member {a1, b1} of the
-    # powerset pulls back to a non-member of the quantum set
-    ps = powerset_quantum_set(["a1", "a2", "b1", "b2"])
-    ok, witness = is_q_map(ident, mo2_qset, ps)
-    assert not ok and witness is not None
 
 
 def test_quantum_set_json_roundtrip(mo2_qset):

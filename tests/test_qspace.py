@@ -384,7 +384,7 @@ def _preimage_case(name, rng):
         return alg, alg.random_element(rng), 0.3 - 0.2j, 0.8, 30
     if name == "rand_M2xI2_proj":
         alg, _, _, _, _ = _preimage_case("rand_M2xI2", rng)
-        p = _top_spectral_projector(alg, alg.random_element(rng, hermitian=True))
+        p = _top_spectral_projector(alg.random_element(rng, hermitian=True))
         return alg, p, 1.0, 0.6, 40
     assert name == "C3"  # one-dimensional blocks: no same-block pairs
     return diagonal_algebra(3), np.diag([1.0, 0.0, 0.0]).astype(complex), 1.0, 0.1, 30

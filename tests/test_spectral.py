@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qgelfand.spectral as spectral
+
 from conftest import E12, SIGMA_X
 from qgelfand.algebra import generate_algebra
 from qgelfand.linalg import RANK_TOL, SIGMA_TOL, haar_unit_vector, haar_unit_vectors, op_norm, support_sweep
@@ -180,6 +182,80 @@ def test_invariant_subspace_input_validation():
     with pytest.raises(ValueError):
         invariant_subspace(np.eye(2), mode="magic")
 
+
+# ---------------------------------------------------------------------------
+# the Sigma flags and the invsub case tag are read off the blocks: scaling a
+# by c > 0 or permuting its basis moves neither, nor the block list
+
+SCALE_INPUTS = {
+    "diag(1, 2)": np.diag([1.0, 2.0]),
+    "upper triangular": np.array([[1.0, 1.0], [0.0, 2.0]]),
+    "shift3": np.eye(3, k=1),
+    "I + 1e-7 E12": np.eye(2) + 1e-7 * E12,
+    "3 I": 3 * np.eye(2),
+}
+SCALES = [1e-12, 1e-9, 1e-6, 1e-5, 1e-3, 1e4, 1e8, 1e-200, 1e200, 1e-300, 1e300]
+
+
+def _structure(a):
+    report = sigma_big(a)
+    blocks = [(blk.irrep_dim, blk.multiplicity)
+              for blk in generate_algebra([a]).decomposition().blocks]
+    tag = invariant_subspace(a, mode="paper", samples=50)[0].case_tag
+    return report.sigma_singleton, report.sigma_equals_big, blocks, tag
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_INPUTS))
+def test_flags_blocks_and_case_tag_do_not_depend_on_scale_or_frame(name):
+    a = SCALE_INPUTS[name]
+    expected = _structure(a)
+    for c in SCALES:
+        assert _structure(c * a) == expected, c
+    perm = np.eye(len(a))[::-1]
+    assert _structure(perm @ a @ perm.T) == expected
+
+
+def test_one_rule_decides_flags_and_case_tag():
+    # scalar -> scalar-case, normal -> out-of-dichotomy, else sigma-split-case
+    structures = {name: _structure(a) for name, a in SCALE_INPUTS.items()}
+    assert structures == {
+        "diag(1, 2)": (False, True, [(1, 1), (1, 1)], "out-of-dichotomy"),
+        "upper triangular": (False, False, [(2, 1)], "sigma-split-case"),
+        "shift3": (False, False, [(3, 1)], "sigma-split-case"),
+        "I + 1e-7 E12": (False, False, [(2, 1)], "sigma-split-case"),
+        "3 I": (True, True, [(1, 2)], "scalar-case"),
+    }
+
+
+@pytest.mark.parametrize("a", [np.eye(2) + 1e-7 * E12,
+                               1e-5 * np.array([[1.0, 1.0], [0.0, 2.0]])],
+                         ids=["I + 1e-7 E12", "1e-5 upper triangular"])
+def test_non_normal_input_inside_the_old_cuts_is_split_case(a):
+    # both generate M2, though the swept gap (5.0e-8 and 7.1e-6) sits below
+    # the cuts on it that once decided the flags and the case tag
+    assert sigma_big(a).sigma_gap < 1e-5
+    assert _structure(a) == (False, False, [(2, 1)], "sigma-split-case")
+
+
+def test_scalar_matrices_at_large_scale_pass_the_eigenvalue_check():
+    for c in (1e14, 1e100):
+        report = sigma_big(c * np.eye(2))
+        assert report.sigma_singleton and report.sigma_equals_big
+
+
+def test_eigenvalue_check_is_relative_to_the_norm(monkeypatch):
+    # with every support value halved the swept region misses the
+    # eigenvalue 2c by about 0.9c: the check must see that at any scale
+    sweep = spectral.support_sweep
+
+    def halved(ms, n_angles):
+        supports, vecs = sweep(ms, n_angles)
+        return supports / 2, vecs
+
+    monkeypatch.setattr(spectral, "support_sweep", halved)
+    for c in (1e-6, 1.0):
+        with pytest.raises(RuntimeError, match="escaped"):
+            sigma_big(c * np.array([[1.0, 1.0], [0.0, 2.0]]))
 
 # ---------------------------------------------------------------------------
 # oracles for the stacked sweep and the vectorized sample cloud
