@@ -187,7 +187,7 @@ def oml_verify(lattice_file, out):
 
 @oml_group.command("semigroup")
 @click.argument("lattice_file")
-@click.option("--cap", default=10_000, type=int, help="element budget")
+@click.option("--cap", default=10_000, type=click.IntRange(min=0), help="element budget")
 @click.option("--out", default=None)
 def oml_semigroup(lattice_file, cap, out):
     """Enumerate the Sasaki-map semigroup and verify the lattice recovery

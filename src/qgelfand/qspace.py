@@ -72,8 +72,31 @@ class QSubset:
         return self.projectors == other.projectors
 
 
+# a unit vector lies in a subset's range when its residual ‖P v − v‖ is at
+# most _RANGE_SLACK
+_RANGE_SLACK = 1e3 * LATTICE_TOL
+
+
+def _range_residual(p: Projector, v: np.ndarray) -> float:
+    return np.linalg.norm(p.basis @ (p.basis.conj().T @ v) - v)
+
+
 def _in_range(p: Projector, v: np.ndarray) -> bool:
-    return np.linalg.norm(p.basis @ (p.basis.conj().T @ v) - v) <= 1e3 * LATTICE_TOL
+    return _range_residual(p, v) <= _RANGE_SLACK
+
+
+def _near_range(p: Projector, v: np.ndarray) -> bool:
+    """Whether a unit vector v is close enough to range(p) that a projector
+    whose range lies in range(p) may still hold v within _RANGE_SLACK.
+
+    A projector built from vectors of range(p), such as the Sasaki product
+    p ∧ (p⊥ ∨ q), has a Gram–Schmidt basis that strays from range(p) by
+    about eps/RANK_TOL ≈ 2e-8.  By the triangle inequality its residual at
+    v is at least v's residual under p less about that stray, so a v that
+    is not near p is rejected by _in_range with a margin of about
+    _RANGE_SLACK.  A rank-0 p has residual 1 and is never near.
+    """
+    return _range_residual(p, v) <= 2 * _RANGE_SLACK
 
 
 def _zero_projectors(dec: BlockDecomposition) -> list[Projector]:
@@ -224,14 +247,17 @@ def qfunction_star(f: QFunction, g: QFunction) -> QFunction:
 
 def qfunction_star_at(f: QFunction, g: QFunction, alpha: PureState) -> complex:
     """(f * g)(α), equal to qfunction_star(f, g).evaluate(α) but with Sasaki
-    products only in α's block and only for term pairs that both have
-    members there: a product with a rank-0 factor is rank 0 and never
-    contains α.  The coefficients add in the same order, from 0."""
+    products only in α's block and only for term pairs whose f-factor p is
+    near α (_near_range) and whose g-factor has members there.  The product
+    p ∧ (p⊥ ∨ q) has its range inside range(p), so when α is not near p no
+    product with p contains α; a product with a rank-0 factor is rank 0.
+    The skipped pairs are exactly pairs _in_range rejects, and the
+    coefficients of the others add in the same order, from 0."""
     i = alpha.block
     total = 0
     for cf, u in f.terms:
         p = u.projectors[i]
-        if p.rank == 0:
+        if not _near_range(p, alpha.vector):
             continue
         for cg, v in g.terms:
             q = v.projectors[i]
@@ -529,7 +555,12 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
     Injectivity is exact linear algebra: the smallest singular value of
     a ↦ ⊕ (block compressions of a) on the basis span.  The homomorphism
     defect compares α(ab) with (â * b̂)(α) in the simple-function model of
-    the product; it vanishes for commutative algebras.
+    the product; it vanishes for commutative algebras.  The model is
+    built in the sampled state's block only, and b̂'s surrogate only when
+    the state is near the range of some â term (_near_range): every
+    product's range lies inside its â factor's, so otherwise no product
+    holds the state and the model is 0, as the full evaluation gives.  A
+    Haar state in a block of dimension ≥ 2 lies near no eigenspace of â.
     """
     dec = alg.decomposition()
     # images[i][j] is block i's image of basis element j; column j of the
@@ -556,9 +587,14 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         s = random_pure_state(dec, rng)
         a = alg.random_element(rng)
         b = alg.random_element(rng)
-        # qfunction_star_at reads only the terms in s's block
-        fa, fb = hat_as_qfunction(alg, a, s.block), hat_as_qfunction(alg, b, s.block)
-        model = qfunction_star_at(fa, fb, s)
+        # qfunction_star_at reads only the terms in s's block, and only
+        # pairs whose â term is near s
+        fa = hat_as_qfunction(alg, a, s.block)
+        if any(_near_range(u.projectors[s.block], s.vector) for _, u in fa.terms):
+            model = qfunction_star_at(fa, hat_as_qfunction(alg, b, s.block), s)
+        else:
+            alg.require_member(b)
+            model = 0
         # hat(alg, a @ b, s) without re-checking two checked members' product
         ab = dec.blocks[s.block].irrep(a @ b)
         val = abs(complex(np.vdot(s.vector, ab @ s.vector)) - model)

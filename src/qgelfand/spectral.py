@@ -83,9 +83,12 @@ class SpectralReport:
             self._cloud = _quadratic_values(self.a, xs)
         return self._cloud
 
-    def contains(self, z: complex, tol: float = SIGMA_TOL) -> bool:
+    def contains(self, z: complex, tol: float | None = None) -> bool:
         """z in Sigma(a) iff some block's support function dominates it at
-        every swept angle (numerical ranges are convex)."""
+        every swept angle (numerical ranges are convex), within tol; the
+        default slack is SIGMA_TOL · ‖a‖₂, so it scales with a."""
+        if tol is None:
+            tol = SIGMA_TOL * op_norm(self.a)
         proj = np.real(np.exp(-1j * self.thetas) * z)
         return any(np.all(proj <= supports + tol) for supports in self.block_supports)
 

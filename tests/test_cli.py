@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import E12
+from conftest import ALGEBRA_ZOO_GENERATORS, E12
 from qgelfand import spectral
 from qgelfand.cli import canonical_json, main
 from qgelfand.linalg import matrix_to_json
@@ -88,6 +88,13 @@ def test_oml_semigroup_budget(runner, files):
     res = runner.invoke(main, ["oml", "semigroup", files["mo2.json"],
                                "--cap", "5"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("cap, code", [("-1", 2), ("0", 3)])
+def test_oml_semigroup_cap_is_a_budget(runner, files, cap, code):
+    # a negative budget is an input error, not an exceeded budget
+    res = runner.invoke(main, ["oml", "semigroup", files["mo2.json"], "--cap", cap])
+    assert res.exit_code == code
 
 
 def test_oml_boolean(runner, files):
@@ -287,7 +294,8 @@ def test_claims_preimage_m3_report_bytes(runner, files):
 def _claims_output(runner, tmp_path, suite, instance):
     """What claims run writes for one suite on one instance, 20 samples at
     seed 0."""
-    gens = {"E12xI2": np.kron(E12, np.eye(2)), "M3": np.eye(3, k=1)}
+    gens = {"E12xI2": np.kron(E12, np.eye(2)), "M3": np.eye(3, k=1),
+            "M2+C": ALGEBRA_ZOO_GENERATORS["M2+C"][0], "C3": ALGEBRA_ZOO_GENERATORS["C3"][0]}
     (tmp_path / f"{instance}.json").write_text(json.dumps({
         "ambient_dim": len(gens[instance]), "generators": [matrix_to_json(gens[instance])]}))
     cfg = tmp_path / f"cfg_{suite}_{instance}.json"
@@ -312,6 +320,14 @@ def _claims_output(runner, tmp_path, suite, instance):
     pytest.param("thm3", "M3",
                  "4d5b804efcaae1fbd66654eb1b92f03a30f21ab23a43ea8eee5d462873ae7430",
                  id="thm3/M3"),
+    # a pruned two-dimensional block beside a one-dimensional one
+    pytest.param("thm3", "M2+C",
+                 "f134a6ebb9401ad6bf9a0ce3da093f859ecfb59785967483d8030cc5beb76f78",
+                 id="thm3/M2+C"),
+    # one-dimensional blocks only: every sampled state lies in â's terms
+    pytest.param("thm3", "C3",
+                 "b4f161a5bc2e1bc2db42de38fdf8d64502e3a3fd3c8ecbf941849bd87cb0f43e",
+                 id="thm3/C3"),
 ])
 def test_claims_gns_and_thm3_report_bytes(runner, tmp_path, suite, instance, digest):
     # sha256 of the reports written while gns, is_irreducible and thm3's

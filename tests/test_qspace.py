@@ -23,6 +23,7 @@ from qgelfand.linalg import (
     VERDICT_TOL,
     DimensionMismatchError,
     cluster_eigenvalues,
+    haar_unit_vector,
     hermitian_eig,
     op_norm,
     orthonormalize,
@@ -548,31 +549,96 @@ def test_qfunction_star_at_matches_full_product(star_algebras, name, seed, hermi
 def test_thm3_hat_model_solves_only_the_sampled_block(star_algebras, monkeypatch, name, dims):
     alg = star_algebras[name]
     assert [blk.irrep_dim for blk in alg.decomposition().blocks] == dims
-    calls = []  # per hat_as_qfunction call: its block and hermitian_eig's input shapes
+    # per hat_as_qfunction call: its block, hermitian_eig's input shapes,
+    # the state drawn last before it and the terms it built
+    calls = []
+    states = []
     inside = []
-    build, eig = qspace.hat_as_qfunction, qspace.hermitian_eig
+    build, eig, draw = qspace.hat_as_qfunction, qspace.hermitian_eig, qspace.random_pure_state
+
+    def draw_spy(dec, rng):
+        states.append(draw(dec, rng))
+        return states[-1]
 
     def hat_spy(alg, a, block=None):
-        calls.append((block, []))
+        call = {"block": block, "shapes": [], "state": states[-1]}
+        calls.append(call)
         inside.append(True)
         try:
-            return build(alg, a, block)
+            f = build(alg, a, block)
         finally:
             inside.pop()
+        call["terms"] = f.terms
+        return f
 
     def eig_spy(m):
         if inside:
-            calls[-1][1].append(m.shape)
+            calls[-1]["shapes"].append(m.shape)
         return eig(m)
 
+    monkeypatch.setattr(qspace, "random_pure_state", draw_spy)
     monkeypatch.setattr(qspace, "hat_as_qfunction", hat_spy)
     monkeypatch.setattr(qspace, "hermitian_eig", eig_spy)
     thm3_diagnostics(alg, 20, np.random.default_rng(3))
-    assert len(calls) == 40  # â and b̂ per homomorphism sample
-    for block, shapes in calls:
+    # â is built once per homomorphism sample, the first build for its state
+    hat_a = [c for k, c in enumerate(calls) if k == 0 or c["state"] is not calls[k - 1]["state"]]
+    assert len(hat_a) == 20
+
+    def near(c):
+        v = c["state"].vector
+        return any(np.linalg.norm(u.projectors[c["block"]].matrix @ v - v) <= 2e3 * LATTICE_TOL
+                   for _, u in c["terms"])
+
+    # b̂ only right after an â with a term near the state: a Haar state of a
+    # two-dimensional block lies near no eigenspace, one of a
+    # one-dimensional block in every term
+    nears = [near(c) for c in hat_a]
+    assert nears == [dims[c["block"]] == 1 for c in hat_a]
+    assert len(calls) == 20 + sum(nears)
+    assert [id(c["state"]) for c in calls] == [
+        id(c["state"]) for c, n in zip(hat_a, nears) for _ in range(1 + n)]
+    for c in calls:
         # a random element has a Hermitian and an anti-Hermitian part
-        assert shapes == [(dims[block], dims[block])] * 2
-    assert {block for block, _ in calls} == set(range(len(dims)))
+        assert c["shapes"] == [(dims[c["block"]], dims[c["block"]])] * 2
+    assert {c["block"] for c in calls} == set(range(len(dims)))
+
+
+# residual of α from the f-term's range, in units of _in_range's 1e3·LATTICE_TOL:
+# inside, on and past that slack, up to and past the prune's 2·1e3·LATTICE_TOL
+_PRUNE_BAND = [0, 0.5, 1, 1.5, 1.99, 2.5, 4]
+
+
+@pytest.mark.parametrize("name", ["C3", "M2", "M2+C", "E12xI2"])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_qfunction_star_at_prune_keeps_every_term_in_range_can_accept(
+        star_algebras, name, hermitian):
+    alg = star_algebras[name]
+    dec = alg.decomposition()
+    rng = np.random.default_rng(22)
+    f = hat_as_qfunction(alg, alg.random_element(rng, hermitian=hermitian))
+    g = hat_as_qfunction(alg, alg.random_element(rng))
+    full = qfunction_star(f, g)
+    values = {}
+    for t, (_, u) in enumerate(f.terms):
+        for i, p in enumerate(u.projectors):
+            if p.rank == 0:
+                continue
+            x = p.basis @ haar_unit_vector(p.rank, rng)  # a unit vector of range(p)
+            # a unit vector orthogonal to range(p) in the block, if there is one
+            w = orthonormalize(np.column_stack([p.basis, np.eye(p.dim)]).T)[p.rank:]
+            band = _PRUNE_BAND if len(w) else [0]
+            for d in band:
+                sin = d * 1e3 * LATTICE_TOL
+                alpha = PureState(i, np.sqrt(1 - sin**2) * x + sin * (w[0] if len(w) else 0))
+                assert np.linalg.norm(p.matrix @ alpha.vector - alpha.vector) == pytest.approx(
+                    sin, rel=1e-6, abs=1e-15)
+                values[t, i, d] = qfunction_star_at(f, g, alpha)
+                assert values[t, i, d] == full.evaluate(alpha)
+    # the band reaches states the products hold, so the check is not vacuous,
+    # and runs whole wherever a block has room off a term's range
+    assert any(v != 0 for v in values.values())
+    assert (any(d == _PRUNE_BAND[-1] for _, _, d in values)
+            == any(blk.irrep_dim > 1 for blk in dec.blocks))
 
 
 def _hat_terms_with_norm_skip(alg, a):

@@ -64,6 +64,22 @@ def test_sigma_big_e12_disc():
         assert rep.contains(z, 1e-8)
 
 
+def test_sigma_contains_default_slack_is_relative():
+    # Σ(1e-8·E12) is the disc of radius 5e-9; an absolute 1e-6 slack
+    # accepted 1e-7 and 5e-7j
+    rep = sigma_big(1e-8 * E12, samples=20)
+    assert rep.contains(4e-9j)
+    assert not rep.contains(1e-7) and not rep.contains(5e-7j)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_sigma_contains_default_is_scale_invariant(c):
+    # Σ(E12) is the disc of radius 1/2
+    points = [0, 0.45j, 0.3 - 0.3j, 0.49, 0.51, 0.55, 0.6j, 1 + 1j]
+    rep = sigma_big(c * E12, samples=20)
+    assert [rep.contains(c * z) for z in points] == [abs(z) < 0.5 for z in points]
+
+
 def test_sigma_contains_eigenvalues_random():
     for i in range(20):
         n = int(RNG.integers(2, 6))
