@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import pathlib
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -34,9 +36,27 @@ EXIT_NUMERICAL = 4
 
 def _write_text(text: str, out: str | None):
     if out:
-        pathlib.Path(out).write_text(text)
+        _write_file(out, text)
     else:
         click.echo(text, nl=False)
+
+
+def _write_file(path: str, text: str):
+    """Rewrite a file in place with text, in Path.write_text's encoding.
+
+    The file is opened without O_TRUNC, so an existing file keeps its
+    inode, mode and any symlink to it, and only a regular file is cut to
+    the new length after the write: truncating on open frees the old blocks
+    and makes close() allocate new ones, which on some filesystems (ext4
+    with its default auto_da_alloc) costs more than the whole write.  A
+    path that cannot be written is an input error (exit 2)."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+    except OSError as exc:
+        raise click.exceptions.Exit(_input_error(f"cannot write {path}: {exc.strerror}"))
 
 
 def _dump(obj: dict, out: str | None):
@@ -104,7 +124,7 @@ def _canonical(obj, nl: str) -> str:
 def _load_json(path: str) -> dict:
     try:
         obj = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise click.exceptions.Exit(_input_error(f"cannot read {path}: {exc}"))
     if not isinstance(obj, dict):
         raise click.exceptions.Exit(_input_error(f"{path} must hold a JSON object"))
@@ -359,7 +379,7 @@ def spectral_report(matrix_file, seed, samples, out, plot_data):
         sys.exit(EXIT_NUMERICAL)
     _dump(rep.to_json(), out)
     if plot_data:
-        pathlib.Path(plot_data).write_text(_plot_csv(rep))
+        _write_file(plot_data, _plot_csv(rep))
     sys.exit(EXIT_OK)
 
 

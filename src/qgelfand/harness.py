@@ -94,7 +94,7 @@ def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:
         path = base_dir / entry
         try:
             obj = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise ConfigError(f"cannot read instance {entry}: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"instance {entry} must hold a JSON object")

@@ -252,7 +252,9 @@ def qfunction_star_at(f: QFunction, g: QFunction, alpha: PureState) -> complex:
     p ∧ (p⊥ ∨ q) has its range inside range(p), so when α is not near p no
     product with p contains α; a product with a rank-0 factor is rank 0.
     The skipped pairs are exactly pairs _in_range rejects, and the
-    coefficients of the others add in the same order, from 0."""
+    coefficients of the others add in the same order, from 0.  In a block
+    of dimension 1 a near p is the identity of C, so p ∧ (p⊥ ∨ q) = p for
+    every q of rank 1 and α lies in it: no product is formed there."""
     i = alpha.block
     total = 0
     for cf, u in f.terms:
@@ -261,7 +263,7 @@ def qfunction_star_at(f: QFunction, g: QFunction, alpha: PureState) -> complex:
             continue
         for cg, v in g.terms:
             q = v.projectors[i]
-            if q.rank > 0 and _in_range(sasaki_product(p, q), alpha.vector):
+            if q.rank > 0 and (p.dim == 1 or _in_range(sasaki_product(p, q), alpha.vector)):
                 total += cf * cg
     return total
 

@@ -603,6 +603,65 @@ def test_thm3_hat_model_solves_only_the_sampled_block(star_algebras, monkeypatch
     assert {c["block"] for c in calls} == set(range(len(dims)))
 
 
+def _conjugated_c3(rng):
+    # C^3 in a random orthonormal basis: commutative, three blocks of dimension 1
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return generate_algebra([u @ np.diag([1.0, 2.3, 3.1]) @ u.conj().T])
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "CI2", "rand_C3", "M2+C"])
+def test_thm3_forms_no_sasaki_product_in_one_dimensional_blocks(star_algebras, monkeypatch, name):
+    # a near term of a one-dimensional block is the identity of C, so every
+    # product there is that term and holds the state: thm3 adds the
+    # coefficients without forming it, and forms products only in M2+C's M2
+    # block (where a Haar state is near no term, so none at all here)
+    alg = {"C2": lambda: diagonal_algebra(2), "C3": lambda: star_algebras["C3"],
+           "CI2": lambda: generate_algebra([np.eye(2, dtype=complex)]),
+           "rand_C3": lambda: _conjugated_c3(np.random.default_rng(23)),
+           "M2+C": lambda: star_algebras["M2+C"]}[name]()
+    dims = []
+    at = []
+    product, star_at = qspace.sasaki_product, qspace.qfunction_star_at
+
+    def product_spy(p, q):
+        dims.append(p.dim)
+        return product(p, q)
+
+    def star_at_spy(f, g, alpha):
+        at.append(alpha.block)
+        return star_at(f, g, alpha)
+
+    monkeypatch.setattr(qspace, "sasaki_product", product_spy)
+    monkeypatch.setattr(qspace, "qfunction_star_at", star_at_spy)
+    rep = thm3_diagnostics(alg, 20, np.random.default_rng(3))
+    assert rep.verdict == "holds-within-tol" or name == "M2+C"
+    assert set(dims) <= {2}
+    assert dims == [] or name == "M2+C"
+    # the model was evaluated, in one-dimensional blocks only
+    assert at and {alg.decomposition().blocks[i].irrep_dim for i in at} == {1}
+
+
+def test_qfunction_star_at_forms_products_in_two_dimensional_blocks(star_algebras, monkeypatch):
+    # the shortcut is for one-dimensional blocks only: a state on a term of
+    # M2+C's M2 block still takes the Sasaki products
+    alg = star_algebras["M2+C"]
+    dec = alg.decomposition()
+    rng = np.random.default_rng(8)
+    f = hat_as_qfunction(alg, alg.random_element(rng))
+    g = hat_as_qfunction(alg, alg.random_element(rng))
+    full = qfunction_star(f, g)
+    dims = []
+    product = qspace.sasaki_product
+    monkeypatch.setattr(qspace, "sasaki_product", lambda p, q: dims.append(p.dim) or product(p, q))
+    for _, u in f.terms:
+        for i, p in enumerate(u.projectors):
+            if p.rank > 0:
+                alpha = PureState(i, p.basis[:, 0])
+                assert qfunction_star_at(f, g, alpha) == full.evaluate(alpha)
+    assert 2 in dims and 1 not in dims
+    assert [blk.irrep_dim for blk in dec.blocks] == [2, 1]
+
+
 # residual of α from the f-term's range, in units of _in_range's 1e3·LATTICE_TOL:
 # inside, on and past that slack, up to and past the prune's 2·1e3·LATTICE_TOL
 _PRUNE_BAND = [0, 0.5, 1, 1.5, 1.99, 2.5, 4]
