@@ -34,33 +34,33 @@ EXIT_BUDGET = 3
 EXIT_NUMERICAL = 4
 
 
-def _write_text(text: str, out: str | None):
-    if out:
-        _write_file(out, text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _write_file(path: str, text: str):
-    """Rewrite a file in place with text, in Path.write_text's encoding.
-
-    The file is opened without O_TRUNC, so an existing file keeps its
-    inode, mode and any symlink to it, and only a regular file is cut to
-    the new length after the write: truncating on open frees the old blocks
-    and makes close() allocate new ones, which on some filesystems (ext4
-    with its default auto_da_alloc) costs more than the whole write.  A
-    path that cannot be written is an input error (exit 2)."""
-    try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-            f.write(text)
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                f.truncate()
+def _open_output(path: str | None):
+    """The writer of a command's report: stdout, or the file at path, opened
+    now, so that a bad path exits 2 before any work, without O_TRUNC (which
+    makes close() allocate new blocks: on ext4 with auto_da_alloc that costs
+    more than the write); a regular file is cut to length after the write.
+    A later failure leaves a new file empty and an existing one unchanged."""
+    if not path:
+        return lambda text: click.echo(text, nl=False)
+    try:  # closed with the command's context, if the command fails first
+        f = click.get_current_context().with_resource(
+            open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w"))
     except OSError as exc:
         raise click.exceptions.Exit(_input_error(f"cannot write {path}: {exc.strerror}"))
 
+    def write(text: str):
+        try:
+            with f:
+                f.write(text)
+                if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                    f.truncate()
+        except OSError as exc:
+            raise click.exceptions.Exit(_input_error(f"cannot write {path}: {exc.strerror}"))
+    return write
 
-def _dump(obj: dict, out: str | None):
-    _write_text(canonical_json(obj) + "\n", out)
+
+def _dump(obj: dict, write):
+    write(canonical_json(obj) + "\n")
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
@@ -189,6 +189,7 @@ def oml_group():
 def oml_verify(lattice_file, out):
     """Check the lattice axioms (or quantum-set conditions) of an instance."""
     lat = _load_lattice(lattice_file)
+    write = _open_output(out)
     if isinstance(lat, SetOml):
         violations = oml.verify_quantum_set(lat)
         kind = "quantum-set"
@@ -201,7 +202,7 @@ def oml_verify(lattice_file, out):
                        for v in violations],
         "ok": not violations,
     }
-    _dump(report, out)
+    _dump(report, write)
     sys.exit(EXIT_OK if not violations else EXIT_FAILED)
 
 
@@ -213,10 +214,11 @@ def oml_semigroup(lattice_file, cap, out):
     """Enumerate the Sasaki-map semigroup and verify the lattice recovery
     from its closed projections."""
     lat = _load_oml(lattice_file)
+    write = _open_output(out)
     try:
         sg = sasaki.enumerate_semigroup(lat, cap=cap)
     except sasaki.SemigroupBudgetError as exc:
-        _dump({"ok": False, "budget": exc.budget, "found": exc.found}, out)
+        _dump({"ok": False, "budget": exc.budget, "found": exc.found}, write)
         sys.exit(EXIT_BUDGET)
     except StructureError as exc:
         click.echo(f"numerical/structural failure: {exc}", err=True)
@@ -235,7 +237,7 @@ def oml_semigroup(lattice_file, cap, out):
         "recovery_isomorphic": ok,
         "lattice_size": lat.n,
     }
-    _dump(report, out)
+    _dump(report, write)
     sys.exit(EXIT_OK if ok else EXIT_FAILED)
 
 
@@ -246,13 +248,14 @@ def oml_boolean(lattice_file, out):
     """Report whether the skew meet is symmetric (Boolean test) with a
     witness pair when it is not, cross-checked against distributivity."""
     lat = _load_oml(lattice_file)
+    write = _open_output(out)
     boolean, witness = oml.is_boolean(lat)
     report = {
         "boolean": boolean,
         "distributive": oml.is_distributive(lat),
         "witness": list(witness) if witness else None,
     }
-    _dump(report, out)
+    _dump(report, write)
     sys.exit(EXIT_OK)
 
 
@@ -271,12 +274,13 @@ def alg_group():
 def alg_generate(algebra_file, out):
     """Close the given generators into a unital *-algebra."""
     obj = _load_json(algebra_file)
+    write = _open_output(out)
     try:
         alg = FdAlgebra.from_json(obj)
     except ValueError as exc:
         sys.exit(_input_error(str(exc)))
     _dump({"ambient_dim": alg.ambient_dim, "dim": alg.dim,
-           "commutative": alg.is_commutative()}, out)
+           "commutative": alg.is_commutative()}, write)
     sys.exit(EXIT_OK)
 
 
@@ -286,6 +290,7 @@ def alg_generate(algebra_file, out):
 def alg_blocks(algebra_file, out):
     """Block structure (irrep dimension, multiplicity) of the algebra."""
     obj = _load_json(algebra_file)
+    write = _open_output(out)
     try:
         alg = FdAlgebra.from_json(obj)
         dec = alg.decomposition()
@@ -298,7 +303,7 @@ def alg_blocks(algebra_file, out):
         "dim": alg.dim,
         "blocks": [{"irrep_dim": b.irrep_dim, "multiplicity": b.multiplicity}
                    for b in dec.blocks],
-    }, out)
+    }, write)
     sys.exit(EXIT_OK)
 
 
@@ -329,6 +334,7 @@ def claims_run(config_path, seed, samples, out, fmt):
     if samples is not None:
         obj["samples"] = samples
     base = pathlib.Path(config_path).parent
+    write = _open_output(out)
     try:
         cfg = harness.RunConfig.from_json(obj, base_dir=base)
         result = harness.run_suite(cfg)
@@ -338,9 +344,9 @@ def claims_run(config_path, seed, samples, out, fmt):
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     if fmt == "csv":
-        _write_text(harness.suite_result_csv(result), out)
+        write(harness.suite_result_csv(result))
     else:
-        _dump(result, out)
+        _dump(result, write)
     sys.exit(EXIT_OK if result["ok"] else EXIT_FAILED)
 
 
@@ -371,15 +377,17 @@ def spectral_report(matrix_file, seed, samples, out, plot_data):
     two flags, read off the Wedderburn blocks.  The angles, the boundary points
     and the cloud go only to --plot-data, and the cloud is drawn only then."""
     a = _load_matrix(matrix_file)
+    write = _open_output(out)
+    write_plot = _open_output(plot_data) if plot_data else None
     try:
         rep = spectral.sigma_big(a, samples=samples,
                                  rng=np.random.default_rng(seed))
     except (DecompositionError, RuntimeError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
-    _dump(rep.to_json(), out)
-    if plot_data:
-        _write_file(plot_data, _plot_csv(rep))
+    _dump(rep.to_json(), write)
+    if write_plot:
+        write_plot(_plot_csv(rep))
     sys.exit(EXIT_OK)
 
 
@@ -399,21 +407,22 @@ def _plot_csv(rep: spectral.SpectralReport) -> str:
 @click.argument("matrix_file")
 @click.option("--mode", default="oracle",
               type=click.Choice(["paper", "oracle", "both"]))
-@click.option("--seed", required=True, type=int)
-@click.option("--samples", default=2000, type=click.IntRange(min=1))
+# accepted for old command lines and never read: nothing invsub does is random
+@click.option("--seed", type=int, hidden=True, expose_value=False)
+@click.option("--samples", type=click.IntRange(min=1), hidden=True, expose_value=False)
 @click.option("--out", default=None)
-def invsub(matrix_file, mode, seed, samples, out):
-    """Candidate invariant subspaces with measured invariance defects."""
+def invsub(matrix_file, mode, out):
+    """Candidate invariant subspaces, each judged by its invariance defect."""
     a = _load_matrix(matrix_file)
     if a.shape[0] < 2:
         sys.exit(_input_error("need a matrix of size at least 2"))
+    write = _open_output(out)
     try:
-        results = spectral.invariant_subspace(
-            a, mode=mode, samples=samples, rng=np.random.default_rng(seed))
-    except (DecompositionError, RuntimeError) as exc:
+        results = spectral.invariant_subspace(a, mode=mode)
+    except DecompositionError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
-    _dump({"results": [r.to_json() for r in results]}, out)
+    _dump({"results": [r.to_json() for r in results]}, write)
     sys.exit(EXIT_OK)
 
 

@@ -19,12 +19,12 @@ class DimensionMismatchError(ValueError):
 # one.  RANK_TOL decides which singular values, eigenvalues and residual
 # norms count as zero; LATTICE_TOL is the slack allowed in projector-lattice
 # identities; VERDICT_TOL is the largest measured defect a claims verdict
-# reads as holds-within-tol; CLUSTER_GAP is the eigenvalue gap that
-# separates one cluster of a Hermitian spectrum from the next; SIGMA_TOL is
-# the slack, relative to the norm, of the spectral module's check that every
-# eigenvalue lies in the swept Sigma(a), and of invsub's sigma fiber.  The
-# sixth, the pivot threshold of _phase_normalize, only fixes eigenvector
-# phases.
+# reads as holds-within-tol (for invsub's invariance defect, times ‖a‖);
+# CLUSTER_GAP is the eigenvalue gap that separates one cluster of a Hermitian
+# spectrum from the next; SIGMA_TOL is the slack, times ‖a‖, of the spectral
+# module's check that every eigenvalue lies in the swept Sigma(a), and of
+# invsub's sigma fiber.  The sixth, the pivot threshold of _phase_normalize,
+# only fixes eigenvector phases.
 RANK_TOL = 1e-8
 LATTICE_TOL = 1e-8
 VERDICT_TOL = 1e-9

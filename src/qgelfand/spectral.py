@@ -9,11 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FdAlgebra, generate_algebra, gns, vector_state
+from .algebra import BlockDecomposition, FdAlgebra, generate_algebra, gns, vector_state
 from .linalg import (
     RANK_TOL,
     SIGMA_TOL,
+    VERDICT_TOL,
     Projector,
+    _phase_normalize,
     as_cmatrix,
     haar_unit_vectors,
     op_norm,
@@ -123,8 +125,7 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     a = as_cmatrix(a)
     if rng is None:
         rng = np.random.default_rng(0)
-    alg = generate_algebra([a])
-    dec = alg.decomposition()
+    dec = generate_algebra([a]).decomposition()
     sig = spectrum(a)
     thetas = np.linspace(0.0, 2 * np.pi, N_ANGLES, endpoint=False)
 
@@ -136,28 +137,28 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
         block_supports.append(supports)
         block_boundaries.append(_quadratic_values(m, v))
 
-    # Sigma(a) is the union of the blocks' numerical ranges: one point iff
-    # a is scalar, sigma(a) iff every irrep is 1-dimensional (a is normal)
-    singleton = len(dec.blocks) == 1 and dec.blocks[0].irrep_dim == 1
-    equals = all(blk.irrep_dim == 1 for blk in dec.blocks)
-    gap = _distances_to(sig, np.concatenate(block_boundaries)).max()
+    singleton, equals = _sigma_flags(dec)
+    # the largest distance from a boundary point to the nearest eigenvalue
+    gap = np.abs(np.concatenate(block_boundaries)[:, None] - sig).min(axis=1).max()
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
                             singleton, equals, gap, a, samples, rng)
     escape_tol = 100 * SIGMA_TOL * op_norm(a)
-    for lam in sig:
-        if not report.contains(lam, escape_tol):
-            raise RuntimeError("eigenvalue escaped the swept Sigma region")
+    if not all(report.contains(lam, escape_tol) for lam in sig):
+        raise RuntimeError("eigenvalue escaped the swept Sigma region")
     return report
+
+
+def _sigma_flags(dec: BlockDecomposition) -> tuple[bool, bool]:
+    """(sigma_singleton, sigma_equals_big): Sigma(a), the union of the
+    blocks' numerical ranges, is one point iff a is scalar (one block, of
+    irrep dimension 1), and sigma(a) iff every irrep is 1-dimensional."""
+    dims = [blk.irrep_dim for blk in dec.blocks]
+    return dims == [1], set(dims) == {1}
 
 
 def _quadratic_values(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """<v, m v> for every row v of vs."""
     return np.einsum("ki,ij,kj->k", vs.conj(), m, vs)
-
-
-def _distances_to(points: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Distance from each z in zs to the nearest of points."""
-    return np.min(np.abs(zs[:, None] - points[None, :]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +266,16 @@ class InvariantSubspaceResult:
     dims: tuple[int, int]  # (rank, ambient)
     case_tag: str  # scalar-case | sigma-split-case | oracle | out-of-dichotomy
     provenance: str  # paper-construction | eigenvector-oracle
-    verdict: str  # nontrivial | trivial | out-of-dichotomy | scalar-discrepancy
+    verdict: str  # trivial | nontrivial | not-invariant | out-of-dichotomy
+    witness: np.ndarray | None = None  # unit x in ran P maximizing ‖(I−P)ax‖
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        def parts(z):
+            return None if z is None else {"re": z.real.tolist(), "im": z.imag.tolist()}
         return {
-            "projector": None if self.projector is None else {
-                "re": self.projector.matrix.real.tolist(),
-                "im": self.projector.matrix.imag.tolist(),
-            },
+            "projector": parts(None if self.projector is None else self.projector.matrix),
+            "witness": parts(self.witness),
             "invariance_defect": self.invariance_defect,
             "rank": self.dims[0],
             "ambient": self.dims[1],
@@ -284,102 +286,90 @@ class InvariantSubspaceResult:
         }
 
 
-def invariance_defect(a: np.ndarray, p: Projector) -> float:
-    comp = np.eye(p.dim) - p.matrix
-    return op_norm(comp @ a @ p.matrix)
+def _judged(a: np.ndarray, p: Projector, case_tag: str, provenance: str,
+            notes: dict) -> InvariantSubspaceResult:
+    """The one verdict rule: trivial when P is 0 or I, else nontrivial when
+    the defect ‖(I − P) a P‖ is at most VERDICT_TOL · ‖a‖, else
+    not-invariant, with the unit x in ran P that maximizes ‖(I − P) a x‖ as
+    witness: the top right singular vector of (I − P) a P, phase-normalized."""
+    n = p.dim
+    leak = (np.eye(n) - p.matrix) @ a @ p.matrix
+    defect = op_norm(leak)
+    verdict, witness = "nontrivial", None
+    if p.rank in (0, n):
+        verdict = "trivial"
+    elif defect > VERDICT_TOL * op_norm(a):
+        verdict = "not-invariant"
+        witness = _phase_normalize(np.linalg.svd(leak)[2][:1].conj().T)[:, 0]
+    return InvariantSubspaceResult(p, defect, (p.rank, n), case_tag, provenance,
+                                   verdict, witness, notes)
 
 
 def _oracle_result(a: np.ndarray) -> InvariantSubspaceResult:
-    n = a.shape[0]
     vals, vecs = np.linalg.eig(a)
     order = np.lexsort((vals.imag, vals.real))
-    v = vecs[:, order[0]]
-    p = projector_from_basis(v.reshape(-1, 1))
-    defect = invariance_defect(a, p)
-    verdict = "nontrivial" if 0 < p.rank < n else "trivial"
-    return InvariantSubspaceResult(p, defect, (p.rank, n), "oracle",
-                                   "eigenvector-oracle", verdict,
-                                   {"eigenvalue": vals[order[0]]})
+    p = projector_from_basis(vecs[:, order[0]].reshape(-1, 1))
+    return _judged(a, p, "oracle", "eigenvector-oracle", {"eigenvalue": vals[order[0]]})
 
 
-def _modeled_result(a: np.ndarray, report: SpectralReport, samples: int,
-                    rng: np.random.Generator) -> InvariantSubspaceResult:
-    """The sigma-versus-Sigma dichotomy, with measured defects in place of
-    asserted invariance.
+def _sigma_fiber(a: np.ndarray) -> np.ndarray:
+    """Unit vectors x with <x, a x> in sigma(a), as rows, in closed form.
 
-    The case comes from the report's two flags, which the Wedderburn
-    blocks decide: scalar (Sigma a single point) is scalar-case, normal
-    (Sigma equals sigma) is out-of-dichotomy, anything else is
-    sigma-split-case.
+    Per eigenvalue λ, with multiplicity, one SVD of m = a − λ gives u, its
+    last right singular vector, and the others w_j.  With β_j = u* m w_j and
+    γ_j = w_j* m w_j, x_j = conj(γ_j) u − conj(β_j) w_j has x_j* m x_j = 0
+    exactly when m u = 0, with no division.  The candidates are u, every
+    w_j and every x_j longer than SIGMA_TOL · ‖a‖ (a shorter one lies in
+    span(u, w_j), w_j on the fiber), normalized, kept when |x* m x| ≤
+    SIGMA_TOL · ‖a‖.  a is first divided by ‖a‖, so that no product under-
+    or overflows at any scale."""
+    a = a / op_norm(a)
+    points = []
+    for lam in spectrum(a):
+        m = a - lam * np.eye(len(a))
+        v = np.linalg.svd(m)[2].conj()  # rows: the right singular vectors
+        u, ws = v[-1], v[:-1]
+        xs = (_quadratic_values(m, ws).conj()[:, None] * u
+              - (ws @ (m.T @ u.conj())).conj()[:, None] * ws)
+        xs = xs[np.linalg.norm(xs, axis=1) > SIGMA_TOL]
+        cands = np.vstack([u, ws, xs / np.linalg.norm(xs, axis=1, keepdims=True)])
+        points.append(cands[np.abs(_quadratic_values(m, cands)) <= SIGMA_TOL])
+    return np.vstack(points)
 
-    Scalar case: Sigma a single point lambda; the claim 'a = lambda I'
-    is checked, and its failure is recorded as a discrepancy witness.
-    Split case: sigma strictly inside Sigma; the subspace is the span of
-    sampled pure-state vectors whose a-hat value sits on sigma (nearest
-    quantile fallback if the exact fiber is empty), rank-capped below the
-    ambient dimension.
-    """
+
+def _modeled_result(a: np.ndarray, dec: BlockDecomposition) -> InvariantSubspaceResult:
+    """The sigma-versus-Sigma dichotomy, its case read off dec's flags.
+    Scalar: Sigma is the point λ, the 1×1 irrep, and a = λI would make the
+    line e₁ invariant; it is judged, with ‖a − λI‖ noted as scalar_gap.
+    Normal: out of the dichotomy.  Else split: the sigma fiber's span."""
     n = a.shape[0]
-    norm_a = max(1.0, op_norm(a))
-    split_tol = SIGMA_TOL * norm_a
-    if report.sigma_singleton:
-        lam = complex(np.mean(np.concatenate(report.block_boundaries)))
-        scalar_gap = op_norm(a - lam * np.eye(n))
-        p = Projector(basis=np.eye(n, 1, dtype=complex))
-        defect = invariance_defect(a, p)
-        if scalar_gap > RANK_TOL * norm_a:
-            return InvariantSubspaceResult(
-                p, defect, (1, n), "scalar-case", "paper-construction",
-                "scalar-discrepancy",
-                {"lambda": lam, "scalar_gap": scalar_gap},
-            )
-        return InvariantSubspaceResult(p, defect, (1, n), "scalar-case",
-                                       "paper-construction", "nontrivial",
-                                       {"lambda": lam})
-    if report.sigma_equals_big:
+    singleton, normal = _sigma_flags(dec)
+    if singleton:
+        lam = complex(dec.blocks[0].irrep(a)[0, 0])
+        return _judged(a, Projector(basis=np.eye(n, 1, dtype=complex)), "scalar-case",
+                       "paper-construction",
+                       {"lambda": lam, "scalar_gap": op_norm(a - lam * np.eye(n))})
+    if normal:
         return InvariantSubspaceResult(
-            None, None, (0, n), "out-of-dichotomy", "paper-construction",
-            "out-of-dichotomy",
-            {"reason": "sigma equals Sigma but is not a single point"},
-        )
-    # split case: sample pure-state vectors, keep the sigma fiber
-    xs = haar_unit_vectors(samples, n, rng)
-    resid = _distances_to(report.sigma, _quadratic_values(a, xs))
-    fiber = xs[resid <= split_tol]
-    quantile_fallback = not len(fiber)
-    if quantile_fallback:
-        fiber = xs[np.argsort(resid)[:max(1, samples // 10)]]
-    # the fiber's span, accepted in sample order and capped below C^n
-    p = Projector(basis=orthonormalize(fiber)[:n - 1].T)
-    defect = invariance_defect(a, p)
-    return InvariantSubspaceResult(
-        p, defect, (p.rank, n), "sigma-split-case", "paper-construction",
-        "nontrivial" if 0 < p.rank < n else "trivial",
-        {"fiber_size": len(fiber), "quantile_fallback": quantile_fallback,
-         "sigma_gap": report.sigma_gap},
-    )
+            None, None, (0, n), "out-of-dichotomy", "paper-construction", "out-of-dichotomy",
+            notes={"reason": "sigma equals Sigma but is not a single point"})
+    fiber = _sigma_fiber(a)
+    return _judged(a, Projector(basis=orthonormalize(fiber).T), "sigma-split-case",
+                   "paper-construction", {"fiber_size": len(fiber)})
 
 
-def invariant_subspace(a: np.ndarray, mode: str = "oracle",
-                       samples: int = 2000,
-                       rng: np.random.Generator | None = None) -> list[InvariantSubspaceResult]:
-    """Candidate invariant subspaces for a.
-
-    'oracle' returns an eigenvector line (always exists over C) with its
-    defect.  'paper' runs the modeled dichotomy construction and reports
-    its measured defect without asserting success.  'both' returns both.
-    """
+def invariant_subspace(a: np.ndarray, mode: str = "oracle") -> list[InvariantSubspaceResult]:
+    """Candidate invariant subspaces for a, each judged by its defect:
+    'oracle' an eigenvector line, 'paper' the modeled dichotomy, 'both'
+    both.  Nothing is drawn at random and no Sigma(a) sweep runs."""
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1] or a.shape[0] < 2:
         raise ValueError("need a square matrix of size at least 2")
     if mode not in ("paper", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     out = []
     if mode in ("paper", "both"):
-        report = sigma_big(a)
-        out.append(_modeled_result(a, report, samples, rng))
+        out.append(_modeled_result(a, generate_algebra([a]).decomposition()))
     if mode in ("oracle", "both"):
         out.append(_oracle_result(a))
     return out

@@ -872,5 +872,5 @@ def test_hermitian_eig_is_given_only_hermitian_matrices(monkeypatch):
     rng = np.random.default_rng(16)
     for a in (np.eye(3, k=1), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))):
         sigma_big(a, samples=10)
-        invariant_subspace(a, mode="both", samples=50)
+        invariant_subspace(a, mode="both")
     assert calls

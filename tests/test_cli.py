@@ -11,7 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import ALGEBRA_ZOO_GENERATORS, E12
-from qgelfand import spectral
+from qgelfand import harness, spectral
+from qgelfand.algebra import DecompositionError
 from qgelfand.cli import canonical_json, main
 from qgelfand.linalg import matrix_to_json
 from qgelfand.oml import lattice_zoo
@@ -500,14 +501,16 @@ def test_spectral_nonsquare(runner, files):
 
 
 def test_invsub(runner, files):
-    res = runner.invoke(main, ["invsub", files["e12.json"], "--mode", "both",
-                               "--seed", "6", "--samples", "300"])
+    res = runner.invoke(main, ["invsub", files["e12.json"], "--mode", "both"])
     assert res.exit_code == 0
     rows = json.loads(res.output)["results"]
     tags = {r["case_tag"] for r in rows}
     assert tags == {"sigma-split-case", "oracle"}
     oracle = next(r for r in rows if r["case_tag"] == "oracle")
     assert oracle["invariance_defect"] <= 1e-10
+    # E12's closed-form sigma fiber spans C^2
+    paper = next(r for r in rows if r["case_tag"] == "sigma-split-case")
+    assert (paper["verdict"], paper["rank"], paper["witness"]) == ("trivial", 2, None)
 
 
 @pytest.mark.parametrize("argv", [
@@ -610,7 +613,7 @@ def test_samples_below_one(runner, files, command, samples):
                  "62e16bbfacbac415d69490149e2a97a6a81f43497495e0e73b6d312ed39fa79b",
                  id="spectral report"),
     pytest.param(["invsub", "--mode", "both"],
-                 "9c580a3aa58c0b2cadf365f19604f03830d3c1058f6740c6f88160a6bfadc524",
+                 "b64e01cda2fccdd9ac262835370bc005a736d9f25430d0b36f960c69a4003c93",
                  id="invsub --mode both"),
 ])
 def test_spectral_report_bytes(runner, tmp_path, argv, digest):
@@ -629,7 +632,13 @@ def test_spectral_report_bytes(runner, tmp_path, argv, digest):
     # one call of the Gram-Schmidt kernel in place of re-orthonormalizing the
     # span once per fiber vector: the same vectors are accepted, and only
     # the last bits of the paper result's projector moved (by at most
-    # 2.2e-16 here).
+    # 2.2e-16 here).  The invsub digest was re-recorded again when the sigma
+    # fiber came to be built in closed form, with no draw and no rank cap,
+    # and the verdict to read the defect: the paper result's span is now all
+    # of C^3 (rank 3, verdict trivial, fiber_size 12, no quantile_fallback or
+    # sigma_gap note), every result gained a witness key (null here), and the
+    # output no longer depends on --seed or --samples; the oracle result's
+    # projector, defect, rank and verdict kept their bytes.
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(matrix_to_json(np.eye(3, k=1))))
     res = runner.invoke(main, [*argv, str(path), "--seed", "0", "--samples", "200"])
@@ -811,6 +820,45 @@ def test_unwritable_output_is_an_input_error(runner, files, option, where):
                                "--samples", "10", option, str(path)])
     assert res.exit_code == 2
     assert f"input error: cannot write {path}: " in res.stderr
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("the command computed before it opened its outputs")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_bad_output_path_exits_before_the_compute(runner, files, monkeypatch, existing):
+    # every output is opened before the compute: a bad --plot-data exits 2
+    # with no work done and the good --out left unwritten (a new file
+    # empty, an existing one with its bytes)
+    monkeypatch.setattr(spectral, "sigma_big", _no_compute)
+    monkeypatch.setattr(harness, "run_suite", _no_compute)
+    out = files["tmp"] / "r.json"
+    if existing:
+        out.write_text("old")
+    bad = files["tmp"] / "missing" / "p.csv"
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "0",
+                               "--out", str(out), "--plot-data", str(bad)])
+    assert res.exit_code == 2
+    assert f"input error: cannot write {bad}: " in res.stderr
+    assert out.read_text() == ("old" if existing else "")
+    res = runner.invoke(main, ["claims", "run", "--config", _claims_config(files),
+                               "--format", "csv", "--out", str(bad)])
+    assert res.exit_code == 2
+    assert f"input error: cannot write {bad}: " in res.stderr
+
+
+def test_numerical_failure_after_the_open_leaves_outputs_unwritten(runner, files, monkeypatch):
+    def fail(*args, **kwargs):
+        raise DecompositionError("no decomposition")
+
+    monkeypatch.setattr(spectral, "sigma_big", fail)
+    new, old = files["tmp"] / "new.json", files["tmp"] / "plot.csv"
+    old.write_text("old")
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "0",
+                               "--out", str(new), "--plot-data", str(old)])
+    assert res.exit_code == 4
+    assert (new.read_text(), old.read_text()) == ("", "old")
 
 
 def test_output_files_are_never_opened_with_o_trunc(runner, files, monkeypatch):
