@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     LATTICE_TOL,
     RANK_TOL,
+    _is_int,
     as_cmatrix,
     cluster_eigenvalues,
     haar_unit_vector,
@@ -116,7 +117,7 @@ class FdAlgebra:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FdAlgebra":
-        if not (isinstance(obj, dict) and isinstance(obj.get("ambient_dim"), int)
+        if not (isinstance(obj, dict) and _is_int(obj.get("ambient_dim"))
                 and isinstance(obj.get("generators"), list)):
             raise ValueError('an algebra must be an object with an integer "ambient_dim" '
                              'and a list of "generators"')
@@ -417,6 +418,11 @@ class PureState:
             raise StateError("pure-state vector must be a unit vector")
         object.__setattr__(self, "vector", v)
 
+    def value(self, image: np.ndarray) -> complex:
+        """â(α) = ⟨v, image·v⟩, where image is a's image in this state's
+        block: the one evaluation of an element at a pure state."""
+        return complex(np.vdot(self.vector, image @ self.vector))
+
 
 def vector_state(xi: np.ndarray) -> State:
     xi = np.asarray(xi, dtype=complex).reshape(-1)
@@ -446,14 +452,16 @@ def state_block_matrices(dec: BlockDecomposition, state: State) -> list[np.ndarr
     return out
 
 
-def as_pure(dec: BlockDecomposition, state: State) -> PureState | None:
+def as_pure(dec: BlockDecomposition, state: State | PureState) -> PureState | None:
     """Block-aware purity test on the algebra.
 
     A state can be ambient-mixed and still pure on the algebra; purity is
     judged from the reduced block matrices: exactly one block carries
     weight and its reduced matrix has rank one.  Returns the pure state in
-    block coordinates, or None.
+    block coordinates, or None; a PureState is returned unchanged.
     """
+    if isinstance(state, PureState):
+        return state
     mats = state_block_matrices(dec, state)
     weights = [float(np.real(np.trace(r))) for r in mats]
     live = [i for i, w in enumerate(weights) if w > RANK_TOL]
@@ -476,10 +484,15 @@ def random_pure_state(dec: BlockDecomposition, rng: np.random.Generator) -> Pure
     return PureState(i, haar_unit_vector(dec.blocks[i].irrep_dim, rng))
 
 
+def same_ray(overlap):
+    """Whether unit vectors with overlap ⟨x, y⟩ span one ray, |⟨x, y⟩| = 1
+    within RANK_TOL: the one equality rule for pure states of one block.
+    Takes a scalar or an array of overlaps."""
+    return np.abs(np.abs(overlap) - 1.0) <= RANK_TOL
+
+
 def pure_equal(a: PureState, b: PureState) -> bool:
-    if a.block != b.block:
-        return False
-    return abs(abs(np.vdot(a.vector, b.vector)) - 1.0) <= RANK_TOL
+    return a.block == b.block and bool(same_ray(np.vdot(a.vector, b.vector)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +585,5 @@ def hat(alg: FdAlgebra, a: np.ndarray, state) -> complex:
     their block compression."""
     a = alg.require_member(a)
     if isinstance(state, PureState):
-        dec = alg.decomposition()
-        pa = dec.blocks[state.block].irrep(a)
-        return complex(np.vdot(state.vector, pa @ state.vector))
+        return state.value(alg.decomposition().blocks[state.block].irrep(a))
     return state(a)

@@ -101,6 +101,8 @@ def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:
         name, alg_obj = pathlib.Path(entry).stem, obj
     elif isinstance(entry, dict):
         name, alg_obj, obj = entry.get("name", "inline"), entry.get("algebra"), entry
+        if not isinstance(name, str):
+            raise ConfigError(f"an inline instance's name must be a string, got {name!r}")
     else:
         raise ConfigError(f"instance entries must be paths or dicts, got {type(entry)}")
     try:

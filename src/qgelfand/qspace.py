@@ -14,11 +14,11 @@ from .algebra import (
     BlockDecomposition,
     FdAlgebra,
     PureState,
-    State,
     as_pure,
     hat,
     pure_equal,
     random_pure_state,
+    same_ray,
 )
 from .linalg import (
     LATTICE_TOL,
@@ -27,7 +27,6 @@ from .linalg import (
     DimensionMismatchError,
     Projector,
     cluster_eigenvalues,
-    haar_unit_vector,
     hermitian_eig,
     op_norm,
     proj_join,
@@ -122,25 +121,16 @@ def singleton_join(dec: BlockDecomposition, alpha: PureState, beta: PureState) -
 
 def literal_join(alpha: PureState, beta: PureState) -> list[PureState]:
     """Pure states of the form c1·α + c2·β (as functionals) with
-    |c1|² + |c2|² = 1.
+    |c1|² + |c2|² = 1: only the corners, α and β.
 
-    For independent vectors, hermiticity forces real coefficients, the
-    trace forces c1 + c2 = 1, and together with the normalization only the
-    corners survive; verified numerically rather than assumed.  Since the
-    literal join of two states never leaves them, the literal closure of a
-    seed set is the seed set itself.
+    For states of one block with independent vectors x, y, hermiticity of
+    c1·xx* + c2·yy* forces real coefficients, the trace forces c1 + c2 = 1,
+    and with the normalization c1·c2 = 0.  States of different blocks are
+    carried by centrally orthogonal supports, so a combination of both is
+    never pure either.  Since the literal join of two states never leaves
+    them, the literal closure of a seed set is the seed set itself.
     """
-    x, y = alpha.vector, beta.vector
-    if pure_equal(alpha, beta):
-        return [alpha]
-    out = []
-    for c1, c2 in [(1.0, 0.0), (0.0, 1.0)]:
-        rho = c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj())
-        vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if (vals.min() > -RANK_TOL and abs(vals.sum() - 1) < RANK_TOL
-                and np.sum(vals > RANK_TOL) == 1):
-            out.append(alpha if c1 == 1.0 else beta)
-    return out
+    return [alpha] if pure_equal(alpha, beta) else [alpha, beta]
 
 
 def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> QSubset:
@@ -371,14 +361,11 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
     a = alg.require_member(a)
     # a is checked once here; each sample is hat's arithmetic on a's images
     images = [blk.irrep(a) for blk in dec.blocks]
-    # random_pure_state's draws, in its order; only the draws inside the
-    # disc become PureStates
     inside: list[PureState] = []
     for _ in range(samples):
-        i = int(rng.integers(dec.n_blocks))
-        v = haar_unit_vector(dec.blocks[i].irrep_dim, rng)
-        if abs(complex(np.vdot(v, images[i] @ v)) - center) <= radius:
-            inside.append(PureState(i, v))
+        s = random_pure_state(dec, rng)
+        if abs(s.value(images[s.block]) - center) <= radius:
+            inside.append(s)
     worst = 0.0
     witness = None
     # every block's irrep space is padded with zeros to the largest one, so
@@ -440,8 +427,8 @@ def _join_pairs(blocks: np.ndarray, vecs: np.ndarray, cap: int) -> tuple[np.ndar
     found = 0
     for i in range(len(blocks) - 1):
         later = i + 1 + np.flatnonzero(blocks[i + 1:] == blocks[i])
-        # pure_equal's rule on the overlaps |<v_i, v_j>|
-        later = later[np.abs(np.abs(vecs[later] @ vecs[i].conj()) - 1.0) > RANK_TOL]
+        # pure_equal's rule on the overlaps <v_i, v_j>
+        later = later[~same_ray(vecs[later] @ vecs[i].conj())]
         later = later[:cap - found]
         first.append(np.full(len(later), i))
         second.append(later)
@@ -484,7 +471,7 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     )
     # mixed states are allowed: they are simply not members of any QSubset,
     # and the square defect then measures the variance directly
-    pure_alpha = _as_pure_state(alg, state)
+    pure_alpha = as_pure(dec, state)
     projs = [_top_spectral_projector(h) for h in hs]
     p, q = projs
     meets = [proj_meet(projector_from_matrix(blk.irrep(p)), projector_from_matrix(blk.irrep(q)))
@@ -510,14 +497,6 @@ def _top_spectral_projector(h: np.ndarray) -> np.ndarray:
     return w @ w.conj().T
 
 
-def _as_pure_state(alg: FdAlgebra, state) -> PureState | None:
-    if isinstance(state, PureState):
-        return state
-    if isinstance(state, State):
-        return as_pure(alg.decomposition(), state)
-    return None
-
-
 def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
                                  rng: np.random.Generator,
                                  instance: str = "") -> ClaimsReport:
@@ -533,7 +512,7 @@ def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
     witness = None
     for _ in range(samples):
         s = random_pure_state(dec, rng)
-        v = complex(np.vdot(s.vector, images[s.block] @ s.vector))
+        v = s.value(images[s.block])
         val = min(abs(v), abs(1 - v))
         if val > worst:
             worst, witness = val, s
@@ -542,12 +521,6 @@ def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
         "holds-within-tol" if worst <= VERDICT_TOL else "fails",
         [witness] if witness is not None else [],
     )
-
-
-def _basis_hats(images: list[np.ndarray], s: PureState) -> np.ndarray:
-    """hat(alg, b, s) for every basis element b, where images[i] stacks
-    block i's images of the basis."""
-    return (images[s.block] @ s.vector) @ s.vector.conj()
 
 
 def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
@@ -578,7 +551,8 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         s, t = random_pure_state(dec, rng), random_pure_state(dec, rng)
         if pure_equal(s, t):
             continue
-        if np.all(np.abs(_basis_hats(images, s) - _basis_hats(images, t)) <= RANK_TOL):
+        if all(abs(s.value(x) - t.value(y)) <= RANK_TOL
+               for x, y in zip(images[s.block], images[t.block])):
             separated = False
             sep_witness = (s, t)
             break
@@ -595,11 +569,10 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         if any(_near_range(u.projectors[s.block], s.vector) for _, u in fa.terms):
             model = qfunction_star_at(fa, hat_as_qfunction(alg, b, s.block), s)
         else:
-            alg.require_member(b)
             model = 0
-        # hat(alg, a @ b, s) without re-checking two checked members' product
-        ab = dec.blocks[s.block].irrep(a @ b)
-        val = abs(complex(np.vdot(s.vector, ab @ s.vector)) - model)
+        # hat(alg, a @ b, s) without its membership check: a and b are
+        # random elements, members by construction
+        val = abs(s.value(dec.blocks[s.block].irrep(a @ b)) - model)
         if val > hom_defect:
             hom_defect, hom_witness = val, (s,)
     defects = {

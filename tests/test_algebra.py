@@ -30,6 +30,7 @@ from qgelfand.algebra import (
     pure_to_state,
     r_is_discrete,
     random_pure_state,
+    same_ray,
     vector_state,
 )
 from qgelfand.harness import SUITES, RunConfig, run_suite
@@ -145,6 +146,30 @@ def test_pure_state_roundtrip(algebra_zoo):
     assert abs(direct - via_rho) < 1e-10
     back = as_pure(dec, rho)
     assert back is not None and pure_equal(back, p)
+
+
+def test_as_pure_returns_a_pure_state_unchanged(algebra_zoo):
+    dec = algebra_zoo["M2+C"].decomposition()
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        s = random_pure_state(dec, rng)
+        assert as_pure(dec, s) is s
+
+
+def test_same_ray_on_an_overlap_array_is_pure_equal(algebra_zoo):
+    # the array form, as the preimage probe applies it to rows of overlaps,
+    # decides each pair as pure_equal does: drawn states, a repeated vector
+    # and a phase multiple
+    dec = algebra_zoo["M2"].decomposition()
+    rng = np.random.default_rng(4)
+    states = [random_pure_state(dec, rng) for _ in range(6)]
+    states += [PureState(0, states[0].vector.copy()),
+               PureState(0, np.exp(0.7j) * states[1].vector)]
+    vecs = np.array([s.vector for s in states])
+    overlaps = vecs.conj() @ vecs.T  # overlaps[i, j] = <v_i, v_j>
+    equal = [[pure_equal(s, t) for t in states] for s in states]
+    assert same_ray(overlaps).tolist() == equal
+    assert same_ray(overlaps).sum() == len(states) + 4
 
 
 def test_ambient_mixed_but_algebra_pure(algebra_zoo):

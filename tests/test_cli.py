@@ -542,6 +542,13 @@ def test_non_object_json_input(runner, files, argv):
     ({"name": "inl"}, "instance inl: an algebra must be an object"),
     ({"ambient_dim": 2, "generators": [{**matrix_to_json(E12), "re": [["1", "0"], [True, "2.5"]]}]},
      "instance bad_alg: matrix entries must be numbers"),
+    # JSON true is a Python int; it must not read as ambient_dim 1
+    ({"ambient_dim": True, "generators": [matrix_to_json(np.eye(1))]},
+     "instance bad_alg: an algebra must be an object with an integer"),
+    ({"name": "inl", "algebra": {"ambient_dim": True, "generators": [matrix_to_json(np.eye(1))]}},
+     "instance inl: an algebra must be an object with an integer"),
+    ({"name": 5, "algebra": {"ambient_dim": 2, "generators": [matrix_to_json(E12)]}},
+     "an inline instance's name must be a string, got 5"),
 ])
 def test_malformed_algebra_instance(runner, files, instance, message):
     # a malformed algebra is an input error naming its instance, not a crash;

@@ -11,9 +11,11 @@ from qgelfand import qspace
 from qgelfand.algebra import (
     PureState,
     State,
+    StateError,
     as_pure,
     generate_algebra,
     hat,
+    is_pure,
     pure_equal,
     random_pure_state,
     vector_state,
@@ -93,6 +95,39 @@ def test_singleton_join_literal_corners(m2_dec):
     e2 = _pure(m2_dec, [0, 1])
     assert literal_join(e1, e2) == [e1, e2]
     assert literal_join(e1, e1) == [e1]
+
+
+def _is_pure_density(dec, rho):
+    try:
+        return is_pure(dec, State(rho))
+    except StateError:  # not Hermitian, not positive or not of unit trace
+        return False
+
+
+@pytest.mark.parametrize("y", [[0, 1], [1, 1j]], ids=["orthogonal", "oblique"])
+def test_literal_join_off_the_corners_is_never_pure(m2_dec, y):
+    # M2's block frame is the ambient one, so c1·xx* + c2·yy* is the
+    # functional c1·α + c2·β.  c1 = (1 ± i)/2 has unit trace and norm and
+    # fails hermiticity only
+    alpha, beta = _pure(m2_dec, [1, 0]), _pure(m2_dec, y)
+    x, y = alpha.vector, beta.vector
+    phases = np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))
+    grid = [(r * p1, np.sqrt(1 - r * r) * p2)
+            for r in np.linspace(0, 1, 9)[1:-1] for p1 in phases for p2 in phases]
+    for c1, c2 in grid + [((1 + 1j) / 2, (1 - 1j) / 2), ((1 - 1j) / 2, (1 + 1j) / 2)]:
+        assert abs(abs(c1) ** 2 + abs(c2) ** 2 - 1) <= 1e-15
+        rho = c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj())
+        assert not _is_pure_density(m2_dec, rho), (c1, c2)
+    for c1, c2 in [(1, 0), (0, 1)]:
+        assert _is_pure_density(m2_dec, c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj()))
+    assert literal_join(alpha, beta) == [alpha, beta]
+
+
+def test_literal_join_of_different_blocks_keeps_both():
+    # M2 ⊕ C: the vectors have lengths 2 and 1
+    alpha, beta = PureState(0, np.array([1.0, 0.0])), PureState(1, np.array([1.0]))
+    assert literal_join(alpha, beta) == [alpha, beta]
+    assert literal_join(beta, alpha) == [beta, alpha]
 
 
 def test_closure_fixed_point(m2_dec):
@@ -461,18 +496,17 @@ def test_preimage_pair_selection_is_lazy(joined):
 
 
 def test_thm3_separation_values_are_hat(star_algebras):
-    # the separation probe evaluates every basis element at a state from the
-    # stacked block images; each value is hat's
+    # the separation probe evaluates every basis element at a state through
+    # PureState.value on the block's stacked images; each value is hat's
     rng = np.random.default_rng(5)
     for alg in star_algebras.values():
         dec = alg.decomposition()
         images = [blk.irrep(alg.basis) for blk in dec.blocks]
         for _ in range(10):
             s = random_pure_state(dec, rng)
-            values = qspace._basis_hats(images, s)
-            assert values.shape == (alg.dim,)
-            for b, v in zip(alg.basis, values):
-                assert abs(v - hat(alg, b, s)) <= 1e-14
+            assert len(images[s.block]) == alg.dim
+            for b, x in zip(alg.basis, images[s.block]):
+                assert abs(s.value(x) - hat(alg, b, s)) <= 1e-14
 
 
 @pytest.fixture()
