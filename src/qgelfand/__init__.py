@@ -9,7 +9,6 @@ from .linalg import (
     projector_from_matrix,
     proj_join,
     proj_meet,
-    proj_ortho,
     sasaki_product,
 )
 from .oml import (
@@ -40,8 +39,6 @@ from .qspace import (
     QSubset,
     qfunction_star,
     qfunction_star_at,
-    qsubset_closure,
-    singleton_join,
 )
 from .spectral import (
     CyclicDecomposition,
@@ -62,7 +59,6 @@ __all__ = [
     "projector_from_matrix",
     "proj_join",
     "proj_meet",
-    "proj_ortho",
     "sasaki_product",
     "FiniteOml",
     "SetOml",
@@ -89,8 +85,6 @@ __all__ = [
     "QSubset",
     "qfunction_star",
     "qfunction_star_at",
-    "qsubset_closure",
-    "singleton_join",
     "CyclicDecomposition",
     "InvariantSubspaceResult",
     "SpectralReport",

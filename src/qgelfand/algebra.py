@@ -83,7 +83,10 @@ class FdAlgebra:
         return np.tensordot(self.coords(a), self.basis, axes=1)
 
     def contains(self, a: np.ndarray) -> bool:
-        return op_norm(as_cmatrix(a) - self.project(a)) <= RANK_TOL * max(1.0, op_norm(a))
+        """Whether a lies in the algebra within RANK_TOL·‖a‖: relative, so
+        that c·a is a member exactly when a is, at every scale c > 0."""
+        a = as_cmatrix(a)
+        return op_norm(a - self.project(a)) <= RANK_TOL * op_norm(a)
 
     def require_member(self, a: np.ndarray) -> np.ndarray:
         a = as_cmatrix(a)
@@ -414,8 +417,9 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > RANK_TOL:
-            raise StateError("pure-state vector must be a unit vector")
+        # a non-finite entry makes the norm NaN or inf, which fails this test
+        if not abs(np.linalg.norm(v) - 1.0) <= RANK_TOL:
+            raise StateError("pure-state vector must be a finite unit vector")
         object.__setattr__(self, "vector", v)
 
     def value(self, image: np.ndarray) -> complex:
@@ -428,15 +432,6 @@ def vector_state(xi: np.ndarray) -> State:
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     xi = xi / np.linalg.norm(xi)
     return State(np.outer(xi, xi.conj()))
-
-
-def pure_to_state(dec: BlockDecomposition, pure: PureState) -> State:
-    """A density matrix on the ambient space inducing the pure functional."""
-    blk = dec.blocks[pure.block]
-    m = np.zeros((blk.multiplicity, blk.multiplicity))
-    m[0, 0] = 1.0
-    rho = blk.isometry @ np.kron(m, np.outer(pure.vector, pure.vector.conj())) @ blk.isometry.conj().T
-    return State(rho)
 
 
 def state_block_matrices(dec: BlockDecomposition, state: State) -> list[np.ndarray]:

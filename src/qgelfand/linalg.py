@@ -1,7 +1,7 @@
 """Dense complex linear algebra: Hermitian eigendecomposition with a
 deterministic phase convention, the support-line sweep of numerical
 ranges, subspace arithmetic, and the projector lattice (meet, join,
-orthocomplement, Sasaki product)."""
+order, Sasaki product)."""
 
 from __future__ import annotations
 
@@ -40,16 +40,6 @@ def as_cmatrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def matrix_to_json(a: np.ndarray) -> dict:
-    a = as_cmatrix(a)
-    return {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -301,11 +291,6 @@ def _check_same_dim(p: Projector, q: Projector):
         raise DimensionMismatchError("projectors act on different spaces")
 
 
-def proj_ortho(p: Projector) -> Projector:
-    vals, vecs = hermitian_eig(p.matrix)
-    return Projector(basis=vecs[:, vals < 0.5])
-
-
 def proj_meet(p: Projector, q: Projector) -> Projector:
     """Projector onto range(p) ∩ range(q).
 
@@ -355,8 +340,3 @@ def haar_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     g = rng.standard_normal((count, 2, dim))
     v = g[:, 0] + 1j * g[:, 1]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
-    cols = np.array([haar_unit_vector(dim, rng) for _ in range(rank)], dtype=complex)
-    return projector_from_basis(cols.reshape(rank, dim).T)

@@ -201,11 +201,6 @@ def _extend(out: list[Violation], mask: np.ndarray, *axioms: str):
         out.append(Violation(axioms[k], tuple(witnesses)))
 
 
-def skew_meet(lat: FiniteOml, p: int, q: int) -> int:
-    """The Sasaki (skew) meet p ∧ (p⊥ ∨ q)."""
-    return int(lat.skew[p, q])
-
-
 def is_boolean(lat: FiniteOml) -> tuple[bool, tuple[int, int] | None]:
     """True iff the skew meet is symmetric; otherwise the first bad pair."""
     s = lat.skew
@@ -216,7 +211,7 @@ def is_boolean(lat: FiniteOml) -> tuple[bool, tuple[int, int] | None]:
 
 
 def is_distributive(lat: FiniteOml) -> bool:
-    """Exhaustive distributivity check, independent of skew_meet."""
+    """Exhaustive distributivity check, independent of the skew meet."""
     meet, join = lat.meet, lat.join
     for p in range(lat.n):
         # p ∧ (q ∨ r) against (p ∧ q) ∨ (p ∧ r), over all (q, r)
@@ -328,15 +323,12 @@ class SetOml:
     """A finite family of subsets of a ground set, ordered by inclusion.
 
     Members are frozensets of ground-point indices.  Singleton joins are
-    taken to be the least upper bounds in the member poset; an explicit
-    sjoin table may override them (they are primitive data when the family
-    comes from an external construction).
+    the least upper bounds in the member poset.
     """
 
     ground: list[str]
     members: list[frozenset[int]]
     ortho: list[int]
-    sjoin: dict[tuple[int, int], int] | None = None
     _index: dict[frozenset, int] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -376,8 +368,6 @@ class SetOml:
 
     def singleton_join(self, x: int, y: int) -> frozenset[int]:
         """Join of the singletons {x}, {y}, as a point set."""
-        if self.sjoin is not None:
-            return self.members[self.sjoin[(min(x, y), max(x, y))]]
         p = self.member_index({x})
         q = self.member_index({y})
         r = self.lub(p, q)
@@ -426,16 +416,6 @@ class SetOml:
         return cls(ground, [frozenset(m) for m in members], ortho)
 
 
-def powerset_quantum_set(ground: list[str]) -> SetOml:
-    """(X, P(X)): the classical quantum set on a finite ground set."""
-    npts = len(ground)
-    members = [frozenset(i for i in range(npts) if mask >> i & 1) for mask in range(1 << npts)]
-    full = frozenset(range(npts))
-    index = {m: i for i, m in enumerate(members)}
-    ortho = [index[full - m] for m in members]
-    return SetOml(ground, members, ortho)
-
-
 def verify_quantum_set(qs: SetOml) -> list[Violation]:
     """Check the quantum-set conditions plus the OML axioms of the member family."""
     out: list[Violation] = []
@@ -470,33 +450,3 @@ def verify_quantum_set(qs: SetOml) -> list[Violation]:
             out.append(Violation("qset.6_join_closed", (u,)))
     out.extend(verify_oml(qs.to_finite_oml()))
     return out
-
-
-def relative_lattice(qs: SetOml, y) -> SetOml:
-    """The quantum set induced on a member y, with relative complement y ∧ u⊥."""
-    yi = qs.member_index(y)
-    yset = qs.members[yi]
-    below = [i for i, m in enumerate(qs.members) if m <= yset]
-    local = {i: k for k, i in enumerate(below)}
-    members = [qs.members[i] for i in below]
-    ortho = []
-    for i in below:
-        rel = yset & qs.members[qs.ortho[i]]
-        try:
-            ortho.append(local[qs.member_index(rel)])
-        except KeyError:
-            raise StructureError(
-                f"relative complement of member {i} is not a member below y"
-            ) from None
-    ground = list(qs.ground)
-    sub = SetOml(ground, members, ortho)
-    # keep the ambient singleton joins, restricted to y
-    if any(frozenset({x}) in qs._index for x in sorted(yset)):
-        sj = {}
-        for x, z in itertools.combinations_with_replacement(sorted(yset), 2):
-            j = qs.point_closure(frozenset({x, z})) & yset
-            if j in sub._index:
-                sj[(x, z)] = sub._index[j]
-        if len(sj) == len(list(itertools.combinations_with_replacement(sorted(yset), 2))):
-            sub.sjoin = sj
-    return sub

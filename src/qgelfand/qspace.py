@@ -1,7 +1,7 @@
 """The quantum-set structure on the pure states of a finite-dimensional
-C*-algebra: singleton joins, closure-generated subsets, the subset lattice,
-the noncommutative product of functions over pure states, and the claims
-harness quantifying how far the noncommutative identities hold."""
+C*-algebra: closure-stable subsets, the noncommutative product of
+functions over pure states, and the claims harness quantifying how far
+the noncommutative identities hold."""
 
 from __future__ import annotations
 
@@ -29,11 +29,8 @@ from .linalg import (
     cluster_eigenvalues,
     hermitian_eig,
     op_norm,
-    proj_join,
     proj_leq,
     proj_meet,
-    proj_ortho,
-    projector_from_basis,
     projector_from_matrix,
     sasaki_product,
     support_sweep,
@@ -58,12 +55,6 @@ class QSubset:
 
     def contains(self, alpha: PureState) -> bool:
         return _in_range(self.projectors[alpha.block], alpha.vector)
-
-    def is_empty(self) -> bool:
-        return all(p.rank == 0 for p in self.projectors)
-
-    def is_full(self) -> bool:
-        return all(p.rank == p.dim for p in self.projectors)
 
     def __eq__(self, other):
         if not isinstance(other, QSubset):
@@ -100,64 +91,6 @@ def _near_range(p: Projector, v: np.ndarray) -> bool:
 
 def _zero_projectors(dec: BlockDecomposition) -> list[Projector]:
     return [Projector(basis=np.zeros((b.irrep_dim, 0), dtype=complex)) for b in dec.blocks]
-
-
-def full_qsubset(dec: BlockDecomposition) -> QSubset:
-    return QSubset(dec, [Projector(basis=np.eye(b.irrep_dim, dtype=complex))
-                         for b in dec.blocks])
-
-
-def empty_qsubset(dec: BlockDecomposition) -> QSubset:
-    return QSubset(dec, _zero_projectors(dec))
-
-
-def singleton_join(dec: BlockDecomposition, alpha: PureState, beta: PureState) -> QSubset:
-    """{α} ∨ {β}: the two-point set for inequivalent states, the vector
-    states of span{x, y} for equivalent ones.  (Read literally, as the pure
-    states among the normalized functional combinations, the join of
-    equivalent states is only the two points: see literal_join.)"""
-    return qsubset_closure(dec, [alpha, beta])
-
-
-def literal_join(alpha: PureState, beta: PureState) -> list[PureState]:
-    """Pure states of the form c1·α + c2·β (as functionals) with
-    |c1|² + |c2|² = 1: only the corners, α and β.
-
-    For states of one block with independent vectors x, y, hermiticity of
-    c1·xx* + c2·yy* forces real coefficients, the trace forces c1 + c2 = 1,
-    and with the normalization c1·c2 = 0.  States of different blocks are
-    carried by centrally orthogonal supports, so a combination of both is
-    never pure either.  Since the literal join of two states never leaves
-    them, the literal closure of a seed set is the seed set itself.
-    """
-    return [alpha] if pure_equal(alpha, beta) else [alpha, beta]
-
-
-def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> QSubset:
-    """Least closure-stable subset containing the seeds: per block, the
-    vector states of the span of the seeds in that block."""
-    if not seeds:
-        raise ValueError("need at least one seed state")
-    projs = _zero_projectors(dec)
-    for i in {s.block for s in seeds}:
-        vecs = np.column_stack([s.vector for s in seeds if s.block == i])
-        projs[i] = projector_from_basis(vecs)
-    return QSubset(dec, projs)
-
-
-def qsubset_meet(u: QSubset, v: QSubset) -> QSubset:
-    return QSubset(u.decomposition, [proj_meet(p, q) for p, q in zip(u.projectors, v.projectors)])
-
-
-def qsubset_join(u: QSubset, v: QSubset) -> QSubset:
-    return QSubset(u.decomposition, [proj_join(p, q) for p, q in zip(u.projectors, v.projectors)])
-
-
-def qsubset_perp(u: QSubset) -> QSubset:
-    """Per-block orthocomplement; blocks without members go to the full
-    block (cross-block orthogonality is automatic, supports being
-    centrally orthogonal)."""
-    return QSubset(u.decomposition, [proj_ortho(p) for p in u.projectors])
 
 
 def qsubset_sasaki(u: QSubset, v: QSubset) -> QSubset:
@@ -218,10 +151,6 @@ def _pattern_realizable(comps: list[tuple[complex, Projector]], pattern: tuple[i
         for s, (_, p) in enumerate(comps)
         if s not in pattern
     )
-
-
-def char_fn(u: QSubset, coeff: complex = 1.0) -> QFunction:
-    return QFunction(u.decomposition, [(complex(coeff), u)])
 
 
 def qfunction_star(f: QFunction, g: QFunction) -> QFunction:

@@ -1,17 +1,13 @@
-"""Sasaki projections, the generated Baer*-semigroup, recovery of the
-lattice from its closed projections, and the induced noncommutative
-product of subsets / characteristic functions on a quantum set."""
+"""Sasaki projections, the generated Baer*-semigroup, and recovery of the
+lattice from its closed projections."""
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import VERDICT_TOL
-from .oml import NO_ELEMENT, FiniteOml, SetOml, StructureError, relative_lattice
+from .oml import NO_ELEMENT, FiniteOml, StructureError
 
 
 class SemigroupBudgetError(RuntimeError):
@@ -216,201 +212,3 @@ def _check_isomorphism(src: FiniteOml, dst: FiniteOml, iso: dict[int, int]):
     moved = np.flatnonzero(f[src.ortho] != dst.ortho[f])
     if moved.size:
         raise StructureError(f"orthocomplement not preserved at {int(moved[0])}")
-
-
-def star_antihom_defects(sg: BaerSemigroup) -> list[tuple[int, int]]:
-    """Pairs violating (φψ)* = ψ*φ*; expected empty."""
-    return [
-        (i, j)
-        for i, j in itertools.product(range(sg.size), repeat=2)
-        if sg.star[sg.compose(i, j)] != sg.compose(int(sg.star[j]), int(sg.star[i]))
-    ]
-
-
-def perp_antihom_defects(sg: BaerSemigroup) -> list[tuple[int, int]]:
-    """Pairs violating (φψ)⊥ = ψ⊥φ⊥.
-
-    The perp map is an annihilator complement, not an anti-automorphism:
-    the pair law already fails in the two-element Boolean algebra
-    ((φ_0 id)⊥ = id but id⊥ φ_0⊥ = φ_0).  A nonempty result is a
-    documented finding about the construction, not a bug.
-    """
-    return [
-        (i, j)
-        for i, j in itertools.product(range(sg.size), repeat=2)
-        if sg.perp[sg.compose(i, j)] != sg.compose(int(sg.perp[j]), int(sg.perp[i]))
-    ]
-
-
-def uphi_collisions(sg: BaerSemigroup) -> list[tuple[int, int]]:
-    """Pairs of distinct elements with the same image subset U_φ.
-
-    Nonempty on MO2 already, so the subset alone does not determine the
-    semigroup element; products must be taken on elements, not subsets.
-    """
-    seen: dict[int, int] = {}
-    bad = []
-    for i in range(sg.size):
-        u = sg.subset_of(i)
-        if u in seen:
-            bad.append((seen[u], i))
-        else:
-            seen[u] = i
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# the q-set product on subsets and characteristic functions
-
-
-@dataclass(frozen=True)
-class QSemigroupElement:
-    """A semigroup element of a quantum set, tagged with its image subset."""
-
-    qset_product: "QSetProduct"
-    element: int
-
-    @property
-    def subset(self) -> frozenset[int]:
-        return self.qset_product.subset_points(self.element)
-
-
-class QSetProduct:
-    """The product structure S(X) of a finite quantum set.
-
-    Wraps the Baer*-semigroup of the member lattice; subsets are the point
-    sets of the images U_φ = φ(X).
-    """
-
-    def __init__(self, qs: SetOml, cap: int = 10_000):
-        self.qs = qs
-        self.lattice = qs.to_finite_oml()
-        self.semigroup = enumerate_semigroup(self.lattice, cap)
-        # canonical representative element per subset: first by discovery
-        self._rep: dict[frozenset[int], int] = {}
-        for i in range(self.semigroup.size):
-            u = self.subset_points(i)
-            self._rep.setdefault(u, i)
-
-    def subset_points(self, element: int) -> frozenset[int]:
-        return self.qs.members[self.semigroup.subset_of(element)]
-
-    def element_for_subset(self, points) -> QSemigroupElement:
-        key = frozenset(points)
-        try:
-            return QSemigroupElement(self, self._rep[key])
-        except KeyError:
-            raise KeyError(f"{set(points)} is not in S(X)") from None
-
-    def member_element(self, points) -> QSemigroupElement:
-        """The closed projection (Sasaki map) of a lattice member."""
-        m = self.qs.member_index(points)
-        return QSemigroupElement(self, self.semigroup.generator_of[m])
-
-    def top_element(self) -> QSemigroupElement:
-        return QSemigroupElement(self, self.semigroup.identity)
-
-
-def qset_star(u: QSemigroupElement, v: QSemigroupElement) -> QSemigroupElement:
-    """U * V = U_{φψ}, computed on the underlying maps."""
-    if u.qset_product is not v.qset_product:
-        raise ValueError("elements belong to different semigroups")
-    sp = u.qset_product
-    return QSemigroupElement(sp, sp.semigroup.compose(u.element, v.element))
-
-
-def qset_perp(u: QSemigroupElement) -> QSemigroupElement:
-    sp = u.qset_product
-    return QSemigroupElement(sp, int(sp.semigroup.perp[u.element]))
-
-
-@dataclass
-class ChiFunction:
-    """Finite complex combination of characteristic functions of S(X) subsets.
-
-    Canonical form: coefficient map keyed by subset, zero coefficients
-    dropped.  Products pick the canonical representative element for each
-    subset; whether that choice matters is a claim the harness tests, not
-    an assumption.
-    """
-
-    qset_product: QSetProduct
-    coeffs: dict[frozenset[int], complex]
-
-    def canonical(self) -> "ChiFunction":
-        clean = {u: c for u, c in self.coeffs.items() if abs(c) > 0}
-        return ChiFunction(self.qset_product, clean)
-
-    def evaluate(self, point: int) -> complex:
-        return sum(c for u, c in self.coeffs.items() if point in u)
-
-    def sup_norm(self) -> float:
-        npts = len(self.qset_product.qs.ground)
-        if npts == 0:
-            return 0.0
-        return max(abs(self.evaluate(x)) for x in range(npts))
-
-
-def chi(sp: QSetProduct, points) -> ChiFunction:
-    return ChiFunction(sp, {frozenset(points): 1.0 + 0j})
-
-
-def chi_star(f: ChiFunction, g: ChiFunction) -> ChiFunction:
-    """Bilinear extension of χ_U * χ_V = χ_{U*V}."""
-    if f.qset_product is not g.qset_product:
-        raise ValueError("functions live on different quantum sets")
-    if any(c == 0 for c in f.coeffs.values()) or any(c == 0 for c in g.coeffs.values()):
-        warnings.warn("non-canonical chi function input; normalizing", stacklevel=2)
-        f, g = f.canonical(), g.canonical()
-    sp = f.qset_product
-    out: dict[frozenset[int], complex] = {}
-    for u, cu in f.coeffs.items():
-        eu = sp.element_for_subset(u)
-        for v, cv in g.coeffs.items():
-            w = qset_star(eu, sp.element_for_subset(v)).subset
-            out[w] = out.get(w, 0j) + cu * cv
-    return ChiFunction(sp, out).canonical()
-
-
-def saturation_check(
-    sp: QSetProduct,
-    y_points,
-    pairs: list[tuple[frozenset[int], frozenset[int]]] | None = None,
-    cap: int = 10_000,
-):
-    """Test the saturation identity (U ∧ Y) *_Y (V ∧ Y) = (U *_X V) ∧ Y.
-
-    Runs over all member pairs of L(X) unless a sample is given.  Returns
-    (verdict, witness) where verdict is True / False / None (inconclusive:
-    relative semigroup hit its budget).
-    """
-    qs = sp.qs
-    yset = frozenset(qs.members[qs.member_index(y_points)])
-    sub = relative_lattice(qs, yset)
-    try:
-        sub_sp = QSetProduct(sub, cap)
-    except SemigroupBudgetError:
-        return None, None
-    if pairs is None:
-        pairs = [
-            (qs.members[i], qs.members[j])
-            for i in range(qs.n)
-            for j in range(qs.n)
-        ]
-    worst = None
-    for u, v in pairs:
-        uy, vy = u & yset, v & yset
-        lhs = qset_star(sub_sp.member_element(uy), sub_sp.member_element(vy)).subset
-        rhs = qset_star(sp.member_element(u), sp.member_element(v)).subset & yset
-        if lhs != rhs:
-            worst = (u, v, lhs, rhs)
-            return False, worst
-    # Prop. 5 restriction identity for characteristic functions follows
-    # pointwise from the subset identity; spot-check it anyway.
-    for u, v in pairs:
-        fx = chi_star(chi(sp, u), chi(sp, v))
-        fy = chi_star(chi(sub_sp, u & yset), chi(sub_sp, v & yset))
-        for x in sorted(yset):
-            if abs(fx.evaluate(x) - fy.evaluate(x)) > VERDICT_TOL:
-                return False, (u, v, x)
-    return True, None

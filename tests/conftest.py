@@ -1,5 +1,6 @@
-"""Shared fixtures: the lattice zoo, a small algebra zoo, and fixed
-matrices used across modules."""
+"""Shared fixtures: the lattice zoo, a small algebra zoo, fixed matrices
+used across modules, and helpers that build inputs: matrix JSON, random
+projectors, orthocomplements and density matrices of pure states."""
 
 from __future__ import annotations
 
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qgelfand.algebra import FdAlgebra, generate_algebra
+from qgelfand.algebra import BlockDecomposition, FdAlgebra, PureState, State, generate_algebra
+from qgelfand.linalg import (
+    Projector,
+    as_cmatrix,
+    haar_unit_vector,
+    hermitian_eig,
+    projector_from_basis,
+)
 from qgelfand.oml import FiniteOml, SetOml, lattice_zoo
 
 # property tests replay the same examples on every run: no example database,
@@ -18,6 +26,37 @@ settings.load_profile("qgelfand")
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def matrix_to_json(a: np.ndarray) -> dict:
+    """The CLI's matrix JSON object for a."""
+    a = as_cmatrix(a)
+    return {
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "re": a.real.tolist(),
+        "im": a.imag.tolist(),
+    }
+
+
+def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
+    cols = np.array([haar_unit_vector(dim, rng) for _ in range(rank)], dtype=complex)
+    return projector_from_basis(cols.reshape(rank, dim).T)
+
+
+def proj_ortho(p: Projector) -> Projector:
+    """The orthocomplement p⊥, from the eigenspace of p at 0."""
+    vals, vecs = hermitian_eig(p.matrix)
+    return Projector(basis=vecs[:, vals < 0.5])
+
+
+def pure_to_state(dec: BlockDecomposition, pure: PureState) -> State:
+    """A density matrix on the ambient space inducing the pure functional."""
+    blk = dec.blocks[pure.block]
+    m = np.zeros((blk.multiplicity, blk.multiplicity))
+    m[0, 0] = 1.0
+    rho = blk.isometry @ np.kron(m, np.outer(pure.vector, pure.vector.conj())) @ blk.isometry.conj().T
+    return State(rho)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import E12, SIGMA_X, diagonal_algebra
+from conftest import E12, SIGMA_X, diagonal_algebra, matrix_to_json, proj_ortho, random_projector
+from findings import QSetProduct, powerset_quantum_set, qsubset_closure
 from qgelfand.algebra import (
     PureState,
     State,
@@ -26,28 +27,20 @@ from qgelfand.linalg import (
     op_norm,
     proj_join,
     proj_meet,
-    proj_ortho,
     projector_from_basis,
     projector_from_matrix,
-    random_projector,
     sasaki_product,
 )
-from qgelfand.oml import powerset_quantum_set, verify_oml
+from qgelfand.oml import verify_oml
 from qgelfand.qspace import (
-    char_fn,
+    QFunction,
     hat_is_characteristic_defect,
     hat_preimage_qness,
     prop9_defect,
     qfunction_star,
-    qsubset_closure,
     thm3_diagnostics,
 )
-from qgelfand.sasaki import (
-    QSetProduct,
-    closed_projections,
-    enumerate_semigroup,
-    qset_star,
-)
+from qgelfand.sasaki import closed_projections, enumerate_semigroup
 from qgelfand.spectral import fc_unitary, invariant_subspace, sigma_big
 from qgelfand.harness import RunConfig, run_suite
 
@@ -107,7 +100,7 @@ def test_03_boolean_collapse(zoo):
         for v in qs.members:
             eu = sp.member_element(u)
             ev = sp.member_element(v)
-            assert sp.subset_points(qset_star(eu, ev).element) == u & v
+            assert sp.subset_points(sp.semigroup.compose(eu, ev)) == u & v
     # semigroup level: S(X) has exactly one element per lattice element
     for name in ("B1", "B2", "B3"):
         lat = zoo[name]
@@ -120,10 +113,10 @@ def test_03_boolean_collapse(zoo):
     for _ in range(10):
         idx = [i for i in range(3) if rng.random() < 0.7] or [0]
         jdx = [i for i in range(3) if rng.random() < 0.7] or [1]
-        f = char_fn(qsubset_closure(dec, [points[i] for i in idx]),
-                    complex(rng.standard_normal(), rng.standard_normal()))
-        g = char_fn(qsubset_closure(dec, [points[j] for j in jdx]),
-                    complex(rng.standard_normal(), rng.standard_normal()))
+        f = QFunction(dec, [(complex(rng.standard_normal(), rng.standard_normal()),
+                             qsubset_closure(dec, [points[i] for i in idx]))])
+        g = QFunction(dec, [(complex(rng.standard_normal(), rng.standard_normal()),
+                             qsubset_closure(dec, [points[j] for j in jdx]))])
         prod = qfunction_star(f, g)
         for p in points:
             expected = f.evaluate(p) * g.evaluate(p)
@@ -265,8 +258,6 @@ def test_12_determinism(tmp_path):
     """Criterion 12: identical config and seed reproduce byte-identical
     reports."""
     inst = tmp_path / "m2.json"
-    from qgelfand.linalg import matrix_to_json
-
     inst.write_text(json.dumps({
         "ambient_dim": 2, "generators": [matrix_to_json(E12)],
     }))

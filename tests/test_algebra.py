@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALGEBRA_ZOO_GENERATORS, E12, SIGMA_X, diagonal_algebra
+from conftest import (
+    ALGEBRA_ZOO_GENERATORS,
+    E12,
+    SIGMA_X,
+    diagonal_algebra,
+    matrix_to_json,
+    pure_to_state,
+)
 from qgelfand import algebra as algebra_module
 from qgelfand import harness as harness_module
 from qgelfand import linalg as linalg_module
@@ -27,7 +34,6 @@ from qgelfand.algebra import (
     is_irreducible,
     is_pure,
     pure_equal,
-    pure_to_state,
     r_is_discrete,
     random_pure_state,
     same_ray,
@@ -40,7 +46,6 @@ from qgelfand.linalg import (
     as_cmatrix,
     haar_unit_vector,
     hermitian_eig,
-    matrix_to_json,
     op_norm,
     orthonormalize,
 )
@@ -70,6 +75,17 @@ def test_membership():
     assert not alg.contains(E12_3())
     with pytest.raises(AlgebraMembershipError):
         alg.require_member(E12_3())
+
+
+def test_membership_is_relative_to_the_norm():
+    # RANK_TOL·‖a‖, not RANK_TOL·max(1, ‖a‖): a small off-diagonal matrix
+    # is no more a member of a diagonal algebra than a large one
+    alg = generate_algebra([np.diag([1.0, 2.0]).astype(complex)])
+    assert not alg.contains(1e-8 * E12)
+    assert not alg.contains(1e-8 * (np.eye(2) + E12))
+    assert alg.contains(np.zeros((2, 2)))
+    for k in range(-12, 13):
+        assert alg.contains(10.0 ** k * np.diag([1.0, 3.0])), k
 
 
 def E12_3():
@@ -132,6 +148,14 @@ def test_state_validation():
         State(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(StateError):
         State(np.diag([1.5, -0.5]))  # not PSD
+
+
+@pytest.mark.parametrize("entry", [np.nan, complex(0, np.nan)])
+def test_pure_state_rejects_non_finite_entries(entry):
+    # a NaN norm passes |‖v‖ − 1| > RANK_TOL, and the state would then
+    # not be pure_equal to itself
+    with pytest.raises(StateError):
+        PureState(0, [entry, 0])
 
 
 def test_pure_state_roundtrip(algebra_zoo):

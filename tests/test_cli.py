@@ -10,11 +10,10 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import ALGEBRA_ZOO_GENERATORS, E12
+from conftest import ALGEBRA_ZOO_GENERATORS, E12, matrix_to_json
 from qgelfand import harness, spectral
 from qgelfand.algebra import DecompositionError
 from qgelfand.cli import canonical_json, main
-from qgelfand.linalg import matrix_to_json
 from qgelfand.oml import lattice_zoo
 
 

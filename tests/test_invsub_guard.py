@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import matrix_to_json
 from test_spectral import FIBER_CASES, SCALE_INPUTS
 
 import qgelfand.spectral as spectral
 from qgelfand.cli import main
-from qgelfand.linalg import matrix_to_json
 
 
 def _forbidden(*args, **kwargs):

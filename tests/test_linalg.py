@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import matrix_to_json, proj_ortho, random_projector
 from qgelfand import linalg
 from qgelfand.algebra import generate_algebra
 from qgelfand.linalg import (
@@ -15,16 +16,13 @@ from qgelfand.linalg import (
     haar_unit_vector,
     hermitian_eig,
     matrix_from_json,
-    matrix_to_json,
     op_norm,
     orthonormalize,
     proj_join,
     proj_leq,
     proj_meet,
-    proj_ortho,
     projector_from_basis,
     projector_from_matrix,
-    random_projector,
     sasaki_product,
     support_sweep,
 )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from findings import powerset_quantum_set, relative_lattice
 from qgelfand.oml import (
     FiniteOml,
     SetOml,
@@ -11,9 +12,6 @@ from qgelfand.oml import (
     is_distributive,
     lattice_zoo,
     mo_lattice,
-    powerset_quantum_set,
-    relative_lattice,
-    skew_meet,
     verify_oml,
     verify_quantum_set,
 )
@@ -66,7 +64,7 @@ def test_mo2_boolean_witness():
     boolean, witness = is_boolean(lat)
     assert not boolean and witness is not None
     p, q = witness
-    assert skew_meet(lat, p, q) != skew_meet(lat, q, p)
+    assert lat.skew[p, q] != lat.skew[q, p]
 
 
 def test_mo1_is_boolean():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import E12, SIGMA_X, diagonal_algebra
+from conftest import E12, SIGMA_X, diagonal_algebra, proj_ortho, random_projector
+from findings import literal_join, qsubset_closure
 from qgelfand import qspace
 from qgelfand.algebra import (
     PureState,
@@ -24,33 +25,28 @@ from qgelfand.linalg import (
     LATTICE_TOL,
     VERDICT_TOL,
     DimensionMismatchError,
+    Projector,
     cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
     op_norm,
     orthonormalize,
-    random_projector,
+    proj_join,
+    proj_meet,
+    sasaki_product,
 )
 from qgelfand.qspace import (
+    QFunction,
     QSubset,
     _top_spectral_projector,
-    char_fn,
     cstar_identity_defect,
-    empty_qsubset,
-    full_qsubset,
     hat_as_qfunction,
     hat_is_characteristic_defect,
     hat_preimage_qness,
-    literal_join,
     prop9_defect,
     qfunction_star,
     qfunction_star_at,
-    qsubset_closure,
-    qsubset_join,
-    qsubset_meet,
-    qsubset_perp,
     qsubset_sasaki,
-    singleton_join,
     thm3_diagnostics,
 )
 
@@ -67,6 +63,12 @@ def m2_dec(m2):
     return m2.decomposition()
 
 
+@pytest.fixture(scope="module")
+def m2_full(m2_dec):
+    """Every pure state of M2: the identity projector of its one block."""
+    return QSubset(m2_dec, [Projector(basis=np.eye(2, dtype=complex))])
+
+
 def _pure(dec, vec, block=0):
     v = np.asarray(vec, dtype=complex)
     return PureState(block, v / np.linalg.norm(v))
@@ -77,7 +79,7 @@ def test_singleton_join_inequivalent():
     dec = alg.decomposition()
     a = PureState(0, np.ones(1))
     b = PureState(1, np.ones(1))
-    u = singleton_join(dec, a, b)
+    u = qsubset_closure(dec, [a, b])
     assert u.contains(a) and u.contains(b)
     assert u.projectors[0].rank == 1
 
@@ -85,8 +87,8 @@ def test_singleton_join_inequivalent():
 def test_singleton_join_superposition(m2_dec):
     e1 = _pure(m2_dec, [1, 0])
     e2 = _pure(m2_dec, [0, 1])
-    u = singleton_join(m2_dec, e1, e2)
-    assert u.is_full()
+    u = qsubset_closure(m2_dec, [e1, e2])
+    assert u.projectors[0].rank == 2
     assert u.contains(_pure(m2_dec, [1, 1]))
 
 
@@ -143,28 +145,26 @@ def test_closure_fixed_point(m2_dec):
 
 def test_perp_involution_and_oracle(m2_dec):
     u = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
-    v = qsubset_perp(u)
+    v = QSubset(m2_dec, [proj_ortho(u.projectors[0])])
     # oracle: e2 is the unique orthogonal vector state
     assert v.contains(_pure(m2_dec, [0, 1]))
     assert not v.contains(_pure(m2_dec, [1, 1]))
-    assert qsubset_perp(v) == u
+    assert QSubset(m2_dec, [proj_ortho(v.projectors[0])]) == u
 
 
-def test_meet_join_bounds(m2_dec):
-    u = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
-    v = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 1])])
-    assert qsubset_meet(u, v).is_empty()
-    assert qsubset_join(u, v).is_full()
-    assert qsubset_meet(u, full_qsubset(m2_dec)) == u
-    assert qsubset_join(u, empty_qsubset(m2_dec)) == u
+def test_meet_join_bounds(m2_dec, m2_full):
+    p = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])]).projectors[0]
+    q = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 1])]).projectors[0]
+    assert proj_meet(p, q).rank == 0
+    assert proj_join(p, q).rank == 2
+    assert proj_meet(p, m2_full.projectors[0]) == p
+    assert proj_join(p, Projector(basis=np.zeros((2, 0), dtype=complex))) == p
     with pytest.raises(DimensionMismatchError):
         QSubset(m2_dec, [])  # one projector per block
 
 
 def test_subspace_order_isomorphism():
-    # meet/join/perp/Sasaki of QSubsets commute with the projector operations
-    from qgelfand.linalg import proj_join, proj_meet, proj_ortho, sasaki_product
-
+    # the Sasaki product of QSubsets is the projectors' Sasaki product
     gen = np.zeros((4, 4), dtype=complex)
     gen[0, 1] = gen[1, 2] = gen[2, 3] = 1.0
     dec = generate_algebra([gen]).decomposition()
@@ -173,9 +173,6 @@ def test_subspace_order_isomorphism():
         q = random_projector(4, int(RNG.integers(1, 4)), RNG)
         u = QSubset(dec, [p])
         v = QSubset(dec, [q])
-        assert qsubset_meet(u, v) == QSubset(dec, [proj_meet(p, q)])
-        assert qsubset_join(u, v) == QSubset(dec, [proj_join(p, q)])
-        assert qsubset_perp(u) == QSubset(dec, [proj_ortho(p)])
         assert qsubset_sasaki(u, v) == QSubset(dec, [sasaki_product(p, q)])
 
 
@@ -185,8 +182,8 @@ def test_qfunction_star_pointwise_commutative():
     points = [PureState(i, np.ones(1)) for i in range(3)]
     u = qsubset_closure(dec, points[:2])
     v = qsubset_closure(dec, points[1:])
-    f = char_fn(u, 2.0)
-    g = char_fn(v, 3.0 + 1j)
+    f = QFunction(dec, [(2.0, u)])
+    g = QFunction(dec, [(3.0 + 1j, v)])
     prod = qfunction_star(f, g)
     for p in points:
         assert prod.evaluate(p) == pytest.approx(f.evaluate(p) * g.evaluate(p))
@@ -195,32 +192,30 @@ def test_qfunction_star_pointwise_commutative():
 def test_qfunction_star_sasaki_witness(m2_dec):
     u = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
     v = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 1])])
-    prod = qfunction_star(char_fn(u), char_fn(v))
+    prod = qfunction_star(QFunction(m2_dec, [(1.0, u)]), QFunction(m2_dec, [(1.0, v)]))
     assert len(prod.terms) == 1
     _, w = prod.terms[0]
     assert w == u
-    rev = qfunction_star(char_fn(v), char_fn(u))
+    rev = qfunction_star(QFunction(m2_dec, [(1.0, v)]), QFunction(m2_dec, [(1.0, u)]))
     assert rev.terms[0][1] == v
 
 
-def test_star_with_full_is_identity(m2_dec):
+def test_star_with_full_is_identity(m2_dec, m2_full):
     u = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 2j])])
-    f = char_fn(u, 0.5)
-    prod = qfunction_star(f, char_fn(full_qsubset(m2_dec)))
+    f = QFunction(m2_dec, [(0.5, u)])
+    prod = qfunction_star(f, QFunction(m2_dec, [(1.0, m2_full)]))
     assert prod.terms[0][1] == u
     assert prod.terms[0][0] == 0.5
 
 
-def test_sup_norm_exact(m2_dec):
+def test_sup_norm_exact(m2_dec, m2_full):
     u = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
     v = qsubset_closure(m2_dec, [_pure(m2_dec, [0, 1])])
-    from qgelfand.qspace import QFunction
-
     # disjoint rank-1 subsets: sup of |2 chi_u + 3 chi_v| is 3
     f = QFunction(m2_dec, [(2.0 + 0j, u), (3.0 + 0j, v)])
     assert f.sup_norm() == pytest.approx(3.0)
     # nested: u inside the full set, values add on u
-    g = QFunction(m2_dec, [(2.0 + 0j, u), (3.0 + 0j, full_qsubset(m2_dec))])
+    g = QFunction(m2_dec, [(2.0 + 0j, u), (3.0 + 0j, m2_full)])
     assert g.sup_norm() == pytest.approx(5.0)
     # sampled lower bound never exceeds the exact sup
     best = 0.0
@@ -234,8 +229,6 @@ def test_cstar_identity_commutative():
     alg = diagonal_algebra(3)
     dec = alg.decomposition()
     points = [PureState(i, np.ones(1)) for i in range(3)]
-    from qgelfand.qspace import QFunction
-
     f = QFunction(dec, [
         (1.0 + 2j, qsubset_closure(dec, points[:2])),
         (0.5 - 1j, qsubset_closure(dec, points[2:])),
@@ -245,8 +238,8 @@ def test_cstar_identity_commutative():
     assert rep.defects["defect"] < 1e-9
 
 
-def test_cstar_identity_full_char(m2_dec):
-    rep = cstar_identity_defect(char_fn(full_qsubset(m2_dec)))
+def test_cstar_identity_full_char(m2_dec, m2_full):
+    rep = cstar_identity_defect(QFunction(m2_dec, [(1.0, m2_full)]))
     assert rep.defects["defect"] < 1e-12
 
 
@@ -254,8 +247,6 @@ def test_cstar_identity_m2_probe(m2_dec):
     # falsification probe: value reported, reproducible, no value asserted
     u = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
     v = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 1])])
-    from qgelfand.qspace import QFunction
-
     f = QFunction(m2_dec, [(1.0 + 0j, u), (1j, v)])
     r1 = cstar_identity_defect(f)
     r2 = cstar_identity_defect(f)
@@ -453,17 +444,21 @@ def test_preimage_sweep_matches_per_angle_loop(joined, name, seed):
 
 
 def test_preimage_witness_is_first_near_tie():
-    # on M3 the violations tie at 0.4 up to rounding: here the loop's first
-    # one in sweep order reads two ulps below its largest, which comes later.
-    # The report keeps the largest value and takes the first as its witness
-    alg, a, center, radius, samples = _preimage_case("M3", np.random.default_rng([2, 99]))
+    # on M3, a = diag(1, 1e-9, 0) gives each joined pair its own violation
+    # 0.4 − λ_min, with λ_min of the compressed pair in [0, 1e-9]: the
+    # violations differ by about 1e-10, inside LATTICE_TOL and far above
+    # rounding, so on every BLAS kernel the first in sweep order lies below
+    # the largest, which comes later.  The report keeps the largest value
+    # and takes the first as its witness
+    alg, _, center, radius, samples = _preimage_case("M3", np.random.default_rng([0, 99]))
+    a = np.diag([1.0, 1e-9, 0.0]).astype(complex)
     worst, _, _, sweep = _preimage_sweep_reference(
-        alg, a, center, radius, samples, np.random.default_rng(2))
+        alg, a, center, radius, samples, np.random.default_rng(0))
     viols = np.array([v for v, _ in sweep])
     first, largest = int(np.argmax(viols >= worst - LATTICE_TOL)), int(np.argmax(viols))
     assert first < largest and viols[largest] == worst
-    assert 0 < worst - viols[first] <= 2 * np.spacing(worst)
-    rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(2))
+    assert 0 < worst - viols[first] <= LATTICE_TOL
+    rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(0))
     assert abs(rep.defects["violation"] - worst) <= 8 * np.spacing(worst)
     (got,) = rep.witnesses
     assert _first_match(sweep, got) == first

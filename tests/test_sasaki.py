@@ -1,22 +1,18 @@
 import pytest
 
 import lattice_oracle as oracle
-from qgelfand.oml import StructureError, boolean_lattice, mo_lattice, verify_oml
-from qgelfand.sasaki import (
+from findings import (
     ChiFunction,
     QSetProduct,
-    SemigroupBudgetError,
     chi,
     chi_star,
-    closed_projections,
-    enumerate_semigroup,
     perp_antihom_defects,
-    qset_perp,
-    qset_star,
     saturation_check,
     star_antihom_defects,
     uphi_collisions,
 )
+from qgelfand.oml import StructureError, boolean_lattice, mo_lattice, verify_oml
+from qgelfand.sasaki import SemigroupBudgetError, closed_projections, enumerate_semigroup
 
 
 def test_sasaki_action_monotone(zoo):
@@ -108,22 +104,23 @@ def mo2_product(mo2_qset):
 
 
 def test_qset_product_noncommutative(mo2_product):
+    sg = mo2_product.semigroup
     ua = mo2_product.member_element(frozenset({0}))
     ub = mo2_product.member_element(frozenset({2}))
-    assert mo2_product.subset_points(qset_star(ua, ub).element) == frozenset({0})
-    assert mo2_product.subset_points(qset_star(ub, ua).element) == frozenset({2})
+    assert mo2_product.subset_points(sg.compose(ua, ub)) == frozenset({0})
+    assert mo2_product.subset_points(sg.compose(ub, ua)) == frozenset({2})
 
 
 def test_qset_star_top_identity(mo2_product):
-    top = mo2_product.top_element()
+    sg = mo2_product.semigroup
     ua = mo2_product.member_element(frozenset({0}))
-    assert qset_star(ua, top) == ua
+    assert sg.compose(ua, sg.identity) == ua
 
 
 def test_qset_perp(mo2_product, mo2_qset):
     ua = mo2_product.member_element(frozenset({0}))
-    perp = qset_perp(ua)
-    assert mo2_product.subset_points(perp.element) == frozenset({1})
+    perp = int(mo2_product.semigroup.perp[ua])
+    assert mo2_product.subset_points(perp) == frozenset({1})
 
 
 def test_chi_functions(mo2_product):
