@@ -36,7 +36,6 @@ from .algebra import (
 from .qspace import (
     ClaimsReport,
     QFunction,
-    QSubset,
     qfunction_star,
     qfunction_star_at,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "r_is_discrete",
     "ClaimsReport",
     "QFunction",
-    "QSubset",
     "qfunction_star",
     "qfunction_star_at",
     "CyclicDecomposition",

@@ -23,10 +23,12 @@ from .linalg import (
     cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
+    ldexp_complex,
     matrix_from_json,
     numerical_rank,
     op_norm,
     orthonormalize,
+    peak_exponent,
 )
 
 
@@ -155,12 +157,9 @@ def generate_algebra(generators: list[np.ndarray]) -> FdAlgebra:
         raise ValueError("generators must be square matrices of equal dimension")
     seed = [np.eye(n, dtype=complex)]
     for g in gens:
-        peak = np.max(np.abs(g))
-        if peak > 0:
-            # powers of two scale exactly (ldexp: subnormal entries too), so
-            # an O(1) input keeps its rounding
-            parts = np.ascontiguousarray(g).view(float)
-            g = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
+        if np.any(g):
+            # powers of two scale exactly, so an O(1) input keeps its rounding
+            g = ldexp_complex(g, -peak_exponent(g))
             g = g * 2.0 ** -math.frexp(np.linalg.norm(g))[1]
         seed.append(g)
         seed.append(g.conj().T)

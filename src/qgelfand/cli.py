@@ -150,7 +150,7 @@ def _load_oml(path: str) -> FiniteOml:
     """A lattice file as a FiniteOml that passes verify_oml; exit 2 otherwise."""
     lat = _load_lattice(path)
     if isinstance(lat, SetOml):
-        lat = lat.to_finite_oml()
+        lat = lat.lattice
     violations = oml.verify_oml(lat)
     if violations:
         raise click.exceptions.Exit(
@@ -361,7 +361,7 @@ def spectral_group():
 
 @spectral_group.command("report")
 @click.argument("matrix_file")
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--samples", default=2000, type=click.IntRange(min=1))
 @click.option("--out", default=None)
 @click.option("--plot-data", "plot_data", default=None,
@@ -407,7 +407,8 @@ def _plot_csv(rep: spectral.SpectralReport) -> str:
 @click.argument("matrix_file")
 @click.option("--mode", default="oracle",
               type=click.Choice(["paper", "oracle", "both"]))
-# accepted for old command lines and never read: nothing invsub does is random
+# never read, since nothing invsub does is random; kept because older command
+# lines, the benchmark's workloads among them, pass both to every invsub
 @click.option("--seed", type=int, hidden=True, expose_value=False)
 @click.option("--samples", type=click.IntRange(min=1), hidden=True, expose_value=False)
 @click.option("--out", default=None)

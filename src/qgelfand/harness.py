@@ -29,7 +29,6 @@ from .linalg import _is_int, matrix_from_json, projector_from_matrix
 from .qspace import (
     ClaimsReport,
     QFunction,
-    QSubset,
     cstar_identity_defect,
     hat_is_characteristic_defect,
     hat_preimage_qness,
@@ -192,10 +191,11 @@ def _suite_prop7(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     projs = _instance_projectors(alg, extras, rng)
     if len(projs) == 1:
         projs = projs * 2
-    subsets = [QSubset(dec, [projector_from_matrix(blk.irrep(p)) for blk in dec.blocks])
-               for p in projs]
-    f = QFunction(dec, [(1.0 + 0j, subsets[0]), (1j, subsets[1])])
-    return [cstar_identity_defect(f, instance=name)]
+    # χ_U + i·χ_V, one function per block
+    fs = [QFunction([(1.0 + 0j, projector_from_matrix(blk.irrep(projs[0]))),
+                     (1j, projector_from_matrix(blk.irrep(projs[1])))])
+          for blk in dec.blocks]
+    return [cstar_identity_defect(fs, instance=name)]
 
 
 def _suite_prop9(name, alg, extras, cfg, rng) -> list[ClaimsReport]:

@@ -42,6 +42,18 @@ def as_cmatrix(entries) -> np.ndarray:
     return a
 
 
+def peak_exponent(m: np.ndarray) -> int:
+    """The binary exponent e of the largest entry of m (0 if m is zero), so
+    that every entry of m · 2^-e has modulus below 1."""
+    return math.frexp(np.max(np.abs(m)))[1]
+
+
+def ldexp_complex(z: np.ndarray, e: int) -> np.ndarray:
+    """z · 2^e, entry by entry: exact, for subnormal entries too, unless a
+    result over- or underflows."""
+    return np.ldexp(np.ascontiguousarray(z, dtype=complex).view(float), e).view(complex)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """re and im must each have shape (rows, cols): nothing broadcasts.
     Every entry must be an int or a float, and rows and cols ints: no

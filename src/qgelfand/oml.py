@@ -323,7 +323,8 @@ class SetOml:
     """A finite family of subsets of a ground set, ordered by inclusion.
 
     Members are frozensets of ground-point indices.  Singleton joins are
-    the least upper bounds in the member poset.
+    the least upper bounds in the member poset: the join table of its
+    lattice.
     """
 
     ground: list[str]
@@ -356,21 +357,11 @@ class SetOml:
         except KeyError:
             raise KeyError(f"{set(s)} is not a member") from None
 
-    def lub(self, p: int, q: int) -> int:
-        """Least upper bound in the member poset, or NO_ELEMENT."""
-        upper = [
-            r
-            for r, m in enumerate(self.members)
-            if self.members[p] <= m and self.members[q] <= m
-        ]
-        least = [r for r in upper if all(self.members[r] <= self.members[s] for s in upper)]
-        return least[0] if len(least) == 1 else NO_ELEMENT
-
     def singleton_join(self, x: int, y: int) -> frozenset[int]:
         """Join of the singletons {x}, {y}, as a point set."""
         p = self.member_index({x})
         q = self.member_index({y})
-        r = self.lub(p, q)
+        r = self.lattice.join[p, q]
         if r == NO_ELEMENT:
             raise StructureError(f"singleton join of {x},{y} undefined")
         return self.members[r]
@@ -387,7 +378,9 @@ class SetOml:
                 return cur
             cur = nxt
 
-    def to_finite_oml(self) -> FiniteOml:
+    @functools.cached_property
+    def lattice(self) -> FiniteOml:
+        """The members ordered by inclusion, as a FiniteOml built once."""
         order = np.array(
             [[self.members[p] <= self.members[q] for q in range(self.n)] for p in range(self.n)]
         )
@@ -436,8 +429,9 @@ def verify_quantum_set(qs: SetOml) -> list[Violation]:
     if out:
         return out
     # 5: pairwise joins agree with the singleton-join point closure
+    join = qs.lattice.join
     for p, q in itertools.combinations(range(qs.n), 2):
-        r = qs.lub(p, q)
+        r = join[p, q]
         if r == NO_ELEMENT:
             out.append(Violation("qset.5_join_exists", (p, q)))
             continue
@@ -448,5 +442,5 @@ def verify_quantum_set(qs: SetOml) -> list[Violation]:
     for u in range(qs.n):
         if qs.point_closure(qs.members[u]) != qs.members[u]:
             out.append(Violation("qset.6_join_closed", (u,)))
-    out.extend(verify_oml(qs.to_finite_oml()))
+    out.extend(verify_oml(qs.lattice))
     return out

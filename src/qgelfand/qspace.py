@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    BlockDecomposition,
     FdAlgebra,
     PureState,
     as_pure,
@@ -24,7 +23,6 @@ from .linalg import (
     LATTICE_TOL,
     RANK_TOL,
     VERDICT_TOL,
-    DimensionMismatchError,
     Projector,
     cluster_eigenvalues,
     hermitian_eig,
@@ -35,31 +33,6 @@ from .linalg import (
     sasaki_product,
     support_sweep,
 )
-
-
-@dataclass
-class QSubset:
-    """A closure-stable set of pure states.
-
-    One projector per block of the decomposition, acting on that block's
-    irrep space; the members in block i are the vector states of the range
-    of projectors[i] (rank 0 = no members there).
-    """
-
-    decomposition: BlockDecomposition
-    projectors: list[Projector]
-
-    def __post_init__(self):
-        if [p.dim for p in self.projectors] != [b.irrep_dim for b in self.decomposition.blocks]:
-            raise DimensionMismatchError("need one projector per block on its irrep space")
-
-    def contains(self, alpha: PureState) -> bool:
-        return _in_range(self.projectors[alpha.block], alpha.vector)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSubset):
-            return NotImplemented
-        return self.projectors == other.projectors
 
 
 # a unit vector lies in a subset's range when its residual ‖P v − v‖ is at
@@ -89,54 +62,48 @@ def _near_range(p: Projector, v: np.ndarray) -> bool:
     return _range_residual(p, v) <= 2 * _RANGE_SLACK
 
 
-def _zero_projectors(dec: BlockDecomposition) -> list[Projector]:
-    return [Projector(basis=np.zeros((b.irrep_dim, 0), dtype=complex)) for b in dec.blocks]
-
-
-def qsubset_sasaki(u: QSubset, v: QSubset) -> QSubset:
-    """Per-block Sasaki product of the component projectors: the subset
-    product U * V transported to the projector picture."""
-    return QSubset(
-        u.decomposition, [sasaki_product(p, q) for p, q in zip(u.projectors, v.projectors)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # functions on P(A)
 
 
 @dataclass
 class QFunction:
-    """Finite complex combination of characteristic functions of QSubsets."""
+    """A finite complex combination of characteristic functions of
+    closure-stable subsets of one block's pure states.
 
-    decomposition: BlockDecomposition
-    terms: list[tuple[complex, QSubset]] = field(default_factory=list)
+    P(A) is the disjoint union of the blocks' projective spaces, and no
+    join reaches across blocks, so a function on P(A) is one QFunction per
+    block.  Each term's projector acts on the block's irrep space; its
+    members are the vector states of its range (rank 0: none).
+    """
 
-    def evaluate(self, alpha: PureState) -> complex:
-        return sum(c for c, u in self.terms if u.contains(alpha))
+    terms: list[tuple[complex, Projector]] = field(default_factory=list)
+
+    def evaluate(self, v: np.ndarray) -> complex:
+        """The value at the vector state of the unit vector v."""
+        return sum(c for c, p in self.terms if _in_range(p, v))
 
     def conjugate(self) -> "QFunction":
-        return QFunction(self.decomposition, [(np.conj(c), u) for c, u in self.terms])
+        return QFunction([(np.conj(c), p) for c, p in self.terms])
 
     def sup_norm(self) -> float:
-        """Exact sup of |f| over all pure states, by enumerating realizable
-        membership patterns per block.
+        """Exact sup of |f| over the block's pure states, by enumerating
+        realizable membership patterns.
 
         A pattern T is realizable iff the intersection of the subspaces in
         T is nonzero and not contained in any subspace outside T (over C a
         subspace inside a finite union of subspaces lies in one of them).
         """
+        terms = self.terms
+        live = [t for t, (_, p) in enumerate(terms) if p.rank > 0]
         best = 0.0
-        for i in range(self.decomposition.n_blocks):
-            comps = [(c, u.projectors[i]) for c, u in self.terms]
-            live = [t for t, (_, p) in enumerate(comps) if p.rank > 0]
-            for size in range(1, len(live) + 1):
-                for pattern in itertools.combinations(live, size):
-                    val = abs(sum(comps[t][0] for t in pattern))
-                    if val <= best:
-                        continue
-                    if _pattern_realizable(comps, pattern):
-                        best = val
+        for size in range(1, len(live) + 1):
+            for pattern in itertools.combinations(live, size):
+                val = abs(sum(terms[t][0] for t in pattern))
+                if val <= best:
+                    continue
+                if _pattern_realizable(terms, pattern):
+                    best = val
         return best
 
 
@@ -154,72 +121,56 @@ def _pattern_realizable(comps: list[tuple[complex, Projector]], pattern: tuple[i
 
 
 def qfunction_star(f: QFunction, g: QFunction) -> QFunction:
-    """Bilinear extension of χ_U * χ_V = χ_{U*V} (per-block Sasaki
-    products); reduces to the pointwise product when every block is
-    one-dimensional."""
-    terms = []
-    for cf, u in f.terms:
-        for cg, v in g.terms:
-            terms.append((cf * cg, qsubset_sasaki(u, v)))
-    return QFunction(f.decomposition, terms)
+    """Bilinear extension of χ_U * χ_V = χ_{U*V}, U * V the Sasaki product
+    of the two projectors; reduces to the pointwise product in a
+    one-dimensional block."""
+    return QFunction([(cf * cg, sasaki_product(p, q)) for cf, p in f.terms for cg, q in g.terms])
 
 
-def qfunction_star_at(f: QFunction, g: QFunction, alpha: PureState) -> complex:
-    """(f * g)(α), equal to qfunction_star(f, g).evaluate(α) but with Sasaki
-    products only in α's block and only for term pairs whose f-factor p is
-    near α (_near_range) and whose g-factor has members there.  The product
-    p ∧ (p⊥ ∨ q) has its range inside range(p), so when α is not near p no
-    product with p contains α; a product with a rank-0 factor is rank 0.
-    The skipped pairs are exactly pairs _in_range rejects, and the
-    coefficients of the others add in the same order, from 0.  In a block
-    of dimension 1 a near p is the identity of C, so p ∧ (p⊥ ∨ q) = p for
-    every q of rank 1 and α lies in it: no product is formed there."""
-    i = alpha.block
+def qfunction_star_at(f: QFunction, g: QFunction, v: np.ndarray) -> complex:
+    """(f * g) at the vector state of v, equal to
+    qfunction_star(f, g).evaluate(v) but with Sasaki products only for term
+    pairs whose f-factor p is near v (_near_range) and whose g-factor has
+    members.  The product p ∧ (p⊥ ∨ q) has its range inside range(p), so
+    when v is not near p no product with p contains v; a product with a
+    rank-0 factor is rank 0.  The skipped pairs are exactly pairs _in_range
+    rejects, and the coefficients of the others add in the same order, from
+    0.  In a block of dimension 1 a near p is the identity of C, so
+    p ∧ (p⊥ ∨ q) = p for every q of rank 1 and v lies in it: no product is
+    formed there."""
     total = 0
-    for cf, u in f.terms:
-        p = u.projectors[i]
-        if not _near_range(p, alpha.vector):
+    for cf, p in f.terms:
+        if not _near_range(p, v):
             continue
-        for cg, v in g.terms:
-            q = v.projectors[i]
-            if q.rank > 0 and (p.dim == 1 or _in_range(sasaki_product(p, q), alpha.vector)):
+        for cg, q in g.terms:
+            if q.rank > 0 and (p.dim == 1 or _in_range(sasaki_product(p, q), v)):
                 total += cf * cg
     return total
 
 
-def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int | None = None) -> QFunction:
-    """The simple-function surrogate of â: per block, the spectral
-    decomposition of the compressed element turned into characteristic
-    functions of eigenspaces (split into Hermitian parts first).
+def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int) -> QFunction:
+    """The simple-function surrogate of â in one block: the spectral
+    decomposition of the block's image of each Hermitian part of a, turned
+    into characteristic functions of eigenspaces.
 
     Exact for commutative algebras; in the noncommutative case the
     surrogate differs from â on superpositions, which is precisely what
     the claims harness measures.
-
-    With a block index, only that block's terms are built, in the order
-    the full function has them: what qfunction_star_at reads at a state
-    of that block.
     """
-    dec = alg.decomposition()
+    blk = alg.decomposition().blocks[block]
     a = alg.require_member(a)
     h = (a + a.conj().T) / 2
     k = (a - a.conj().T) / (2j)
-    terms: list[tuple[complex, QSubset]] = []
-    zeros = _zero_projectors(dec)
-    indices = range(dec.n_blocks) if block is None else [block]
+    terms: list[tuple[complex, Projector]] = []
     for part, scale in ((h, 1.0), (k, 1j)):
-        for i in indices:
-            m = dec.blocks[i].irrep(part)
-            vals, vecs = hermitian_eig(m)
-            for idx in cluster_eigenvalues(vals):
-                lam = float(np.mean(vals[idx]))
-                # |lam| ≤ ‖part‖, so a negligible part gives no term
-                if abs(lam) <= VERDICT_TOL:
-                    continue
-                projs = zeros.copy()
-                projs[i] = Projector(basis=vecs[:, idx])
-                terms.append((scale * lam, QSubset(dec, projs)))
-    return QFunction(dec, terms)
+        vals, vecs = hermitian_eig(blk.irrep(part))
+        for idx in cluster_eigenvalues(vals):
+            lam = float(np.mean(vals[idx]))
+            # |lam| ≤ ‖part‖, so a negligible part gives no term
+            if abs(lam) <= VERDICT_TOL:
+                continue
+            terms.append((scale * lam, Projector(basis=vecs[:, idx])))
+    return QFunction(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +318,12 @@ def _join_pairs(blocks: np.ndarray, vecs: np.ndarray, cap: int) -> tuple[np.ndar
     return np.concatenate(first), np.concatenate(second)
 
 
-def cstar_identity_defect(f: QFunction, instance: str = "") -> ClaimsReport:
-    """|‖f * f̄‖ − ‖f‖²| under the modeled product and exact sup-norms."""
-    prod = qfunction_star(f, f.conjugate())
-    lhs = prod.sup_norm()
-    rhs = f.sup_norm() ** 2
+def cstar_identity_defect(fs: list[QFunction], instance: str = "") -> ClaimsReport:
+    """|‖f * f̄‖ − ‖f‖²| under the modeled product and exact sup-norms, for
+    the function on P(A) given by one QFunction per block: each sup over
+    P(A) is the largest of the blocks' sups."""
+    lhs = max(qfunction_star(f, f.conjugate()).sup_norm() for f in fs)
+    rhs = max(f.sup_norm() for f in fs) ** 2
     defect = abs(lhs - rhs)
     return ClaimsReport(
         "cstar_identity", instance,
@@ -398,7 +350,7 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     defects["square"] = max(
         abs(hat(alg, h @ h, state) - hat(alg, h, state) ** 2) for h in hs
     )
-    # mixed states are allowed: they are simply not members of any QSubset,
+    # mixed states are allowed: they are simply not members of any subset,
     # and the square defect then measures the variance directly
     pure_alpha = as_pure(dec, state)
     projs = [_top_spectral_projector(h) for h in hs]
@@ -408,8 +360,8 @@ def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
     meet_elem = sum(
         blk.embed(m.matrix) for blk, m in zip(dec.blocks, meets)
     )
-    u_meet = QSubset(dec, meets)
-    chi_val = 1.0 if pure_alpha is not None and u_meet.contains(pure_alpha) else 0.0
+    chi_val = (1.0 if pure_alpha is not None
+               and _in_range(meets[pure_alpha.block], pure_alpha.vector) else 0.0)
     defects["lattice_meet"] = abs(hat(alg, meet_elem, state) - chi_val)
     defects["characteristic"] = max(
         min(abs(hat(alg, pp, state)), abs(1 - hat(alg, pp, state))) for pp in projs
@@ -492,11 +444,10 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         s = random_pure_state(dec, rng)
         a = alg.random_element(rng)
         b = alg.random_element(rng)
-        # qfunction_star_at reads only the terms in s's block, and only
-        # pairs whose â term is near s
+        # qfunction_star_at reads only pairs whose â term is near s
         fa = hat_as_qfunction(alg, a, s.block)
-        if any(_near_range(u.projectors[s.block], s.vector) for _, u in fa.terms):
-            model = qfunction_star_at(fa, hat_as_qfunction(alg, b, s.block), s)
+        if any(_near_range(p, s.vector) for _, p in fa.terms):
+            model = qfunction_star_at(fa, hat_as_qfunction(alg, b, s.block), s.vector)
         else:
             model = 0
         # hat(alg, a @ b, s) without its membership check: a and b are

@@ -46,18 +46,6 @@ class BaerSemigroup:
     def size(self) -> int:
         return self.table.shape[0]
 
-    @property
-    def identity(self) -> int:
-        return self.index[np.arange(self.lattice.n, dtype=self.table.dtype).tobytes()]
-
-    def compose(self, i: int, j: int) -> int:
-        """The element acting as (φ_i ∘ φ_j)(q) = φ_i(φ_j(q))."""
-        return self.index[self.table[i][self.table[j]].tobytes()]
-
-    def subset_of(self, i: int) -> int:
-        """U_φ = φ(top), as a lattice element."""
-        return int(self.table[i, self.lattice.top])
-
 
 def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000) -> BaerSemigroup:
     """Breadth-first closure of the Sasaki maps q ↦ p ∧ (p⊥ ∨ q) under

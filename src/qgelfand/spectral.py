@@ -18,8 +18,10 @@ from .linalg import (
     _phase_normalize,
     as_cmatrix,
     haar_unit_vectors,
+    ldexp_complex,
     op_norm,
     orthonormalize,
+    peak_exponent,
     projector_from_basis,
     support_sweep,
 )
@@ -115,7 +117,11 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
 
     Per block, the numerical range of the block image is traced by
     linalg.support_sweep: for each angle the top eigenvector of the
-    Hermitian part of e^{-i theta} m gives a boundary point.  The flags
+    Hermitian part of e^{-i theta} m gives a boundary point.  The sweep
+    runs on m scaled by the power of two of its largest entry, and its
+    supports and boundary points are scaled back: powers of two scale
+    exactly, so 2^k·a gives 2^k times the same bits at every k, and no
+    Hermitian part overflows.  The flags
     come from the block list alone (see SpectralReport), so they do not
     depend on the scale of a.  Every eigenvalue must lie in the swept
     region within 100 SIGMA_TOL ‖a‖, or RuntimeError is raised.  A Haar
@@ -133,13 +139,18 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     block_boundaries = []
     for blk in dec.blocks:
         m = blk.irrep(a)
+        e = peak_exponent(m)
+        m = ldexp_complex(m, -e)
         supports, v = support_sweep(m, N_ANGLES)
-        block_supports.append(supports)
-        block_boundaries.append(_quadratic_values(m, v))
+        block_supports.append(np.ldexp(supports, e))
+        block_boundaries.append(ldexp_complex(_quadratic_values(m, v), e))
 
     singleton, equals = _sigma_flags(dec)
-    # the largest distance from a boundary point to the nearest eigenvalue
-    gap = np.abs(np.concatenate(block_boundaries)[:, None] - sig).min(axis=1).max()
+    # the largest distance from a boundary point to the nearest eigenvalue,
+    # measured at the scale of a's largest entry, where no difference overflows
+    e = peak_exponent(a)
+    bnd, eig = (ldexp_complex(z, -e) for z in (np.concatenate(block_boundaries), sig))
+    gap = np.ldexp(np.abs(bnd[:, None] - eig).min(axis=1).max(), e)
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
                             singleton, equals, gap, a, samples, rng)
     escape_tol = 100 * SIGMA_TOL * op_norm(a)
@@ -220,12 +231,6 @@ class IntertwiningReport:
     unitarity_defect: float
     intertwining_defect: float
     gns_dim: int
-    representation: object = None  # the GNS representation the unitary maps from
-
-    def defect_for(self, x: np.ndarray) -> float:
-        """‖x − U π(x) U†‖ against the representation used to build U."""
-        u = self.unitary
-        return op_norm(x - u @ self.representation.pi(x) @ u.conj().T)
 
 
 def fc_unitary(alg: FdAlgebra, h: np.ndarray) -> IntertwiningReport:
@@ -252,7 +257,7 @@ def fc_unitary(alg: FdAlgebra, h: np.ndarray) -> IntertwiningReport:
     # rep_basis[j] is pi(b_j)
     residuals = alg.basis - u @ rep.rep_basis @ u.conj().T
     defect = float(np.linalg.svd(residuals, compute_uv=False)[:, 0].max())
-    return IntertwiningReport(u, unit_defect, defect, rep.dim, rep)
+    return IntertwiningReport(u, unit_defect, defect, rep.dim)
 
 
 # ---------------------------------------------------------------------------

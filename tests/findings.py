@@ -13,13 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgelfand.algebra import BlockDecomposition, PureState, pure_equal
-from qgelfand.linalg import VERDICT_TOL, projector_from_basis
+from qgelfand.linalg import VERDICT_TOL, Projector, projector_from_basis
 from qgelfand.oml import SetOml, StructureError
-from qgelfand.qspace import QSubset, _zero_projectors
 from qgelfand.sasaki import BaerSemigroup, SemigroupBudgetError, enumerate_semigroup
 
 # ---------------------------------------------------------------------------
 # semigroup diagnostics
+
+
+def compose(sg: BaerSemigroup, i: int, j: int) -> int:
+    """The element acting as (φ_i ∘ φ_j)(q) = φ_i(φ_j(q))."""
+    return sg.index[sg.table[i][sg.table[j]].tobytes()]
+
+
+def identity(sg: BaerSemigroup) -> int:
+    """The element acting as the identity map."""
+    return sg.index[np.arange(sg.lattice.n, dtype=sg.table.dtype).tobytes()]
+
+
+def subset_of(sg: BaerSemigroup, i: int) -> int:
+    """U_φ = φ(top), as a lattice element."""
+    return int(sg.table[i, sg.lattice.top])
 
 
 def star_antihom_defects(sg: BaerSemigroup) -> list[tuple[int, int]]:
@@ -27,7 +41,7 @@ def star_antihom_defects(sg: BaerSemigroup) -> list[tuple[int, int]]:
     return [
         (i, j)
         for i, j in itertools.product(range(sg.size), repeat=2)
-        if sg.star[sg.compose(i, j)] != sg.compose(int(sg.star[j]), int(sg.star[i]))
+        if sg.star[compose(sg, i, j)] != compose(sg, int(sg.star[j]), int(sg.star[i]))
     ]
 
 
@@ -42,7 +56,7 @@ def perp_antihom_defects(sg: BaerSemigroup) -> list[tuple[int, int]]:
     return [
         (i, j)
         for i, j in itertools.product(range(sg.size), repeat=2)
-        if sg.perp[sg.compose(i, j)] != sg.compose(int(sg.perp[j]), int(sg.perp[i]))
+        if sg.perp[compose(sg, i, j)] != compose(sg, int(sg.perp[j]), int(sg.perp[i]))
     ]
 
 
@@ -55,7 +69,7 @@ def uphi_collisions(sg: BaerSemigroup) -> list[tuple[int, int]]:
     seen: dict[int, int] = {}
     bad = []
     for i in range(sg.size):
-        u = sg.subset_of(i)
+        u = subset_of(sg, i)
         if u in seen:
             bad.append((seen[u], i))
         else:
@@ -105,12 +119,12 @@ class QSetProduct:
 
     Wraps the Baer*-semigroup of the member lattice; subsets are the point
     sets of the images U_φ = φ(X).  Elements are semigroup indices, composed
-    with semigroup.compose.
+    with compose.
     """
 
     def __init__(self, qs: SetOml, cap: int = 10_000):
         self.qs = qs
-        self.lattice = qs.to_finite_oml()
+        self.lattice = qs.lattice
         self.semigroup = enumerate_semigroup(self.lattice, cap)
         # canonical representative element per subset: first by discovery
         self._rep: dict[frozenset[int], int] = {}
@@ -119,7 +133,7 @@ class QSetProduct:
             self._rep.setdefault(u, i)
 
     def subset_points(self, element: int) -> frozenset[int]:
-        return self.qs.members[self.semigroup.subset_of(element)]
+        return self.qs.members[subset_of(self.semigroup, element)]
 
     def element_for_subset(self, points) -> int:
         key = frozenset(points)
@@ -177,7 +191,7 @@ def chi_star(f: ChiFunction, g: ChiFunction) -> ChiFunction:
         eu = sp.element_for_subset(u)
         for v, cv in g.coeffs.items():
             # U * V = U_{φψ}, computed on the underlying maps
-            w = sp.subset_points(sp.semigroup.compose(eu, sp.element_for_subset(v)))
+            w = sp.subset_points(compose(sp.semigroup, eu, sp.element_for_subset(v)))
             out[w] = out.get(w, 0j) + cu * cv
     return ChiFunction(sp, out).canonical()
 
@@ -210,9 +224,9 @@ def saturation_check(
     for u, v in pairs:
         uy, vy = u & yset, v & yset
         lhs = sub_sp.subset_points(
-            sub_sp.semigroup.compose(sub_sp.member_element(uy), sub_sp.member_element(vy)))
+            compose(sub_sp.semigroup, sub_sp.member_element(uy), sub_sp.member_element(vy)))
         rhs = sp.subset_points(
-            sp.semigroup.compose(sp.member_element(u), sp.member_element(v))) & yset
+            compose(sp.semigroup, sp.member_element(u), sp.member_element(v))) & yset
         if lhs != rhs:
             return False, (u, v, lhs, rhs)
     # Prop. 5 restriction identity for characteristic functions follows
@@ -244,15 +258,14 @@ def literal_join(alpha: PureState, beta: PureState) -> list[PureState]:
     return [alpha] if pure_equal(alpha, beta) else [alpha, beta]
 
 
-def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> QSubset:
-    """Least closure-stable subset containing the seeds: per block, the
-    vector states of the span of the seeds in that block.  Of two seeds,
-    it is {α} ∨ {β}: the two points for inequivalent states, the vector
-    states of span{x, y} for equivalent ones."""
+def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> list[Projector]:
+    """Least closure-stable subset containing the seeds, as one projector
+    per block: the span of the seeds' vectors in that block (rank 0 where
+    there are none).  Of two seeds, it is {α} ∨ {β}: the two points for
+    inequivalent states, the vector states of span{x, y} for equivalent
+    ones."""
     if not seeds:
         raise ValueError("need at least one seed state")
-    projs = _zero_projectors(dec)
-    for i in {s.block for s in seeds}:
-        vecs = np.column_stack([s.vector for s in seeds if s.block == i])
-        projs[i] = projector_from_basis(vecs)
-    return QSubset(dec, projs)
+    return [projector_from_basis(np.array([s.vector for s in seeds if s.block == i],
+                                          dtype=complex).reshape(-1, blk.irrep_dim).T)
+            for i, blk in enumerate(dec.blocks)]

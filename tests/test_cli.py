@@ -614,6 +614,17 @@ def test_samples_below_one(runner, files, command, samples):
     assert "--samples" in res.output
 
 
+def test_spectral_report_negative_seed_is_an_input_error(runner, tmp_path, files):
+    # the seed goes to numpy's generator, which takes none below 0: it is
+    # refused before any output file is opened
+    out, plot = tmp_path / "r.json", tmp_path / "p.csv"
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "-1",
+                               "--out", str(out), "--plot-data", str(plot)])
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert not out.exists() and not plot.exists()
+
+
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(["spectral", "report"],
                  "62e16bbfacbac415d69490149e2a97a6a81f43497495e0e73b6d312ed39fa79b",

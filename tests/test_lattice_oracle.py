@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle as oracle
+from findings import compose, identity, subset_of
 from qgelfand.oml import (
     FiniteOml,
     StructureError,
@@ -128,10 +129,10 @@ def test_table_composition_matches_oracle(name):
     sg = enumerate_semigroup(lat)
     rows = [tuple(row) for row in sg.table.tolist()]
     for i, j in itertools.product(range(sg.size), repeat=2):
-        assert rows[sg.compose(i, j)] == oracle.compose(rows[i], rows[j]), (i, j)
-    assert rows[sg.identity] == tuple(range(lat.n))
+        assert rows[compose(sg, i, j)] == oracle.compose(rows[i], rows[j]), (i, j)
+    assert rows[identity(sg)] == tuple(range(lat.n))
     for i in range(sg.size):
-        assert sg.subset_of(i) == rows[i][lat.top]
+        assert subset_of(sg, i) == rows[i][lat.top]
 
 
 @pytest.mark.parametrize("name", ["benzene", "not_involutive"])

@@ -3,6 +3,7 @@ import pytest
 
 from findings import powerset_quantum_set, relative_lattice
 from qgelfand.oml import (
+    NO_ELEMENT,
     FiniteOml,
     SetOml,
     StructureError,
@@ -140,7 +141,7 @@ def test_powerset_quantum_set():
 
 def test_mo2_quantum_set_valid(mo2_qset):
     assert verify_quantum_set(mo2_qset) == []
-    lat = mo2_qset.to_finite_oml()
+    lat = mo2_qset.lattice
     assert verify_oml(lat) == []
     assert not is_boolean(lat)[0]
 
@@ -153,9 +154,43 @@ def test_mo2_quantum_set_joins(mo2_qset):
     assert mo2_qset.point_closure(frozenset({1})) == frozenset({1})
 
 
+def _least_upper_bound(qs: SetOml, p: int, q: int) -> int:
+    """The member containing p and q that every such member contains, or
+    NO_ELEMENT, by a scan over the members."""
+    upper = [r for r, m in enumerate(qs.members) if qs.members[p] | qs.members[q] <= m]
+    least = [r for r in upper if all(qs.members[r] <= qs.members[s] for s in upper)]
+    return least[0] if len(least) == 1 else NO_ELEMENT
+
+
+def _no_join_qset() -> SetOml:
+    # {0} and {1} lie below {0, 1, 2} and {0, 1, 3}, and nothing between
+    members = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2}),
+               frozenset({0, 1, 3}), frozenset({0, 1, 2, 3})]
+    return SetOml(["w", "x", "y", "z"], members, [5, 4, 3, 2, 1, 0])
+
+
+@pytest.mark.parametrize("family", ["MO2", "powerset", "relative", "no join"])
+def test_set_oml_join_is_the_least_upper_bound(mo2_qset, family):
+    # singleton joins and quantum-set condition 5 read the lattice's join
+    # table; a scan for the least upper bound is its oracle
+    qs = {"MO2": lambda: mo2_qset,
+          "powerset": lambda: powerset_quantum_set(["w", "x", "y", "z"]),
+          "relative": lambda: relative_lattice(powerset_quantum_set(["x", "y", "z"]),
+                                               frozenset({0, 1})),
+          "no join": _no_join_qset}[family]()
+    join = qs.lattice.join
+    for p in range(qs.n):
+        for q in range(qs.n):
+            assert join[p, q] == _least_upper_bound(qs, p, q), (p, q)
+    if family == "no join":
+        assert join[1, 2] == NO_ELEMENT
+        with pytest.raises(StructureError, match="singleton join of 0,1 undefined"):
+            qs.singleton_join(0, 1)
+
+
 def test_relative_lattice_singleton(mo2_qset):
     sub = relative_lattice(mo2_qset, frozenset({0}))
-    lat = sub.to_finite_oml()
+    lat = sub.lattice
     assert lat.n == 2
     assert verify_oml(lat) == []
 
@@ -163,4 +198,4 @@ def test_relative_lattice_singleton(mo2_qset):
 def test_quantum_set_json_roundtrip(mo2_qset):
     again = SetOml.from_json(mo2_qset.to_json())
     assert verify_quantum_set(again) == []
-    assert again.to_finite_oml() == mo2_qset.to_finite_oml()
+    assert again.lattice == mo2_qset.lattice

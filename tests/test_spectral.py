@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,13 @@ import qgelfand.spectral as spectral
 
 from conftest import E12, SIGMA_X
 from qgelfand.algebra import generate_algebra
-from qgelfand.linalg import haar_unit_vector, op_norm, projector_from_basis, support_sweep
+from qgelfand.linalg import (
+    haar_unit_vector,
+    ldexp_complex,
+    op_norm,
+    projector_from_basis,
+    support_sweep,
+)
 from qgelfand.spectral import (
     NotCyclicError,
     _judged,
@@ -276,6 +284,38 @@ def test_eigenvalue_check_is_relative_to_the_norm(monkeypatch):
     for c in (1e-6, 1.0):
         with pytest.raises(RuntimeError, match="escaped"):
             sigma_big(c * np.array([[1.0, 1.0], [0.0, 2.0]]))
+
+
+def _pow2_input(name):
+    g = np.random.default_rng(31).standard_normal((4, 4, 2)) @ [1, 1j]
+    return g if name == "generic 4x4" else np.kron(g[:2, :2], np.eye(2))
+
+
+@pytest.mark.parametrize("name", ["generic 4x4", "M2 x I2"])
+def test_sweep_scales_exactly_by_powers_of_two(name):
+    # each block image is swept at the scale of its largest entry, so 2^k·a
+    # has 2^k times a's supports and boundary points, bit for bit, also
+    # where LAPACK would rescale the raw image of a
+    a = _pow2_input(name)
+    base = sigma_big(a)
+    for k in (-1000, -500, 500, 1000, 1021):
+        rep = sigma_big(ldexp_complex(a, k))
+        assert len(rep.block_supports) == len(base.block_supports)
+        for s0, s1 in zip(base.block_supports, rep.block_supports):
+            assert np.array_equal(np.ldexp(s0, k), s1), k
+        for b0, b1 in zip(base.block_boundaries, rep.block_boundaries):
+            assert np.array_equal(ldexp_complex(b0, k), b1), k
+
+
+def test_report_near_the_float_limit_is_finite():
+    # the Hermitian parts of this image overflow unless it is scaled first;
+    # its supports are 2^1000 times those of a · 2^-1000
+    a = np.array([[1e308, 1e308], [0.0, -1e308]])
+    rep = sigma_big(a)
+    small = sigma_big(ldexp_complex(a, -1000))
+    assert np.array_equal(rep.block_supports[0], np.ldexp(small.block_supports[0], 1000))
+    assert np.isfinite(rep.sigma_gap) and rep.sigma_gap > 1e307
+    json.dumps(rep.to_json(), allow_nan=False)  # no Infinity or NaN in the report
 
 # ---------------------------------------------------------------------------
 # oracles for the stacked sweep and the vectorized sample cloud
