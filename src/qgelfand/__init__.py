@@ -6,7 +6,6 @@ spectral/invariant-subspace diagnostics."""
 from .linalg import (
     Projector,
     projector_from_basis,
-    projector_from_matrix,
     proj_join,
     proj_meet,
     sasaki_product,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Projector",
     "projector_from_basis",
-    "projector_from_matrix",
     "proj_join",
     "proj_meet",
     "sasaki_product",

@@ -446,16 +446,14 @@ def state_block_matrices(dec: BlockDecomposition, state: State) -> list[np.ndarr
     return out
 
 
-def as_pure(dec: BlockDecomposition, state: State | PureState) -> PureState | None:
+def as_pure(dec: BlockDecomposition, state: State) -> PureState | None:
     """Block-aware purity test on the algebra.
 
     A state can be ambient-mixed and still pure on the algebra; purity is
     judged from the reduced block matrices: exactly one block carries
     weight and its reduced matrix has rank one.  Returns the pure state in
-    block coordinates, or None; a PureState is returned unchanged.
+    block coordinates, or None.
     """
-    if isinstance(state, PureState):
-        return state
     mats = state_block_matrices(dec, state)
     weights = [float(np.real(np.trace(r))) for r in mats]
     live = [i for i, w in enumerate(weights) if w > RANK_TOL]
@@ -500,10 +498,6 @@ class GnsRepresentation:
     rep_basis: np.ndarray  # d × r × r: the images of the algebra basis
     cyclic_vector: np.ndarray
     _embed: np.ndarray  # coordinates-on-basis -> GNS coordinates
-
-    def pi(self, a: np.ndarray) -> np.ndarray:
-        """pi of an algebra element, or of each element of a stack."""
-        return np.tensordot(self.algebra.coords(a), self.rep_basis, axes=1)
 
     def vector_of(self, a: np.ndarray) -> np.ndarray:
         """GNS class of an algebra element, or of each element of a stack."""

@@ -25,7 +25,7 @@ from .algebra import (
     r_is_discrete,
     random_pure_state,
 )
-from .linalg import _is_int, matrix_from_json, projector_from_matrix
+from .linalg import Projector, _is_int, matrix_from_json
 from .qspace import (
     ClaimsReport,
     QFunction,
@@ -34,7 +34,7 @@ from .qspace import (
     hat_preimage_qness,
     prop9_defect,
     thm3_diagnostics,
-    _top_spectral_projector,
+    top_projectors,
 )
 
 SUITES = ("prop1", "prop2", "prop7", "prop9", "thm3", "preimage")
@@ -156,8 +156,12 @@ def _suite_prop2(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     n = alg.ambient_dim
     mismatches = 0
     witness = None
-    for _ in range(cfg.samples):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for k in range(cfg.samples):
+        # every other density matrix is rank one, so that states pure on a
+        # nontrivial algebra are drawn too: a full-rank one is pure only
+        # on the scalars
+        shape = (n, 1) if k % 2 else (n, n)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rho = g @ g.conj().T
         rho = rho / np.real(np.trace(rho))
         state = State(rho)
@@ -175,26 +179,22 @@ def _suite_prop2(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     )]
 
 
-def _instance_projectors(alg, extras, rng) -> list[np.ndarray]:
+def _instance_projectors(alg, extras, rng) -> list[list[Projector]]:
+    """Top spectral projections, one projector per block each: of the
+    instance element's Hermitian part, or of two random Hermitian members."""
+    dec = alg.decomposition()
     if "element" in extras:
         a = extras["element"]
-        h = (a + a.conj().T) / 2
-        return [_top_spectral_projector(h)]
-    return [
-        _top_spectral_projector(alg.random_element(rng, hermitian=True)),
-        _top_spectral_projector(alg.random_element(rng, hermitian=True)),
-    ]
+        return [top_projectors(dec, (a + a.conj().T) / 2)]
+    return [top_projectors(dec, alg.random_element(rng, hermitian=True)) for _ in range(2)]
 
 
 def _suite_prop7(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
-    dec = alg.decomposition()
     projs = _instance_projectors(alg, extras, rng)
     if len(projs) == 1:
         projs = projs * 2
     # χ_U + i·χ_V, one function per block
-    fs = [QFunction([(1.0 + 0j, projector_from_matrix(blk.irrep(projs[0]))),
-                     (1j, projector_from_matrix(blk.irrep(projs[1])))])
-          for blk in dec.blocks]
+    fs = [QFunction([(1.0 + 0j, p), (1j, q)]) for p, q in zip(*projs)]
     return [cstar_identity_defect(fs, instance=name)]
 
 
@@ -205,7 +205,7 @@ def _suite_prop9(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
     state = random_pure_state(dec, rng)
     rep = prop9_defect(alg, state, a, b, instance=name)
     p = _instance_projectors(alg, extras, rng)[0]
-    return [rep, hat_is_characteristic_defect(alg, p, cfg.samples, rng, instance=name)]
+    return [rep, hat_is_characteristic_defect(dec, p, cfg.samples, rng, instance=name)]
 
 
 def _suite_thm3(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
@@ -213,10 +213,11 @@ def _suite_thm3(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
 
 
 def _suite_preimage(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
-    a = _instance_projectors(alg, extras, rng)[0]
+    images = [p.matrix for p in _instance_projectors(alg, extras, rng)[0]]
     center = extras.get("center", 1.0 + 0j)
     radius = extras.get("radius", 0.1)
-    return [hat_preimage_qness(alg, a, center, radius, cfg.samples, rng, instance=name)]
+    return [hat_preimage_qness(alg.decomposition(), images, center, radius, cfg.samples, rng,
+                               instance=name)]
 
 
 _RUNNERS = {

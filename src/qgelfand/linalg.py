@@ -246,8 +246,10 @@ class Projector:
     """Orthogonal projector onto a closed subspace, held as an orthonormal
     basis of its range (dim × rank, rank may be 0); the matrix is derived.
 
-    The basis is taken as given: projector_from_matrix and
-    projector_from_basis are the entries that make one.
+    The basis is taken as given, unchecked: every maker passes columns that
+    are orthonormal by construction (eigenvectors of hermitian_eig, an
+    orthonormalize output, a standard basis vector), and
+    projector_from_basis orthonormalizes any columns.
     """
 
     basis: np.ndarray
@@ -274,20 +276,6 @@ class Projector:
 
     def __hash__(self):
         return hash((self.dim, self.rank))
-
-
-def projector_from_matrix(m) -> Projector:
-    """Projector onto the range of a Hermitian idempotent matrix; the
-    checked entry for matrices from outside the lattice kernels."""
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError("projector must be square")
-    if op_norm(m - m.conj().T) > LATTICE_TOL:
-        raise ValueError("projector is not Hermitian within tol")
-    if op_norm(m @ m - m) > LATTICE_TOL:
-        raise ValueError("projector is not idempotent within tol")
-    vals, vecs = hermitian_eig(m)
-    return Projector(basis=vecs[:, vals > 0.5])
 
 
 def projector_from_basis(columns: np.ndarray) -> Projector:

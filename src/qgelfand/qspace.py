@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    BlockDecomposition,
     FdAlgebra,
     PureState,
-    as_pure,
     hat,
     pure_equal,
     random_pure_state,
@@ -26,10 +26,8 @@ from .linalg import (
     Projector,
     cluster_eigenvalues,
     hermitian_eig,
-    op_norm,
     proj_leq,
     proj_meet,
-    projector_from_matrix,
     sasaki_product,
     support_sweep,
 )
@@ -148,6 +146,21 @@ def qfunction_star_at(f: QFunction, g: QFunction, v: np.ndarray) -> complex:
     return total
 
 
+def top_projectors(dec: BlockDecomposition, h: np.ndarray) -> list[Projector]:
+    """The spectral projection of the Hermitian member h at its top
+    eigenvalue cluster, as one projector per block on that block's irrep
+    space.
+
+    h's spectrum is the union of its block images' spectra, so the top
+    cluster is found by cluster_eigenvalues over their sorted union; each
+    block keeps its eigenvectors at or above that cluster's floor (a block
+    with none gets rank 0)."""
+    eigs = [hermitian_eig(blk.irrep(h)) for blk in dec.blocks]
+    vals = np.sort(np.concatenate([v for v, _ in eigs]))
+    floor = vals[cluster_eigenvalues(vals)[-1][0]]
+    return [Projector(basis=vecs[:, v >= floor]) for v, vecs in eigs]
+
+
 def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int) -> QFunction:
     """The simple-function surrogate of â in one block: the spectral
     decomposition of the block's image of each Hermitian part of a, turned
@@ -155,10 +168,10 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int) -> QFunction:
 
     Exact for commutative algebras; in the noncommutative case the
     surrogate differs from â on superpositions, which is precisely what
-    the claims harness measures.
+    the claims harness measures.  a must be a member of alg: it is not
+    checked here (thm3 passes random elements, members by construction).
     """
     blk = alg.decomposition().blocks[block]
-    a = alg.require_member(a)
     h = (a + a.conj().T) / 2
     k = (a - a.conj().T) / (2j)
     terms: list[tuple[complex, Projector]] = []
@@ -218,11 +231,12 @@ def _json_value(v):
     return v
 
 
-def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: float,
-                       samples: int, rng: np.random.Generator,
+def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center: complex,
+                       radius: float, samples: int, rng: np.random.Generator,
                        instance: str = "") -> ClaimsReport:
     """Is the preimage of a disc under â closed under singleton joins?
 
+    a is given by its block images, images[i] = dec.blocks[i].irrep(a).
     Samples equivalent pairs inside the preimage and measures how far â
     leaves the disc on the joined subspace's vector states.  Quantifies
     whether â can be q-continuous for the modeled subset lattice.
@@ -237,10 +251,6 @@ def hat_preimage_qness(alg: FdAlgebra, a: np.ndarray, center: complex, radius: f
     tie, and the witness is the first of them in (pair, angle) order, so
     rounding noise cannot pick it.
     """
-    dec = alg.decomposition()
-    a = alg.require_member(a)
-    # a is checked once here; each sample is hat's arithmetic on a's images
-    images = [blk.irrep(a) for blk in dec.blocks]
     inside: list[PureState] = []
     for _ in range(samples):
         s = random_pure_state(dec, rng)
@@ -333,67 +343,44 @@ def cstar_identity_defect(fs: list[QFunction], instance: str = "") -> ClaimsRepo
     )
 
 
-def prop9_defect(alg: FdAlgebra, state, a: np.ndarray, b: np.ndarray,
+def prop9_defect(alg: FdAlgebra, alpha: PureState, a: np.ndarray, b: np.ndarray,
                  instance: str = "") -> ClaimsReport:
-    """Purity-characterization defects at a state.
+    """Purity-characterization defects at a pure state α.
 
     (i) |α(h²) − α(h)²| for the Hermitian parts of a and b;
     (ii) |α(p∧q) − χ_{U_p ∧ U_q}(α)| for the top spectral projections of
     those Hermitian parts (the displayed lattice identity);
     (iii) the characteristic-function defect min(|p̂(α)|, |1 − p̂(α)|).
+    The projections, their meet and their values at α are taken in α's
+    block alone.
     """
     dec = alg.decomposition()
-    a = alg.require_member(a)
-    b = alg.require_member(b)
     defects = {}
     hs = [(a + a.conj().T) / 2, (b + b.conj().T) / 2]
     defects["square"] = max(
-        abs(hat(alg, h @ h, state) - hat(alg, h, state) ** 2) for h in hs
+        abs(hat(alg, h @ h, alpha) - hat(alg, h, alpha) ** 2) for h in hs
     )
-    # mixed states are allowed: they are simply not members of any subset,
-    # and the square defect then measures the variance directly
-    pure_alpha = as_pure(dec, state)
-    projs = [_top_spectral_projector(h) for h in hs]
-    p, q = projs
-    meets = [proj_meet(projector_from_matrix(blk.irrep(p)), projector_from_matrix(blk.irrep(q)))
-             for blk in dec.blocks]
-    meet_elem = sum(
-        blk.embed(m.matrix) for blk, m in zip(dec.blocks, meets)
-    )
-    chi_val = (1.0 if pure_alpha is not None
-               and _in_range(meets[pure_alpha.block], pure_alpha.vector) else 0.0)
-    defects["lattice_meet"] = abs(hat(alg, meet_elem, state) - chi_val)
-    defects["characteristic"] = max(
-        min(abs(hat(alg, pp, state)), abs(1 - hat(alg, pp, state))) for pp in projs
-    )
+    p, q = (top_projectors(dec, h)[alpha.block] for h in hs)
+    meet = proj_meet(p, q)
+    chi_val = 1.0 if _in_range(meet, alpha.vector) else 0.0
+    defects["lattice_meet"] = abs(alpha.value(meet.matrix) - chi_val)
+    values = [alpha.value(pp.matrix) for pp in (p, q)]
+    defects["characteristic"] = max(min(abs(v), abs(1 - v)) for v in values)
     verdict = "holds-within-tol" if max(defects.values()) <= VERDICT_TOL else "fails"
-    return ClaimsReport("prop9", instance, defects, verdict,
-                        [pure_alpha] if pure_alpha is not None else [])
+    return ClaimsReport("prop9", instance, defects, verdict, [alpha])
 
 
-def _top_spectral_projector(h: np.ndarray) -> np.ndarray:
-    vals, vecs = hermitian_eig(h)
-    idx = cluster_eigenvalues(vals)[-1]
-    w = vecs[:, idx]
-    return w @ w.conj().T
-
-
-def hat_is_characteristic_defect(alg: FdAlgebra, p: np.ndarray, samples: int,
+def hat_is_characteristic_defect(dec: BlockDecomposition, p: list[Projector], samples: int,
                                  rng: np.random.Generator,
                                  instance: str = "") -> ClaimsReport:
-    """max over sampled pure α of min(|p̂(α)|, |1 − p̂(α)|): zero iff p̂ is
+    """max over sampled pure α of min(|p̂(α)|, |1 − p̂(α)|), for the
+    projection given by one projector per block: zero iff p̂ is
     {0,1}-valued on the sample."""
-    dec = alg.decomposition()
-    p = alg.require_member(p)
-    if op_norm(p @ p - p) > LATTICE_TOL:
-        raise ValueError("p must be a projection in the algebra")
-    # p is checked once here; each sample is hat's arithmetic on p's images
-    images = [blk.irrep(p) for blk in dec.blocks]
     worst = 0.0
     witness = None
     for _ in range(samples):
         s = random_pure_state(dec, rng)
-        v = s.value(images[s.block])
+        v = s.value(p[s.block].matrix)
         val = min(abs(v), abs(1 - v))
         if val > worst:
             worst, witness = val, s

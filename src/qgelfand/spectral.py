@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BlockDecomposition, FdAlgebra, generate_algebra, gns, vector_state
+from .algebra import (
+    BlockDecomposition,
+    FdAlgebra,
+    GnsRepresentation,
+    generate_algebra,
+    gns,
+    vector_state,
+)
 from .linalg import (
     RANK_TOL,
     SIGMA_TOL,
@@ -119,9 +126,10 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     linalg.support_sweep: for each angle the top eigenvector of the
     Hermitian part of e^{-i theta} m gives a boundary point.  The sweep
     runs on m scaled by the power of two of its largest entry, and its
-    supports and boundary points are scaled back: powers of two scale
-    exactly, so 2^k·a gives 2^k times the same bits at every k, and no
-    Hermitian part overflows.  The flags
+    supports and boundary points are scaled back; sigma(a) is taken of a
+    scaled by the power of two of a's largest entry, and scaled back too.
+    Powers of two scale exactly, so 2^k·a gives 2^k times the same bits
+    at every k, and no Hermitian part overflows.  The flags
     come from the block list alone (see SpectralReport), so they do not
     depend on the scale of a.  Every eigenvalue must lie in the swept
     region within 100 SIGMA_TOL ‖a‖, or RuntimeError is raised.  A Haar
@@ -132,7 +140,10 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     if rng is None:
         rng = np.random.default_rng(0)
     dec = generate_algebra([a]).decomposition()
-    sig = spectrum(a)
+    # sigma, like the sweep, is taken at the scale of a's largest entry
+    scale = peak_exponent(a)
+    scaled_sig = spectrum(ldexp_complex(a, -scale))
+    sig = ldexp_complex(scaled_sig, scale)
     thetas = np.linspace(0.0, 2 * np.pi, N_ANGLES, endpoint=False)
 
     block_supports = []
@@ -148,9 +159,8 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     singleton, equals = _sigma_flags(dec)
     # the largest distance from a boundary point to the nearest eigenvalue,
     # measured at the scale of a's largest entry, where no difference overflows
-    e = peak_exponent(a)
-    bnd, eig = (ldexp_complex(z, -e) for z in (np.concatenate(block_boundaries), sig))
-    gap = np.ldexp(np.abs(bnd[:, None] - eig).min(axis=1).max(), e)
+    bnd = ldexp_complex(np.concatenate(block_boundaries), -scale)
+    gap = np.ldexp(np.abs(bnd[:, None] - scaled_sig).min(axis=1).max(), scale)
     report = SpectralReport(sig, thetas, block_supports, block_boundaries,
                             singleton, equals, gap, a, samples, rng)
     escape_tol = 100 * SIGMA_TOL * op_norm(a)
@@ -227,16 +237,18 @@ def cyclic_decompose(alg: FdAlgebra) -> CyclicDecomposition:
 
 @dataclass
 class IntertwiningReport:
-    unitary: np.ndarray  # GNS coordinates -> ambient
+    unitary: np.ndarray  # GNS coordinates of representation -> ambient
     unitarity_defect: float
     intertwining_defect: float
-    gns_dim: int
+    representation: GnsRepresentation  # the frame the unitary maps from
 
 
 def fc_unitary(alg: FdAlgebra, h: np.ndarray) -> IntertwiningReport:
     """The unitary [x] -> x h from the GNS space of the vector state at h
     onto the ambient space, verified to carry every algebra element to its
-    GNS left-multiplication image.
+    GNS left-multiplication image.  The report keeps that GNS
+    representation: the unitary is defined against its frame, which
+    follows the last bits of the state.
 
     Requires h star-cyclic for the algebra.
     """
@@ -257,7 +269,7 @@ def fc_unitary(alg: FdAlgebra, h: np.ndarray) -> IntertwiningReport:
     # rep_basis[j] is pi(b_j)
     residuals = alg.basis - u @ rep.rep_basis @ u.conj().T
     defect = float(np.linalg.svd(residuals, compute_uv=False)[:, 0].max())
-    return IntertwiningReport(u, unit_defect, defect, rep.dim)
+    return IntertwiningReport(u, unit_defect, defect, rep)
 
 
 # ---------------------------------------------------------------------------

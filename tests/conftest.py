@@ -1,6 +1,8 @@
 """Shared fixtures: the lattice zoo, a small algebra zoo, fixed matrices
 used across modules, and helpers that build inputs: matrix JSON, random
-projectors, orthocomplements and density matrices of pure states."""
+projectors, checked projectors from matrices, orthocomplements, density
+matrices of pure states, GNS images, and the ambient route to the top
+spectral projectors that qspace.top_projectors builds per block."""
 
 from __future__ import annotations
 
@@ -8,12 +10,23 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qgelfand.algebra import BlockDecomposition, FdAlgebra, PureState, State, generate_algebra
+from qgelfand.algebra import (
+    BlockDecomposition,
+    FdAlgebra,
+    GnsRepresentation,
+    PureState,
+    State,
+    generate_algebra,
+)
 from qgelfand.linalg import (
+    LATTICE_TOL,
+    DimensionMismatchError,
     Projector,
     as_cmatrix,
+    cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
+    op_norm,
     projector_from_basis,
 )
 from qgelfand.oml import FiniteOml, SetOml, lattice_zoo
@@ -42,6 +55,40 @@ def matrix_to_json(a: np.ndarray) -> dict:
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
     cols = np.array([haar_unit_vector(dim, rng) for _ in range(rank)], dtype=complex)
     return projector_from_basis(cols.reshape(rank, dim).T)
+
+
+def projector_from_matrix(m) -> Projector:
+    """Projector onto the range of a Hermitian idempotent matrix, checked."""
+    m = as_cmatrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError("projector must be square")
+    if op_norm(m - m.conj().T) > LATTICE_TOL:
+        raise ValueError("projector is not Hermitian within tol")
+    if op_norm(m @ m - m) > LATTICE_TOL:
+        raise ValueError("projector is not idempotent within tol")
+    vals, vecs = hermitian_eig(m)
+    return Projector(basis=vecs[:, vals > 0.5])
+
+
+def top_spectral_projector(h: np.ndarray) -> np.ndarray:
+    """The ambient n×n spectral projection of the Hermitian h at its top
+    eigenvalue cluster."""
+    vals, vecs = hermitian_eig(h)
+    w = vecs[:, cluster_eigenvalues(vals)[-1]]
+    return w @ w.conj().T
+
+
+def ambient_top_projectors(dec: BlockDecomposition, h: np.ndarray) -> list[Projector]:
+    """The ambient route to qspace.top_projectors: the ambient spectral
+    projection, compressed to each block and read back as a checked
+    projector."""
+    p = top_spectral_projector(h)
+    return [projector_from_matrix(blk.irrep(p)) for blk in dec.blocks]
+
+
+def gns_pi(rep: GnsRepresentation, a: np.ndarray) -> np.ndarray:
+    """pi of an algebra element, or of each element of a stack."""
+    return np.tensordot(rep.algebra.coords(a), rep.rep_basis, axes=1)
 
 
 def proj_ortho(p: Projector) -> Projector:

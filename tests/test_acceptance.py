@@ -10,7 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import E12, SIGMA_X, diagonal_algebra, matrix_to_json, proj_ortho, random_projector
+from conftest import (
+    E12,
+    SIGMA_X,
+    diagonal_algebra,
+    gns_pi,
+    matrix_to_json,
+    proj_ortho,
+    projector_from_matrix,
+    random_projector,
+)
 from findings import QSetProduct, compose, powerset_quantum_set, qsubset_closure
 from qgelfand.algebra import (
     PureState,
@@ -28,7 +37,6 @@ from qgelfand.linalg import (
     proj_join,
     proj_meet,
     projector_from_basis,
-    projector_from_matrix,
     sasaki_product,
 )
 from qgelfand.oml import verify_oml
@@ -210,15 +218,12 @@ def test_09_fc_intertwining():
         alg = generate_algebra([a])
         rep = fc_unitary(alg, h)
         assert rep.unitarity_defect <= 1e-8
-        # the GNS representation U maps from: that of the vector state at
-        # h / ‖h‖, normalized as fc_unitary does, since a degenerate Gram
-        # eigenspace makes the GNS frame follow the last bits of the state
-        h = np.asarray(h, dtype=complex)
-        pi = gns(alg, vector_state(h / np.linalg.norm(h))).pi
+        # π of the GNS representation U maps from, which the report keeps
         u = rep.unitary
         for _ in range(20):
             x = alg.random_element(rng)
-            assert op_norm(x - u @ pi(x) @ u.conj().T) <= 1e-8
+            pi = gns_pi(rep.representation, x)
+            assert op_norm(x - u @ pi @ u.conj().T) <= 1e-8
 
 
 def test_10_invariant_subspace():
@@ -253,10 +258,11 @@ def test_11_claims_findings():
     e1 = as_pure(dec, vector_state(np.array([1.0, 0.0])))
     rep = prop9_defect(m2, e1, SIGMA_X, SIGMA_X)
     assert abs(rep.defects["square"] - 1.0) <= 1e-12
-    p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    rep = hat_is_characteristic_defect(m2, p, 10_000, np.random.default_rng(1))
+    # the projection onto e1, in M2's one block
+    p = projector_from_basis(np.eye(2, 1, dtype=complex))
+    rep = hat_is_characteristic_defect(dec, [p], 10_000, np.random.default_rng(1))
     assert rep.defects["defect"] >= 0.49
-    rep = hat_preimage_qness(m2, p, 1.0, 0.1, 3000, np.random.default_rng(2))
+    rep = hat_preimage_qness(dec, [p.matrix], 1.0, 0.1, 3000, np.random.default_rng(2))
     assert rep.verdict == "fails"
     assert rep.witnesses
 

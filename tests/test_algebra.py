@@ -11,6 +11,7 @@ from conftest import (
     E12,
     SIGMA_X,
     diagonal_algebra,
+    gns_pi,
     matrix_to_json,
     pure_to_state,
 )
@@ -172,14 +173,6 @@ def test_pure_state_roundtrip(algebra_zoo):
     assert back is not None and pure_equal(back, p)
 
 
-def test_as_pure_returns_a_pure_state_unchanged(algebra_zoo):
-    dec = algebra_zoo["M2+C"].decomposition()
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        s = random_pure_state(dec, rng)
-        assert as_pure(dec, s) is s
-
-
 def test_same_ray_on_an_overlap_array_is_pure_equal(algebra_zoo):
     # the array form, as the preimage probe applies it to rows of overlaps,
     # decides each pair as pure_equal does: drawn states, a repeated vector
@@ -223,9 +216,9 @@ def test_gns_representation_oracle(algebra_zoo):
     rep = gns(alg, state)
     a = alg.random_element(RNG)
     b = alg.random_element(RNG)
-    assert op_norm(rep.pi(a @ b) - rep.pi(a) @ rep.pi(b)) < 1e-8
+    assert op_norm(gns_pi(rep, a @ b) - gns_pi(rep, a) @ gns_pi(rep, b)) < 1e-8
     om = rep.cyclic_vector
-    assert abs(np.vdot(om, rep.pi(a) @ om) - state(a)) < 1e-8
+    assert abs(np.vdot(om, gns_pi(rep, a) @ om) - state(a)) < 1e-8
 
 
 def test_r_is_discrete_dichotomy(algebra_zoo):
@@ -713,6 +706,17 @@ def test_prop2_builds_no_commutation_system_for_irreducibility(monkeypatch):
         assert report.verdict == "holds-within-tol"
         assert len(systems) == decomposed, name
     assert systems  # the spy saw the decompositions
+
+
+def test_prop2_draws_states_pure_on_m2(monkeypatch):
+    # every other sampled density matrix is rank one, hence pure on M2; an
+    # irreducibility test that always answers no must then fail the suite
+    monkeypatch.setattr(harness_module, "is_irreducible", lambda rep: False)
+    cfg = RunConfig("prop2", ["unused"], seed=0, samples=4)
+    (report,) = harness_module._suite_prop2("M2", generate_algebra([E12]), {}, cfg,
+                                            np.random.default_rng(0))
+    assert report.verdict == "fails"
+    assert report.defects["mismatches"] == 2
 
 
 def test_claims_run_computes_commutativity_at_most_once(monkeypatch):

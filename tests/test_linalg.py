@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import matrix_to_json, proj_ortho, random_projector
+from conftest import matrix_to_json, proj_ortho, projector_from_matrix, random_projector
 from qgelfand import linalg
 from qgelfand.algebra import generate_algebra
 from qgelfand.linalg import (
@@ -22,7 +22,6 @@ from qgelfand.linalg import (
     proj_leq,
     proj_meet,
     projector_from_basis,
-    projector_from_matrix,
     sasaki_product,
     support_sweep,
 )

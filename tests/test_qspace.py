@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import E12, SIGMA_X, diagonal_algebra, proj_ortho, random_projector
+from conftest import (
+    ALGEBRA_ZOO_GENERATORS,
+    E12,
+    SIGMA_X,
+    ambient_top_projectors,
+    diagonal_algebra,
+    proj_ortho,
+    projector_from_matrix,
+    random_projector,
+    top_spectral_projector,
+)
 from findings import literal_join, qsubset_closure
 from qgelfand import qspace
 from qgelfand.algebra import (
@@ -37,7 +47,6 @@ from qgelfand.linalg import (
 from qgelfand.qspace import (
     QFunction,
     _in_range,
-    _top_spectral_projector,
     cstar_identity_defect,
     hat_as_qfunction,
     hat_is_characteristic_defect,
@@ -46,6 +55,7 @@ from qgelfand.qspace import (
     qfunction_star,
     qfunction_star_at,
     thm3_diagnostics,
+    top_projectors,
 )
 
 RNG = np.random.default_rng(11)
@@ -75,6 +85,19 @@ def _pure(dec, vec, block=0):
 def _holds(u, alpha):
     """Whether the subset with block projectors u contains the pure state."""
     return _in_range(u[alpha.block], alpha.vector)
+
+
+def _blockwise(alg, a):
+    """(decomposition, block images of a): the preimage probe's first two
+    arguments."""
+    dec = alg.decomposition()
+    return dec, [blk.irrep(a) for blk in dec.blocks]
+
+
+def _block_projectors(alg, p):
+    """The projection p, a matrix of the algebra, as one checked projector
+    per block, as the characteristic probe takes it."""
+    return [projector_from_matrix(blk.irrep(p)) for blk in alg.decomposition().blocks]
 
 
 def test_singleton_join_inequivalent():
@@ -267,25 +290,64 @@ def test_prop9_pauli_defect(m2, m2_dec):
     assert rep.verdict == "fails"
 
 
-def test_prop9_mixed_state_variance(m2):
-    rep = prop9_defect(m2, State(np.eye(2) / 2), SIGMA_X, SIGMA_X)
-    assert rep.defects["square"] > 0.5
+def _oracle_algebra(algebra_zoo, name):
+    return generate_algebra([np.kron(E12, np.eye(2))]) if name == "E12xI2" else algebra_zoo[name]
 
 
-def test_characteristic_defect(m2):
+@pytest.mark.parametrize("name", [*ALGEBRA_ZOO_GENERATORS, "E12xI2"])
+def test_top_projectors_match_ambient_route(algebra_zoo, name):
+    # the ambient route the claims suites took: the n×n spectral projection
+    # at h's top cluster, compressed to each block and read back through
+    # projector_from_matrix's checks.  The identity is all top cluster, and
+    # a block's central projection leaves the other blocks rank 0
+    alg = _oracle_algebra(algebra_zoo, name)
+    dec = alg.decomposition()
+    rng = np.random.default_rng(28)
+    hs = [np.eye(alg.ambient_dim), dec.blocks[0].central_projector]
+    hs += [alg.random_element(rng, hermitian=True) for _ in range(20)]
+    for h in hs:
+        got, ref = top_projectors(dec, h), ambient_top_projectors(dec, h)
+        assert len(got) == len(ref) == dec.n_blocks
+        for p, q in zip(got, ref):
+            assert p.rank == q.rank and p == q
+
+
+@pytest.mark.parametrize("name", [*ALGEBRA_ZOO_GENERATORS, "E12xI2"])
+def test_prop9_matches_ambient_route(algebra_zoo, name):
+    # the meet and characteristic defects as the ambient route gave them:
+    # meets in every block, embedded back into the algebra and read by hat
+    alg = _oracle_algebra(algebra_zoo, name)
+    dec = alg.decomposition()
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        a = alg.random_element(rng, hermitian=True)
+        b = alg.random_element(rng, hermitian=True)
+        alpha = random_pure_state(dec, rng)
+        meets = [proj_meet(p, q) for p, q in zip(*(ambient_top_projectors(dec, h)
+                                                   for h in (a, b)))]
+        meet = sum(blk.embed(m.matrix) for blk, m in zip(dec.blocks, meets))
+        ps = [top_spectral_projector(h) for h in (a, b)]
+        chi = 1.0 if _holds(meets, alpha) else 0.0
+        char = max(min(abs(hat(alg, p, alpha)), abs(1 - hat(alg, p, alpha))) for p in ps)
+        rep = prop9_defect(alg, alpha, a, b)
+        assert rep.witnesses == [alpha]
+        assert abs(rep.defects["lattice_meet"] - abs(hat(alg, meet, alpha) - chi)) <= 1e-12
+        assert abs(rep.defects["characteristic"] - char) <= 1e-12
+
+
+def test_characteristic_defect(m2, m2_dec):
     p = np.array([[1.0, 0], [0, 0]], dtype=complex)
-    rep = hat_is_characteristic_defect(m2, p, 10_000, np.random.default_rng(0))
+    rep = hat_is_characteristic_defect(m2_dec, _block_projectors(m2, p), 10_000,
+                                       np.random.default_rng(0))
     assert rep.defects["defect"] >= 0.49
-    rep_id = hat_is_characteristic_defect(m2, np.eye(2), 100,
+    rep_id = hat_is_characteristic_defect(m2_dec, _block_projectors(m2, np.eye(2)), 100,
                                           np.random.default_rng(0))
     assert rep_id.defects["defect"] < 1e-12
     alg = diagonal_algebra(3)
-    rep_c = hat_is_characteristic_defect(alg, np.diag([1.0, 1.0, 0.0]), 200,
-                                         np.random.default_rng(0))
+    rep_c = hat_is_characteristic_defect(alg.decomposition(),
+                                         _block_projectors(alg, np.diag([1.0, 1.0, 0.0])),
+                                         200, np.random.default_rng(0))
     assert rep_c.defects["defect"] < 1e-12
-    with pytest.raises(ValueError):
-        hat_is_characteristic_defect(m2, SIGMA_X + np.eye(2), 10,
-                                     np.random.default_rng(0))
 
 
 def test_thm3_commutative_dims():
@@ -305,16 +367,16 @@ def test_thm3_m2(m2):
 
 def test_preimage_qness(m2):
     p = np.array([[1.0, 0], [0, 0]], dtype=complex)
-    rep = hat_preimage_qness(m2, p, 1.0, 0.1, 3000, np.random.default_rng(2))
+    rep = hat_preimage_qness(*_blockwise(m2, p), 1.0, 0.1, 3000, np.random.default_rng(2))
     assert rep.verdict == "fails"
     assert rep.defects["violation"] > 0.1
     assert rep.witnesses  # reproducible witness state
     # constant function: preimage of a region containing 1 is everything
-    rep_id = hat_preimage_qness(m2, np.eye(2), 1.0, 0.1, 500,
+    rep_id = hat_preimage_qness(*_blockwise(m2, np.eye(2)), 1.0, 0.1, 500,
                                 np.random.default_rng(2))
     assert rep_id.verdict == "holds-within-tol"
     # commutative: no equivalent pairs, vacuous
-    rep_c = hat_preimage_qness(diagonal_algebra(3), np.diag([1.0, 0, 0]),
+    rep_c = hat_preimage_qness(*_blockwise(diagonal_algebra(3), np.diag([1.0, 0, 0])),
                                1.0, 0.1, 200, np.random.default_rng(2))
     assert rep_c.verdict == "holds-within-tol"
 
@@ -323,7 +385,7 @@ def test_claims_report_serializable(m2):
     import json
 
     p = np.array([[1.0, 0], [0, 0]], dtype=complex)
-    rep = hat_preimage_qness(m2, p, 1.0, 0.1, 500, np.random.default_rng(3))
+    rep = hat_preimage_qness(*_blockwise(m2, p), 1.0, 0.1, 500, np.random.default_rng(3))
     text = json.dumps(rep.to_json(), sort_keys=True)
     assert "hat_preimage_qness" in text
 
@@ -408,7 +470,7 @@ def _preimage_case(name, rng):
         return alg, alg.random_element(rng), 0.3 - 0.2j, 0.8, 30
     if name == "rand_M2xI2_proj":
         alg, _, _, _, _ = _preimage_case("rand_M2xI2", rng)
-        p = _top_spectral_projector(alg.random_element(rng, hermitian=True))
+        p = top_spectral_projector(alg.random_element(rng, hermitian=True))
         return alg, p, 1.0, 0.6, 40
     assert name == "C3"  # one-dimensional blocks: no same-block pairs
     return diagonal_algebra(3), np.diag([1.0, 0.0, 0.0]).astype(complex), 1.0, 0.1, 30
@@ -423,7 +485,8 @@ def test_preimage_sweep_matches_per_angle_loop(joined, name, seed):
     alg, a, center, radius, samples = _preimage_case(name, np.random.default_rng([seed, 99]))
     worst, pairs, witness, sweep = _preimage_sweep_reference(
         alg, a, center, radius, samples, np.random.default_rng(seed))
-    rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(seed))
+    rep = hat_preimage_qness(*_blockwise(alg, a), center, radius, samples,
+                             np.random.default_rng(seed))
     (selected,) = joined
     assert list(zip(*(ix.tolist() for ix in selected))) == pairs
     assert rep.defects["pairs_checked"] == len(pairs)
@@ -455,7 +518,8 @@ def test_preimage_witness_is_first_near_tie():
     first, largest = int(np.argmax(viols >= worst - LATTICE_TOL)), int(np.argmax(viols))
     assert first < largest and viols[largest] == worst
     assert 0 < worst - viols[first] <= LATTICE_TOL
-    rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(0))
+    rep = hat_preimage_qness(*_blockwise(alg, a), center, radius, samples,
+                             np.random.default_rng(0))
     assert abs(rep.defects["violation"] - worst) <= 8 * np.spacing(worst)
     (got,) = rep.witnesses
     assert _first_match(sweep, got) == first
@@ -469,7 +533,8 @@ def test_preimage_pair_selection_is_lazy(joined):
     alg, a, center, radius, _ = _preimage_case("M2", np.random.default_rng(0))
     tracemalloc.start()
     try:
-        rep = hat_preimage_qness(alg, a, center, radius, 5000, np.random.default_rng(3))
+        rep = hat_preimage_qness(*_blockwise(alg, a), center, radius, 5000,
+                                 np.random.default_rng(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,18 +585,25 @@ def test_preimage_samples_evaluate_hat(drawn, name):
     # hat; radii equal to sampled distances put states exactly on the disc
     # boundary, so membership is decided by the last bit of each value
     alg, a, center, _, samples = _preimage_case(name, np.random.default_rng(7))
-    hat_preimage_qness(alg, a, center, 1.0, samples, np.random.default_rng(1))
+    hat_preimage_qness(*_blockwise(alg, a), center, 1.0, samples, np.random.default_rng(1))
     dists = sorted(abs(hat(alg, a, s) - center) for s in drawn)
     for radius in dists[::7]:
-        rep = hat_preimage_qness(alg, a, center, radius, samples, np.random.default_rng(1))
+        rep = hat_preimage_qness(*_blockwise(alg, a), center, radius, samples,
+                                 np.random.default_rng(1))
         assert rep.defects["preimage_size"] == sum(d <= radius for d in dists)
 
 
 @pytest.mark.parametrize("name", ["M2", "M3", "E12xI2", "rand_M2xI2_proj"])
 def test_characteristic_samples_evaluate_hat(drawn, name):
+    # the probe evaluates each sample on its block's projector; each value
+    # is hat's on the projection, up to the rounding in which the checked
+    # projector's matrix differs from the block image
     alg, p, _, _, _ = _preimage_case(name, np.random.default_rng(7))
-    rep = hat_is_characteristic_defect(alg, p, 300, np.random.default_rng(2))
-    values = [hat(alg, p, s) for s in drawn]
+    blocks = _block_projectors(alg, p)
+    rep = hat_is_characteristic_defect(alg.decomposition(), blocks, 300,
+                                       np.random.default_rng(2))
+    values = [s.value(blocks[s.block].matrix) for s in drawn]
+    assert max(abs(v - hat(alg, p, s)) for v, s in zip(values, drawn)) <= 1e-12
     defects = [min(abs(v), abs(1 - v)) for v in values]
     assert rep.defects["defect"] == max(defects)
     assert rep.witnesses[0] is drawn[int(np.argmax(defects))]

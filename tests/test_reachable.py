@@ -6,10 +6,11 @@ library function without a report cannot come back unseen.
 
 The walk is by name: a definition is reached when cli.py, or a reached
 definition, mentions its name, as a name, an attribute or an imported
-name.  A class's own body reaches its dunder methods, such as
-__post_init__; each other method or property is a definition of its own,
-reached by its name.  All of cli.py counts as reached; __init__.py is
-skipped, since its re-exports reach nothing."""
+name; an attribute of np or math, such as np.pi, reaches nothing.  A
+class's own body reaches its dunder methods, such as __post_init__; each
+other method or property is a definition of its own, reached by its name.
+All of cli.py counts as reached; __init__.py is skipped, since its
+re-exports reach nothing."""
 
 import ast
 from pathlib import Path
@@ -34,13 +35,19 @@ ALLOWLIST = {
 }
 
 
+# modules whose attributes are never the package's
+_LIBRARIES = ("np", "math")
+
+
 def _mentions(node: ast.AST) -> set[str]:
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            # np.pi or math.prod names no definition of the package
+            if not (isinstance(sub.value, ast.Name) and sub.value.id in _LIBRARIES):
+                out.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
     return out

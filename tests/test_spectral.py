@@ -121,14 +121,14 @@ def test_cyclic_decompose_certificates():
 def test_fc_unitary_diagonal():
     h = np.array([1.0, 1.0]) / np.sqrt(2)
     rep = fc_unitary(generate_algebra([np.diag([1.0, 2.0])]), h)
-    assert rep.gns_dim == 2
+    assert rep.representation.dim == 2
     assert rep.unitarity_defect < 1e-10
     assert rep.intertwining_defect < 1e-10
 
 
 def test_fc_unitary_e12():
     rep = fc_unitary(generate_algebra([E12]), np.array([1.0, 0.0]))
-    assert rep.gns_dim == 2
+    assert rep.representation.dim == 2
     assert rep.intertwining_defect < 1e-10
 
 
@@ -293,13 +293,16 @@ def _pow2_input(name):
 
 @pytest.mark.parametrize("name", ["generic 4x4", "M2 x I2"])
 def test_sweep_scales_exactly_by_powers_of_two(name):
-    # each block image is swept at the scale of its largest entry, so 2^k·a
-    # has 2^k times a's supports and boundary points, bit for bit, also
-    # where LAPACK would rescale the raw image of a
+    # each block image is swept, and sigma(a) taken, at the scale of its
+    # largest entry, so 2^k·a has 2^k times a's supports, boundary points,
+    # eigenvalues and sigma_gap, bit for bit, also where LAPACK would
+    # rescale the raw image of a
     a = _pow2_input(name)
     base = sigma_big(a)
     for k in (-1000, -500, 500, 1000, 1021):
         rep = sigma_big(ldexp_complex(a, k))
+        assert np.array_equal(ldexp_complex(base.sigma, k), rep.sigma), k
+        assert np.ldexp(base.sigma_gap, k) == rep.sigma_gap, k
         assert len(rep.block_supports) == len(base.block_supports)
         for s0, s1 in zip(base.block_supports, rep.block_supports):
             assert np.array_equal(np.ldexp(s0, k), s1), k
