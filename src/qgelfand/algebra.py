@@ -555,13 +555,9 @@ def is_irreducible(rep: GnsRepresentation) -> bool:
 
 def r_is_discrete(dec: BlockDecomposition) -> bool:
     """True iff every equivalence class of pure states is a singleton,
-    i.e. every block is one-dimensional; cross-checked against direct
-    commutativity of the algebra."""
-    flag = all(blk.irrep_dim == 1 for blk in dec.blocks)
-    commutative = dec.algebra.is_commutative()
-    if flag != commutative:
-        raise DecompositionError("block structure disagrees with commutativity")
-    return flag
+    i.e. every block is one-dimensional.  The claims suite prop1 compares
+    it with the algebra's commutativity."""
+    return all(blk.irrep_dim == 1 for blk in dec.blocks)
 
 
 # ---------------------------------------------------------------------------

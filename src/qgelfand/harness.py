@@ -32,6 +32,7 @@ from .qspace import (
     cstar_identity_defect,
     hat_is_characteristic_defect,
     hat_preimage_qness,
+    judged,
     prop9_defect,
     thm3_diagnostics,
     top_projectors,
@@ -139,19 +140,14 @@ def _is_finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _suite_prop1(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
-    dec = alg.decomposition()
-    discrete = r_is_discrete(dec)
+def _suite_prop1(alg, extras, cfg, rng) -> list[ClaimsReport]:
+    discrete = r_is_discrete(alg.decomposition())
     comm = alg.is_commutative()
-    return [ClaimsReport(
-        "prop1_dichotomy", name,
-        {"r_discrete": discrete, "commutative": comm},
-        "holds-within-tol" if discrete == comm else "fails",
-        [],
-    )]
+    return [judged("prop1_dichotomy", {"r_discrete": discrete, "commutative": comm},
+                   discrete != comm)]
 
 
-def _suite_prop2(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
+def _suite_prop2(alg, extras, cfg, rng) -> list[ClaimsReport]:
     dec = alg.decomposition()
     n = alg.ambient_dim
     mismatches = 0
@@ -171,12 +167,9 @@ def _suite_prop2(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
             mismatches += 1
             if witness is None:
                 witness = rho
-    return [ClaimsReport(
-        "prop2_purity_irreducibility", name,
-        {"samples": cfg.samples, "mismatches": mismatches},
-        "holds-within-tol" if mismatches == 0 else "fails",
-        [witness] if witness is not None else [],
-    )]
+    return [judged("prop2_purity_irreducibility",
+                   {"samples": cfg.samples, "mismatches": mismatches},
+                   mismatches > 0, [witness])]
 
 
 def _instance_projectors(alg, extras, rng) -> list[list[Projector]]:
@@ -189,35 +182,34 @@ def _instance_projectors(alg, extras, rng) -> list[list[Projector]]:
     return [top_projectors(dec, alg.random_element(rng, hermitian=True)) for _ in range(2)]
 
 
-def _suite_prop7(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
+def _suite_prop7(alg, extras, cfg, rng) -> list[ClaimsReport]:
     projs = _instance_projectors(alg, extras, rng)
     if len(projs) == 1:
         projs = projs * 2
     # χ_U + i·χ_V, one function per block
     fs = [QFunction([(1.0 + 0j, p), (1j, q)]) for p, q in zip(*projs)]
-    return [cstar_identity_defect(fs, instance=name)]
+    return [cstar_identity_defect(fs)]
 
 
-def _suite_prop9(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
+def _suite_prop9(alg, extras, cfg, rng) -> list[ClaimsReport]:
     dec = alg.decomposition()
     a = alg.random_element(rng, hermitian=True)
     b = alg.random_element(rng, hermitian=True)
     state = random_pure_state(dec, rng)
-    rep = prop9_defect(alg, state, a, b, instance=name)
+    rep = prop9_defect(alg, state, a, b)
     p = _instance_projectors(alg, extras, rng)[0]
-    return [rep, hat_is_characteristic_defect(dec, p, cfg.samples, rng, instance=name)]
+    return [rep, hat_is_characteristic_defect(dec, p, cfg.samples, rng)]
 
 
-def _suite_thm3(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
-    return [thm3_diagnostics(alg, min(cfg.samples, 50), rng, instance=name)]
+def _suite_thm3(alg, extras, cfg, rng) -> list[ClaimsReport]:
+    return [thm3_diagnostics(alg, min(cfg.samples, 50), rng)]
 
 
-def _suite_preimage(name, alg, extras, cfg, rng) -> list[ClaimsReport]:
+def _suite_preimage(alg, extras, cfg, rng) -> list[ClaimsReport]:
     images = [p.matrix for p in _instance_projectors(alg, extras, rng)[0]]
     center = extras.get("center", 1.0 + 0j)
     radius = extras.get("radius", 0.1)
-    return [hat_preimage_qness(alg.decomposition(), images, center, radius, cfg.samples, rng,
-                               instance=name)]
+    return [hat_preimage_qness(alg.decomposition(), images, center, radius, cfg.samples, rng)]
 
 
 _RUNNERS = {
@@ -243,9 +235,9 @@ def run_suite(cfg: RunConfig) -> dict:
     ok = True
     for entry in cfg.instances:
         name, alg, extras = load_instance(entry, cfg.base_dir)
-        reports = runner(name, alg, extras, cfg, rng)
+        reports = runner(alg, extras, cfg, rng)
         for rep in reports:
-            rep.seed = cfg.seed
+            rep.instance, rep.seed = name, cfg.seed
             rows.append(rep.to_json())
             # commutativity only decides whether a failure counts
             if rep.verdict == "fails" and (cfg.suite in _ALWAYS_SPECIFIED

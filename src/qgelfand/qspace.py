@@ -14,7 +14,6 @@ from .algebra import (
     BlockDecomposition,
     FdAlgebra,
     PureState,
-    hat,
     pure_equal,
     random_pure_state,
     same_ray,
@@ -193,10 +192,11 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int) -> QFunction:
 @dataclass
 class ClaimsReport:
     claim: str
-    instance: str
     defects: dict
     verdict: str  # holds-within-tol | fails | inconclusive
     witnesses: list
+    # stamped by harness.run_suite
+    instance: str = ""
     seed: int | None = None
 
     def to_json(self) -> dict:
@@ -211,6 +211,16 @@ class ClaimsReport:
             "mode": "superposition",
             "seed": self.seed,
         }
+
+
+def judged(claim: str, defects: dict, fails: bool, witnesses=()) -> ClaimsReport:
+    """The row of a probe that holds or fails: fails with its witnesses
+    (those not None), or holds-within-tol with none, so that rounding noise
+    in a defect that holds never picks a witness.  Probes pass fails as
+    `not defect <= VERDICT_TOL`, so that a NaN defect fails."""
+    if fails:
+        return ClaimsReport(claim, defects, "fails", [w for w in witnesses if w is not None])
+    return ClaimsReport(claim, defects, "holds-within-tol", [])
 
 
 def _json_value(v):
@@ -232,8 +242,7 @@ def _json_value(v):
 
 
 def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center: complex,
-                       radius: float, samples: int, rng: np.random.Generator,
-                       instance: str = "") -> ClaimsReport:
+                       radius: float, samples: int, rng: np.random.Generator) -> ClaimsReport:
     """Is the preimage of a disc under â closed under singleton joins?
 
     a is given by its block images, images[i] = dec.blocks[i].irrep(a).
@@ -249,13 +258,16 @@ def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center
     angles go through the sweep's closed form for 2×2 matrices at once.
     The violation is the largest one; violations within LATTICE_TOL of it
     tie, and the witness is the first of them in (pair, angle) order, so
-    rounding noise cannot pick it.
+    rounding noise cannot pick it.  With no inequivalent same-block pair,
+    joins add nothing and closure holds with violation 0.
     """
     inside: list[PureState] = []
     for _ in range(samples):
         s = random_pure_state(dec, rng)
         if abs(s.value(images[s.block]) - center) <= radius:
             inside.append(s)
+    if not inside:
+        return ClaimsReport("hat_preimage_qness", {"violation": None}, "inconclusive", [])
     worst = 0.0
     witness = None
     # every block's irrep space is padded with zeros to the largest one, so
@@ -291,21 +303,9 @@ def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center
             k, j = np.unravel_index(np.argmax(viol >= top - LATTICE_TOL), viol.shape)
             block = int(blocks[first[k]])
             witness = PureState(block, (w[k] @ eta[k, j])[:dec.blocks[block].irrep_dim])
-    if pairs == 0:
-        # no inequivalent same-block pairs: joins add nothing, closure holds
-        if inside:
-            return ClaimsReport("hat_preimage_qness", instance,
-                                {"violation": 0.0, "pairs_checked": 0,
-                                 "preimage_size": len(inside)},
-                                "holds-within-tol", [])
-        return ClaimsReport("hat_preimage_qness", instance, {"violation": None},
-                            "inconclusive", [])
-    verdict = "holds-within-tol" if worst <= VERDICT_TOL else "fails"
-    return ClaimsReport(
-        "hat_preimage_qness", instance,
-        {"violation": worst, "pairs_checked": pairs, "preimage_size": len(inside)},
-        verdict, [witness] if witness is not None else [],
-    )
+    return judged("hat_preimage_qness",
+                  {"violation": worst, "pairs_checked": pairs, "preimage_size": len(inside)},
+                  not worst <= VERDICT_TOL, [witness])
 
 
 def _join_pairs(blocks: np.ndarray, vecs: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,23 +328,19 @@ def _join_pairs(blocks: np.ndarray, vecs: np.ndarray, cap: int) -> tuple[np.ndar
     return np.concatenate(first), np.concatenate(second)
 
 
-def cstar_identity_defect(fs: list[QFunction], instance: str = "") -> ClaimsReport:
+def cstar_identity_defect(fs: list[QFunction]) -> ClaimsReport:
     """|‖f * f̄‖ − ‖f‖²| under the modeled product and exact sup-norms, for
     the function on P(A) given by one QFunction per block: each sup over
     P(A) is the largest of the blocks' sups."""
     lhs = max(qfunction_star(f, f.conjugate()).sup_norm() for f in fs)
     rhs = max(f.sup_norm() for f in fs) ** 2
     defect = abs(lhs - rhs)
-    return ClaimsReport(
-        "cstar_identity", instance,
-        {"norm_f_star_fbar": lhs, "norm_f_sq": rhs, "defect": defect},
-        "holds-within-tol" if defect <= VERDICT_TOL else "fails",
-        [],
-    )
+    return judged("cstar_identity",
+                  {"norm_f_star_fbar": lhs, "norm_f_sq": rhs, "defect": defect},
+                  not defect <= VERDICT_TOL)
 
 
-def prop9_defect(alg: FdAlgebra, alpha: PureState, a: np.ndarray, b: np.ndarray,
-                 instance: str = "") -> ClaimsReport:
+def prop9_defect(alg: FdAlgebra, alpha: PureState, a: np.ndarray, b: np.ndarray) -> ClaimsReport:
     """Purity-characterization defects at a pure state α.
 
     (i) |α(h²) − α(h)²| for the Hermitian parts of a and b;
@@ -352,13 +348,15 @@ def prop9_defect(alg: FdAlgebra, alpha: PureState, a: np.ndarray, b: np.ndarray,
     those Hermitian parts (the displayed lattice identity);
     (iii) the characteristic-function defect min(|p̂(α)|, |1 − p̂(α)|).
     The projections, their meet and their values at α are taken in α's
-    block alone.
+    block alone.  a and b must be members of alg: it is not checked here
+    (the suite passes random elements, members by construction).
     """
     dec = alg.decomposition()
+    blk = dec.blocks[alpha.block]
     defects = {}
     hs = [(a + a.conj().T) / 2, (b + b.conj().T) / 2]
     defects["square"] = max(
-        abs(hat(alg, h @ h, alpha) - hat(alg, h, alpha) ** 2) for h in hs
+        abs(alpha.value(blk.irrep(h @ h)) - alpha.value(blk.irrep(h)) ** 2) for h in hs
     )
     p, q = (top_projectors(dec, h)[alpha.block] for h in hs)
     meet = proj_meet(p, q)
@@ -366,13 +364,11 @@ def prop9_defect(alg: FdAlgebra, alpha: PureState, a: np.ndarray, b: np.ndarray,
     defects["lattice_meet"] = abs(alpha.value(meet.matrix) - chi_val)
     values = [alpha.value(pp.matrix) for pp in (p, q)]
     defects["characteristic"] = max(min(abs(v), abs(1 - v)) for v in values)
-    verdict = "holds-within-tol" if max(defects.values()) <= VERDICT_TOL else "fails"
-    return ClaimsReport("prop9", instance, defects, verdict, [alpha])
+    return judged("prop9", defects, not max(defects.values()) <= VERDICT_TOL, [alpha])
 
 
 def hat_is_characteristic_defect(dec: BlockDecomposition, p: list[Projector], samples: int,
-                                 rng: np.random.Generator,
-                                 instance: str = "") -> ClaimsReport:
+                                 rng: np.random.Generator) -> ClaimsReport:
     """max over sampled pure α of min(|p̂(α)|, |1 − p̂(α)|), for the
     projection given by one projector per block: zero iff p̂ is
     {0,1}-valued on the sample."""
@@ -384,15 +380,11 @@ def hat_is_characteristic_defect(dec: BlockDecomposition, p: list[Projector], sa
         val = min(abs(v), abs(1 - v))
         if val > worst:
             worst, witness = val, s
-    return ClaimsReport(
-        "hat_is_characteristic", instance, {"defect": worst, "samples": samples},
-        "holds-within-tol" if worst <= VERDICT_TOL else "fails",
-        [witness] if witness is not None else [],
-    )
+    return judged("hat_is_characteristic", {"defect": worst, "samples": samples},
+                  not worst <= VERDICT_TOL, [witness])
 
 
-def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
-                     instance: str = "") -> ClaimsReport:
+def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator) -> ClaimsReport:
     """Injectivity, point separation, and homomorphism defect of the hat map.
 
     Injectivity is exact linear algebra: the smallest singular value of
@@ -448,10 +440,5 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator,
         "separation": separated,
         "homomorphism_defect": hom_defect,
     }
-    ok = injective and separated and hom_defect <= VERDICT_TOL
-    witnesses = [w for w in (sep_witness, hom_witness) if w is not None]
-    return ClaimsReport(
-        "thm3", instance, defects,
-        "holds-within-tol" if ok else "fails",
-        witnesses if not ok else [],
-    )
+    fails = not (injective and separated and hom_defect <= VERDICT_TOL)
+    return judged("thm3", defects, fails, (sep_witness, hom_witness))

@@ -15,6 +15,7 @@ from .algebra import (
     GnsRepresentation,
     generate_algebra,
     gns,
+    r_is_discrete,
     vector_state,
 )
 from .linalg import (
@@ -173,8 +174,7 @@ def _sigma_flags(dec: BlockDecomposition) -> tuple[bool, bool]:
     """(sigma_singleton, sigma_equals_big): Sigma(a), the union of the
     blocks' numerical ranges, is one point iff a is scalar (one block, of
     irrep dimension 1), and sigma(a) iff every irrep is 1-dimensional."""
-    dims = [blk.irrep_dim for blk in dec.blocks]
-    return dims == [1], set(dims) == {1}
+    return [blk.irrep_dim for blk in dec.blocks] == [1], r_is_discrete(dec)
 
 
 def _quadratic_values(m: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -702,7 +702,7 @@ def test_prop2_builds_no_commutation_system_for_irreducibility(monkeypatch):
         alg = generate_algebra(gens)
         alg.decomposition()
         decomposed = len(systems)
-        (report,) = harness_module._suite_prop2(name, alg, {}, cfg, np.random.default_rng(0))
+        (report,) = harness_module._suite_prop2(alg, {}, cfg, np.random.default_rng(0))
         assert report.verdict == "holds-within-tol"
         assert len(systems) == decomposed, name
     assert systems  # the spy saw the decompositions
@@ -713,10 +713,17 @@ def test_prop2_draws_states_pure_on_m2(monkeypatch):
     # irreducibility test that always answers no must then fail the suite
     monkeypatch.setattr(harness_module, "is_irreducible", lambda rep: False)
     cfg = RunConfig("prop2", ["unused"], seed=0, samples=4)
-    (report,) = harness_module._suite_prop2("M2", generate_algebra([E12]), {}, cfg,
+    (report,) = harness_module._suite_prop2(generate_algebra([E12]), {}, cfg,
                                             np.random.default_rng(0))
     assert report.verdict == "fails"
     assert report.defects["mismatches"] == 2
+
+
+def _claims_instances() -> list[dict]:
+    """The claims algebras as inline claims-config instances."""
+    return [{"name": name, "algebra": {"ambient_dim": gens[0].shape[0],
+                                       "generators": [matrix_to_json(g) for g in gens]}}
+            for name, gens in CLAIMS_ALGEBRA_GENERATORS.items()]
 
 
 def test_claims_run_computes_commutativity_at_most_once(monkeypatch):
@@ -729,9 +736,7 @@ def test_claims_run_computes_commutativity_at_most_once(monkeypatch):
         return ask(self)
 
     monkeypatch.setattr(FdAlgebra, "is_commutative", counted)
-    instances = [{"name": name, "algebra": {"ambient_dim": gens[0].shape[0],
-                                            "generators": [matrix_to_json(g) for g in gens]}}
-                 for name, gens in CLAIMS_ALGEBRA_GENERATORS.items()]
+    instances = _claims_instances()
     for suite in SUITES:
         computed.clear()
         run_suite(RunConfig(suite, instances, seed=0, samples=5))
@@ -740,6 +745,30 @@ def test_claims_run_computes_commutativity_at_most_once(monkeypatch):
             assert len(computed) == len(instances)
         if suite == "prop2":  # specified everywhere: a failure needs no excuse
             assert not computed
+
+
+# the claims whose failing rows name a witness; prop1 and the C*-identity
+# have none to give
+WITNESSED_CLAIMS = {"prop2_purity_irreducibility", "prop9", "hat_is_characteristic",
+                    "hat_preimage_qness", "thm3"}
+
+
+def test_claims_rows_carry_witnesses_exactly_when_they_fail():
+    # one rule judges every row: a witness on a row that holds would be
+    # picked by the rounding noise of its defect
+    failed = set()
+    for seed in range(5):
+        for suite in SUITES:
+            for row in run_suite(RunConfig(suite, _claims_instances(), seed=seed,
+                                           samples=20))["rows"]:
+                where = (seed, suite, row["claim"], row["instance"])
+                if row["verdict"] != "fails":
+                    assert row["witnesses"] == [], where
+                elif row["claim"] in WITNESSED_CLAIMS:
+                    assert row["witnesses"], where
+                    failed.add(row["claim"])
+    # prop2 holds on every algebra here; the other witnessed claims fail
+    assert failed == WITNESSED_CLAIMS - {"prop2_purity_irreducibility"}
 
 
 @settings(max_examples=30)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ALGEBRA_ZOO_GENERATORS, E12, matrix_to_json
 from qgelfand import harness, spectral
-from qgelfand.algebra import DecompositionError
+from qgelfand.algebra import DecompositionError, FdAlgebra
 from qgelfand.cli import canonical_json, main
 from qgelfand.oml import lattice_zoo
 
@@ -365,6 +365,26 @@ def test_claims_projector_report_bytes(runner, tmp_path, suite, instance, digest
     # their projectors from algebra elements and take meets and sup-norms
     output = _claims_output(runner, tmp_path, suite, instance)
     assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+
+def test_claims_prop1_disagreement_is_a_failing_claim(runner, files, monkeypatch):
+    # prop1 compares the block structure with commutativity: when they
+    # disagree, the report is written with a failing prop1 row and the run
+    # exits 1, as any failing specified claim does
+    ask = FdAlgebra.is_commutative
+    monkeypatch.setattr(FdAlgebra, "is_commutative", lambda self: not ask(self))
+    cfg = files["tmp"] / "cfg_prop1.json"
+    cfg.write_text(json.dumps({
+        "suite": "prop1", "instances": ["diag3.json"], "samples": 1, "seed": 0,
+    }))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 1
+    rep = json.loads(res.output)
+    assert not rep["ok"]
+    (row,) = rep["rows"]
+    assert row["claim"] == "prop1_dichotomy" and row["verdict"] == "fails"
+    assert row["defects"] == {"r_discrete": True, "commutative": False}
+    assert row["witnesses"] == []
 
 
 def test_claims_mode_option_removed(runner, files):

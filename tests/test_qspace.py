@@ -330,7 +330,7 @@ def test_prop9_matches_ambient_route(algebra_zoo, name):
         chi = 1.0 if _holds(meets, alpha) else 0.0
         char = max(min(abs(hat(alg, p, alpha)), abs(1 - hat(alg, p, alpha))) for p in ps)
         rep = prop9_defect(alg, alpha, a, b)
-        assert rep.witnesses == [alpha]
+        assert rep.witnesses == ([alpha] if rep.verdict == "fails" else [])
         assert abs(rep.defects["lattice_meet"] - abs(hat(alg, meet, alpha) - chi)) <= 1e-12
         assert abs(rep.defects["characteristic"] - char) <= 1e-12
 

@@ -24,6 +24,7 @@ ALLOWLIST = {
     # perfbench/tracing.py patches these by name
     "center_basis": "perfbench/tracing.py traces algebra.center_basis",
     "proj_join": "perfbench/tracing.py traces linalg.proj_join",
+    "hat": "perfbench/tracing.py traces algebra.hat",
     # perfbench/tests builds its lattices with mo_lattice and horizontal_sum
     "lattice_zoo": "the lattice corpus; perfbench/tests imports its builders",
     # the paper's functional-calculus claim; acceptance test 09 checks it
