@@ -2,9 +2,14 @@
 used across modules, and helpers that build inputs: matrix JSON, random
 projectors, checked projectors from matrices, orthocomplements, density
 matrices of pure states, GNS images, and the ambient route to the top
-spectral projectors that qspace.top_projectors builds per block."""
+spectral projectors that qspace.top_projectors builds per block; and
+CliRunner, which runs a command line in-process."""
 
 from __future__ import annotations
+
+import contextlib
+import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -152,3 +157,39 @@ def mo2_qset() -> SetOml:
         frozenset({0, 1, 2, 3}),
     ]
     return SetOml(["a1", "a2", "b1", "b2"], members, [5, 2, 1, 4, 3, 0])
+
+
+class _Tee(io.StringIO):
+    """A stream that also writes everything to a shared one."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, interleaved as written
+
+
+class CliRunner:
+    """The subset of click.testing.CliRunner (click 8.2+) the CLI tests use:
+    invoke(main, args) runs one command line in-process with stdout and
+    stderr captured and returns its exit code and output."""
+
+    def invoke(self, main, args) -> Result:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+        return Result(code, out.getvalue(), err.getvalue(), both.getvalue())

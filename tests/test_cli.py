@@ -1,17 +1,22 @@
+import argparse
 import builtins
 import hashlib
 import io
+import itertools
 import json
 import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import ALGEBRA_ZOO_GENERATORS, E12, matrix_to_json
-from qgelfand import harness, spectral
+from conftest import ALGEBRA_ZOO_GENERATORS, E12, CliRunner, matrix_to_json
+from qgelfand import cli, harness, spectral
 from qgelfand.algebra import DecompositionError, FdAlgebra
 from qgelfand.cli import canonical_json, main
 from qgelfand.oml import lattice_zoo
@@ -959,3 +964,119 @@ def test_non_utf8_input_is_an_input_error(runner, files, kind):
         message = "input error: cannot read instance utf16.json: "
     assert res.exit_code == 2
     assert message in res.stderr
+
+
+@pytest.mark.parametrize("second, code", [
+    ("same", 2), ("dotted", 2), ("link", 2), ("devnull", 0)])
+def test_out_and_plot_data_on_one_file(runner, files, monkeypatch, second, code):
+    # the CSV would overwrite the JSON report: exit 2 before the compute,
+    # whether one name is given twice or two names reach one file.
+    # /dev/null is no regular file, and may take both
+    out = files["tmp"] / "r.json"
+    plot = {"same": out, "dotted": files["tmp"] / "." / "r.json",
+            "link": files["tmp"] / "link.csv", "devnull": "/dev/null"}[second]
+    if second == "link":
+        plot.symlink_to(out)
+    if second == "devnull":
+        out = plot
+    else:
+        monkeypatch.setattr(spectral, "sigma_big", _no_compute)
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "0",
+                               "--samples", "10", "--out", str(out), "--plot-data", str(plot)])
+    assert res.exit_code == code
+    assert res.stdout == ""
+    if code == 2:
+        assert res.stderr == f"input error: {out} and {plot} name one file\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectral", "report", "{e12}"], id="spectral report without --seed"),
+    pytest.param(["invsub", "{e12}", "--mode", "bogus"], id="invsub bad mode"),
+    pytest.param(["oml", "bogus", "{mo2}"], id="unknown subcommand"),
+    pytest.param(["bogus"], id="unknown group"),
+    pytest.param(["oml"], id="bare group"),
+    pytest.param([], id="no command"),
+    pytest.param(["spectral", "report", "{e12}", "--seed", "0", "--plot", "{tmp}/p.csv"],
+                 id="abbreviated option"),
+    pytest.param(["oml", "verify", "{mo2}", "--ou", "{tmp}/p.json"], id="abbreviated --out"),
+    pytest.param(["oml", "verify", "{mo2}", "{mo2}"], id="extra argument"),
+])
+def test_usage_error_exits_2_with_empty_stdout(runner, files, argv):
+    argv = [a.format(e12=files["e12.json"], mo2=files["mo2.json"], tmp=files["tmp"])
+            for a in argv]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "usage: qgelfand" in res.stderr
+    assert not any(files["tmp"].glob("p.*"))
+
+
+def _parser_commands(parser, path=()) -> dict[tuple[str, ...], set[str]]:
+    """Each command of the parser, as its words, with its public options."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: {opt for a in parser._actions if a.help != argparse.SUPPRESS
+                       for opt in a.option_strings} - {"-h", "--help"}}
+    return {cmd: opts for name, sub in subs[0].choices.items()
+            for cmd, opts in _parser_commands(sub, (*path, name)).items()}
+
+
+def _readme_commands() -> dict[tuple[str, ...], set[str]]:
+    """Each command line of README's "Command line" block, as its words,
+    with the options it names."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = {}
+    for line in block.splitlines():
+        if line.startswith("qgelfand "):
+            words = line.split()[1:]
+            cmd = tuple(itertools.takewhile(re.compile("[a-z]+$").match, words))
+            commands[cmd] = set(re.findall(r"--[a-z-]+", line))
+    return commands
+
+
+def test_readme_command_line_lists_every_command_and_option():
+    # both ways: a command or option the parser has and README lacks, or
+    # one README names and the parser lacks, fails; invsub's hidden --seed
+    # and --samples are neither
+    assert _readme_commands() == _parser_commands(cli.PARSER)
+
+
+@pytest.mark.parametrize("words", [(), ("oml",), ("alg",), ("claims",), ("spectral",),
+                                   *_parser_commands(cli.PARSER)],
+                         ids=lambda words: " ".join(("qgelfand", *words)))
+def test_help_exits_0_at_every_level(runner, words):
+    res = runner.invoke(main, [*words, "--help"])
+    assert res.exit_code == 0
+    assert res.stdout.startswith(" ".join(("usage: qgelfand", *words)))
+    assert res.stderr == ""
+
+
+_ANTICHAIN = {"n": 2, "leq": [[1, 0], [0, 1]], "ortho": [1, 0]}
+
+
+@pytest.mark.parametrize("argv, code, report", [
+    (["oml", "verify", "{mo2}"], 0, {"kind": "oml", "ok": True, "violations": []}),
+    (["oml", "verify", "{antichain}"], 1, None),
+    (["oml", "verify", "{bad}"], 2, None),
+    (["oml", "semigroup", "{mo2}", "--cap", "5"], 3, {"ok": False, "budget": 5, "found": 6}),
+], ids=["ok", "violation", "malformed json", "budget"])
+def test_standalone_process_exit_code_and_report(files, argv, code, report):
+    # the console script's path: main() parses sys.argv and exits the process
+    antichain = files["tmp"] / "antichain.json"
+    antichain.write_text(json.dumps(_ANTICHAIN))
+    argv = [a.format(mo2=files["mo2.json"], bad=files["bad.json"], antichain=antichain)
+            for a in argv]
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "qgelfand.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"input error: cannot read {files['bad.json']}: ")
+    elif code == 1:
+        rep = json.loads(proc.stdout)
+        assert not rep["ok"] and rep["violations"][0]["axiom"] == "bounds.bottom"
+    else:
+        assert proc.stdout == canonical_json(report) + "\n"

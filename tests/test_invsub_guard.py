@@ -6,8 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from conftest import matrix_to_json
+from conftest import CliRunner, matrix_to_json
 from test_spectral import FIBER_CASES, SCALE_INPUTS
 
 import qgelfand.spectral as spectral
