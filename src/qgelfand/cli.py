@@ -336,16 +336,15 @@ def claims_run(args, outputs) -> int:
 def spectral_report(args, outputs) -> int:
     """Spectrum against the pure-state image Sigma(a) of a matrix.
 
-    The report holds sigma, each block's support values, the sizes of the
-    angle grid and the sample cloud (n_angles, samples), sigma_gap (the
-    largest distance from a swept boundary point to sigma, a margin) and the
-    two flags, read off the Wedderburn blocks.  The angles, the boundary points
-    and the cloud go only to --plot-data, and the cloud is drawn only then."""
+    The report holds sigma, each block's support values on the fixed grid
+    of spectral.N_ANGLES angles, sigma_gap (the largest distance from a
+    swept boundary point to sigma, a margin) and the two flags, read off
+    the Wedderburn blocks.  The angles and the boundary points go only to
+    --plot-data.  Nothing is drawn at random."""
     a = _load_matrix(args.matrix_file)
     write, write_plot = _open_outputs(outputs, args.out, args.plot_data)
     try:
-        rep = spectral.sigma_big(a, samples=args.samples,
-                                 rng=np.random.default_rng(args.seed))
+        rep = spectral.sigma_big(a)
     except (DecompositionError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -360,10 +359,8 @@ def _plot_csv(rep: spectral.SpectralReport) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["kind", "block", "theta", "support", "re", "im"])
     for i, (sup, bnd) in enumerate(zip(rep.block_supports, rep.block_boundaries)):
-        for th, s, z in zip(rep.thetas, sup, bnd):
+        for th, s, z in zip(spectral.THETAS, sup, bnd):
             w.writerow(["boundary", i, th, s, z.real, z.imag])
-    for z in rep.cloud:
-        w.writerow(["cloud", "", "", "", z.real, z.imag])
     return buf.getvalue()
 
 
@@ -397,6 +394,15 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
         return value
     return parse
+
+
+def _unread_seed_and_samples(p: argparse.ArgumentParser):
+    """Hidden --seed and --samples, parsed and never read: nothing the
+    command does is random.  Kept because older command lines, the
+    workloads of perfbench among them, pass both to every spectral
+    report and invsub."""
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--samples", type=_int_at_least(1), help=argparse.SUPPRESS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -444,19 +450,13 @@ def _build_parser() -> argparse.ArgumentParser:
     spectra = parser(groups, "spectral", "Spectrum versus the pure-state image of an "
                      "element.").add_subparsers(required=True)
     p = command(spectra, "report", spectral_report, "matrix_file")
-    p.add_argument("--seed", required=True, type=_int_at_least(0))
-    p.add_argument("--samples", default=2000, type=_int_at_least(1))
     p.add_argument("--plot-data", help="write the support sweep (angles, supports, "
-                   "boundary points) and the sample cloud as CSV; the JSON report "
-                   "holds neither")
+                   "boundary points) as CSV")
+    _unread_seed_and_samples(p)
 
     p = command(groups, "invsub", invsub, "matrix_file")
     p.add_argument("--mode", default="oracle", choices=["paper", "oracle", "both"])
-    # never read, since nothing invsub does is random; kept because older
-    # command lines, the benchmark's workloads among them, pass both to
-    # every invsub
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--samples", type=_int_at_least(1), help=argparse.SUPPRESS)
+    _unread_seed_and_samples(p)
     return root
 
 

@@ -202,7 +202,7 @@ def _suite_prop9(alg, extras, cfg, rng) -> list[ClaimsReport]:
 
 
 def _suite_thm3(alg, extras, cfg, rng) -> list[ClaimsReport]:
-    return [thm3_diagnostics(alg, min(cfg.samples, 50), rng)]
+    return [thm3_diagnostics(alg, cfg.samples, rng)]
 
 
 def _suite_preimage(alg, extras, cfg, rng) -> list[ClaimsReport]:

@@ -330,13 +330,3 @@ def haar_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
-
-def haar_unit_vectors(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """count Haar-uniform unit vectors of C^dim as the rows of one array.
-
-    Draws the same normals in the same order as count successive
-    haar_unit_vector calls, so the rows equal those vectors up to rounding.
-    """
-    g = rng.standard_normal((count, 2, dim))
-    v = g[:, 0] + 1j * g[:, 1]
-    return v / np.linalg.norm(v, axis=1, keepdims=True)

@@ -25,7 +25,6 @@ from .linalg import (
     Projector,
     _phase_normalize,
     as_cmatrix,
-    haar_unit_vectors,
     ldexp_complex,
     op_norm,
     orthonormalize,
@@ -56,13 +55,14 @@ def spectrum(a: np.ndarray) -> np.ndarray:
 
 # angles of the support-line sweep, uniform on [0, 2π)
 N_ANGLES = 720
+THETAS = np.linspace(0.0, 2 * np.pi, N_ANGLES, endpoint=False)
 
 
 @dataclass
 class SpectralReport:
     """sigma(a) against Sigma(a) = union over blocks of the numerical
-    range of the block image, described by support functions on a uniform
-    angle grid plus a Monte-Carlo sample cloud.
+    range of the block image, described by support functions on the
+    THETAS angle grid.
 
     The two flags are read off the Wedderburn blocks, not off the swept
     geometry: Sigma(a) is a single point iff a is scalar (one block, of
@@ -70,30 +70,16 @@ class SpectralReport:
     1-dimensional (a is normal).  sigma_gap is the measured margin, not
     the decision.
 
-    The canonical JSON keeps the verdict and what it rests on; the angle
-    grid, the boundary polylines and the cloud stay on the object for the
-    plot data.  The cloud, samples values <x, a x> over Haar unit vectors
-    x, is drawn from rng when first read and then kept: only the plot data
-    reads it."""
+    The canonical JSON keeps the verdict and what it rests on; the
+    boundary polylines stay on the object for the plot data."""
 
     sigma: np.ndarray
-    thetas: np.ndarray
     block_supports: list[np.ndarray]  # support value per angle, per block
     block_boundaries: list[np.ndarray]  # complex boundary polyline per block
     sigma_singleton: bool
     sigma_equals_big: bool
     sigma_gap: float  # largest distance from a swept boundary point to sigma
     a: np.ndarray
-    samples: int
-    rng: np.random.Generator
-    _cloud: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @property
-    def cloud(self) -> np.ndarray:
-        if self._cloud is None:
-            xs = haar_unit_vectors(self.samples, self.a.shape[0], self.rng)
-            self._cloud = _quadratic_values(self.a, xs)
-        return self._cloud
 
     def contains(self, z: complex, tol: float | None = None) -> bool:
         """z in Sigma(a) iff some block's support function dominates it at
@@ -101,15 +87,13 @@ class SpectralReport:
         default slack is SIGMA_TOL · ‖a‖₂, so it scales with a."""
         if tol is None:
             tol = SIGMA_TOL * op_norm(self.a)
-        proj = np.real(np.exp(-1j * self.thetas) * z)
+        proj = np.real(np.exp(-1j * THETAS) * z)
         return any(np.all(proj <= supports + tol) for supports in self.block_supports)
 
     def to_json(self) -> dict:
         return {
             "sigma": [[z.real, z.imag] for z in self.sigma],
             "block_supports": [s.tolist() for s in self.block_supports],
-            "n_angles": len(self.thetas),
-            "samples": self.samples,
             "sigma_gap": float(self.sigma_gap),
             "flags": {
                 "sigma_singleton": self.sigma_singleton,
@@ -118,8 +102,7 @@ class SpectralReport:
         }
 
 
-def sigma_big(a: np.ndarray, samples: int = 2000,
-              rng: np.random.Generator | None = None) -> SpectralReport:
+def sigma_big(a: np.ndarray) -> SpectralReport:
     """Sigma(a): the set of values of a-hat over pure states of the
     algebra generated by a.
 
@@ -133,19 +116,15 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     at every k, and no Hermitian part overflows.  The flags
     come from the block list alone (see SpectralReport), so they do not
     depend on the scale of a.  Every eigenvalue must lie in the swept
-    region within 100 SIGMA_TOL ‖a‖, or RuntimeError is raised.  A Haar
-    sample cloud of samples ambient unit vectors is drawn from rng for
-    diagnostics when the report's cloud is first read.
+    region within 100 SIGMA_TOL ‖a‖, or RuntimeError is raised.  Nothing
+    is drawn at random.
     """
     a = as_cmatrix(a)
-    if rng is None:
-        rng = np.random.default_rng(0)
     dec = generate_algebra([a]).decomposition()
     # sigma, like the sweep, is taken at the scale of a's largest entry
     scale = peak_exponent(a)
     scaled_sig = spectrum(ldexp_complex(a, -scale))
     sig = ldexp_complex(scaled_sig, scale)
-    thetas = np.linspace(0.0, 2 * np.pi, N_ANGLES, endpoint=False)
 
     block_supports = []
     block_boundaries = []
@@ -162,8 +141,8 @@ def sigma_big(a: np.ndarray, samples: int = 2000,
     # measured at the scale of a's largest entry, where no difference overflows
     bnd = ldexp_complex(np.concatenate(block_boundaries), -scale)
     gap = np.ldexp(np.abs(bnd[:, None] - scaled_sig).min(axis=1).max(), scale)
-    report = SpectralReport(sig, thetas, block_supports, block_boundaries,
-                            singleton, equals, gap, a, samples, rng)
+    report = SpectralReport(sig, block_supports, block_boundaries,
+                            singleton, equals, gap, a)
     escape_tol = 100 * SIGMA_TOL * op_norm(a)
     if not all(report.contains(lam, escape_tol) for lam in sig):
         raise RuntimeError("eigenvalue escaped the swept Sigma region")

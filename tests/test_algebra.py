@@ -719,6 +719,16 @@ def test_prop2_draws_states_pure_on_m2(monkeypatch):
     assert report.defects["mismatches"] == 2
 
 
+def test_thm3_runs_the_configured_samples(monkeypatch):
+    # no hidden cap: thm3_diagnostics is handed config.samples, above 50 too
+    seen = []
+    monkeypatch.setattr(harness_module, "thm3_diagnostics",
+                        lambda alg, samples, rng: seen.append(samples))
+    cfg = RunConfig("thm3", ["unused"], seed=0, samples=200)
+    harness_module._suite_thm3(generate_algebra([E12]), {}, cfg, np.random.default_rng(0))
+    assert seen == [200]
+
+
 def _claims_instances() -> list[dict]:
     """The claims algebras as inline claims-config instances."""
     return [{"name": name, "algebra": {"ambient_dim": gens[0].shape[0],
@@ -907,7 +917,7 @@ def test_irreducible_input_is_never_closed(closures, structure, n):
     a = _spectral_input(structure, n)
     alg = generate_algebra([a])
     dec = alg.decomposition()
-    sigma_big(a, samples=20)
+    sigma_big(a)
     assert not closures
     assert _block_list(alg) == [(n, 1)]
     # why the reconstruction check may be skipped: the identity frame
@@ -924,7 +934,7 @@ def test_reducible_input_is_closed_by_its_check(closures, structure, n):
     assert not closures
     alg.decomposition()
     assert len(closures) == 1
-    sigma_big(a, samples=20)
+    sigma_big(a)
     assert len(closures) == 2
 
 
@@ -950,6 +960,6 @@ def test_hermitian_eig_is_given_only_hermitian_matrices(monkeypatch):
         assert run_suite(RunConfig(suite, instances, seed=0, samples=5))["rows"]
     rng = np.random.default_rng(16)
     for a in (np.eye(3, k=1), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))):
-        sigma_big(a, samples=10)
+        sigma_big(a)
         invariant_subspace(a, mode="both")
     assert calls

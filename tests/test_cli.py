@@ -456,7 +456,6 @@ def test_claims_unknown_suite(runner, files):
 def test_spectral_report(runner, files):
     plot = files["tmp"] / "plot.csv"
     res = runner.invoke(main, ["spectral", "report", files["e12.json"],
-                               "--seed", "4", "--samples", "200",
                                "--plot-data", str(plot)])
     assert res.exit_code == 0
     rep = json.loads(res.output)
@@ -468,32 +467,11 @@ def test_spectral_report(runner, files):
                 for kind, block, _, _, re, im in rows if kind == "boundary" and block == "0"]
     radii = [abs(z) for z in boundary]
     assert max(radii) == pytest.approx(0.5, abs=1e-8)
-    assert rep["n_angles"] == len(boundary) == 720
-    assert rep["samples"] == sum(row[0] == "cloud" for row in rows) == 200
+    assert len(boundary) == spectral.N_ANGLES == 720
+    assert {row[0] for row in rows} == {"boundary"}
     # sigma = {0}, so the gap is the largest boundary radius
     assert rep["sigma_gap"] == pytest.approx(0.5, abs=1e-8)
-    assert not {"thetas", "block_boundaries", "cloud"} & rep.keys()
-
-
-def test_spectral_report_draws_cloud_only_for_plot_data(runner, files, monkeypatch):
-    # the report without --plot-data never draws the Haar cloud, and still
-    # counts the samples it would draw; with --plot-data the spy is reached
-    calls = []
-    draw = spectral.haar_unit_vectors
-
-    def spy(*args):
-        calls.append(args[:2])
-        return draw(*args)
-
-    monkeypatch.setattr(spectral, "haar_unit_vectors", spy)
-    argv = ["spectral", "report", files["e12.json"], "--seed", "4", "--samples", "300"]
-    res = runner.invoke(main, argv)
-    assert res.exit_code == 0
-    assert json.loads(res.output)["samples"] == 300
-    assert calls == []
-    res = runner.invoke(main, [*argv, "--plot-data", str(files["tmp"] / "plot.csv")])
-    assert res.exit_code == 0
-    assert calls == [(300, 2)]
+    assert not {"thetas", "block_boundaries", "cloud", "n_angles", "samples"} & rep.keys()
 
 
 _JSON_FLOATS = st.one_of(
@@ -526,7 +504,7 @@ def test_canonical_json_matches_stdlib_indent(obj):
 def test_spectral_nonsquare(runner, files):
     ns = files["tmp"] / "ns.json"
     ns.write_text(json.dumps(matrix_to_json(np.zeros((2, 3)))))
-    res = runner.invoke(main, ["spectral", "report", str(ns), "--seed", "1"])
+    res = runner.invoke(main, ["spectral", "report", str(ns)])
     assert res.exit_code == 2
 
 
@@ -544,7 +522,7 @@ def test_invsub(runner, files):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectral", "report", "{list}", "--seed", "0"],
+    ["spectral", "report", "{list}"],
     ["invsub", "{list}", "--seed", "0"],
     ["alg", "generate", "{list}"],
     ["claims", "run", "--config", "{cfg}"],
@@ -631,7 +609,7 @@ def test_malformed_instance_extras(runner, files, extra, message):
 def test_matrix_im_does_not_broadcast(runner, files, im):
     path = files["tmp"] / "bcast.json"
     path.write_text(json.dumps({**matrix_to_json(E12), "im": im}))
-    res = runner.invoke(main, ["spectral", "report", str(path), "--seed", "0"])
+    res = runner.invoke(main, ["spectral", "report", str(path)])
     assert res.exit_code == 2
     assert "input error: matrix JSON shape fields disagree" in res.stderr
 
@@ -645,20 +623,9 @@ def test_samples_below_one(runner, files, command, samples):
     assert "--samples" in res.output
 
 
-def test_spectral_report_negative_seed_is_an_input_error(runner, tmp_path, files):
-    # the seed goes to numpy's generator, which takes none below 0: it is
-    # refused before any output file is opened
-    out, plot = tmp_path / "r.json", tmp_path / "p.csv"
-    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "-1",
-                               "--out", str(out), "--plot-data", str(plot)])
-    assert res.exit_code == 2
-    assert "--seed" in res.output
-    assert not out.exists() and not plot.exists()
-
-
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(["spectral", "report"],
-                 "62e16bbfacbac415d69490149e2a97a6a81f43497495e0e73b6d312ed39fa79b",
+                 "90ade5899395580257a0afa75915254b7d30cc16c02deb53f9771daecb31f886",
                  id="spectral report"),
     pytest.param(["invsub", "--mode", "both"],
                  "b64e01cda2fccdd9ac262835370bc005a736d9f25430d0b36f960c69a4003c93",
@@ -686,7 +653,10 @@ def test_spectral_report_bytes(runner, tmp_path, argv, digest):
     # of C^3 (rank 3, verdict trivial, fiber_size 12, no quantile_fallback or
     # sigma_gap note), every result gained a witness key (null here), and the
     # output no longer depends on --seed or --samples; the oracle result's
-    # projector, defect, rank and verdict kept their bytes.
+    # projector, defect, rank and verdict kept their bytes.  The spectral
+    # report's digest was re-recorded again when the sample cloud was
+    # deleted: the report lost its n_angles and samples keys, and every
+    # other key kept its bytes.
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(matrix_to_json(np.eye(3, k=1))))
     res = runner.invoke(main, [*argv, str(path), "--seed", "0", "--samples", "200"])
@@ -706,14 +676,16 @@ def test_spectral_report_bytes(runner, tmp_path, argv, digest):
 # shift3's two digests were re-recorded when the sweep of a block of size 3
 # came to take the angles from π on from H(θ+π) = −H(θ): the last bits of its
 # supports and boundary points moved (by at most 1e-15); its cloud rows and
-# every other key kept their bytes
+# every other key kept their bytes.  Both CSV digests were re-recorded when
+# the sample cloud was deleted: each is the earlier CSV with its cloud rows
+# removed, byte for byte
 _PLOT_PINS = [
     pytest.param(np.eye(3, k=1),
-                 "1c6ce25fd7f24443acfcc50be2be56d58c41974d7589b0a0ea441a189f5b5da9",
+                 "4aa3dc172632de6459573d3fbc9745337f0f384e683353b0da493693063d1c46",
                  "554d80bb24bb3d03fbb6f53e153a591ce134e370b4d839d6eb245c271bbf0470",
                  id="shift3"),
     pytest.param(np.diag([1, 2j, -1]),
-                 "ee25e80afb4703c2a2ef50de46ca729a69c24dbc5d47b8f3c7ee8a008471ca71",
+                 "4801cf657d614ba0b26190dc54ea9886e0654651a92a0868430d4a861855855a",
                  "d76d9ca518c8172dd0eadb670163c70790a985fe7506e8bf5e6a8fd721cb938f",
                  id="normal3"),
 ]
@@ -723,8 +695,7 @@ def _spectral_report_with_plot(runner, tmp_path, a):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(matrix_to_json(a)))
     plot = tmp_path / "plot.csv"
-    res = runner.invoke(main, ["spectral", "report", str(path), "--seed", "0",
-                               "--samples", "200", "--plot-data", str(plot)])
+    res = runner.invoke(main, ["spectral", "report", str(path), "--plot-data", str(plot)])
     assert res.exit_code == 0
     return json.loads(res.output), plot.read_bytes()
 
@@ -737,9 +708,9 @@ def test_spectral_plot_csv_bytes(runner, tmp_path, a, csv_digest, kept_digest):
 
 @pytest.mark.parametrize("a, csv_digest, kept_digest", _PLOT_PINS)
 def test_spectral_report_kept_keys(runner, tmp_path, a, csv_digest, kept_digest):
-    # sigma, block_supports and flags are unchanged; the three scalars are new
+    # sigma, block_supports and flags are unchanged; sigma_gap is new
     rep, _ = _spectral_report_with_plot(runner, tmp_path, a)
-    kept = {k: v for k, v in rep.items() if k not in ("n_angles", "samples", "sigma_gap")}
+    kept = {k: v for k, v in rep.items() if k != "sigma_gap"}
     text = json.dumps(kept, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == kept_digest
 
@@ -853,8 +824,7 @@ def test_csv_and_plot_data_over_existing_files_keep_their_bytes(runner, files, t
     a, csv_digest, _ = _PLOT_PINS[0].values
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(matrix_to_json(a)))
-    res = runner.invoke(main, ["spectral", "report", str(path), "--seed", "0",
-                               "--samples", "200", "--plot-data", str(plot)])
+    res = runner.invoke(main, ["spectral", "report", str(path), "--plot-data", str(plot)])
     assert res.exit_code == 0
     assert hashlib.sha256(plot.read_bytes()).hexdigest() == csv_digest
 
@@ -864,8 +834,7 @@ def test_csv_and_plot_data_over_existing_files_keep_their_bytes(runner, files, t
 def test_unwritable_output_is_an_input_error(runner, files, option, where):
     # a missing directory, or a directory itself: exit 2 with the path named
     path = files["tmp"] / where
-    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "0",
-                               "--samples", "10", option, str(path)])
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"], option, str(path)])
     assert res.exit_code == 2
     assert f"input error: cannot write {path}: " in res.stderr
 
@@ -885,7 +854,7 @@ def test_bad_output_path_exits_before_the_compute(runner, files, monkeypatch, ex
     if existing:
         out.write_text("old")
     bad = files["tmp"] / "missing" / "p.csv"
-    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "0",
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"],
                                "--out", str(out), "--plot-data", str(bad)])
     assert res.exit_code == 2
     assert f"input error: cannot write {bad}: " in res.stderr
@@ -903,7 +872,7 @@ def test_numerical_failure_after_the_open_leaves_outputs_unwritten(runner, files
     monkeypatch.setattr(spectral, "sigma_big", fail)
     new, old = files["tmp"] / "new.json", files["tmp"] / "plot.csv"
     old.write_text("old")
-    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "0",
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"],
                                "--out", str(new), "--plot-data", str(old)])
     assert res.exit_code == 4
     assert (new.read_text(), old.read_text()) == ("", "old")
@@ -936,7 +905,7 @@ def test_output_files_are_never_opened_with_o_trunc(runner, files, monkeypatch):
     argvs = [
         ["oml", "verify", files["b3.json"], "--out", str(outs["verify.json"])],
         ["claims", "run", "--config", _claims_config(files), "--out", str(outs["claims.json"])],
-        ["spectral", "report", files["e12.json"], "--seed", "0", "--samples", "10",
+        ["spectral", "report", files["e12.json"],
          "--out", str(outs["spectral.json"]), "--plot-data", str(outs["plot.csv"])],
     ]
     for argv in argvs:
@@ -955,7 +924,7 @@ def test_non_utf8_input_is_an_input_error(runner, files, kind):
     bad = files["tmp"] / "utf16.json"
     bad.write_bytes(b"\xff\xfe{\x00}\x00")
     if kind == "matrix":
-        res = runner.invoke(main, ["spectral", "report", str(bad), "--seed", "0"])
+        res = runner.invoke(main, ["spectral", "report", str(bad)])
         message = f"input error: cannot read {bad}: "
     else:
         cfg = files["tmp"] / "cfg_utf16.json"
@@ -981,8 +950,8 @@ def test_out_and_plot_data_on_one_file(runner, files, monkeypatch, second, code)
         out = plot
     else:
         monkeypatch.setattr(spectral, "sigma_big", _no_compute)
-    res = runner.invoke(main, ["spectral", "report", files["e12.json"], "--seed", "0",
-                               "--samples", "10", "--out", str(out), "--plot-data", str(plot)])
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"],
+                               "--out", str(out), "--plot-data", str(plot)])
     assert res.exit_code == code
     assert res.stdout == ""
     if code == 2:
@@ -990,13 +959,12 @@ def test_out_and_plot_data_on_one_file(runner, files, monkeypatch, second, code)
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["spectral", "report", "{e12}"], id="spectral report without --seed"),
     pytest.param(["invsub", "{e12}", "--mode", "bogus"], id="invsub bad mode"),
     pytest.param(["oml", "bogus", "{mo2}"], id="unknown subcommand"),
     pytest.param(["bogus"], id="unknown group"),
     pytest.param(["oml"], id="bare group"),
     pytest.param([], id="no command"),
-    pytest.param(["spectral", "report", "{e12}", "--seed", "0", "--plot", "{tmp}/p.csv"],
+    pytest.param(["spectral", "report", "{e12}", "--plot", "{tmp}/p.csv"],
                  id="abbreviated option"),
     pytest.param(["oml", "verify", "{mo2}", "--ou", "{tmp}/p.json"], id="abbreviated --out"),
     pytest.param(["oml", "verify", "{mo2}", "{mo2}"], id="extra argument"),
@@ -1021,11 +989,14 @@ def _parser_commands(parser, path=()) -> dict[tuple[str, ...], set[str]]:
             for cmd, opts in _parser_commands(sub, (*path, name)).items()}
 
 
+def _readme() -> str:
+    return (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
 def _readme_commands() -> dict[tuple[str, ...], set[str]]:
     """Each command line of README's "Command line" block, as its words,
     with the options it names."""
-    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = {}
     for line in block.splitlines():
         if line.startswith("qgelfand "):
@@ -1037,9 +1008,20 @@ def _readme_commands() -> dict[tuple[str, ...], set[str]]:
 
 def test_readme_command_line_lists_every_command_and_option():
     # both ways: a command or option the parser has and README lacks, or
-    # one README names and the parser lacks, fails; invsub's hidden --seed
-    # and --samples are neither
+    # one README names and the parser lacks, fails; the hidden --seed and
+    # --samples of spectral report and invsub are neither
     assert _readme_commands() == _parser_commands(cli.PARSER)
+
+
+def test_readme_spectral_key_table_matches_the_report(runner, files):
+    # both ways: a key one spectral report writes and README's table lacks,
+    # or one the table names and the report lacks, fails
+    table = _readme().split("Spectral report (`spectral report`, sorted keys):", 1)[1]
+    table = table.split("\n\n", 2)[1]
+    documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    res = runner.invoke(main, ["spectral", "report", files["e12.json"]])
+    assert res.exit_code == 0
+    assert sorted(documented) == sorted(json.loads(res.output))
 
 
 @pytest.mark.parametrize("words", [(), ("oml",), ("alg",), ("claims",), ("spectral",),

@@ -3,7 +3,8 @@
 decides when two are equal (same_ray).  No other module of the package may
 call vdot, and the claims probes in qspace.py and harness.py may not draw
 Haar vectors themselves, so that a second copy of these rules cannot come
-back unseen."""
+back unseen.  spectral.py draws nothing at all: Sigma(a) is swept, not
+sampled."""
 
 import ast
 from pathlib import Path
@@ -36,5 +37,11 @@ def test_only_algebra_calls_vdot():
 def test_claims_probes_draw_no_haar_vector():
     sites = [f"{module}:{line}: {name}" for module in ("qspace.py", "harness.py")
              for line, name in _names(PACKAGE / module)
-             if name in ("haar_unit_vector", "haar_unit_vectors")]
+             if name == "haar_unit_vector"]
+    assert sites == []
+
+
+def test_spectral_draws_nothing():
+    sites = [f"spectral.py:{line}: {name}" for line, name in _names(PACKAGE / "spectral.py")
+             if name in ("default_rng", "Generator", "haar_unit_vector", "haar_unit_vectors")]
     assert sites == []
