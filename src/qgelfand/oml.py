@@ -25,6 +25,9 @@ class Violation:
 
 
 NO_ELEMENT = -1
+# the leaves a JSON order table may hold: 0, 1, true and false
+_BIT_TYPES = frozenset({bool, int})
+_BITS = frozenset({0, 1})
 
 
 def _first(mask: np.ndarray) -> int:
@@ -125,10 +128,16 @@ class FiniteOml:
             leq, ortho = obj["leq"], obj["ortho"]
         except KeyError as exc:
             raise StructureError(f"lattice JSON missing field {exc}") from exc
-        # bool and numpy casts would silently coerce 2 to true and 1.7 to 1
-        if not (isinstance(leq, list) and all(isinstance(row, list) for row in leq)
-                and all(type(v) in (bool, int) and v in (0, 1) for row in leq for v in row)):
+        # bool and numpy casts would silently coerce 2 to true and 1.7 to 1,
+        # and 1.0 passes the value test, so each row's types are checked too
+        if not isinstance(leq, list):
             raise StructureError("leq must be a list of rows of 0, 1, true or false")
+        for row in leq:
+            if not (isinstance(row, list) and _BIT_TYPES.issuperset(map(type, row))
+                    and _BITS.issuperset(row)):
+                raise StructureError("leq must be a list of rows of 0, 1, true or false")
+            if len(row) != len(leq):
+                raise StructureError("leq must be a square truth table")
         if not _is_int_list(ortho):
             raise StructureError("ortho must be a list of integers")
         if "n" in obj and not (type(obj["n"]) is int and obj["n"] == len(leq)):
@@ -195,6 +204,8 @@ def _extend(out: list[Violation], mask: np.ndarray, *axioms: str):
     With several axioms, the last axis of mask picks the axiom and the other
     axes are the witnesses.
     """
+    if not mask.any():
+        return
     if len(axioms) == 1:
         mask = mask[..., None]
     for *witnesses, k in np.argwhere(mask).tolist():

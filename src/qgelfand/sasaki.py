@@ -63,12 +63,11 @@ def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000) -> BaerSemigroup:
     # stored in the smallest signed type that holds range(n), which keeps the
     # keys short and each level's products small.
     gens = lat.skew.astype(np.min_scalar_type(-n))
-    width = n * gens.itemsize
+    row = np.dtype((np.void, n * gens.itemsize))
 
     def keys(acts: np.ndarray) -> list[bytes]:
-        """One dictionary key per row of acts."""
-        raw = acts.tobytes()
-        return [raw[k * width:(k + 1) * width] for k in range(acts.shape[0])]
+        """One dictionary key per row of acts: the row's bytes."""
+        return np.ascontiguousarray(acts).view(row).ravel().tolist()
 
     index: dict[bytes, int] = {}
     words: list[tuple[int, ...]] = []
@@ -77,14 +76,15 @@ def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000) -> BaerSemigroup:
 
     def add_level(cands: np.ndarray, word_of):
         """Append the rows of cands not seen yet, in row order."""
-        fresh = []
-        for k, key in enumerate(keys(cands)):
-            if key not in index:
-                index[key] = len(words)
-                fresh.append(k)
-                word, par = word_of(k)
-                words.append(word)
-                parent.append(par)
+        cand_keys = keys(cands)
+        # the dict keeps the last value per key, so feed the rows backwards
+        first = dict(zip(reversed(cand_keys), range(len(cand_keys) - 1, -1, -1)))
+        fresh = sorted(first[key] for key in first.keys() - index.keys())
+        for k in fresh:
+            index[cand_keys[k]] = len(words)
+            word, par = word_of(k)
+            words.append(word)
+            parent.append(par)
         levels.append(cands[fresh])
 
     add_level(gens, lambda p: ((p,), -1))
@@ -113,7 +113,7 @@ def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000) -> BaerSemigroup:
         acts = gens[letter[lo:hi]]
         if lo:
             acts = np.take_along_axis(table[star[parents[lo:hi]]], acts, axis=1)
-        star[lo:hi] = [index[key] for key in keys(acts)]
+        star[lo:hi] = list(map(index.__getitem__, keys(acts)))
         lo = hi
 
     # Perp via the right annihilator: phi-perp is the Sasaki map of the
@@ -121,16 +121,12 @@ def enumerate_semigroup(lat: FiniteOml, cap: int = 10_000) -> BaerSemigroup:
     # ((phi psi)-perp := psi-perp phi-perp) is not well defined -- distinct
     # words for one map resolve to different elements already on Boolean
     # lattices -- so we use the intrinsic definition, which agrees with
-    # phi_p -> phi_{p-perp} on the generators.  The join is folded over each
-    # kernel in lattice order, for all elements at once; an empty kernel
-    # leaves k = 0, which the open-kernel test below rejects.
+    # phi_p -> phi_{p-perp} on the generators.  The candidate is the killed
+    # element with the largest down-set; the kernel has a greatest element
+    # iff it is nonempty and every killed element lies below the candidate.
     killed = table == lat.bottom
-    least = killed.argmax(axis=1)
-    k = least.copy()
-    for q in range(n):
-        step = killed[:, q] & (least < q)
-        k[step] = lat.join[k[step], q]
-    open_kernel = table[np.arange(size), k] != lat.bottom
+    k = np.where(killed, lat.leq.sum(axis=0), -1).argmax(axis=1)
+    open_kernel = ~killed[np.arange(size), k] | (killed & ~lat.leq[:, k].T).any(axis=1)
     if open_kernel.any():
         i = int(np.argmax(open_kernel))
         raise StructureError(f"kernel of element {i} has no greatest element")

@@ -144,6 +144,7 @@ def test_oml_commands_reject_non_oml(runner, tmp_path, command, lattice, violati
      "members must be lists of integer point indices"),
     ({"ground": ["a", "b"], "members": [[], [0], [1], [0, 1]], "ortho": [3.5, 2, 1, 0]},
      "ortho must be a list of integers"),
+    ({"leq": [[1, 0], [1]], "ortho": [1, 0]}, "leq must be a square truth table"),
 ])
 def test_oml_strict_lattice_json(runner, tmp_path, command, lattice, message):
     # casting would read 1.7 as 1 and 2 or 0.5 as true; a point 0.5 of a

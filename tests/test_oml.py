@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,19 @@ def test_finite_oml_json_is_strict(change):
 def test_finite_oml_json_accepts_json_booleans():
     obj = {"leq": [[True, True], [False, True]], "ortho": [1, 0]}
     assert FiniteOml.from_json(obj) == boolean_lattice(1)
+
+
+@pytest.mark.parametrize("leaf", [0, 1, True, False, 2, -1, 1.0, 0.0, "1", None, [1], {}],
+                         ids=json.dumps)
+def test_finite_oml_json_leaves_follow_the_per_entry_rule(leaf):
+    # a leaf is accepted iff its type is bool or int and its value 0 or 1;
+    # 1.0 == 1 and hashes alike, so only the type rejects it
+    obj = {"leq": [[1, leaf], [0, 1]], "ortho": [1, 0]}
+    if type(leaf) in (bool, int) and leaf in (0, 1):
+        assert FiniteOml.from_json(obj).leq[0, 1] == bool(leaf)
+    else:
+        with pytest.raises(StructureError, match="leq must be a list of rows"):
+            FiniteOml.from_json(obj)
 
 
 @pytest.mark.parametrize("change", [

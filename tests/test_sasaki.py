@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import lattice_oracle as oracle
@@ -15,6 +16,7 @@ from findings import (
 )
 from qgelfand.oml import StructureError, boolean_lattice, mo_lattice, verify_oml
 from qgelfand.sasaki import SemigroupBudgetError, closed_projections, enumerate_semigroup
+from test_lattice_oracle import BROKEN, CORPUS, _semigroup_fields, relabel
 
 
 def test_sasaki_action_monotone(zoo):
@@ -144,3 +146,24 @@ def test_saturation(mo2_qset):
     assert full is True
     partial, witness = saturation_check(sp, frozenset({0}))
     assert partial is False and witness is not None
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_semigroup_rejects_every_broken_lattice(name):
+    # chain3's middle element is its own complement, so φ₁(0) = 1 and the
+    # kernel of φ₁ is empty: an empty kernel has no greatest element either
+    with pytest.raises(StructureError) as exc:
+        enumerate_semigroup(BROKEN[name])
+    if name == "chain3":
+        assert str(exc.value) == "kernel of element 1 has no greatest element"
+
+
+@pytest.mark.parametrize("seed, name", enumerate(["MO8", "hsum_3B3", "B5"]))
+def test_large_relabeled_lattices_match_oracle(seed, name):
+    # the corpus lattices above the n ≤ 16 of the Hypothesis relabeling
+    # test, each under one seeded renaming of its elements
+    lat = CORPUS[name]
+    lat = relabel(lat, np.random.default_rng(seed).permutation(lat.n))
+    sg = enumerate_semigroup(lat)
+    assert _semigroup_fields(sg) == oracle.enumerate_semigroup(lat)
+    closed_projections(sg)
