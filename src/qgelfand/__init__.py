@@ -29,7 +29,6 @@ from .algebra import (
     gns,
     hat,
     is_irreducible,
-    is_pure,
     r_is_discrete,
 )
 from .qspace import (
@@ -75,7 +74,6 @@ __all__ = [
     "gns",
     "hat",
     "is_irreducible",
-    "is_pure",
     "r_is_discrete",
     "ClaimsReport",
     "QFunction",

@@ -2,14 +2,17 @@
 closure, Wedderburn block decomposition, states and pure states, the GNS
 construction, and the hat map a ↦ (evaluation against states).
 
-The decomposition is read off one solve, the commutant of the algebra's
-letters: M_n when that commutant is the scalars, otherwise the blocks come
-from random elements of it, in a fixed order (largest irrep first, then
-largest multiplicity, then the letters' spectra); the center is spanned by
-the blocks' central projections."""
+An FdAlgebra is the one object every function here takes: its basis, its
+Wedderburn blocks and whether it is commutative are computed when first
+read and then kept.  The blocks are read off one solve, the commutant of
+the algebra's letters: M_n when that commutant is the scalars, otherwise
+the blocks come from random elements of it, in a fixed order (largest
+irrep first, then largest multiplicity, then the letters' spectra); the
+center is spanned by the blocks' central projections."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,26 +52,26 @@ class FdAlgebra:
 
     letters (a k × n × n stack, k ≥ 0, HS-orthonormal and orthogonal to the
     identity) generate it as a unital algebra: x commutes with the algebra
-    exactly when it commutes with every letter.  basis (a d × n × n stack)
-    is orthonormal for the Hilbert-Schmidt inner product and spans the
-    algebra; it is the closure of the identity and the letters under
-    products and adjoints, computed when first read and then kept.  The
-    decomposition of an algebra whose letters' commutant is the scalars
-    never reads it.
+    exactly when it commutes with every letter.  basis, blocks and
+    commutative are computed when first read and then kept.  basis (a
+    d × n × n stack) is orthonormal for the Hilbert-Schmidt inner product
+    and spans the algebra; it is the closure of the identity and the letters
+    under products and adjoints.  blocks are the Wedderburn blocks, in block
+    order (see block_decompose); those of an algebra whose letters'
+    commutant is the scalars never read the basis.
     """
 
     def __init__(self, ambient_dim: int, letters: np.ndarray):
         self.ambient_dim = ambient_dim
         self.letters = letters
-        self._basis: np.ndarray | None = None
-        self._commutative: bool | None = None
-        self._decomposition: "BlockDecomposition | None" = None
 
-    @property
+    @functools.cached_property
     def basis(self) -> np.ndarray:
-        if self._basis is None:
-            self._basis = _close(self.ambient_dim, self.letters)
-        return self._basis
+        return _close(self.ambient_dim, self.letters)
+
+    @functools.cached_property
+    def blocks(self) -> list[Block]:
+        return block_decompose(self)
 
     @property
     def dim(self) -> int:
@@ -103,22 +106,15 @@ class FdAlgebra:
             a = (a + a.conj().T) / 2
         return a
 
-    def is_commutative(self) -> bool:
-        """Computed when first asked and then kept, as decomposition() is."""
-        if self._commutative is None:
-            # each basis element against each letter.  Pairs of letters are
-            # not enough: for H + εN (H Hermitian, N nilpotent, ε near
-            # RANK_TOL) the closure drops the adjoint's residual, so one
-            # letter is left, yet its powers close to M_n
-            b, g = self.basis[:, None], self.letters[None]
-            norms = np.linalg.svd(b @ g - g @ b, compute_uv=False)[..., 0]
-            self._commutative = bool(np.all(norms <= LATTICE_TOL))
-        return self._commutative
-
-    def decomposition(self) -> "BlockDecomposition":
-        if self._decomposition is None:
-            self._decomposition = block_decompose(self)
-        return self._decomposition
+    @functools.cached_property
+    def commutative(self) -> bool:
+        # each basis element against each letter.  Pairs of letters are not
+        # enough: for H + εN (H Hermitian, N nilpotent, ε near RANK_TOL) the
+        # closure drops the adjoint's residual, so one letter is left, yet
+        # its powers close to M_n
+        b, g = self.basis[:, None], self.letters[None]
+        norms = np.linalg.svd(b @ g - g @ b, compute_uv=False)[..., 0]
+        return bool(np.all(norms <= LATTICE_TOL))
 
     @classmethod
     def from_json(cls, obj: dict) -> "FdAlgebra":
@@ -224,8 +220,8 @@ def commutant_basis(mats: np.ndarray, dim: int) -> np.ndarray:
 
 def center_basis(alg: FdAlgebra) -> np.ndarray:
     """HS-orthonormal basis of the center: the minimal central projections
-    of the decomposition, in block order, each scaled to HS norm 1."""
-    projs = np.array([blk.central_projector for blk in alg.decomposition().blocks])
+    of the algebra's blocks, in block order, each scaled to HS norm 1."""
+    projs = np.array([blk.central_projector for blk in alg.blocks])
     return projs / np.linalg.norm(projs, axis=(1, 2), keepdims=True)
 
 
@@ -256,24 +252,12 @@ class Block:
         return self.isometry @ m @ self.isometry.conj().T
 
 
-@dataclass
-class BlockDecomposition:
-    algebra: FdAlgebra
-    blocks: list[Block]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def reconstruct(self, a: np.ndarray) -> np.ndarray:
-        return sum(blk.embed(blk.irrep(a)) for blk in self.blocks)
-
-
 _MAX_RETRIES = 8
 
 
-def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
-    """Wedderburn decomposition of a *-closed matrix algebra.
+def block_decompose(alg: FdAlgebra) -> list[Block]:
+    """The Wedderburn blocks of a *-closed matrix algebra, in block order.
+    FdAlgebra.blocks calls this when first read and keeps the list.
 
     Everything is read off the commutant A′ of the algebra's letters (its
     generators and their adjoints, orthonormalized; commuting with the
@@ -310,17 +294,16 @@ def block_decompose(alg: FdAlgebra) -> BlockDecomposition:
         return _decompose(alg, alg.basis)
 
 
-def _decompose(alg: FdAlgebra, letters: np.ndarray) -> BlockDecomposition:
-    """The decomposition of alg read off the commutant of letters, which
-    generate it."""
+def _decompose(alg: FdAlgebra, letters: np.ndarray) -> list[Block]:
+    """The blocks of alg read off the commutant of letters, which generate
+    it."""
     n = alg.ambient_dim
     comm = commutant_basis(letters, n)
     if len(comm) == 1:
-        return BlockDecomposition(alg, [Block(n, 1, np.eye(n, dtype=complex))])
+        return [Block(n, 1, np.eye(n, dtype=complex))]
     blocks = sorted(_isotypic_blocks(comm), key=lambda blk: _block_key(blk, letters))
-    dec = BlockDecomposition(alg, blocks)
-    _check_decomposition(dec)
-    return dec
+    _check_decomposition(alg, blocks)
+    return blocks
 
 
 def _isotypic_blocks(comm: np.ndarray) -> list[Block]:
@@ -365,16 +348,16 @@ def _block_key(blk: Block, letters: np.ndarray) -> tuple:
     return (-blk.irrep_dim, -blk.multiplicity, *spectra.ravel().view(float).tolist())
 
 
-def _check_decomposition(dec: BlockDecomposition):
-    alg = dec.algebra
+def _check_decomposition(alg: FdAlgebra, blocks: list[Block]):
     n = alg.ambient_dim
-    total = sum(blk.central_projector for blk in dec.blocks)
+    total = sum(blk.central_projector for blk in blocks)
     if op_norm(total - np.eye(n)) > 100 * LATTICE_TOL:
         raise DecompositionError("central idempotents do not sum to the identity")
     basis = alg.basis
     # irrep and embed broadcast over the stack of basis elements; an HS-unit
     # basis element has operator norm at most 1, so RANK_TOL is its bound
-    defects = np.linalg.norm(dec.reconstruct(basis) - basis, 2, axis=(1, 2))
+    rebuilt = sum(blk.embed(blk.irrep(basis)) for blk in blocks)
+    defects = np.linalg.norm(rebuilt - basis, 2, axis=(1, 2))
     if np.any(defects > RANK_TOL):
         raise DecompositionError("block reconstruction fails on a basis element")
 
@@ -433,10 +416,10 @@ def vector_state(xi: np.ndarray) -> State:
     return State(np.outer(xi, xi.conj()))
 
 
-def state_block_matrices(dec: BlockDecomposition, state: State) -> list[np.ndarray]:
+def state_block_matrices(alg: FdAlgebra, state: State) -> list[np.ndarray]:
     """Per-block reduced matrices rho_i with α(a) = Σ_i tr(rho_i · irrep_i(a))."""
     out = []
-    for blk in dec.blocks:
+    for blk in alg.blocks:
         g = blk.isometry.conj().T @ state.rho @ blk.isometry
         d, m = blk.irrep_dim, blk.multiplicity
         rho_i = np.zeros((d, d), dtype=complex)
@@ -446,7 +429,7 @@ def state_block_matrices(dec: BlockDecomposition, state: State) -> list[np.ndarr
     return out
 
 
-def as_pure(dec: BlockDecomposition, state: State) -> PureState | None:
+def as_pure(alg: FdAlgebra, state: State) -> PureState | None:
     """Block-aware purity test on the algebra.
 
     A state can be ambient-mixed and still pure on the algebra; purity is
@@ -454,7 +437,7 @@ def as_pure(dec: BlockDecomposition, state: State) -> PureState | None:
     weight and its reduced matrix has rank one.  Returns the pure state in
     block coordinates, or None.
     """
-    mats = state_block_matrices(dec, state)
+    mats = state_block_matrices(alg, state)
     weights = [float(np.real(np.trace(r))) for r in mats]
     live = [i for i, w in enumerate(weights) if w > RANK_TOL]
     if len(live) != 1:
@@ -466,14 +449,10 @@ def as_pure(dec: BlockDecomposition, state: State) -> PureState | None:
     return PureState(i, vecs[:, -1])
 
 
-def is_pure(dec: BlockDecomposition, state: State) -> bool:
-    return as_pure(dec, state) is not None
-
-
-def random_pure_state(dec: BlockDecomposition, rng: np.random.Generator) -> PureState:
+def random_pure_state(alg: FdAlgebra, rng: np.random.Generator) -> PureState:
     """Uniform block choice, Haar vector inside the block."""
-    i = int(rng.integers(dec.n_blocks))
-    return PureState(i, haar_unit_vector(dec.blocks[i].irrep_dim, rng))
+    i = int(rng.integers(len(alg.blocks)))
+    return PureState(i, haar_unit_vector(alg.blocks[i].irrep_dim, rng))
 
 
 def same_ray(overlap):
@@ -553,11 +532,11 @@ def is_irreducible(rep: GnsRepresentation) -> bool:
     return numerical_rank(np.linalg.svd(images, compute_uv=False)) == r2
 
 
-def r_is_discrete(dec: BlockDecomposition) -> bool:
+def r_is_discrete(alg: FdAlgebra) -> bool:
     """True iff every equivalence class of pure states is a singleton,
     i.e. every block is one-dimensional.  The claims suite prop1 compares
     it with the algebra's commutativity."""
-    return all(blk.irrep_dim == 1 for blk in dec.blocks)
+    return all(blk.irrep_dim == 1 for blk in alg.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -569,5 +548,5 @@ def hat(alg: FdAlgebra, a: np.ndarray, state) -> complex:
     their block compression."""
     a = alg.require_member(a)
     if isinstance(state, PureState):
-        return state.value(alg.decomposition().blocks[state.block].irrep(a))
+        return state.value(alg.blocks[state.block].irrep(a))
     return state(a)

@@ -173,7 +173,10 @@ def _load_oml(path: str) -> FiniteOml:
     """A lattice file as a FiniteOml that passes verify_oml; exit 2 otherwise."""
     lat = _load_lattice(path)
     if isinstance(lat, SetOml):
-        lat = lat.lattice
+        try:
+            lat = lat.lattice
+        except StructureError as exc:  # an empty member family, for one
+            raise SystemExit(_input_error(f"not an orthomodular lattice: {exc}"))
     violations = oml.verify_oml(lat)
     if violations:
         raise SystemExit(_input_error(f"not an orthomodular lattice: {violations[0]}"))
@@ -274,7 +277,7 @@ def alg_generate(args, outputs) -> int:
     except ValueError as exc:
         return _input_error(str(exc))
     _dump({"ambient_dim": alg.ambient_dim, "dim": alg.dim,
-           "commutative": alg.is_commutative()}, write)
+           "commutative": alg.commutative}, write)
     return EXIT_OK
 
 
@@ -284,7 +287,7 @@ def alg_blocks(args, outputs) -> int:
     [write] = _open_outputs(outputs, args.out)
     try:
         alg = FdAlgebra.from_json(obj)
-        dec = alg.decomposition()
+        blocks = alg.blocks
     except ValueError as exc:
         return _input_error(str(exc))
     except DecompositionError as exc:
@@ -293,7 +296,7 @@ def alg_blocks(args, outputs) -> int:
     _dump({
         "dim": alg.dim,
         "blocks": [{"irrep_dim": b.irrep_dim, "multiplicity": b.multiplicity}
-                   for b in dec.blocks],
+                   for b in blocks],
     }, write)
     return EXIT_OK
 

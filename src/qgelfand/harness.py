@@ -19,9 +19,9 @@ import numpy as np
 from .algebra import (
     FdAlgebra,
     State,
+    as_pure,
     gns,
     is_irreducible,
-    is_pure,
     r_is_discrete,
     random_pure_state,
 )
@@ -141,14 +141,13 @@ def _is_finite(v) -> bool:
 
 
 def _suite_prop1(alg, extras, cfg, rng) -> list[ClaimsReport]:
-    discrete = r_is_discrete(alg.decomposition())
-    comm = alg.is_commutative()
+    discrete = r_is_discrete(alg)
+    comm = alg.commutative
     return [judged("prop1_dichotomy", {"r_discrete": discrete, "commutative": comm},
                    discrete != comm)]
 
 
 def _suite_prop2(alg, extras, cfg, rng) -> list[ClaimsReport]:
-    dec = alg.decomposition()
     n = alg.ambient_dim
     mismatches = 0
     witness = None
@@ -161,7 +160,7 @@ def _suite_prop2(alg, extras, cfg, rng) -> list[ClaimsReport]:
         rho = g @ g.conj().T
         rho = rho / np.real(np.trace(rho))
         state = State(rho)
-        pure = is_pure(dec, state)
+        pure = as_pure(alg, state) is not None
         irr = is_irreducible(gns(alg, state))
         if pure != irr:
             mismatches += 1
@@ -175,11 +174,10 @@ def _suite_prop2(alg, extras, cfg, rng) -> list[ClaimsReport]:
 def _instance_projectors(alg, extras, rng) -> list[list[Projector]]:
     """Top spectral projections, one projector per block each: of the
     instance element's Hermitian part, or of two random Hermitian members."""
-    dec = alg.decomposition()
     if "element" in extras:
         a = extras["element"]
-        return [top_projectors(dec, (a + a.conj().T) / 2)]
-    return [top_projectors(dec, alg.random_element(rng, hermitian=True)) for _ in range(2)]
+        return [top_projectors(alg, (a + a.conj().T) / 2)]
+    return [top_projectors(alg, alg.random_element(rng, hermitian=True)) for _ in range(2)]
 
 
 def _suite_prop7(alg, extras, cfg, rng) -> list[ClaimsReport]:
@@ -192,13 +190,12 @@ def _suite_prop7(alg, extras, cfg, rng) -> list[ClaimsReport]:
 
 
 def _suite_prop9(alg, extras, cfg, rng) -> list[ClaimsReport]:
-    dec = alg.decomposition()
     a = alg.random_element(rng, hermitian=True)
     b = alg.random_element(rng, hermitian=True)
-    state = random_pure_state(dec, rng)
+    state = random_pure_state(alg, rng)
     rep = prop9_defect(alg, state, a, b)
     p = _instance_projectors(alg, extras, rng)[0]
-    return [rep, hat_is_characteristic_defect(dec, p, cfg.samples, rng)]
+    return [rep, hat_is_characteristic_defect(alg, p, cfg.samples, rng)]
 
 
 def _suite_thm3(alg, extras, cfg, rng) -> list[ClaimsReport]:
@@ -209,7 +206,7 @@ def _suite_preimage(alg, extras, cfg, rng) -> list[ClaimsReport]:
     images = [p.matrix for p in _instance_projectors(alg, extras, rng)[0]]
     center = extras.get("center", 1.0 + 0j)
     radius = extras.get("radius", 0.1)
-    return [hat_preimage_qness(alg.decomposition(), images, center, radius, cfg.samples, rng)]
+    return [hat_preimage_qness(alg, images, center, radius, cfg.samples, rng)]
 
 
 _RUNNERS = {
@@ -241,7 +238,7 @@ def run_suite(cfg: RunConfig) -> dict:
             rows.append(rep.to_json())
             # commutativity only decides whether a failure counts
             if rep.verdict == "fails" and (cfg.suite in _ALWAYS_SPECIFIED
-                                           or alg.is_commutative()):
+                                           or alg.commutative):
                 ok = False
     return {
         "suite": cfg.suite,

@@ -392,9 +392,11 @@ class SetOml:
     @functools.cached_property
     def lattice(self) -> FiniteOml:
         """The members ordered by inclusion, as a FiniteOml built once."""
+        # (n, n) for n = 0 too, so that an empty family is an empty lattice
         order = np.array(
-            [[self.members[p] <= self.members[q] for q in range(self.n)] for p in range(self.n)]
-        )
+            [[self.members[p] <= self.members[q] for q in range(self.n)] for p in range(self.n)],
+            dtype=bool,
+        ).reshape(self.n, self.n)
         labels = ["{" + ",".join(self.ground[i] for i in sorted(m)) + "}" for m in self.members]
         return FiniteOml(order, np.asarray(self.ortho), labels)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    BlockDecomposition,
     FdAlgebra,
     PureState,
     pure_equal,
@@ -145,7 +144,7 @@ def qfunction_star_at(f: QFunction, g: QFunction, v: np.ndarray) -> complex:
     return total
 
 
-def top_projectors(dec: BlockDecomposition, h: np.ndarray) -> list[Projector]:
+def top_projectors(alg: FdAlgebra, h: np.ndarray) -> list[Projector]:
     """The spectral projection of the Hermitian member h at its top
     eigenvalue cluster, as one projector per block on that block's irrep
     space.
@@ -154,7 +153,7 @@ def top_projectors(dec: BlockDecomposition, h: np.ndarray) -> list[Projector]:
     cluster is found by cluster_eigenvalues over their sorted union; each
     block keeps its eigenvectors at or above that cluster's floor (a block
     with none gets rank 0)."""
-    eigs = [hermitian_eig(blk.irrep(h)) for blk in dec.blocks]
+    eigs = [hermitian_eig(blk.irrep(h)) for blk in alg.blocks]
     vals = np.sort(np.concatenate([v for v, _ in eigs]))
     floor = vals[cluster_eigenvalues(vals)[-1][0]]
     return [Projector(basis=vecs[:, v >= floor]) for v, vecs in eigs]
@@ -170,7 +169,7 @@ def hat_as_qfunction(alg: FdAlgebra, a: np.ndarray, block: int) -> QFunction:
     the claims harness measures.  a must be a member of alg: it is not
     checked here (thm3 passes random elements, members by construction).
     """
-    blk = alg.decomposition().blocks[block]
+    blk = alg.blocks[block]
     h = (a + a.conj().T) / 2
     k = (a - a.conj().T) / (2j)
     terms: list[tuple[complex, Projector]] = []
@@ -241,11 +240,11 @@ def _json_value(v):
     return v
 
 
-def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center: complex,
+def hat_preimage_qness(alg: FdAlgebra, images: list[np.ndarray], center: complex,
                        radius: float, samples: int, rng: np.random.Generator) -> ClaimsReport:
     """Is the preimage of a disc under â closed under singleton joins?
 
-    a is given by its block images, images[i] = dec.blocks[i].irrep(a).
+    a is given by its block images, images[i] = alg.blocks[i].irrep(a).
     Samples equivalent pairs inside the preimage and measures how far â
     leaves the disc on the joined subspace's vector states.  Quantifies
     whether â can be q-continuous for the modeled subset lattice.
@@ -263,7 +262,7 @@ def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center
     """
     inside: list[PureState] = []
     for _ in range(samples):
-        s = random_pure_state(dec, rng)
+        s = random_pure_state(alg, rng)
         if abs(s.value(images[s.block]) - center) <= radius:
             inside.append(s)
     if not inside:
@@ -273,7 +272,7 @@ def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center
     # every block's irrep space is padded with zeros to the largest one, so
     # that pairs of all blocks share one stack: the padding adds exact zeros
     # to every product and stays zero in every frame
-    dim = max(blk.irrep_dim for blk in dec.blocks)
+    dim = max(blk.irrep_dim for blk in alg.blocks)
     vecs = np.zeros((len(inside), dim), dtype=complex)
     for k, s in enumerate(inside):
         vecs[k, :len(s.vector)] = s.vector
@@ -288,7 +287,7 @@ def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center
         for _ in range(2):
             y = y - x * np.sum(x.conj() * y, axis=1, keepdims=True)
         w = np.stack([x, y / np.linalg.norm(y, axis=1, keepdims=True)], axis=-1)
-        padded = np.zeros((dec.n_blocks, dim, dim), dtype=complex)
+        padded = np.zeros((len(alg.blocks), dim, dim), dtype=complex)
         for i, im in enumerate(images):
             padded[i, :len(im), :len(im)] = im
         ms = w.conj().swapaxes(-1, -2) @ padded[blocks[first]] @ w
@@ -302,7 +301,7 @@ def hat_preimage_qness(dec: BlockDecomposition, images: list[np.ndarray], center
             worst = float(top)
             k, j = np.unravel_index(np.argmax(viol >= top - LATTICE_TOL), viol.shape)
             block = int(blocks[first[k]])
-            witness = PureState(block, (w[k] @ eta[k, j])[:dec.blocks[block].irrep_dim])
+            witness = PureState(block, (w[k] @ eta[k, j])[:alg.blocks[block].irrep_dim])
     return judged("hat_preimage_qness",
                   {"violation": worst, "pairs_checked": pairs, "preimage_size": len(inside)},
                   not worst <= VERDICT_TOL, [witness])
@@ -351,14 +350,13 @@ def prop9_defect(alg: FdAlgebra, alpha: PureState, a: np.ndarray, b: np.ndarray)
     block alone.  a and b must be members of alg: it is not checked here
     (the suite passes random elements, members by construction).
     """
-    dec = alg.decomposition()
-    blk = dec.blocks[alpha.block]
+    blk = alg.blocks[alpha.block]
     defects = {}
     hs = [(a + a.conj().T) / 2, (b + b.conj().T) / 2]
     defects["square"] = max(
         abs(alpha.value(blk.irrep(h @ h)) - alpha.value(blk.irrep(h)) ** 2) for h in hs
     )
-    p, q = (top_projectors(dec, h)[alpha.block] for h in hs)
+    p, q = (top_projectors(alg, h)[alpha.block] for h in hs)
     meet = proj_meet(p, q)
     chi_val = 1.0 if _in_range(meet, alpha.vector) else 0.0
     defects["lattice_meet"] = abs(alpha.value(meet.matrix) - chi_val)
@@ -367,7 +365,7 @@ def prop9_defect(alg: FdAlgebra, alpha: PureState, a: np.ndarray, b: np.ndarray)
     return judged("prop9", defects, not max(defects.values()) <= VERDICT_TOL, [alpha])
 
 
-def hat_is_characteristic_defect(dec: BlockDecomposition, p: list[Projector], samples: int,
+def hat_is_characteristic_defect(alg: FdAlgebra, p: list[Projector], samples: int,
                                  rng: np.random.Generator) -> ClaimsReport:
     """max over sampled pure α of min(|p̂(α)|, |1 − p̂(α)|), for the
     projection given by one projector per block: zero iff p̂ is
@@ -375,7 +373,7 @@ def hat_is_characteristic_defect(dec: BlockDecomposition, p: list[Projector], sa
     worst = 0.0
     witness = None
     for _ in range(samples):
-        s = random_pure_state(dec, rng)
+        s = random_pure_state(alg, rng)
         v = s.value(p[s.block].matrix)
         val = min(abs(v), abs(1 - v))
         if val > worst:
@@ -397,10 +395,9 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator) -> 
     holds the state and the model is 0, as the full evaluation gives.  A
     Haar state in a block of dimension ≥ 2 lies near no eigenspace of â.
     """
-    dec = alg.decomposition()
     # images[i][j] is block i's image of basis element j; column j of the
     # injectivity matrix stacks them over the blocks
-    images = [blk.irrep(alg.basis) for blk in dec.blocks]
+    images = [blk.irrep(alg.basis) for blk in alg.blocks]
     injection = np.concatenate([im.reshape(alg.dim, -1) for im in images], axis=1).T
     sv = np.linalg.svd(injection, compute_uv=False)
     injective = bool(sv[-1] > RANK_TOL)
@@ -408,7 +405,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator) -> 
     separated = True
     sep_witness = None
     for _ in range(samples):
-        s, t = random_pure_state(dec, rng), random_pure_state(dec, rng)
+        s, t = random_pure_state(alg, rng), random_pure_state(alg, rng)
         if pure_equal(s, t):
             continue
         if all(abs(s.value(x) - t.value(y)) <= RANK_TOL
@@ -420,7 +417,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator) -> 
     hom_defect = 0.0
     hom_witness = None
     for _ in range(samples):
-        s = random_pure_state(dec, rng)
+        s = random_pure_state(alg, rng)
         a = alg.random_element(rng)
         b = alg.random_element(rng)
         # qfunction_star_at reads only pairs whose â term is near s
@@ -431,7 +428,7 @@ def thm3_diagnostics(alg: FdAlgebra, samples: int, rng: np.random.Generator) -> 
             model = 0
         # hat(alg, a @ b, s) without its membership check: a and b are
         # random elements, members by construction
-        val = abs(s.value(dec.blocks[s.block].irrep(a @ b)) - model)
+        val = abs(s.value(alg.blocks[s.block].irrep(a @ b)) - model)
         if val > hom_defect:
             hom_defect, hom_witness = val, (s,)
     defects = {

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    BlockDecomposition,
     FdAlgebra,
     GnsRepresentation,
     generate_algebra,
@@ -120,7 +119,7 @@ def sigma_big(a: np.ndarray) -> SpectralReport:
     is drawn at random.
     """
     a = as_cmatrix(a)
-    dec = generate_algebra([a]).decomposition()
+    alg = generate_algebra([a])
     # sigma, like the sweep, is taken at the scale of a's largest entry
     scale = peak_exponent(a)
     scaled_sig = spectrum(ldexp_complex(a, -scale))
@@ -128,7 +127,7 @@ def sigma_big(a: np.ndarray) -> SpectralReport:
 
     block_supports = []
     block_boundaries = []
-    for blk in dec.blocks:
+    for blk in alg.blocks:
         m = blk.irrep(a)
         e = peak_exponent(m)
         m = ldexp_complex(m, -e)
@@ -136,7 +135,7 @@ def sigma_big(a: np.ndarray) -> SpectralReport:
         block_supports.append(np.ldexp(supports, e))
         block_boundaries.append(ldexp_complex(_quadratic_values(m, v), e))
 
-    singleton, equals = _sigma_flags(dec)
+    singleton, equals = _sigma_flags(alg)
     # the largest distance from a boundary point to the nearest eigenvalue,
     # measured at the scale of a's largest entry, where no difference overflows
     bnd = ldexp_complex(np.concatenate(block_boundaries), -scale)
@@ -149,11 +148,11 @@ def sigma_big(a: np.ndarray) -> SpectralReport:
     return report
 
 
-def _sigma_flags(dec: BlockDecomposition) -> tuple[bool, bool]:
+def _sigma_flags(alg: FdAlgebra) -> tuple[bool, bool]:
     """(sigma_singleton, sigma_equals_big): Sigma(a), the union of the
     blocks' numerical ranges, is one point iff a is scalar (one block, of
     irrep dimension 1), and sigma(a) iff every irrep is 1-dimensional."""
-    return [blk.irrep_dim for blk in dec.blocks] == [1], r_is_discrete(dec)
+    return [blk.irrep_dim for blk in alg.blocks] == [1], r_is_discrete(alg)
 
 
 def _quadratic_values(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -317,8 +316,10 @@ def _sigma_fiber(a: np.ndarray) -> np.ndarray:
     exactly when m u = 0, with no division.  The candidates are u, every
     w_j and every x_j longer than SIGMA_TOL · ‖a‖ (a shorter one lies in
     span(u, w_j), w_j on the fiber), normalized, kept when |x* m x| ≤
-    SIGMA_TOL · ‖a‖.  a is first divided by ‖a‖, so that no product under-
-    or overflows at any scale."""
+    SIGMA_TOL · ‖a‖.  a is first scaled by the power of two of its largest
+    entry, exactly, as in sigma_big, and then divided by ‖a‖, so that no
+    product under- or overflows at any scale, subnormal entries included."""
+    a = ldexp_complex(a, -peak_exponent(a))
     a = a / op_norm(a)
     points = []
     for lam in spectrum(a):
@@ -333,15 +334,16 @@ def _sigma_fiber(a: np.ndarray) -> np.ndarray:
     return np.vstack(points)
 
 
-def _modeled_result(a: np.ndarray, dec: BlockDecomposition) -> InvariantSubspaceResult:
-    """The sigma-versus-Sigma dichotomy, its case read off dec's flags.
+def _modeled_result(a: np.ndarray, alg: FdAlgebra) -> InvariantSubspaceResult:
+    """The sigma-versus-Sigma dichotomy, its case read off the flags of
+    alg, the algebra a generates.
     Scalar: Sigma is the point λ, the 1×1 irrep, and a = λI would make the
     line e₁ invariant; it is judged, with ‖a − λI‖ noted as scalar_gap.
     Normal: out of the dichotomy.  Else split: the sigma fiber's span."""
     n = a.shape[0]
-    singleton, normal = _sigma_flags(dec)
+    singleton, normal = _sigma_flags(alg)
     if singleton:
-        lam = complex(dec.blocks[0].irrep(a)[0, 0])
+        lam = complex(alg.blocks[0].irrep(a)[0, 0])
         return _judged(a, Projector(basis=np.eye(n, 1, dtype=complex)), "scalar-case",
                        "paper-construction",
                        {"lambda": lam, "scalar_gap": op_norm(a - lam * np.eye(n))})
@@ -365,7 +367,7 @@ def invariant_subspace(a: np.ndarray, mode: str = "oracle") -> list[InvariantSub
         raise ValueError(f"unknown mode {mode!r}")
     out = []
     if mode in ("paper", "both"):
-        out.append(_modeled_result(a, generate_algebra([a]).decomposition()))
+        out.append(_modeled_result(a, generate_algebra([a])))
     if mode in ("oracle", "both"):
         out.append(_oracle_result(a))
     return out

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import settings
 
 from qgelfand.algebra import (
-    BlockDecomposition,
     FdAlgebra,
     GnsRepresentation,
     PureState,
@@ -83,12 +82,12 @@ def top_spectral_projector(h: np.ndarray) -> np.ndarray:
     return w @ w.conj().T
 
 
-def ambient_top_projectors(dec: BlockDecomposition, h: np.ndarray) -> list[Projector]:
+def ambient_top_projectors(alg: FdAlgebra, h: np.ndarray) -> list[Projector]:
     """The ambient route to qspace.top_projectors: the ambient spectral
     projection, compressed to each block and read back as a checked
     projector."""
     p = top_spectral_projector(h)
-    return [projector_from_matrix(blk.irrep(p)) for blk in dec.blocks]
+    return [projector_from_matrix(blk.irrep(p)) for blk in alg.blocks]
 
 
 def gns_pi(rep: GnsRepresentation, a: np.ndarray) -> np.ndarray:
@@ -102,9 +101,9 @@ def proj_ortho(p: Projector) -> Projector:
     return Projector(basis=vecs[:, vals < 0.5])
 
 
-def pure_to_state(dec: BlockDecomposition, pure: PureState) -> State:
+def pure_to_state(alg: FdAlgebra, pure: PureState) -> State:
     """A density matrix on the ambient space inducing the pure functional."""
-    blk = dec.blocks[pure.block]
+    blk = alg.blocks[pure.block]
     m = np.zeros((blk.multiplicity, blk.multiplicity))
     m[0, 0] = 1.0
     rho = blk.isometry @ np.kron(m, np.outer(pure.vector, pure.vector.conj())) @ blk.isometry.conj().T

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgelfand.algebra import BlockDecomposition, PureState, pure_equal
+from qgelfand.algebra import FdAlgebra, PureState, pure_equal
 from qgelfand.linalg import VERDICT_TOL, Projector, projector_from_basis
 from qgelfand.oml import SetOml, StructureError
 from qgelfand.sasaki import BaerSemigroup, SemigroupBudgetError, enumerate_semigroup
@@ -258,7 +258,7 @@ def literal_join(alpha: PureState, beta: PureState) -> list[PureState]:
     return [alpha] if pure_equal(alpha, beta) else [alpha, beta]
 
 
-def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> list[Projector]:
+def qsubset_closure(alg: FdAlgebra, seeds: list[PureState]) -> list[Projector]:
     """Least closure-stable subset containing the seeds, as one projector
     per block: the span of the seeds' vectors in that block (rank 0 where
     there are none).  Of two seeds, it is {α} ∨ {β}: the two points for
@@ -268,4 +268,4 @@ def qsubset_closure(dec: BlockDecomposition, seeds: list[PureState]) -> list[Pro
         raise ValueError("need at least one seed state")
     return [projector_from_basis(np.array([s.vector for s in seeds if s.block == i],
                                           dtype=complex).reshape(-1, blk.irrep_dim).T)
-            for i, blk in enumerate(dec.blocks)]
+            for i, blk in enumerate(alg.blocks)]

@@ -28,7 +28,6 @@ from qgelfand.algebra import (
     generate_algebra,
     gns,
     is_irreducible,
-    is_pure,
     r_is_discrete,
     vector_state,
 )
@@ -116,16 +115,15 @@ def test_03_boolean_collapse(zoo):
     # function level: pointwise product on a commutative algebra, whose
     # points are the one pure state of each of its blocks
     alg = diagonal_algebra(3)
-    dec = alg.decomposition()
     points = [PureState(i, np.ones(1)) for i in range(3)]
     rng = np.random.default_rng(0)
     for _ in range(10):
         idx = [i for i in range(3) if rng.random() < 0.7] or [0]
         jdx = [i for i in range(3) if rng.random() < 0.7] or [1]
         cf = complex(rng.standard_normal(), rng.standard_normal())
-        u = qsubset_closure(dec, [points[i] for i in idx])
+        u = qsubset_closure(alg, [points[i] for i in idx])
         cg = complex(rng.standard_normal(), rng.standard_normal())
-        v = qsubset_closure(dec, [points[j] for j in jdx])
+        v = qsubset_closure(alg, [points[j] for j in jdx])
         for p in points:
             f, g = QFunction([(cf, u[p.block])]), QFunction([(cg, v[p.block])])
             expected = f.evaluate(p.vector) * g.evaluate(p.vector)
@@ -148,7 +146,6 @@ def test_05_purity_iff_irreducibility(algebra_zoo):
     rng = np.random.default_rng(55)
     for name in ("C2", "C3", "M2", "M3", "M2+C"):
         alg = algebra_zoo[name]
-        dec = alg.decomposition()
         n = alg.ambient_dim
         for k in range(100):
             if k % 3 == 0:
@@ -160,14 +157,14 @@ def test_05_purity_iff_irreducibility(algebra_zoo):
                 rho = g @ g.conj().T
                 rho = rho / np.real(np.trace(rho))
             state = State(rho)
-            assert is_pure(dec, state) == is_irreducible(gns(alg, state)), name
+            assert (as_pure(alg, state) is not None) == is_irreducible(gns(alg, state)), name
 
 
 def test_06_r_discrete_dichotomy(algebra_zoo):
     """Criterion 6: the pure-state equivalence relation is discrete exactly
     for commutative algebras."""
     for name, alg in algebra_zoo.items():
-        assert r_is_discrete(alg.decomposition()) == alg.is_commutative(), name
+        assert r_is_discrete(alg) == alg.commutative, name
 
 
 def test_07_sasaki_witness():
@@ -254,15 +251,14 @@ def test_10_invariant_subspace():
 def test_11_claims_findings():
     """Criterion 11: the fixed falsification findings on M2."""
     m2 = generate_algebra([E12])
-    dec = m2.decomposition()
-    e1 = as_pure(dec, vector_state(np.array([1.0, 0.0])))
+    e1 = as_pure(m2, vector_state(np.array([1.0, 0.0])))
     rep = prop9_defect(m2, e1, SIGMA_X, SIGMA_X)
     assert abs(rep.defects["square"] - 1.0) <= 1e-12
     # the projection onto e1, in M2's one block
     p = projector_from_basis(np.eye(2, 1, dtype=complex))
-    rep = hat_is_characteristic_defect(dec, [p], 10_000, np.random.default_rng(1))
+    rep = hat_is_characteristic_defect(m2, [p], 10_000, np.random.default_rng(1))
     assert rep.defects["defect"] >= 0.49
-    rep = hat_preimage_qness(dec, [p.matrix], 1.0, 0.1, 3000, np.random.default_rng(2))
+    rep = hat_preimage_qness(m2, [p.matrix], 1.0, 0.1, 3000, np.random.default_rng(2))
     assert rep.verdict == "fails"
     assert rep.witnesses
 

@@ -33,7 +33,6 @@ from qgelfand.algebra import (
     gns,
     hat,
     is_irreducible,
-    is_pure,
     pure_equal,
     r_is_discrete,
     random_pure_state,
@@ -104,7 +103,7 @@ def test_commutant_and_center(algebra_zoo):
 
 
 def _block_list(alg):
-    return [(b.irrep_dim, b.multiplicity) for b in alg.decomposition().blocks]
+    return [(b.irrep_dim, b.multiplicity) for b in alg.blocks]
 
 
 def test_block_structures(algebra_zoo):
@@ -121,22 +120,21 @@ def test_block_structures(algebra_zoo):
         assert _block_list(alg) == expected[name], name
     # a scalar commutant: M_n, in the standard frame exactly
     for alg in (algebra_zoo["M2"], algebra_zoo["M3"], _random_full_algebra(4, 3)):
-        (blk,) = alg.decomposition().blocks
+        (blk,) = alg.blocks
         assert np.array_equal(blk.isometry, np.eye(alg.ambient_dim))
 
 
 def test_block_reconstruction_oracle(algebra_zoo):
     for name, alg in algebra_zoo.items():
-        dec = alg.decomposition()
-        total = sum(b.central_projector for b in dec.blocks)
+        total = sum(b.central_projector for b in alg.blocks)
         assert op_norm(total - np.eye(alg.ambient_dim)) < 1e-8, name
         for b in alg.basis:
-            assert op_norm(dec.reconstruct(b) - b) < 1e-8, name
+            rebuilt = sum(blk.embed(blk.irrep(b)) for blk in alg.blocks)
+            assert op_norm(rebuilt - b) < 1e-8, name
 
 
 def test_block_embed_irrep_roundtrip(algebra_zoo):
-    dec = algebra_zoo["M2+C"].decomposition()
-    for blk in dec.blocks:
+    for blk in algebra_zoo["M2+C"].blocks:
         x = RNG.standard_normal((blk.irrep_dim, blk.irrep_dim)) \
             + 1j * RNG.standard_normal((blk.irrep_dim, blk.irrep_dim))
         assert op_norm(blk.irrep(blk.embed(x)) - x) < 1e-10
@@ -161,15 +159,14 @@ def test_pure_state_rejects_non_finite_entries(entry):
 
 def test_pure_state_roundtrip(algebra_zoo):
     alg = algebra_zoo["M2"]
-    dec = alg.decomposition()
-    p = random_pure_state(dec, RNG)
-    rho = pure_to_state(dec, p)
+    p = random_pure_state(alg, RNG)
+    rho = pure_to_state(alg, p)
     # the density matrix induces the same functional
     a = alg.random_element(RNG)
     direct = hat(alg, a, p)
     via_rho = rho(a)
     assert abs(direct - via_rho) < 1e-10
-    back = as_pure(dec, rho)
+    back = as_pure(alg, rho)
     assert back is not None and pure_equal(back, p)
 
 
@@ -177,9 +174,9 @@ def test_same_ray_on_an_overlap_array_is_pure_equal(algebra_zoo):
     # the array form, as the preimage probe applies it to rows of overlaps,
     # decides each pair as pure_equal does: drawn states, a repeated vector
     # and a phase multiple
-    dec = algebra_zoo["M2"].decomposition()
+    m2 = algebra_zoo["M2"]
     rng = np.random.default_rng(4)
-    states = [random_pure_state(dec, rng) for _ in range(6)]
+    states = [random_pure_state(m2, rng) for _ in range(6)]
     states += [PureState(0, states[0].vector.copy()),
                PureState(0, np.exp(0.7j) * states[1].vector)]
     vecs = np.array([s.vector for s in states])
@@ -193,9 +190,9 @@ def test_ambient_mixed_but_algebra_pure(algebra_zoo):
     # I/2 is ambient-mixed yet pure on the scalar algebra
     ci = algebra_zoo["CI2"]
     rho = State(np.eye(2) / 2)
-    assert is_pure(ci.decomposition(), rho)
+    assert as_pure(ci, rho) is not None
     m2 = algebra_zoo["M2"]
-    assert not is_pure(m2.decomposition(), rho)
+    assert as_pure(m2, rho) is None
 
 
 def test_gns_dimensions(algebra_zoo):
@@ -223,13 +220,12 @@ def test_gns_representation_oracle(algebra_zoo):
 
 def test_r_is_discrete_dichotomy(algebra_zoo):
     for name, alg in algebra_zoo.items():
-        assert r_is_discrete(alg.decomposition()) == alg.is_commutative(), name
+        assert r_is_discrete(alg) == alg.commutative, name
 
 
 def test_hat_values(algebra_zoo):
     m2 = algebra_zoo["M2"]
-    dec = m2.decomposition()
-    e1 = as_pure(dec, vector_state(np.array([1.0, 0.0])))
+    e1 = as_pure(m2, vector_state(np.array([1.0, 0.0])))
     assert abs(hat(m2, np.eye(2), e1) - 1.0) < 1e-12
     assert abs(hat(m2, SIGMA_X, e1)) < 1e-12
     with pytest.raises(AlgebraMembershipError):
@@ -239,7 +235,6 @@ def test_hat_values(algebra_zoo):
 def test_hat_isometric_commutative(algebra_zoo):
     # sup of |a-hat| over the finite pure-state set equals the norm
     alg = algebra_zoo["C3"]
-    dec = alg.decomposition()
     points = [PureState(i, np.ones(1)) for i in range(3)]
     for b in alg.basis:
         sup = max(abs(hat(alg, b, p)) for p in points)
@@ -393,7 +388,7 @@ def test_closure_is_scale_invariant(scale):
     a = u @ np.diag([1.0, 1.0 + 1e-7, 3.0]) @ u.conj().T
     alg = generate_algebra([scale * a])
     assert alg.dim == 3
-    assert alg.decomposition().n_blocks == 3
+    assert len(alg.blocks) == 3
 
 
 def test_closure_power_of_two_scaling_is_exact():
@@ -489,14 +484,14 @@ _ORDER_CASES = {**ALGEBRA_ZOO_GENERATORS,
 def test_block_order_is_invariant_under_rotation_and_scale(name):
     gens = _ORDER_CASES[name]
     alg = generate_algebra(gens)
-    blocks = alg.decomposition().blocks
+    blocks = alg.blocks
     pairs = _block_list(alg)
     assert [p[0] for p in pairs] == sorted((p[0] for p in pairs), reverse=True)
     # a ↦ 2^k a scales exactly, so the decomposition is bitwise the same
     for k in (-30, 20):
         scaled = generate_algebra([2.0 ** k * g for g in gens])
         assert _block_list(scaled) == pairs
-        for blk, other in zip(blocks, scaled.decomposition().blocks):
+        for blk, other in zip(blocks, scaled.blocks):
             assert np.array_equal(blk.isometry, other.isometry)
     # a ↦ UaU*: the same blocks in the same order, each irrep recognized by
     # the characteristic polynomials of the generators' images
@@ -504,7 +499,7 @@ def test_block_order_is_invariant_under_rotation_and_scale(name):
     rotated_gens = [u @ g @ u.conj().T for g in gens]
     rotated = generate_algebra(rotated_gens)
     assert _block_list(rotated) == pairs
-    for blk, other in zip(blocks, rotated.decomposition().blocks):
+    for blk, other in zip(blocks, rotated.blocks):
         for g, h in zip(gens, rotated_gens):
             assert np.allclose(np.poly(blk.irrep(g)), np.poly(other.irrep(h)), atol=1e-8)
 
@@ -524,7 +519,7 @@ def _same_span(fast, slow):
 @given(spec=ALGEBRA_SPECS)
 def test_commutant_of_compressed_letters_matches_full_basis(algebra_zoo, spec):
     alg = _algebra(spec, algebra_zoo)
-    for blk in alg.decomposition().blocks:
+    for blk in alg.blocks:
         vals, vecs = np.linalg.eigh(blk.central_projector)
         w = vecs[:, vals > 0.5]
         wh, ni = w.conj().T, w.shape[1]
@@ -538,12 +533,11 @@ def test_commutant_of_compressed_letters_matches_full_basis(algebra_zoo, spec):
 @given(spec=ALGEBRA_SPECS, state_seed=st.integers(0, 2**32 - 1))
 def test_is_irreducible_matches_full_rep_basis(algebra_zoo, spec, state_seed):
     alg = _algebra(spec, algebra_zoo)
-    dec = alg.decomposition()
     rng = np.random.default_rng(state_seed)
     n = alg.ambient_dim
     states = [
         vector_state(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-        pure_to_state(dec, random_pure_state(dec, rng)),
+        pure_to_state(alg, random_pure_state(alg, rng)),
     ]
     for state in states:
         rep = gns(alg, state)
@@ -577,11 +571,10 @@ def _loop_gns(alg, state):
        state_seed=st.integers(0, 2**32 - 1), pure=st.booleans())
 def test_stacked_gns_matches_loop(algebra_zoo, spec, state_seed, pure):
     alg = _random_full_algebra(4, 3) if spec == "M4" else _algebra(spec, algebra_zoo)
-    dec = alg.decomposition()
     rng = np.random.default_rng(state_seed)
     n = alg.ambient_dim
     if pure:
-        state = pure_to_state(dec, random_pure_state(dec, rng))
+        state = pure_to_state(alg, random_pure_state(alg, rng))
     else:  # a vector state: mixed on the algebra unless a block is one copy of M_n
         state = vector_state(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     rep = gns(alg, state)
@@ -607,21 +600,21 @@ def test_is_commutative_matches_all_basis_pairs(algebra_zoo, spec):
     alg = _algebra(spec, algebra_zoo)
     all_pairs = all(op_norm(a @ b - b @ a) <= LATTICE_TOL
                     for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
-    assert alg.is_commutative() == all_pairs
+    assert alg.commutative == all_pairs
 
 
 def test_nearly_scalar_generator_of_m2_is_not_commutative():
     alg = generate_algebra([np.array([[1, 1e-6], [0, 1]])])
     assert alg.dim == 4
-    assert not alg.is_commutative()
-    assert r_is_discrete(alg.decomposition()) is False
+    assert not alg.commutative
+    assert r_is_discrete(alg) is False
 
 
 def test_scalar_algebra_has_no_letters():
     alg = generate_algebra([np.eye(2)])
-    assert len(alg.letters) == 0 and alg.is_commutative()
+    assert len(alg.letters) == 0 and alg.commutative
     assert len(commutant_basis([], 3)) == 9
-    (blk,) = alg.decomposition().blocks
+    (blk,) = alg.blocks
     assert (blk.irrep_dim, blk.multiplicity) == (1, 2)
 
 
@@ -635,12 +628,11 @@ def test_generator_near_rank_tol_matches_full_basis(eps):
         for _ in range(4):
             h = rng.standard_normal((n, n))
             alg = generate_algebra([h + h.T + eps * np.triu(rng.standard_normal((n, n)), 1)])
-            dec = alg.decomposition()
             all_pairs = all(op_norm(a @ b - b @ a) <= LATTICE_TOL
                             for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
-            assert alg.is_commutative() == all_pairs == r_is_discrete(dec)
+            assert alg.commutative == all_pairs == r_is_discrete(alg)
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for state in (vector_state(x), pure_to_state(dec, random_pure_state(dec, rng))):
+            for state in (vector_state(x), pure_to_state(alg, random_pure_state(alg, rng))):
                 rep = gns(alg, state)
                 assert is_irreducible(rep) == (len(commutant_basis(rep.rep_basis, rep.dim)) == 1)
 
@@ -673,7 +665,6 @@ CLAIMS_ALGEBRA_GENERATORS = {**ALGEBRA_ZOO_GENERATORS, "E12xI2": [np.kron(E12, n
 @pytest.mark.parametrize("name", list(CLAIMS_ALGEBRA_GENERATORS))
 def test_is_irreducible_matches_commutant_on_full_rank_states(name):
     alg = generate_algebra(CLAIMS_ALGEBRA_GENERATORS[name])
-    dec = alg.decomposition()
     rng = np.random.default_rng(19)
     n = alg.ambient_dim
     for _ in range(8):
@@ -683,7 +674,7 @@ def test_is_irreducible_matches_commutant_on_full_rank_states(name):
         state = State(rho / np.real(np.trace(rho)))
         rep = gns(alg, state)
         oracle = len(commutant_basis(rep.rep_basis, rep.dim)) == 1
-        assert is_irreducible(rep) == oracle == is_pure(dec, state)
+        assert is_irreducible(rep) == oracle == (as_pure(alg, state) is not None)
 
 
 def test_prop2_builds_no_commutation_system_for_irreducibility(monkeypatch):
@@ -700,7 +691,7 @@ def test_prop2_builds_no_commutation_system_for_irreducibility(monkeypatch):
     cfg = RunConfig("prop2", ["unused"], seed=0, samples=4)
     for name, gens in CLAIMS_ALGEBRA_GENERATORS.items():
         alg = generate_algebra(gens)
-        alg.decomposition()
+        alg.blocks
         decomposed = len(systems)
         (report,) = harness_module._suite_prop2(alg, {}, cfg, np.random.default_rng(0))
         assert report.verdict == "holds-within-tol"
@@ -738,14 +729,14 @@ def _claims_instances() -> list[dict]:
 
 def test_claims_run_computes_commutativity_at_most_once(monkeypatch):
     computed = []  # each algebra, each time its commutativity is computed
-    ask = FdAlgebra.is_commutative
+    prop = FdAlgebra.__dict__["commutative"]  # a cached_property
+    ask = prop.func
 
     def counted(self):
-        if self._commutative is None:
-            computed.append(self)
+        computed.append(self)
         return ask(self)
 
-    monkeypatch.setattr(FdAlgebra, "is_commutative", counted)
+    monkeypatch.setattr(prop, "func", counted)
     instances = _claims_instances()
     for suite in SUITES:
         computed.clear()
@@ -792,7 +783,7 @@ def test_hat_model_in_one_block_sums_to_the_block_image(algebra_zoo, spec, seed)
     alg = _algebra(spec, algebra_zoo)
     rng = np.random.default_rng(seed)
     a, b = alg.random_element(rng), alg.random_element(rng)
-    for i, blk in enumerate(alg.decomposition().blocks):
+    for i, blk in enumerate(alg.blocks):
         fa, fb = hat_as_qfunction(alg, a, i), hat_as_qfunction(alg, b, i)
         d = blk.irrep_dim
         assert all(p.dim == d and p.rank > 0 for _, p in fa.terms)
@@ -916,7 +907,7 @@ def closures(monkeypatch):
 def test_irreducible_input_is_never_closed(closures, structure, n):
     a = _spectral_input(structure, n)
     alg = generate_algebra([a])
-    dec = alg.decomposition()
+    blocks = alg.blocks
     sigma_big(a)
     assert not closures
     assert _block_list(alg) == [(n, 1)]
@@ -924,7 +915,7 @@ def test_irreducible_input_is_never_closed(closures, structure, n):
     # rebuilds every basis element exactly (a zero may change its sign)
     basis = alg.basis
     assert len(closures) == 1
-    assert np.array_equal(dec.reconstruct(basis), basis)
+    assert np.array_equal(sum(blk.embed(blk.irrep(basis)) for blk in blocks), basis)
 
 
 @pytest.mark.parametrize("structure, n", [("dsum", 4), ("dsum", 8), ("normal", 3), ("normal", 8)])
@@ -932,7 +923,7 @@ def test_reducible_input_is_closed_by_its_check(closures, structure, n):
     a = _spectral_input(structure, n)
     alg = generate_algebra([a])
     assert not closures
-    alg.decomposition()
+    alg.blocks
     assert len(closures) == 1
     sigma_big(a)
     assert len(closures) == 2

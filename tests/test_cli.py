@@ -120,16 +120,29 @@ def test_oml_boolean(runner, files):
     # the 3-chain 0 < 1 < 2, whose middle element is its own complement
     ({"leq": [[1, 1, 1], [0, 1, 1], [0, 0, 1]], "ortho": [2, 1, 0]},
      "ortho.complement_join(1,)"),
+    # a quantum set with no members, whose lattice is empty
+    ({"ground": ["x"], "members": [], "ortho": []}, "lattice must be nonempty"),
 ])
 def test_oml_commands_reject_non_oml(runner, tmp_path, command, lattice, violation):
     # the Boolean test and the semigroup are defined on OMLs only; before the
-    # check the antichain read as Boolean and both crashed the semigroup
+    # check the antichain read as Boolean and both crashed the semigroup, and
+    # building the empty quantum set's lattice crashed both
     path = tmp_path / "not_oml.json"
     path.write_text(json.dumps(lattice))
     res = runner.invoke(main, ["oml", command, str(path)])
     assert res.exit_code == 2
     assert res.stderr == f"input error: not an orthomodular lattice: {violation}\n"
     assert res.stdout == ""
+
+
+def test_oml_verify_reports_an_empty_quantum_set(runner, tmp_path):
+    # verify reads the quantum-set conditions, whose first one fails; boolean
+    # and semigroup reject the same file above
+    path = tmp_path / "empty_qset.json"
+    path.write_text(json.dumps({"ground": ["x"], "members": [], "ortho": []}))
+    res = runner.invoke(main, ["oml", "verify", str(path)])
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["violations"][0]["axiom"] == "qset.1_bounds"
 
 
 @pytest.mark.parametrize("command", ["verify", "boolean", "semigroup"])
@@ -377,8 +390,8 @@ def test_claims_prop1_disagreement_is_a_failing_claim(runner, files, monkeypatch
     # prop1 compares the block structure with commutativity: when they
     # disagree, the report is written with a failing prop1 row and the run
     # exits 1, as any failing specified claim does
-    ask = FdAlgebra.is_commutative
-    monkeypatch.setattr(FdAlgebra, "is_commutative", lambda self: not ask(self))
+    ask = FdAlgebra.commutative.func
+    monkeypatch.setattr(FdAlgebra, "commutative", property(lambda self: not ask(self)))
     cfg = files["tmp"] / "cfg_prop1.json"
     cfg.write_text(json.dumps({
         "suite": "prop1", "instances": ["diag3.json"], "samples": 1, "seed": 0,
@@ -1014,15 +1027,42 @@ def test_readme_command_line_lists_every_command_and_option():
     assert _readme_commands() == _parser_commands(cli.PARSER)
 
 
+def _readme_key_table(heading: str) -> list[str]:
+    """The keys of the first `| key | value |` table after heading."""
+    table = _readme().split(heading, 1)[1].split("| key | value |\n", 1)[1]
+    return re.findall(r"^\| `(\w+)` \|", table.split("\n\n", 1)[0], re.MULTILINE)
+
+
 def test_readme_spectral_key_table_matches_the_report(runner, files):
     # both ways: a key one spectral report writes and README's table lacks,
     # or one the table names and the report lacks, fails
-    table = _readme().split("Spectral report (`spectral report`, sorted keys):", 1)[1]
-    table = table.split("\n\n", 2)[1]
-    documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    documented = _readme_key_table("Spectral report (`spectral report`, sorted keys):")
     res = runner.invoke(main, ["spectral", "report", files["e12.json"]])
     assert res.exit_code == 0
     assert sorted(documented) == sorted(json.loads(res.output))
+
+
+def test_readme_claims_row_key_table_matches_a_row(runner, files):
+    # both ways, as for the spectral report: each key of one claims row
+    documented = _readme_key_table("Claims report:")
+    cfg = files["tmp"] / "cfg_rows.json"
+    cfg.write_text(json.dumps({"suite": "prop1", "instances": ["diag3.json"],
+                               "samples": 1, "seed": 0}))
+    res = runner.invoke(main, ["claims", "run", "--config", str(cfg)])
+    assert res.exit_code == 0
+    (row,) = json.loads(res.output)["rows"]
+    assert sorted(documented) == sorted(row)
+
+
+def test_readme_invsub_key_table_matches_a_result(runner, files):
+    # both ways, for the paper and the oracle result of --mode both
+    documented = _readme_key_table("Invariant-subspace report (`invsub`):")
+    res = runner.invoke(main, ["invsub", files["e12.json"], "--mode", "both"])
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    assert list(report) == ["results"]
+    for result in report["results"]:
+        assert sorted(documented) == sorted(result)
 
 
 @pytest.mark.parametrize("words", [(), ("oml",), ("alg",), ("claims",), ("spectral",),

@@ -26,7 +26,6 @@ from qgelfand.algebra import (
     as_pure,
     generate_algebra,
     hat,
-    is_pure,
     pure_equal,
     random_pure_state,
     vector_state,
@@ -67,17 +66,12 @@ def m2():
 
 
 @pytest.fixture(scope="module")
-def m2_dec(m2):
-    return m2.decomposition()
-
-
-@pytest.fixture(scope="module")
 def m2_full():
     """Every pure state of M2: the identity projector of its one block."""
     return Projector(basis=np.eye(2, dtype=complex))
 
 
-def _pure(dec, vec, block=0):
+def _pure(vec, block=0):
     v = np.asarray(vec, dtype=complex)
     return PureState(block, v / np.linalg.norm(v))
 
@@ -88,56 +82,54 @@ def _holds(u, alpha):
 
 
 def _blockwise(alg, a):
-    """(decomposition, block images of a): the preimage probe's first two
+    """(the algebra, block images of a): the preimage probe's first two
     arguments."""
-    dec = alg.decomposition()
-    return dec, [blk.irrep(a) for blk in dec.blocks]
+    return alg, [blk.irrep(a) for blk in alg.blocks]
 
 
 def _block_projectors(alg, p):
     """The projection p, a matrix of the algebra, as one checked projector
     per block, as the characteristic probe takes it."""
-    return [projector_from_matrix(blk.irrep(p)) for blk in alg.decomposition().blocks]
+    return [projector_from_matrix(blk.irrep(p)) for blk in alg.blocks]
 
 
 def test_singleton_join_inequivalent():
     alg = diagonal_algebra(2)
-    dec = alg.decomposition()
     a = PureState(0, np.ones(1))
     b = PureState(1, np.ones(1))
-    u = qsubset_closure(dec, [a, b])
+    u = qsubset_closure(alg, [a, b])
     assert _holds(u, a) and _holds(u, b)
     assert u[0].rank == 1
 
 
-def test_singleton_join_superposition(m2_dec):
-    e1 = _pure(m2_dec, [1, 0])
-    e2 = _pure(m2_dec, [0, 1])
-    u = qsubset_closure(m2_dec, [e1, e2])
+def test_singleton_join_superposition(m2):
+    e1 = _pure([1, 0])
+    e2 = _pure([0, 1])
+    u = qsubset_closure(m2, [e1, e2])
     assert u[0].rank == 2
-    assert _holds(u, _pure(m2_dec, [1, 1]))
+    assert _holds(u, _pure([1, 1]))
 
 
-def test_singleton_join_literal_corners(m2_dec):
-    e1 = _pure(m2_dec, [1, 0])
-    e2 = _pure(m2_dec, [0, 1])
+def test_singleton_join_literal_corners():
+    e1 = _pure([1, 0])
+    e2 = _pure([0, 1])
     assert literal_join(e1, e2) == [e1, e2]
     assert literal_join(e1, e1) == [e1]
 
 
-def _is_pure_density(dec, rho):
+def _is_pure_density(alg, rho):
     try:
-        return is_pure(dec, State(rho))
+        return as_pure(alg, State(rho)) is not None
     except StateError:  # not Hermitian, not positive or not of unit trace
         return False
 
 
 @pytest.mark.parametrize("y", [[0, 1], [1, 1j]], ids=["orthogonal", "oblique"])
-def test_literal_join_off_the_corners_is_never_pure(m2_dec, y):
+def test_literal_join_off_the_corners_is_never_pure(m2, y):
     # M2's block frame is the ambient one, so c1·xx* + c2·yy* is the
     # functional c1·α + c2·β.  c1 = (1 ± i)/2 has unit trace and norm and
     # fails hermiticity only
-    alpha, beta = _pure(m2_dec, [1, 0]), _pure(m2_dec, y)
+    alpha, beta = _pure([1, 0]), _pure(y)
     x, y = alpha.vector, beta.vector
     phases = np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))
     grid = [(r * p1, np.sqrt(1 - r * r) * p2)
@@ -145,9 +137,9 @@ def test_literal_join_off_the_corners_is_never_pure(m2_dec, y):
     for c1, c2 in grid + [((1 + 1j) / 2, (1 - 1j) / 2), ((1 - 1j) / 2, (1 + 1j) / 2)]:
         assert abs(abs(c1) ** 2 + abs(c2) ** 2 - 1) <= 1e-15
         rho = c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj())
-        assert not _is_pure_density(m2_dec, rho), (c1, c2)
+        assert not _is_pure_density(m2, rho), (c1, c2)
     for c1, c2 in [(1, 0), (0, 1)]:
-        assert _is_pure_density(m2_dec, c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj()))
+        assert _is_pure_density(m2, c1 * np.outer(x, x.conj()) + c2 * np.outer(y, y.conj()))
     assert literal_join(alpha, beta) == [alpha, beta]
 
 
@@ -158,29 +150,29 @@ def test_literal_join_of_different_blocks_keeps_both():
     assert literal_join(beta, alpha) == [beta, alpha]
 
 
-def test_closure_fixed_point(m2_dec):
-    seeds = [_pure(m2_dec, [1, 0]), _pure(m2_dec, [1, 1])]
-    u = qsubset_closure(m2_dec, seeds)
+def test_closure_fixed_point(m2):
+    seeds = [_pure([1, 0]), _pure([1, 1])]
+    u = qsubset_closure(m2, seeds)
     again = qsubset_closure(
-        m2_dec, seeds + [_pure(m2_dec, [1, 2])]
+        m2, seeds + [_pure([1, 2])]
     )
     assert u == again  # already the full plane
-    single = qsubset_closure(m2_dec, seeds[:1])
+    single = qsubset_closure(m2, seeds[:1])
     assert single[0].rank == 1
 
 
-def test_perp_involution_and_oracle(m2_dec):
-    u = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
+def test_perp_involution_and_oracle(m2):
+    u = qsubset_closure(m2, [_pure([1, 0])])
     v = [proj_ortho(u[0])]
     # oracle: e2 is the unique orthogonal vector state
-    assert _holds(v, _pure(m2_dec, [0, 1]))
-    assert not _holds(v, _pure(m2_dec, [1, 1]))
+    assert _holds(v, _pure([0, 1]))
+    assert not _holds(v, _pure([1, 1]))
     assert [proj_ortho(v[0])] == u
 
 
-def test_meet_join_bounds(m2_dec, m2_full):
-    (p,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
-    (q,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 1])])
+def test_meet_join_bounds(m2, m2_full):
+    (p,) = qsubset_closure(m2, [_pure([1, 0])])
+    (q,) = qsubset_closure(m2, [_pure([1, 1])])
     assert proj_meet(p, q).rank == 0
     assert proj_join(p, q).rank == 2
     assert proj_meet(p, m2_full) == p
@@ -199,10 +191,9 @@ def test_subspace_order_isomorphism():
 
 def test_qfunction_star_pointwise_commutative():
     alg = diagonal_algebra(3)
-    dec = alg.decomposition()
     points = [PureState(i, np.ones(1)) for i in range(3)]
-    u = qsubset_closure(dec, points[:2])
-    v = qsubset_closure(dec, points[1:])
+    u = qsubset_closure(alg, points[:2])
+    v = qsubset_closure(alg, points[1:])
     for p in points:  # each point is the one state of its block
         f = QFunction([(2.0, u[p.block])])
         g = QFunction([(3.0 + 1j, v[p.block])])
@@ -211,9 +202,9 @@ def test_qfunction_star_pointwise_commutative():
             f.evaluate(p.vector) * g.evaluate(p.vector))
 
 
-def test_qfunction_star_sasaki_witness(m2_dec):
-    (u,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
-    (v,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 1])])
+def test_qfunction_star_sasaki_witness(m2):
+    (u,) = qsubset_closure(m2, [_pure([1, 0])])
+    (v,) = qsubset_closure(m2, [_pure([1, 1])])
     prod = qfunction_star(QFunction([(1.0, u)]), QFunction([(1.0, v)]))
     assert len(prod.terms) == 1
     _, w = prod.terms[0]
@@ -222,17 +213,17 @@ def test_qfunction_star_sasaki_witness(m2_dec):
     assert rev.terms[0][1] == v
 
 
-def test_star_with_full_is_identity(m2_dec, m2_full):
-    (u,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 2j])])
+def test_star_with_full_is_identity(m2, m2_full):
+    (u,) = qsubset_closure(m2, [_pure([1, 2j])])
     f = QFunction([(0.5, u)])
     prod = qfunction_star(f, QFunction([(1.0, m2_full)]))
     assert prod.terms[0][1] == u
     assert prod.terms[0][0] == 0.5
 
 
-def test_sup_norm_exact(m2_dec, m2_full):
-    (u,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
-    (v,) = qsubset_closure(m2_dec, [_pure(m2_dec, [0, 1])])
+def test_sup_norm_exact(m2, m2_full):
+    (u,) = qsubset_closure(m2, [_pure([1, 0])])
+    (v,) = qsubset_closure(m2, [_pure([0, 1])])
     # disjoint rank-1 subsets: sup of |2 chi_u + 3 chi_v| is 3
     f = QFunction([(2.0 + 0j, u), (3.0 + 0j, v)])
     assert f.sup_norm() == pytest.approx(3.0)
@@ -243,30 +234,29 @@ def test_sup_norm_exact(m2_dec, m2_full):
     best = 0.0
     for _ in range(500):
         x = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
-        best = max(best, abs(g.evaluate(_pure(m2_dec, x).vector)))
+        best = max(best, abs(g.evaluate(_pure(x).vector)))
     assert best <= g.sup_norm() + 1e-9
 
 
 def test_cstar_identity_commutative():
     alg = diagonal_algebra(3)
-    dec = alg.decomposition()
     points = [PureState(i, np.ones(1)) for i in range(3)]
-    u, v = qsubset_closure(dec, points[:2]), qsubset_closure(dec, points[2:])
+    u, v = qsubset_closure(alg, points[:2]), qsubset_closure(alg, points[2:])
     rep = cstar_identity_defect([QFunction([(1.0 + 2j, p), (0.5 - 1j, q)])
                                  for p, q in zip(u, v)])
     assert rep.verdict == "holds-within-tol"
     assert rep.defects["defect"] < 1e-9
 
 
-def test_cstar_identity_full_char(m2_dec, m2_full):
+def test_cstar_identity_full_char(m2_full):
     rep = cstar_identity_defect([QFunction([(1.0, m2_full)])])
     assert rep.defects["defect"] < 1e-12
 
 
-def test_cstar_identity_m2_probe(m2_dec):
+def test_cstar_identity_m2_probe(m2):
     # falsification probe: value reported, reproducible, no value asserted
-    (u,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 0])])
-    (v,) = qsubset_closure(m2_dec, [_pure(m2_dec, [1, 1])])
+    (u,) = qsubset_closure(m2, [_pure([1, 0])])
+    (v,) = qsubset_closure(m2, [_pure([1, 1])])
     f = QFunction([(1.0 + 0j, u), (1j, v)])
     r1 = cstar_identity_defect([f])
     r2 = cstar_identity_defect([f])
@@ -283,8 +273,8 @@ def test_prop9_commutative_pure():
     assert max(rep.defects.values()) < 1e-12
 
 
-def test_prop9_pauli_defect(m2, m2_dec):
-    e1 = as_pure(m2_dec, vector_state(np.array([1.0, 0.0])))
+def test_prop9_pauli_defect(m2):
+    e1 = as_pure(m2, vector_state(np.array([1.0, 0.0])))
     rep = prop9_defect(m2, e1, SIGMA_X, SIGMA_X)
     assert abs(rep.defects["square"] - 1.0) < 1e-12
     assert rep.verdict == "fails"
@@ -301,13 +291,12 @@ def test_top_projectors_match_ambient_route(algebra_zoo, name):
     # projector_from_matrix's checks.  The identity is all top cluster, and
     # a block's central projection leaves the other blocks rank 0
     alg = _oracle_algebra(algebra_zoo, name)
-    dec = alg.decomposition()
     rng = np.random.default_rng(28)
-    hs = [np.eye(alg.ambient_dim), dec.blocks[0].central_projector]
+    hs = [np.eye(alg.ambient_dim), alg.blocks[0].central_projector]
     hs += [alg.random_element(rng, hermitian=True) for _ in range(20)]
     for h in hs:
-        got, ref = top_projectors(dec, h), ambient_top_projectors(dec, h)
-        assert len(got) == len(ref) == dec.n_blocks
+        got, ref = top_projectors(alg, h), ambient_top_projectors(alg, h)
+        assert len(got) == len(ref) == len(alg.blocks)
         for p, q in zip(got, ref):
             assert p.rank == q.rank and p == q
 
@@ -317,15 +306,14 @@ def test_prop9_matches_ambient_route(algebra_zoo, name):
     # the meet and characteristic defects as the ambient route gave them:
     # meets in every block, embedded back into the algebra and read by hat
     alg = _oracle_algebra(algebra_zoo, name)
-    dec = alg.decomposition()
     rng = np.random.default_rng(29)
     for _ in range(10):
         a = alg.random_element(rng, hermitian=True)
         b = alg.random_element(rng, hermitian=True)
-        alpha = random_pure_state(dec, rng)
-        meets = [proj_meet(p, q) for p, q in zip(*(ambient_top_projectors(dec, h)
+        alpha = random_pure_state(alg, rng)
+        meets = [proj_meet(p, q) for p, q in zip(*(ambient_top_projectors(alg, h)
                                                    for h in (a, b)))]
-        meet = sum(blk.embed(m.matrix) for blk, m in zip(dec.blocks, meets))
+        meet = sum(blk.embed(m.matrix) for blk, m in zip(alg.blocks, meets))
         ps = [top_spectral_projector(h) for h in (a, b)]
         chi = 1.0 if _holds(meets, alpha) else 0.0
         char = max(min(abs(hat(alg, p, alpha)), abs(1 - hat(alg, p, alpha))) for p in ps)
@@ -335,16 +323,16 @@ def test_prop9_matches_ambient_route(algebra_zoo, name):
         assert abs(rep.defects["characteristic"] - char) <= 1e-12
 
 
-def test_characteristic_defect(m2, m2_dec):
+def test_characteristic_defect(m2):
     p = np.array([[1.0, 0], [0, 0]], dtype=complex)
-    rep = hat_is_characteristic_defect(m2_dec, _block_projectors(m2, p), 10_000,
+    rep = hat_is_characteristic_defect(m2, _block_projectors(m2, p), 10_000,
                                        np.random.default_rng(0))
     assert rep.defects["defect"] >= 0.49
-    rep_id = hat_is_characteristic_defect(m2_dec, _block_projectors(m2, np.eye(2)), 100,
+    rep_id = hat_is_characteristic_defect(m2, _block_projectors(m2, np.eye(2)), 100,
                                           np.random.default_rng(0))
     assert rep_id.defects["defect"] < 1e-12
     alg = diagonal_algebra(3)
-    rep_c = hat_is_characteristic_defect(alg.decomposition(),
+    rep_c = hat_is_characteristic_defect(alg,
                                          _block_projectors(alg, np.diag([1.0, 1.0, 0.0])),
                                          200, np.random.default_rng(0))
     assert rep_c.defects["defect"] < 1e-12
@@ -395,10 +383,9 @@ def _preimage_sweep_reference(alg, a, center, radius, samples, rng):
     per-pair orthonormalize and per-angle eigh: returns (worst violation,
     the pairs (i, j) of preimage samples checked, witness or None, every
     (violation, candidate witness) in (pair, angle) order)."""
-    dec = alg.decomposition()
     inside = []
     for _ in range(samples):
-        s = random_pure_state(dec, rng)
+        s = random_pure_state(alg, rng)
         if abs(hat(alg, a, s) - center) <= radius:
             inside.append(s)
     sweep, pairs = [], []
@@ -409,7 +396,7 @@ def _preimage_sweep_reference(alg, a, center, radius, samples, rng):
         w = orthonormalize(np.stack([s.vector, t.vector])).T
         if w.shape[1] < 2:
             continue
-        m = w.conj().T @ dec.blocks[s.block].irrep(a) @ w
+        m = w.conj().T @ alg.blocks[s.block].irrep(a) @ w
         for theta in np.linspace(0, 2 * np.pi, 64, endpoint=False):
             hm = (np.exp(-1j * theta) * m + (np.exp(-1j * theta) * m).conj().T) / 2
             vals, vecs = np.linalg.eigh(hm)
@@ -541,8 +528,7 @@ def test_preimage_pair_selection_is_lazy(joined):
     assert peak < 6_000_000
     assert rep.defects["pairs_checked"] == 200
     ref_rng = np.random.default_rng(3)
-    dec = alg.decomposition()
-    inside = [s for s in (random_pure_state(dec, ref_rng) for _ in range(5000))
+    inside = [s for s in (random_pure_state(alg, ref_rng) for _ in range(5000))
               if abs(hat(alg, a, s) - center) <= radius]
     assert rep.defects["preimage_size"] == len(inside)
     pairs = itertools.islice(
@@ -557,10 +543,9 @@ def test_thm3_separation_values_are_hat(star_algebras):
     # PureState.value on the block's stacked images; each value is hat's
     rng = np.random.default_rng(5)
     for alg in star_algebras.values():
-        dec = alg.decomposition()
-        images = [blk.irrep(alg.basis) for blk in dec.blocks]
+        images = [blk.irrep(alg.basis) for blk in alg.blocks]
         for _ in range(10):
-            s = random_pure_state(dec, rng)
+            s = random_pure_state(alg, rng)
             assert len(images[s.block]) == alg.dim
             for b, x in zip(alg.basis, images[s.block]):
                 assert abs(s.value(x) - hat(alg, b, s)) <= 1e-14
@@ -571,8 +556,8 @@ def drawn(monkeypatch):
     """The pure states the qspace probes sample, in draw order."""
     states = []
 
-    def record(dec, rng):
-        states.append(random_pure_state(dec, rng))
+    def record(alg, rng):
+        states.append(random_pure_state(alg, rng))
         return states[-1]
 
     monkeypatch.setattr(qspace, "random_pure_state", record)
@@ -600,7 +585,7 @@ def test_characteristic_samples_evaluate_hat(drawn, name):
     # projector's matrix differs from the block image
     alg, p, _, _, _ = _preimage_case(name, np.random.default_rng(7))
     blocks = _block_projectors(alg, p)
-    rep = hat_is_characteristic_defect(alg.decomposition(), blocks, 300,
+    rep = hat_is_characteristic_defect(alg, blocks, 300,
                                        np.random.default_rng(2))
     values = [s.value(blocks[s.block].matrix) for s in drawn]
     assert max(abs(v - hat(alg, p, s)) for v, s in zip(values, drawn)) <= 1e-12
@@ -627,15 +612,14 @@ def star_algebras():
 def test_qfunction_star_at_matches_full_product(star_algebras, name, seed, hermitian,
                                                 one_block, on_term):
     alg = star_algebras[name]
-    dec = alg.decomposition()
     rng = np.random.default_rng(seed)
     a = alg.random_element(rng, hermitian=hermitian)
     b = alg.random_element(rng)
-    i = int(rng.integers(dec.n_blocks))
+    i = int(rng.integers(len(alg.blocks)))
     if one_block:  # â is zero off block i, and so is its model
-        blk = dec.blocks[i]
+        blk = alg.blocks[i]
         a = blk.embed(blk.irrep(a))
-    alpha = random_pure_state(dec, rng)
+    alpha = random_pure_state(alg, rng)
     terms = hat_as_qfunction(alg, a, i).terms
     if on_term and terms:  # a state inside one of â's terms, so products can hold it
         _, p = terms[int(rng.integers(len(terms)))]
@@ -648,7 +632,7 @@ def test_qfunction_star_at_matches_full_product(star_algebras, name, seed, hermi
 @pytest.mark.parametrize("name, dims", [("M2+C", [2, 1]), ("C3", [1, 1, 1])])
 def test_thm3_hat_model_solves_only_the_sampled_block(star_algebras, monkeypatch, name, dims):
     alg = star_algebras[name]
-    assert [blk.irrep_dim for blk in alg.decomposition().blocks] == dims
+    assert [blk.irrep_dim for blk in alg.blocks] == dims
     # per hat_as_qfunction call: its block, hermitian_eig's input shapes,
     # the state drawn last before it and the terms it built
     calls = []
@@ -656,8 +640,8 @@ def test_thm3_hat_model_solves_only_the_sampled_block(star_algebras, monkeypatch
     inside = []
     build, eig, draw = qspace.hat_as_qfunction, qspace.hermitian_eig, qspace.random_pure_state
 
-    def draw_spy(dec, rng):
-        states.append(draw(dec, rng))
+    def draw_spy(alg, rng):
+        states.append(draw(alg, rng))
         return states[-1]
 
     def hat_spy(alg, a, block):
@@ -744,12 +728,11 @@ def test_qfunction_star_at_forms_products_in_two_dimensional_blocks(star_algebra
     # the shortcut is for one-dimensional blocks only: a state on a term of
     # M2+C's M2 block still takes the Sasaki products
     alg = star_algebras["M2+C"]
-    dec = alg.decomposition()
     rng = np.random.default_rng(8)
     a, b = alg.random_element(rng), alg.random_element(rng)
     dims = []
     product = qspace.sasaki_product
-    for i in range(dec.n_blocks):
+    for i in range(len(alg.blocks)):
         f, g = hat_as_qfunction(alg, a, i), hat_as_qfunction(alg, b, i)
         full = qfunction_star(f, g)
         monkeypatch.setattr(qspace, "sasaki_product",
@@ -759,7 +742,7 @@ def test_qfunction_star_at_forms_products_in_two_dimensional_blocks(star_algebra
             assert qfunction_star_at(f, g, v) == full.evaluate(v)
         monkeypatch.setattr(qspace, "sasaki_product", product)
     assert 2 in dims and 1 not in dims
-    assert [blk.irrep_dim for blk in dec.blocks] == [2, 1]
+    assert [blk.irrep_dim for blk in alg.blocks] == [2, 1]
 
 
 # residual of α from the f-term's range, in units of _in_range's 1e3·LATTICE_TOL:
@@ -772,12 +755,11 @@ _PRUNE_BAND = [0, 0.5, 1, 1.5, 1.99, 2.5, 4]
 def test_qfunction_star_at_prune_keeps_every_term_in_range_can_accept(
         star_algebras, name, hermitian):
     alg = star_algebras[name]
-    dec = alg.decomposition()
     rng = np.random.default_rng(22)
     a = alg.random_element(rng, hermitian=hermitian)
     b = alg.random_element(rng)
     values = {}
-    for i in range(dec.n_blocks):
+    for i in range(len(alg.blocks)):
         f, g = hat_as_qfunction(alg, a, i), hat_as_qfunction(alg, b, i)
         full = qfunction_star(f, g)
         for t, (_, p) in enumerate(f.terms):
@@ -796,19 +778,18 @@ def test_qfunction_star_at_prune_keeps_every_term_in_range_can_accept(
     # and runs whole wherever a block has room off a term's range
     assert any(v != 0 for v in values.values())
     assert (any(d == _PRUNE_BAND[-1] for _, _, d in values)
-            == any(blk.irrep_dim > 1 for blk in dec.blocks))
+            == any(blk.irrep_dim > 1 for blk in alg.blocks))
 
 
 def _hat_terms_with_norm_skip(alg, a):
     """hat_as_qfunction's terms as built while it skipped a Hermitian part
     of operator norm at most VERDICT_TOL before its eigenvalue rule."""
-    dec = alg.decomposition()
     h, k = (a + a.conj().T) / 2, (a - a.conj().T) / (2j)
     terms = []
     for part, scale in ((h, 1.0), (k, 1j)):
         if op_norm(part) <= VERDICT_TOL:
             continue
-        for i, blk in enumerate(dec.blocks):
+        for i, blk in enumerate(alg.blocks):
             vals, vecs = hermitian_eig(blk.irrep(part))
             for idx in cluster_eigenvalues(vals):
                 lam = float(np.mean(vals[idx]))
@@ -827,7 +808,7 @@ def test_hat_terms_need_no_norm_skip(star_algebras, name, skew):
     a = alg.random_element(rng, hermitian=True) + 1j * skew * alg.random_element(rng, hermitian=True)
     want = _hat_terms_with_norm_skip(alg, a)
     assert want
-    for i in range(alg.decomposition().n_blocks):
+    for i in range(len(alg.blocks)):
         got = hat_as_qfunction(alg, a, i).terms
         want_i = [(c, basis) for c, j, basis in want if j == i]
         assert len(got) == len(want_i)

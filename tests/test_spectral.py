@@ -189,7 +189,7 @@ def test_scalar_discrepancy_witness_path():
     # judged by the line's defect, not asserted.  a e1 = e1 + e2 leaves e1's
     # line, so the defect is 1 and e1 is the witness
     a = np.array([[1.0, 0.0], [1.0, 2.0]], dtype=complex)
-    fake = _modeled_result(a, generate_algebra([np.eye(2)]).decomposition())
+    fake = _modeled_result(a, generate_algebra([np.eye(2)]))
     assert (fake.case_tag, fake.verdict) == ("scalar-case", "not-invariant")
     assert fake.invariance_defect == pytest.approx(1.0)
     assert np.allclose(fake.witness, [1.0, 0.0], atol=1e-12)
@@ -222,7 +222,7 @@ SCALES = [1e-12, 1e-9, 1e-6, 1e-5, 1e-3, 1e4, 1e8, 1e-200, 1e200, 1e-300, 1e300]
 def _structure(a):
     report = sigma_big(a)
     blocks = [(blk.irrep_dim, blk.multiplicity)
-              for blk in generate_algebra([a]).decomposition().blocks]
+              for blk in generate_algebra([a]).blocks]
     paper = invariant_subspace(a, mode="paper")[0]
     return (report.sigma_singleton, report.sigma_equals_big, blocks, paper.case_tag,
             paper.verdict, paper.dims[0], paper.notes.get("fiber_size"))
@@ -236,6 +236,26 @@ def test_flags_blocks_and_case_tag_do_not_depend_on_scale_or_frame(name):
         assert _structure(c * a) == expected, c
     perm = np.eye(len(a))[::-1]
     assert _structure(perm @ a @ perm.T) == expected
+
+
+# inputs whose entries are all exact at 2^k for every k down to -1074: at
+# k = -1074 each entry is subnormal, and the smallest one is 2^-1074 itself
+POWER_OF_TWO_INPUTS = ["upper triangular", "shift3"]
+POWER_OF_TWO_EXPONENTS = [-1074, -1073, -1070, -1060, -1050, -1040, -1030, -1026,
+                          -1023, -1022, -1000, -500, 500, 1000, 1021]
+
+
+@pytest.mark.parametrize("name", POWER_OF_TWO_INPUTS)
+def test_structure_does_not_depend_on_a_power_of_two_scale_down_to_subnormal(name):
+    # the sigma fiber divides a by its norm: with subnormal entries that
+    # quotient was non-finite unless a first comes to the scale of its
+    # largest entry
+    a = SCALE_INPUTS[name]
+    expected = _structure(a)
+    for k in POWER_OF_TWO_EXPONENTS:
+        scaled = ldexp_complex(a, k)
+        assert np.array_equal(ldexp_complex(scaled, -k), a), k
+        assert _structure(scaled) == expected, k
 
 
 def test_one_rule_decides_flags_and_case_tag():
@@ -340,9 +360,9 @@ def test_stacked_sweep_matches_per_angle_loop():
     two_blocks[2, 2] = 0.3 - 0.7j
     for a in (E12, g3, two_blocks, np.diag([1.0, 2.0 + 1j])):
         rep = sigma_big(a)
-        dec = generate_algebra([a]).decomposition()
-        assert len(rep.block_supports) == dec.n_blocks
-        for blk, supports, boundary in zip(dec.blocks, rep.block_supports,
+        blocks = generate_algebra([a]).blocks
+        assert len(rep.block_supports) == len(blocks)
+        for blk, supports, boundary in zip(blocks, rep.block_supports,
                                            rep.block_boundaries):
             ref_s, ref_b = _loop_sweep(blk.irrep(a), THETAS)
             assert np.max(np.abs(supports - ref_s)) < 1e-12
