@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -237,19 +237,20 @@ class Block:
     irrep_dim: int
     multiplicity: int
     isometry: np.ndarray  # n × (d·m), column (k, s) = copy k, irrep coordinate s
+    # the first copy's frame w and its adjoint w*, which irrep reads
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
+    _w_adj: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._w = self.isometry[:, : self.irrep_dim]
+        self._w_adj = self._w.conj().T
 
     @property
     def central_projector(self) -> np.ndarray:
         return self.isometry @ self.isometry.conj().T
 
     def irrep(self, a: np.ndarray) -> np.ndarray:
-        w = self.isometry[:, : self.irrep_dim]
-        return w.conj().T @ a @ w
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """The algebra element acting as x on this irrep and 0 elsewhere."""
-        m = np.kron(np.eye(self.multiplicity), x)
-        return self.isometry @ m @ self.isometry.conj().T
+        return self._w_adj @ a @ self._w
 
 
 _MAX_RETRIES = 8
@@ -268,24 +269,29 @@ def block_decompose(alg: FdAlgebra) -> list[Block]:
     Murota (same volume, 2010) applies: the eigenspaces of a random
     Hermitian x in A′ are irreducible subspaces, and for a random y in A′
     the compression V_j* y V_i of y between two of them is invertible when
-    their irreps are equivalent and zero when not.  Equivalent subspaces
-    form one block, their frames aligned by the polar factor of that
-    compression.  The draws are retried when a compression is neither, or
-    when the blocks' Σ m² is not dim A′; they come from default_rng(0), so
-    the decomposition is reproducible.
+    their irreps are equivalent and zero when not.  Every compression is
+    a sub-block of V* y V over all the eigenspaces V at once, and the ranks
+    of all the pairs of one dimension come from one stacked SVD.
+    Equivalent subspaces form one block, their frames aligned by the polar
+    factor of that compression.  The draws are retried when a compression
+    is neither, or when the blocks' Σ m² is not dim A′; they come from
+    default_rng(0), so the decomposition is reproducible.
 
     The blocks are in a fixed order: irrep dimension, largest first, then
     multiplicity, largest first, then the sorted spectra of the letters'
     irrep images.
 
-    Every basis element of a reducible algebra must be rebuilt from the
-    blocks; this check is what reads (and so closes) the basis.  When one
-    is not, or the draws stay ambiguous, the decomposition is solved once
-    more against the whole basis: the closure accepts a direction whose
-    residual is barely above RANK_TOL and normalizes it, and a commutator
-    with the letters is that much smaller than one with the basis element
-    it became.  M_n skips the check and never reads the basis: the
-    identity frame rebuilds every matrix exactly.
+    Every basis element b of a reducible algebra must be rebuilt from the
+    blocks; this check is what reads (and so closes) the basis.  It is made
+    in the blocks' frame U = [W_1 … W_k], where the rebuilt b is U* b U
+    with each block's diagonal copies set to its first copy (see
+    _check_decomposition).  When one is not rebuilt, or the draws stay
+    ambiguous, the decomposition is solved once more against the whole
+    basis: the closure accepts a direction whose residual is barely above
+    RANK_TOL and normalizes it, and a commutator with the letters is that
+    much smaller than one with the basis element it became.  M_n skips
+    the check and never reads the basis: the identity frame rebuilds every
+    matrix exactly.
     """
     try:
         return _decompose(alg, alg.letters)
@@ -301,7 +307,9 @@ def _decompose(alg: FdAlgebra, letters: np.ndarray) -> list[Block]:
     comm = commutant_basis(letters, n)
     if len(comm) == 1:
         return [Block(n, 1, np.eye(n, dtype=complex))]
-    blocks = sorted(_isotypic_blocks(comm), key=lambda blk: _block_key(blk, letters))
+    blocks = _isotypic_blocks(comm)
+    keys = _block_keys(blocks, letters)
+    blocks = [blocks[i] for i in sorted(range(len(blocks)), key=keys.__getitem__)]
     _check_decomposition(alg, blocks)
     return blocks
 
@@ -324,40 +332,98 @@ def _isotypic_blocks(comm: np.ndarray) -> list[Block]:
 def _equivalent_frames(spaces: list[np.ndarray], y: np.ndarray) -> list[list[np.ndarray]] | None:
     """Group the irreducible subspaces by equivalence, each frame aligned
     with its group's first; None when a compression of y is neither
-    invertible nor zero."""
+    invertible nor zero.  Each space is compared with the first space of
+    each earlier group of its dimension, in order, through the ranks of
+    _compression_ranks; only a matched pair's compression is formed again,
+    for its polar factor."""
+    ranks = _compression_ranks(spaces, y)
     groups: list[list[np.ndarray]] = []
-    for v in spaces:
-        for g in groups:
+    heads: list[int] = []  # the index in spaces of each group's first
+    for i, v in enumerate(spaces):
+        for g, j in zip(groups, heads):
             if g[0].shape[1] != v.shape[1]:
                 continue
-            # an intertwiner between the two irreps: c times a unitary
-            u, sv, vh = np.linalg.svd(v.conj().T @ y @ g[0])
-            rank = numerical_rank(sv)
-            if rank == len(sv):
+            rank = ranks[i, j]
+            if rank == v.shape[1]:
+                # an intertwiner between the two irreps: c times a unitary
+                u, _, vh = np.linalg.svd(v.conj().T @ y @ g[0])
                 g.append(v @ (u @ vh))
                 break
             if rank:
                 return None
         else:
             groups.append([v])
+            heads.append(i)
     return groups
 
 
-def _block_key(blk: Block, letters: np.ndarray) -> tuple:
-    spectra = np.sort(np.linalg.eigvals(blk.irrep(letters)), axis=-1)
-    return (-blk.irrep_dim, -blk.multiplicity, *spectra.ravel().view(float).tolist())
+def _compression_ranks(spaces: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """ranks[i, j], for j < i and spaces i and j of one dimension, is the
+    numerical rank of the compression V_i* y V_j.  Every compression is a
+    sub-block of V* y V, V = [V_1 … V_k], formed once; the singular values
+    of all the pairs of one dimension come from one stacked SVD."""
+    frame = np.hstack(spaces)
+    compressed = frame.conj().T @ y @ frame
+    offsets = np.cumsum([0] + [v.shape[1] for v in spaces])
+    ranks = np.zeros((len(spaces), len(spaces)), dtype=int)
+    for d in {v.shape[1] for v in spaces}:
+        same = [i for i, v in enumerate(spaces) if v.shape[1] == d]
+        pairs = np.array([(i, j) for k, i in enumerate(same) for j in same[:k]],
+                         dtype=int).reshape(-1, 2)
+        if len(pairs):
+            rows = offsets[pairs[:, 0], None] + np.arange(d)
+            cols = offsets[pairs[:, 1], None] + np.arange(d)
+            svals = np.linalg.svd(compressed[rows[:, :, None], cols[:, None, :]],
+                                  compute_uv=False)
+            ranks[pairs[:, 0], pairs[:, 1]] = numerical_rank(svals)
+    return ranks
+
+
+def _block_keys(blocks: list[Block], letters: np.ndarray) -> list[tuple]:
+    """Each block's sort key: irrep dimension and multiplicity, largest
+    first, then the sorted spectra of the letters' irrep images.  The
+    spectra of all blocks of one irrep dimension come from one stacked
+    eigvals."""
+    keys: list[tuple] = [()] * len(blocks)
+    for d in {blk.irrep_dim for blk in blocks}:
+        same = [i for i, blk in enumerate(blocks) if blk.irrep_dim == d]
+        images = np.stack([blocks[i].irrep(letters) for i in same])
+        spectra = np.sort(np.linalg.eigvals(images), axis=-1)
+        for i, spec in zip(same, spectra):
+            keys[i] = (-d, -blocks[i].multiplicity, *spec.ravel().view(float).tolist())
+    return keys
 
 
 def _check_decomposition(alg: FdAlgebra, blocks: list[Block]):
+    """Raise DecompositionError unless the blocks' central projections sum
+    to the identity and the blocks rebuild every basis element.
+
+    Both are checked in the blocks' frame U = [W_1 … W_k], the isometries
+    side by side.  The first check is U U* = I.  A basis element b is
+    rebuilt as the element that acts on each block as b's image on its
+    first irrep copy; in that frame it is U* b U with each block's m
+    diagonal d×d copies set to its first copy and every other entry 0.
+    For a unitary U the defect ‖rebuilt − b‖₂ is the 2-norm of the
+    difference of the two, taken for the whole basis at once."""
     n = alg.ambient_dim
-    total = sum(blk.central_projector for blk in blocks)
-    if op_norm(total - np.eye(n)) > 100 * LATTICE_TOL:
+    frame = np.hstack([blk.isometry for blk in blocks])
+    if op_norm(frame @ frame.conj().T - np.eye(n)) > 100 * LATTICE_TOL:
         raise DecompositionError("central idempotents do not sum to the identity")
-    basis = alg.basis
-    # irrep and embed broadcast over the stack of basis elements; an HS-unit
-    # basis element has operator norm at most 1, so RANK_TOL is its bound
-    rebuilt = sum(blk.embed(blk.irrep(basis)) for blk in blocks)
-    defects = np.linalg.norm(rebuilt - basis, 2, axis=(1, 2))
+    # frame column c is coordinate c − starts[c] of the irrep copy that
+    # begins at column starts[c]; first[c] is the column of that coordinate
+    # in its block's first copy
+    starts, first, offset = [], [], 0
+    for blk in blocks:
+        cols = np.arange(blk.irrep_dim * blk.multiplicity)
+        starts.append(offset + cols - cols % blk.irrep_dim)
+        first.append(offset + cols % blk.irrep_dim)
+        offset += len(cols)
+    starts, first = np.concatenate(starts), np.concatenate(first)
+    images = frame.conj().T @ alg.basis @ frame
+    rebuilt = np.where(starts[:, None] == starts, images[:, first[:, None], first], 0)
+    # an HS-unit basis element has operator norm at most 1, so RANK_TOL is
+    # its bound
+    defects = np.linalg.norm(images - rebuilt, 2, axis=(1, 2))
     if np.any(defects > RANK_TOL):
         raise DecompositionError("block reconstruction fails on a basis element")
 
@@ -398,11 +464,13 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        v = self.vector
+        if not (isinstance(v, np.ndarray) and v.dtype == complex and v.ndim == 1):
+            v = np.asarray(v, dtype=complex).reshape(-1)
+            object.__setattr__(self, "vector", v)
         # a non-finite entry makes the norm NaN or inf, which fails this test
         if not abs(np.linalg.norm(v) - 1.0) <= RANK_TOL:
             raise StateError("pure-state vector must be a finite unit vector")
-        object.__setattr__(self, "vector", v)
 
     def value(self, image: np.ndarray) -> complex:
         """â(α) = ⟨v, image·v⟩, where image is a's image in this state's

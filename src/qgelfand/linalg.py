@@ -5,6 +5,7 @@ order, Sasaki product)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,11 +87,12 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
 
 
-def numerical_rank(svals: np.ndarray) -> int:
+def numerical_rank(svals: np.ndarray):
     """How many of the descending, nonempty singular values count as
     nonzero: those above RANK_TOL times the largest, the scale floored at 1
-    so that a noise-level system has rank 0."""
-    return int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
+    so that a noise-level system has rank 0.  Of a stack (..., k) of such
+    rows, the rank of each row."""
+    return np.sum(svals > RANK_TOL * np.maximum(1.0, svals[..., :1]), axis=-1)
 
 
 def hermitian_eig(a: np.ndarray):
@@ -111,11 +113,26 @@ def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     max), into a positive real; a column without one is left as it is."""
     mag = np.abs(vecs)
     live = mag > 1e-12 * np.maximum(1.0, mag.max(axis=0, initial=0.0))
+    first = live.argmax(axis=0)
+    cols = np.arange(vecs.shape[1])
+    if live[first, cols].all():
+        # every column has a pivot, as every eigenvector basis does
+        pivots = vecs[first, cols]
+        return vecs * (pivots.conj() / np.abs(pivots))
     cols = np.flatnonzero(live.any(axis=0))
-    pivots = vecs[live.argmax(axis=0)[cols], cols]
+    pivots = vecs[first[cols], cols]
     out = vecs.copy()
     out[:, cols] *= pivots.conj() / np.abs(pivots)
     return out
+
+
+@functools.cache
+def phase_table(n_angles: int) -> np.ndarray:
+    """e^{-iθ} at n_angles angles θ evenly spaced on [0, 2π), built once per
+    angle count and read-only."""
+    phases = np.exp(-1j * np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False))
+    phases.flags.writeable = False
+    return phases
 
 
 def support_sweep(ms: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +151,7 @@ def support_sweep(ms: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray
     """
     if n_angles % 2:
         raise ValueError(f"n_angles must be even, got {n_angles}")
-    phases = np.exp(-1j * np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False))
+    phases = phase_table(n_angles)
     d = ms.shape[-1]
     if d == 1:
         support = (phases * ms[..., 0, :]).real
@@ -208,15 +225,16 @@ def orthonormalize(items) -> np.ndarray:
     rows = stack.reshape(len(stack), math.prod(shape))
     full = rows.shape[1]
     basis = np.empty((min(len(rows), full), full), dtype=complex)
+    conj = np.empty_like(basis)  # conj[j] is basis[j].conj()
     r = 0
     for lo in range(0, len(rows), _GS_CHUNK):
         if r == full:
             break
         chunk = rows[lo:lo + _GS_CHUNK].copy()
         if r:
-            done = basis[:r]
+            done, done_conj = basis[:r], conj[:r]
             for _ in range(2):
-                chunk -= (chunk @ done.conj().T) @ done
+                chunk -= (chunk @ done_conj.T) @ done
         start = 0
         while start < len(chunk) and r < full:
             live = np.square(chunk[start:].view(float)).sum(axis=1) >= RANK_TOL ** 2
@@ -226,13 +244,14 @@ def orthonormalize(items) -> np.ndarray:
             i += start
             v = chunk[i]
             if r:
-                done = basis[:r]
-                v = v - (done.conj() @ v) @ done
-            b = basis[r]
-            np.divide(v, np.linalg.norm(v), out=b)
+                v = v - (conj[:r] @ v) @ basis[:r]
+            b, bc = basis[r], conj[r]
+            # np.linalg.norm's own formula for a complex vector
+            re, im = v.real, v.imag
+            np.divide(v, np.sqrt(re.dot(re) + im.dot(im)), out=b)
+            np.conjugate(b, out=bc)
             rest = chunk[i + 1:]
             if len(rest):
-                bc = b.conj()
                 for _ in range(2):
                     rest -= (rest @ bc)[:, None] * b
             r += 1

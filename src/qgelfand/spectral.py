@@ -28,6 +28,7 @@ from .linalg import (
     op_norm,
     orthonormalize,
     peak_exponent,
+    phase_table,
     projector_from_basis,
     support_sweep,
 )
@@ -80,14 +81,17 @@ class SpectralReport:
     sigma_gap: float  # largest distance from a swept boundary point to sigma
     a: np.ndarray
 
-    def contains(self, z: complex, tol: float | None = None) -> bool:
+    def contains(self, z, tol: float | None = None):
         """z in Sigma(a) iff some block's support function dominates it at
         every swept angle (numerical ranges are convex), within tol; the
-        default slack is SIGMA_TOL · ‖a‖₂, so it scales with a."""
+        default slack is SIGMA_TOL · ‖a‖₂, so it scales with a.  z is a
+        point, giving a bool, or an array of points, giving a bool array of
+        its shape: one rule for one point and for many."""
         if tol is None:
             tol = SIGMA_TOL * op_norm(self.a)
-        proj = np.real(np.exp(-1j * THETAS) * z)
-        return any(np.all(proj <= supports + tol) for supports in self.block_supports)
+        proj = np.real(phase_table(N_ANGLES) * np.asarray(z)[..., None, None])
+        inside = np.all(proj <= np.array(self.block_supports) + tol, axis=-1).any(axis=-1)
+        return inside if inside.ndim else bool(inside)
 
     def to_json(self) -> dict:
         return {
@@ -142,8 +146,7 @@ def sigma_big(a: np.ndarray) -> SpectralReport:
     gap = np.ldexp(np.abs(bnd[:, None] - scaled_sig).min(axis=1).max(), scale)
     report = SpectralReport(sig, block_supports, block_boundaries,
                             singleton, equals, gap, a)
-    escape_tol = 100 * SIGMA_TOL * op_norm(a)
-    if not all(report.contains(lam, escape_tol) for lam in sig):
+    if not report.contains(sig, 100 * SIGMA_TOL * op_norm(a)).all():
         raise RuntimeError("eigenvalue escaped the swept Sigma region")
     return report
 
@@ -310,9 +313,10 @@ def _oracle_result(a: np.ndarray) -> InvariantSubspaceResult:
 def _sigma_fiber(a: np.ndarray) -> np.ndarray:
     """Unit vectors x with <x, a x> in sigma(a), as rows, in closed form.
 
-    Per eigenvalue λ, with multiplicity, one SVD of m = a − λ gives u, its
-    last right singular vector, and the others w_j.  With β_j = u* m w_j and
-    γ_j = w_j* m w_j, x_j = conj(γ_j) u − conj(β_j) w_j has x_j* m x_j = 0
+    Per eigenvalue λ, with multiplicity, the SVD of m = a − λ gives u, its
+    last right singular vector, and the others w_j; the SVDs of all the m
+    are one stacked call.  With β_j = u* m w_j and γ_j = w_j* m w_j,
+    x_j = conj(γ_j) u − conj(β_j) w_j has x_j* m x_j = 0
     exactly when m u = 0, with no division.  The candidates are u, every
     w_j and every x_j longer than SIGMA_TOL · ‖a‖ (a shorter one lies in
     span(u, w_j), w_j on the fiber), normalized, kept when |x* m x| ≤
@@ -321,10 +325,10 @@ def _sigma_fiber(a: np.ndarray) -> np.ndarray:
     product under- or overflows at any scale, subnormal entries included."""
     a = ldexp_complex(a, -peak_exponent(a))
     a = a / op_norm(a)
+    ms = a - spectrum(a)[:, None, None] * np.eye(len(a))
     points = []
-    for lam in spectrum(a):
-        m = a - lam * np.eye(len(a))
-        v = np.linalg.svd(m)[2].conj()  # rows: the right singular vectors
+    # rows of each v: the right singular vectors of its m
+    for m, v in zip(ms, np.linalg.svd(ms)[2].conj()):
         u, ws = v[-1], v[:-1]
         xs = (_quadratic_values(m, ws).conj()[:, None] * u
               - (ws @ (m.T @ u.conj())).conj()[:, None] * ws)

@@ -2,8 +2,11 @@
 used across modules, and helpers that build inputs: matrix JSON, random
 projectors, checked projectors from matrices, orthocomplements, density
 matrices of pure states, GNS images, and the ambient route to the top
-spectral projectors that qspace.top_projectors builds per block; and
-CliRunner, which runs a command line in-process."""
+spectral projectors that qspace.top_projectors builds per block; the loop
+references of the stacked paths of algebra and spectral (per-pair
+equivalence of irreducible subspaces, the per-block rebuild of the
+decomposition check, one-point membership in Sigma(a)); and CliRunner,
+which runs a command line in-process."""
 
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import settings
 
 from qgelfand.algebra import (
+    Block,
     FdAlgebra,
     GnsRepresentation,
     PureState,
@@ -24,15 +28,19 @@ from qgelfand.algebra import (
 )
 from qgelfand.linalg import (
     LATTICE_TOL,
+    RANK_TOL,
+    SIGMA_TOL,
     DimensionMismatchError,
     Projector,
     as_cmatrix,
     cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
+    numerical_rank,
     op_norm,
     projector_from_basis,
 )
+from qgelfand.spectral import THETAS, SpectralReport
 from qgelfand.oml import FiniteOml, SetOml, lattice_zoo
 
 # property tests replay the same examples on every run: no example database,
@@ -108,6 +116,54 @@ def pure_to_state(alg: FdAlgebra, pure: PureState) -> State:
     m[0, 0] = 1.0
     rho = blk.isometry @ np.kron(m, np.outer(pure.vector, pure.vector.conj())) @ blk.isometry.conj().T
     return State(rho)
+
+
+def embed(blk: Block, x: np.ndarray) -> np.ndarray:
+    """The algebra element acting as x on blk's irrep and 0 elsewhere, or
+    each of a stack of such x."""
+    m = np.kron(np.eye(blk.multiplicity), x)
+    return blk.isometry @ m @ blk.isometry.conj().T
+
+
+def loop_equivalent_frames(spaces: list[np.ndarray], y: np.ndarray):
+    """Reference for algebra._equivalent_frames: one full SVD of the
+    compression v* y g₀ per compared pair, its rank deciding."""
+    groups: list[list[np.ndarray]] = []
+    for v in spaces:
+        for g in groups:
+            if g[0].shape[1] != v.shape[1]:
+                continue
+            u, sv, vh = np.linalg.svd(v.conj().T @ y @ g[0])
+            rank = numerical_rank(sv)
+            if rank == len(sv):
+                g.append(v @ (u @ vh))
+                break
+            if rank:
+                return None
+        else:
+            groups.append([v])
+    return groups
+
+
+def loop_decomposition_holds(alg: FdAlgebra, blocks: list[Block]) -> bool:
+    """Reference verdict of algebra._check_decomposition: the central
+    projections summed, and every basis element rebuilt block by block
+    through embed."""
+    total = sum(blk.central_projector for blk in blocks)
+    if op_norm(total - np.eye(alg.ambient_dim)) > 100 * LATTICE_TOL:
+        return False
+    basis = alg.basis
+    rebuilt = sum(embed(blk, blk.irrep(basis)) for blk in blocks)
+    return bool(np.all(np.linalg.norm(rebuilt - basis, 2, axis=(1, 2)) <= RANK_TOL))
+
+
+def loop_contains(report: SpectralReport, z: complex, tol: float | None = None) -> bool:
+    """Reference for SpectralReport.contains at one point: e^{-iθ} formed
+    anew, and the blocks' support functions read one at a time."""
+    if tol is None:
+        tol = SIGMA_TOL * op_norm(report.a)
+    proj = np.real(np.exp(-1j * THETAS) * z)
+    return any(np.all(proj <= supports + tol) for supports in report.block_supports)
 
 
 @pytest.fixture(scope="session")

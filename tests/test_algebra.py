@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,11 @@ from conftest import (
     E12,
     SIGMA_X,
     diagonal_algebra,
+    embed,
     gns_pi,
+    loop_contains,
+    loop_decomposition_holds,
+    loop_equivalent_frames,
     matrix_to_json,
     pure_to_state,
 )
@@ -21,6 +26,8 @@ from qgelfand import linalg as linalg_module
 from qgelfand import qspace as qspace_module
 from qgelfand.algebra import (
     AlgebraMembershipError,
+    Block,
+    DecompositionError,
     FdAlgebra,
     GnsRepresentation,
     PureState,
@@ -43,14 +50,17 @@ from qgelfand.harness import SUITES, RunConfig, run_suite
 from qgelfand.linalg import (
     LATTICE_TOL,
     RANK_TOL,
+    SIGMA_TOL,
     as_cmatrix,
+    cluster_eigenvalues,
     haar_unit_vector,
     hermitian_eig,
+    ldexp_complex,
     op_norm,
     orthonormalize,
 )
 from qgelfand.qspace import hat_as_qfunction, qfunction_star, qfunction_star_at
-from qgelfand.spectral import invariant_subspace, sigma_big
+from qgelfand.spectral import SpectralReport, invariant_subspace, sigma_big
 
 RNG = np.random.default_rng(7)
 
@@ -129,7 +139,7 @@ def test_block_reconstruction_oracle(algebra_zoo):
         total = sum(b.central_projector for b in alg.blocks)
         assert op_norm(total - np.eye(alg.ambient_dim)) < 1e-8, name
         for b in alg.basis:
-            rebuilt = sum(blk.embed(blk.irrep(b)) for blk in alg.blocks)
+            rebuilt = sum(embed(blk, blk.irrep(b)) for blk in alg.blocks)
             assert op_norm(rebuilt - b) < 1e-8, name
 
 
@@ -137,7 +147,7 @@ def test_block_embed_irrep_roundtrip(algebra_zoo):
     for blk in algebra_zoo["M2+C"].blocks:
         x = RNG.standard_normal((blk.irrep_dim, blk.irrep_dim)) \
             + 1j * RNG.standard_normal((blk.irrep_dim, blk.irrep_dim))
-        assert op_norm(blk.irrep(blk.embed(x)) - x) < 1e-10
+        assert op_norm(blk.irrep(embed(blk, x)) - x) < 1e-10
 
 
 def test_state_validation():
@@ -618,23 +628,34 @@ def test_scalar_algebra_has_no_letters():
     assert (blk.irrep_dim, blk.multiplicity) == (1, 2)
 
 
-@pytest.mark.parametrize("eps", [3e-9, 1e-8, 3e-8, 1e-7, 3e-7])
-def test_generator_near_rank_tol_matches_full_basis(eps):
-    # H + εN closes to M_n for ε above RANK_TOL, through directions the
-    # closure normalizes from residuals near RANK_TOL; commutators with the
-    # letters are then O(ε) where the basis elements' are O(1)
+NEAR_RANK_TOL_EPS = [3e-9, 1e-8, 3e-8, 1e-7, 3e-7]
+
+
+def _near_rank_tol_cases(eps):
+    """H + εN for n = 2, 3, 4, four each: (generator, its algebra, two
+    states on it), drawn in this order from one seeded generator."""
     rng = np.random.default_rng(17)
     for n in (2, 3, 4):
         for _ in range(4):
             h = rng.standard_normal((n, n))
-            alg = generate_algebra([h + h.T + eps * np.triu(rng.standard_normal((n, n)), 1)])
-            all_pairs = all(op_norm(a @ b - b @ a) <= LATTICE_TOL
-                            for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
-            assert alg.commutative == all_pairs == r_is_discrete(alg)
+            g = h + h.T + eps * np.triu(rng.standard_normal((n, n)), 1)
+            alg = generate_algebra([g])
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for state in (vector_state(x), pure_to_state(alg, random_pure_state(alg, rng))):
-                rep = gns(alg, state)
-                assert is_irreducible(rep) == (len(commutant_basis(rep.rep_basis, rep.dim)) == 1)
+            yield g, alg, (vector_state(x), pure_to_state(alg, random_pure_state(alg, rng)))
+
+
+@pytest.mark.parametrize("eps", NEAR_RANK_TOL_EPS)
+def test_generator_near_rank_tol_matches_full_basis(eps):
+    # H + εN closes to M_n for ε above RANK_TOL, through directions the
+    # closure normalizes from residuals near RANK_TOL; commutators with the
+    # letters are then O(ε) where the basis elements' are O(1)
+    for _, alg, states in _near_rank_tol_cases(eps):
+        all_pairs = all(op_norm(a @ b - b @ a) <= LATTICE_TOL
+                        for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
+        assert alg.commutative == all_pairs == r_is_discrete(alg)
+        for state in states:
+            rep = gns(alg, state)
+            assert is_irreducible(rep) == (len(commutant_basis(rep.rep_basis, rep.dim)) == 1)
 
 
 def _kron_commutation_system(mats, dim):
@@ -915,7 +936,7 @@ def test_irreducible_input_is_never_closed(closures, structure, n):
     # rebuilds every basis element exactly (a zero may change its sign)
     basis = alg.basis
     assert len(closures) == 1
-    assert np.array_equal(sum(blk.embed(blk.irrep(basis)) for blk in blocks), basis)
+    assert np.array_equal(sum(embed(blk, blk.irrep(basis)) for blk in blocks), basis)
 
 
 @pytest.mark.parametrize("structure, n", [("dsum", 4), ("dsum", 8), ("normal", 3), ("normal", 8)])
@@ -954,3 +975,156 @@ def test_hermitian_eig_is_given_only_hermitian_matrices(monkeypatch):
         sigma_big(a)
         invariant_subspace(a, mode="both")
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the stacked paths of the decomposition and of Σ(a) against their loops
+
+
+def _commutant_draws(comm):
+    """Every (irreducible subspaces, y) pair _isotypic_blocks may draw from
+    the commutant comm, retries included."""
+    rng = np.random.default_rng(0)
+    for _ in range(algebra_module._MAX_RETRIES):
+        x = algebra_module._random_combination(comm, rng)
+        vals, vecs = hermitian_eig((x + x.conj().T) / 2)
+        yield ([vecs[:, c] for c in cluster_eigenvalues(vals)],
+               algebra_module._random_combination(comm, rng))
+
+
+def _same_groups(got, want):
+    if got is None or want is None:
+        return got is want
+    return ([len(g) for g in got] == [len(g) for g in want]
+            and all(_same_bits(u, v) for g, h in zip(got, want) for u, v in zip(g, h)))
+
+
+def _check_holds(alg, blocks):
+    try:
+        algebra_module._check_decomposition(alg, blocks)
+    except DecompositionError:
+        return False
+    return True
+
+
+def _rotated(blocks, angle, stretch=1.0):
+    """The blocks with their frame's first and last columns rotated into
+    each other by angle, and the first block's isometry scaled by stretch."""
+    frame = np.hstack([blk.isometry for blk in blocks])
+    c, s = np.cos(angle), np.sin(angle)
+    frame[:, [0, -1]] = frame[:, [0, -1]] @ np.array([[c, -s], [s, c]])
+    frame[:, :blocks[0].isometry.shape[1]] *= stretch
+    widths = np.cumsum([blk.isometry.shape[1] for blk in blocks])[:-1]
+    return [Block(blk.irrep_dim, blk.multiplicity, w)
+            for blk, w in zip(blocks, np.split(frame, widths, axis=1))]
+
+
+def _scaled_report(report, k):
+    """The report of 2^k·a: sigma_big scales every float of it exactly."""
+    return SpectralReport(ldexp_complex(report.sigma, k),
+                          [np.ldexp(s, k) for s in report.block_supports],
+                          [ldexp_complex(b, k) for b in report.block_boundaries],
+                          report.sigma_singleton, report.sigma_equals_big,
+                          np.ldexp(report.sigma_gap, k), ldexp_complex(report.a, k))
+
+
+STACKED_CASES = {
+    **{f"zoo/{name}": gens[0] for name, gens in CLAIMS_ALGEBRA_GENERATORS.items()},
+    **{f"{s}{n}": _spectral_input(s, n) for s, n in SPECTRAL_CASES},
+    **{f"near{eps:g}/{i}": g for eps in NEAR_RANK_TOL_EPS
+       for i, (g, _, _) in enumerate(_near_rank_tol_cases(eps))},
+}
+
+
+@pytest.mark.parametrize("name", list(STACKED_CASES))
+def test_stacked_paths_match_their_loops(name):
+    g = STACKED_CASES[name]
+    alg = generate_algebra([g])
+    # generate_algebra scales by powers of two, so 2^k·g has the same
+    # letters, bit for bit, and the decomposition below covers every k
+    for k in range(-40, 41):
+        assert _same_bits(generate_algebra([ldexp_complex(g, k)]).letters, alg.letters)
+    n = alg.ambient_dim
+    letter_sets = [alg.letters] + ([alg.basis] if n <= 4 else [])
+    for letters in letter_sets:
+        for spaces, y in _commutant_draws(commutant_basis(letters, n)):
+            assert _same_groups(algebra_module._equivalent_frames(spaces, y),
+                                loop_equivalent_frames(spaces, y))
+    # the check's verdict, on the blocks and on frames that rebuild a basis
+    # element within RANK_TOL, or miss it, or are not unitary
+    blocks = alg.blocks
+    verdicts = []
+    for angle, stretch in [(0.0, 1.0), (1e-11, 1.0), (1e-6, 1.0), (0.3, 1.0), (0.0, 1 + 1e-5)]:
+        trial = _rotated(blocks, angle, stretch)
+        verdicts.append(_check_holds(alg, trial))
+        assert verdicts[-1] == loop_decomposition_holds(alg, trial), (angle, stretch)
+    assert verdicts[0]
+    # the escape decisions, on the eigenvalues and on points pushed off them,
+    # at every scale; on boundary points pushed in and out at scale 1
+    report = sigma_big(g)
+    center = report.sigma.mean()
+    points = np.concatenate([report.sigma, center + (1 + 1e-3) * (report.sigma - center)])
+    for k in range(-40, 41):
+        scaled = _scaled_report(report, k)
+        zs = ldexp_complex(points, k)
+        tol = 100 * SIGMA_TOL * op_norm(scaled.a)
+        assert scaled.contains(zs, tol).tolist() == [loop_contains(scaled, z, tol) for z in zs]
+        assert scaled.contains(zs[0], tol) is loop_contains(scaled, zs[0], tol)
+    bnd = np.concatenate(report.block_boundaries)[::90]
+    points = np.concatenate([points, *(center + f * (bnd - center) for f in (1 - 1e-3, 1 + 1e-3))])
+    decided = report.contains(points)
+    assert decided.tolist() == [loop_contains(report, z) for z in points]
+    assert decided[:len(report.sigma)].all()
+    assert report.sigma_singleton or not decided.all()
+
+
+def test_equivalent_frames_matches_its_loop_on_mixed_compressions():
+    # spaces of dimensions 2, 1, 2, 1, 2 and a y whose compressions between
+    # them are zero, invertible or of rank one: every branch of the grouping
+    rng = np.random.default_rng(41)
+    dims = [2, 1, 2, 1, 2]
+    offsets = np.cumsum([0] + dims)
+    seen = set()
+    for _ in range(40):
+        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        spaces = [u[:, offsets[i]:offsets[i + 1]] for i in range(len(dims))]
+        c = np.zeros((8, 8), dtype=complex)
+        for i in range(len(dims)):
+            for j in range(len(dims)):
+                kind = rng.integers(3)
+                shape = (dims[i], dims[j])
+                block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                if kind == 1 and dims[i] > 1 and dims[i] == dims[j]:
+                    block = np.outer(block[:, 0], block[0])  # rank one
+                elif kind == 2:
+                    block = 0 * block
+                c[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
+        y = u @ c @ u.conj().T
+        got = algebra_module._equivalent_frames(spaces, y)
+        assert _same_groups(got, loop_equivalent_frames(spaces, y))
+        seen.add(None if got is None else len(got))
+    assert None in seen and len(seen) > 2
+
+
+def test_decomposition_ranks_pairs_in_one_svd_and_checks_without_kron(monkeypatch):
+    # a normal 8×8 input has eight inequivalent one-dimensional irreps.  The
+    # per-pair grouping took 28 rank SVDs, and a per-block rebuild in the
+    # check an np.kron for each of its eight blocks
+    svds, krons = [], []
+    svd, kron = np.linalg.svd, np.kron
+
+    def svd_spy(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in ("_equivalent_frames", "_compression_ranks"):
+            svds.append(caller)
+        return svd(*args, **kwargs)
+
+    def kron_spy(*args, **kwargs):
+        krons.append(1)
+        return kron(*args, **kwargs)
+
+    alg = generate_algebra([_spectral_input("normal", 8)])
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np, "kron", kron_spy)
+    assert _block_list(alg) == [(1, 1)] * 8
+    assert len(svds) == 1 and not krons

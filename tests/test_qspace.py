@@ -12,6 +12,7 @@ from conftest import (
     SIGMA_X,
     ambient_top_projectors,
     diagonal_algebra,
+    embed,
     proj_ortho,
     projector_from_matrix,
     random_projector,
@@ -313,7 +314,7 @@ def test_prop9_matches_ambient_route(algebra_zoo, name):
         alpha = random_pure_state(alg, rng)
         meets = [proj_meet(p, q) for p, q in zip(*(ambient_top_projectors(alg, h)
                                                    for h in (a, b)))]
-        meet = sum(blk.embed(m.matrix) for blk, m in zip(alg.blocks, meets))
+        meet = sum(embed(blk, m.matrix) for blk, m in zip(alg.blocks, meets))
         ps = [top_spectral_projector(h) for h in (a, b)]
         chi = 1.0 if _holds(meets, alpha) else 0.0
         char = max(min(abs(hat(alg, p, alpha)), abs(1 - hat(alg, p, alpha))) for p in ps)
@@ -618,7 +619,7 @@ def test_qfunction_star_at_matches_full_product(star_algebras, name, seed, hermi
     i = int(rng.integers(len(alg.blocks)))
     if one_block:  # â is zero off block i, and so is its model
         blk = alg.blocks[i]
-        a = blk.embed(blk.irrep(a))
+        a = embed(blk, blk.irrep(a))
     alpha = random_pure_state(alg, rng)
     terms = hat_as_qfunction(alg, a, i).terms
     if on_term and terms:  # a state inside one of â's terms, so products can hold it
