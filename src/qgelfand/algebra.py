@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,20 +237,14 @@ class Block:
     irrep_dim: int
     multiplicity: int
     isometry: np.ndarray  # n × (d·m), column (k, s) = copy k, irrep coordinate s
-    # the first copy's frame w and its adjoint w*, which irrep reads
-    _w: np.ndarray = field(init=False, repr=False, compare=False)
-    _w_adj: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._w = self.isometry[:, : self.irrep_dim]
-        self._w_adj = self._w.conj().T
 
     @property
     def central_projector(self) -> np.ndarray:
         return self.isometry @ self.isometry.conj().T
 
     def irrep(self, a: np.ndarray) -> np.ndarray:
-        return self._w_adj @ a @ self._w
+        w = self.isometry[:, : self.irrep_dim]
+        return w.conj().T @ a @ w
 
 
 _MAX_RETRIES = 8
@@ -283,14 +277,15 @@ def block_decompose(alg: FdAlgebra) -> list[Block]:
 
     Every basis element b of a reducible algebra must be rebuilt from the
     blocks; this check is what reads (and so closes) the basis.  It is made
-    in the blocks' frame U = [W_1 … W_k], where the rebuilt b is U* b U
-    with each block's diagonal copies set to its first copy (see
-    _check_decomposition).  When one is not rebuilt, or the draws stay
-    ambiguous, the decomposition is solved once more against the whole
-    basis: the closure accepts a direction whose residual is barely above
-    RANK_TOL and normalizes it, and a commutator with the letters is that
-    much smaller than one with the basis element it became.  M_n skips
-    the check and never reads the basis: the identity frame rebuilds every
+    for the whole basis at once in the blocks' frame U = [W_1 … W_k]: the
+    rebuilt b is U P U*, P block diagonal with each block's image of b on
+    its first copy repeated down the copies (see _check_decomposition).
+    When one is not rebuilt, or the draws stay ambiguous, the
+    decomposition is solved once more against the whole basis: the
+    closure accepts a direction whose residual is barely above RANK_TOL
+    and normalizes it, and a commutator with the letters is that much
+    smaller than one with the basis element it became.  M_n skips the
+    check and never reads the basis: the identity frame rebuilds every
     matrix exactly.
     """
     try:
@@ -307,9 +302,7 @@ def _decompose(alg: FdAlgebra, letters: np.ndarray) -> list[Block]:
     comm = commutant_basis(letters, n)
     if len(comm) == 1:
         return [Block(n, 1, np.eye(n, dtype=complex))]
-    blocks = _isotypic_blocks(comm)
-    keys = _block_keys(blocks, letters)
-    blocks = [blocks[i] for i in sorted(range(len(blocks)), key=keys.__getitem__)]
+    blocks = sorted(_isotypic_blocks(comm), key=lambda blk: _block_key(blk, letters))
     _check_decomposition(alg, blocks)
     return blocks
 
@@ -379,32 +372,21 @@ def _compression_ranks(spaces: list[np.ndarray], y: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _block_keys(blocks: list[Block], letters: np.ndarray) -> list[tuple]:
-    """Each block's sort key: irrep dimension and multiplicity, largest
-    first, then the sorted spectra of the letters' irrep images.  The
-    spectra of all blocks of one irrep dimension come from one stacked
-    eigvals."""
-    keys: list[tuple] = [()] * len(blocks)
-    for d in {blk.irrep_dim for blk in blocks}:
-        same = [i for i, blk in enumerate(blocks) if blk.irrep_dim == d]
-        images = np.stack([blocks[i].irrep(letters) for i in same])
-        spectra = np.sort(np.linalg.eigvals(images), axis=-1)
-        for i, spec in zip(same, spectra):
-            keys[i] = (-d, -blocks[i].multiplicity, *spec.ravel().view(float).tolist())
-    return keys
+def _block_key(blk: Block, letters: np.ndarray) -> tuple:
+    spectra = np.sort(np.linalg.eigvals(blk.irrep(letters)), axis=-1)
+    return (-blk.irrep_dim, -blk.multiplicity, *spectra.ravel().view(float).tolist())
 
 
 def _check_decomposition(alg: FdAlgebra, blocks: list[Block]):
     """Raise DecompositionError unless the blocks' central projections sum
     to the identity and the blocks rebuild every basis element.
 
-    Both are checked in the blocks' frame U = [W_1 … W_k], the isometries
+    Both are made in the blocks' frame U = [W_1 … W_k], the isometries
     side by side.  The first check is U U* = I.  A basis element b is
-    rebuilt as the element that acts on each block as b's image on its
-    first irrep copy; in that frame it is U* b U with each block's m
-    diagonal d×d copies set to its first copy and every other entry 0.
-    For a unitary U the defect ‖rebuilt − b‖₂ is the 2-norm of the
-    difference of the two, taken for the whole basis at once."""
+    rebuilt as the element that acts on each block as b's image x on its
+    first irrep copy: U P U*, where P is block diagonal with m copies of x
+    for each block.  The defect ‖U P U* − b‖₂ is taken for the whole basis
+    at once, in batched products."""
     n = alg.ambient_dim
     frame = np.hstack([blk.isometry for blk in blocks])
     if op_norm(frame @ frame.conj().T - np.eye(n)) > 100 * LATTICE_TOL:
@@ -419,11 +401,11 @@ def _check_decomposition(alg: FdAlgebra, blocks: list[Block]):
         first.append(offset + cols % blk.irrep_dim)
         offset += len(cols)
     starts, first = np.concatenate(starts), np.concatenate(first)
-    images = frame.conj().T @ alg.basis @ frame
-    rebuilt = np.where(starts[:, None] == starts, images[:, first[:, None], first], 0)
+    w = frame[:, first]
+    pattern = np.where(starts[:, None] == starts, w.conj().T @ alg.basis @ w, 0)
     # an HS-unit basis element has operator norm at most 1, so RANK_TOL is
     # its bound
-    defects = np.linalg.norm(images - rebuilt, 2, axis=(1, 2))
+    defects = np.linalg.norm(frame @ pattern @ frame.conj().T - alg.basis, 2, axis=(1, 2))
     if np.any(defects > RANK_TOL):
         raise DecompositionError("block reconstruction fails on a basis element")
 
@@ -464,13 +446,11 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = self.vector
-        if not (isinstance(v, np.ndarray) and v.dtype == complex and v.ndim == 1):
-            v = np.asarray(v, dtype=complex).reshape(-1)
-            object.__setattr__(self, "vector", v)
+        v = np.asarray(self.vector, dtype=complex).reshape(-1)
         # a non-finite entry makes the norm NaN or inf, which fails this test
         if not abs(np.linalg.norm(v) - 1.0) <= RANK_TOL:
             raise StateError("pure-state vector must be a finite unit vector")
+        object.__setattr__(self, "vector", v)
 
     def value(self, image: np.ndarray) -> complex:
         """â(α) = ⟨v, image·v⟩, where image is a's image in this state's

@@ -113,14 +113,8 @@ def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     max), into a positive real; a column without one is left as it is."""
     mag = np.abs(vecs)
     live = mag > 1e-12 * np.maximum(1.0, mag.max(axis=0, initial=0.0))
-    first = live.argmax(axis=0)
-    cols = np.arange(vecs.shape[1])
-    if live[first, cols].all():
-        # every column has a pivot, as every eigenvector basis does
-        pivots = vecs[first, cols]
-        return vecs * (pivots.conj() / np.abs(pivots))
     cols = np.flatnonzero(live.any(axis=0))
-    pivots = vecs[first[cols], cols]
+    pivots = vecs[live.argmax(axis=0)[cols], cols]
     out = vecs.copy()
     out[:, cols] *= pivots.conj() / np.abs(pivots)
     return out
@@ -225,16 +219,15 @@ def orthonormalize(items) -> np.ndarray:
     rows = stack.reshape(len(stack), math.prod(shape))
     full = rows.shape[1]
     basis = np.empty((min(len(rows), full), full), dtype=complex)
-    conj = np.empty_like(basis)  # conj[j] is basis[j].conj()
     r = 0
     for lo in range(0, len(rows), _GS_CHUNK):
         if r == full:
             break
         chunk = rows[lo:lo + _GS_CHUNK].copy()
         if r:
-            done, done_conj = basis[:r], conj[:r]
+            done = basis[:r]
             for _ in range(2):
-                chunk -= (chunk @ done_conj.T) @ done
+                chunk -= (chunk @ done.conj().T) @ done
         start = 0
         while start < len(chunk) and r < full:
             live = np.square(chunk[start:].view(float)).sum(axis=1) >= RANK_TOL ** 2
@@ -244,14 +237,13 @@ def orthonormalize(items) -> np.ndarray:
             i += start
             v = chunk[i]
             if r:
-                v = v - (conj[:r] @ v) @ basis[:r]
-            b, bc = basis[r], conj[r]
-            # np.linalg.norm's own formula for a complex vector
-            re, im = v.real, v.imag
-            np.divide(v, np.sqrt(re.dot(re) + im.dot(im)), out=b)
-            np.conjugate(b, out=bc)
+                done = basis[:r]
+                v = v - (done.conj() @ v) @ done
+            b = basis[r]
+            np.divide(v, np.linalg.norm(v), out=b)
             rest = chunk[i + 1:]
             if len(rest):
+                bc = b.conj()
                 for _ in range(2):
                     rest -= (rest @ bc)[:, None] * b
             r += 1

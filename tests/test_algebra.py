@@ -1051,10 +1051,13 @@ def test_stacked_paths_match_their_loops(name):
             assert _same_groups(algebra_module._equivalent_frames(spaces, y),
                                 loop_equivalent_frames(spaces, y))
     # the check's verdict, on the blocks and on frames that rebuild a basis
-    # element within RANK_TOL, or miss it, or are not unitary
+    # element within RANK_TOL, or miss it, or are not unitary: a stretch of
+    # 1 + 2.5e-7 passes the U U* = I test, and only the rebuilt element in
+    # the ambient space (stretched by about 1e-6) shows it
     blocks = alg.blocks
     verdicts = []
-    for angle, stretch in [(0.0, 1.0), (1e-11, 1.0), (1e-6, 1.0), (0.3, 1.0), (0.0, 1 + 1e-5)]:
+    for angle, stretch in [(0.0, 1.0), (1e-11, 1.0), (1e-6, 1.0), (0.3, 1.0),
+                           (0.0, 1 + 2.5e-7), (0.0, 1 + 1e-5)]:
         trial = _rotated(blocks, angle, stretch)
         verdicts.append(_check_holds(alg, trial))
         assert verdicts[-1] == loop_decomposition_holds(alg, trial), (angle, stretch)
