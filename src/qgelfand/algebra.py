@@ -52,8 +52,10 @@ class FdAlgebra:
 
     letters (a k × n × n stack, k ≥ 0, HS-orthonormal and orthogonal to the
     identity) generate it as a unital algebra: x commutes with the algebra
-    exactly when it commutes with every letter.  basis, blocks and
-    commutative are computed when first read and then kept.  basis (a
+    exactly when it commutes with every letter.  basis, blocks,
+    commutative, and the coordinates of basis products and of the identity
+    that gns reads for each state, are computed when first read and then
+    kept.  basis (a
     d × n × n stack) is orthonormal for the Hilbert-Schmidt inner product
     and spans the algebra; it is the closure of the identity and the letters
     under products and adjoints.  blocks are the Wedderburn blocks, in block
@@ -83,6 +85,18 @@ class FdAlgebra:
         a = np.asarray(a)
         rows = self.basis.reshape(self.dim, -1)
         return a.reshape(*a.shape[:-2], rows.shape[1]) @ rows.conj().T
+
+    @functools.cached_property
+    def product_coords(self) -> np.ndarray:
+        """left[a, j, k]: coordinate j of b_a b_k, so that left[a] is left
+        multiplication by b_a in coordinates."""
+        basis = self.basis
+        return self.coords(basis[:, None] @ basis[None]).transpose(0, 2, 1)
+
+    @functools.cached_property
+    def unit_coords(self) -> np.ndarray:
+        """The coordinates of the identity."""
+        return self.coords(np.eye(self.ambient_dim))
 
     def project(self, a: np.ndarray) -> np.ndarray:
         return np.tensordot(self.coords(a), self.basis, axes=1)
@@ -549,11 +563,8 @@ def gns(alg: FdAlgebra, state: State) -> GnsRepresentation:
     basis_coords = vecs[:, keep] / np.sqrt(vals[keep])
     embed = basis_coords.conj().T @ gram
 
-    # left[a, j, k]: coordinate j of b_a b_k, so left[a] is left
-    # multiplication by b_a in coordinates
-    left = alg.coords(basis[:, None] @ basis[None]).transpose(0, 2, 1)
-    rep = embed @ left @ basis_coords
-    omega = embed @ alg.coords(np.eye(alg.ambient_dim))
+    rep = embed @ alg.product_coords @ basis_coords
+    omega = embed @ alg.unit_coords
     # <pi(b_a)Ω, Ω> against α(b_a) = tr(rho b_a); an HS-unit b_a has
     # operator norm at most 1, so one slack serves every a
     lhs = (rep @ omega) @ omega.conj()

@@ -3,11 +3,16 @@
 Thin adapters over the library modules: parse inputs, dispatch, serialize
 reports.  One argparse parser, built at import, holds the command tree;
 each command is a function of the parsed arguments and the command's open
-outputs that returns its exit code.  Exit codes: 0 success, 1 check failed
-(OML violation, failed lattice recovery, failing specified claim verdict),
-2 input error (a usage error included), 3 budget exceeded, 4 numerical
-failure.  Reports are canonical JSON (sorted keys) so a fixed (instance,
-config, seed) reproduces byte-identical output.
+outputs that returns its exit code.  A line whose first words name a
+command is parsed by that command's own parser in the tree; the whole tree
+parses only a line that no command takes whole (no command words, or
+arguments left over), so its usage errors and help keep their text.
+Exit codes: 0 success, 1 check failed (OML violation, failed lattice
+recovery, failing specified claim verdict), 2 input error (a usage error
+included), 3 budget exceeded, 4 numerical failure.  Input files are read,
+and reports written, as UTF-8 whatever the locale.  Reports are canonical
+JSON (sorted keys) so a fixed (instance, config, seed) reproduces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,7 +43,15 @@ EXIT_NUMERICAL = 4
 
 
 def _stdout(text: str):
-    sys.stdout.write(text)
+    """Write text to standard output as UTF-8, whatever the locale's
+    encoding; a stream with no byte buffer below it (an in-process
+    capture) takes the text itself."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode())
 
 
 def _open_outputs(outputs: contextlib.ExitStack, *paths: str | None) -> list:
@@ -56,7 +69,8 @@ def _open_outputs(outputs: contextlib.ExitStack, *paths: str | None) -> list:
             writers.append(_stdout)
             continue
         try:
-            f = outputs.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w"))
+            f = outputs.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                                              encoding="utf-8"))
             st = os.fstat(f.fileno())
         except OSError as exc:
             raise SystemExit(_input_error(f"cannot write {path}: {exc.strerror}"))
@@ -146,7 +160,7 @@ def _canonical(obj, nl: str) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        obj = json.loads(pathlib.Path(path).read_text())
+        obj = harness.read_json(path)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise SystemExit(_input_error(f"cannot read {path}: {exc}"))
     if not isinstance(obj, dict):
@@ -408,14 +422,19 @@ def _unread_seed_and_samples(p: argparse.ArgumentParser):
     p.add_argument("--samples", type=_int_at_least(1), help=argparse.SUPPRESS)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The whole command tree.  Abbreviated options are refused at every
-    level, so that a prefix such as --plot never stands for --plot-data."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                               dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The whole command tree, and each command's own parser in it under
+    the command's words.  Abbreviated options are refused at every level,
+    so that a prefix such as --plot never stands for --plot-data."""
+    commands = {}
+
     def parser(parent, name, doc, run=None):
         p = parent.add_parser(name, help=doc.split("\n\n")[0], description=doc,
                               allow_abbrev=False)
         if run is not None:
             p.set_defaults(run=run)
+            commands[tuple(p.prog.split()[1:])] = p  # prog: qgelfand and the words
         return p
 
     def command(group, name, run, positional):
@@ -460,10 +479,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(groups, "invsub", invsub, "matrix_file")
     p.add_argument("--mode", default="oracle", choices=["paper", "oracle", "both"])
     _unread_seed_and_samples(p)
-    return root
+    return root, commands
 
 
-PARSER = _build_parser()
+PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line.  A line whose first one or two words name
+    a command goes to that command's parser, which is what the tree would
+    hand it to; a line that no command takes whole (no command words, or
+    arguments left over) goes to the tree, for the tree's error or help."""
+    words = 2 if tuple(argv[:2]) in _COMMANDS else 1
+    leaf = _COMMANDS.get(tuple(argv[:words]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(argv[words:])
+        if not rest:
+            return args
+    return PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
@@ -472,7 +505,7 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     code, or exits with it when standalone_mode is true."""
     with contextlib.ExitStack() as outputs:
         try:
-            args = PARSER.parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else argv)
             code = args.run(args, outputs)
         except SystemExit as exc:  # a usage error, --help, or an input error
             code = exc.code

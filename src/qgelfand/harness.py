@@ -25,7 +25,7 @@ from .algebra import (
     r_is_discrete,
     random_pure_state,
 )
-from .linalg import Projector, _is_int, matrix_from_json
+from .linalg import _is_int, matrix_from_json
 from .qspace import (
     ClaimsReport,
     QFunction,
@@ -87,13 +87,24 @@ class RunConfig:
             raise ConfigError(f"claims config missing field {exc}") from exc
 
 
+def read_json(path):
+    """The JSON value in the file at path, decoded as UTF-8 whatever the
+    locale.  Line ends are read as text mode reads them, so that a syntax
+    error names the same line and column.  Raises OSError, or ValueError
+    for bad UTF-8 or bad JSON."""
+    with open(path, "rb") as f:
+        text = f.read().decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
+
+
 def load_instance(entry, base_dir: pathlib.Path) -> tuple[str, FdAlgebra, dict]:
     """An instance is either a path to an algebra JSON file or an inline
     dict {"name", "algebra", optional "element", "center", "radius"}."""
     if isinstance(entry, str):
-        path = base_dir / entry
         try:
-            obj = json.loads(path.read_text())
+            obj = read_json(base_dir / entry)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise ConfigError(f"cannot read instance {entry}: {exc}") from exc
         if not isinstance(obj, dict):
@@ -171,17 +182,20 @@ def _suite_prop2(alg, extras, cfg, rng) -> list[ClaimsReport]:
                    mismatches > 0, [witness])]
 
 
-def _instance_projectors(alg, extras, rng) -> list[list[Projector]]:
-    """Top spectral projections, one projector per block each: of the
-    instance element's Hermitian part, or of two random Hermitian members."""
+def _instance_members(alg, extras, rng) -> list[np.ndarray]:
+    """The Hermitian members whose top spectral projections a suite
+    probes: the instance element's Hermitian part, or two random Hermitian
+    members.  Both are drawn even where a suite probes only the first, so
+    that the draws after them do not depend on the suite."""
     if "element" in extras:
         a = extras["element"]
-        return [top_projectors(alg, (a + a.conj().T) / 2)]
-    return [top_projectors(alg, alg.random_element(rng, hermitian=True)) for _ in range(2)]
+        return [(a + a.conj().T) / 2]
+    return [alg.random_element(rng, hermitian=True) for _ in range(2)]
 
 
 def _suite_prop7(alg, extras, cfg, rng) -> list[ClaimsReport]:
-    projs = _instance_projectors(alg, extras, rng)
+    # top spectral projections, one projector per block each
+    projs = [top_projectors(alg, h) for h in _instance_members(alg, extras, rng)]
     if len(projs) == 1:
         projs = projs * 2
     # χ_U + i·χ_V, one function per block
@@ -194,7 +208,7 @@ def _suite_prop9(alg, extras, cfg, rng) -> list[ClaimsReport]:
     b = alg.random_element(rng, hermitian=True)
     state = random_pure_state(alg, rng)
     rep = prop9_defect(alg, state, a, b)
-    p = _instance_projectors(alg, extras, rng)[0]
+    p = top_projectors(alg, _instance_members(alg, extras, rng)[0])
     return [rep, hat_is_characteristic_defect(alg, p, cfg.samples, rng)]
 
 
@@ -203,7 +217,7 @@ def _suite_thm3(alg, extras, cfg, rng) -> list[ClaimsReport]:
 
 
 def _suite_preimage(alg, extras, cfg, rng) -> list[ClaimsReport]:
-    images = [p.matrix for p in _instance_projectors(alg, extras, rng)[0]]
+    images = [p.matrix for p in top_projectors(alg, _instance_members(alg, extras, rng)[0])]
     center = extras.get("center", 1.0 + 0j)
     radius = extras.get("radius", 0.1)
     return [hat_preimage_qness(alg, images, center, radius, cfg.samples, rng)]

@@ -124,20 +124,28 @@ class FiniteOml:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteOml":
+        """A lattice from its JSON object: leq, a square table of 0, 1,
+        true or false, ortho, a list of integers, and optional n and
+        labels.  Raises StructureError naming the first fault."""
         try:
             leq, ortho = obj["leq"], obj["ortho"]
         except KeyError as exc:
             raise StructureError(f"lattice JSON missing field {exc}") from exc
         # bool and numpy casts would silently coerce 2 to true and 1.7 to 1,
-        # and 1.0 passes the value test, so each row's types are checked too
+        # and 1.0 passes the value test, so the leaves' types are checked
+        # too: in one pass over the whole table, and row by row only to
+        # name the first bad row's fault
         if not isinstance(leq, list):
             raise StructureError("leq must be a list of rows of 0, 1, true or false")
-        for row in leq:
-            if not (isinstance(row, list) and _BIT_TYPES.issuperset(map(type, row))
-                    and _BITS.issuperset(row)):
-                raise StructureError("leq must be a list of rows of 0, 1, true or false")
-            if len(row) != len(leq):
-                raise StructureError("leq must be a square truth table")
+        if not ({list}.issuperset(map(type, leq)) and {len(leq)}.issuperset(map(len, leq))
+                and _BIT_TYPES.issuperset(map(type, itertools.chain.from_iterable(leq)))
+                and _BITS.issuperset(itertools.chain.from_iterable(leq))):
+            for row in leq:
+                if not (isinstance(row, list) and _BIT_TYPES.issuperset(map(type, row))
+                        and _BITS.issuperset(row)):
+                    raise StructureError("leq must be a list of rows of 0, 1, true or false")
+                if len(row) != len(leq):
+                    raise StructureError("leq must be a square truth table")
         if not _is_int_list(ortho):
             raise StructureError("ortho must be a list of integers")
         if "n" in obj and not (type(obj["n"]) is int and obj["n"] == len(leq)):
@@ -159,14 +167,17 @@ def verify_oml(lat: FiniteOml) -> list[Violation]:
 
     Empty report means the instance is an orthomodular lattice.  Each
     violation names the failed axiom and the witnessing element(s), in the
-    lexicographic order of the witnesses.
+    lexicographic order of the witnesses.  Each check builds its witness
+    list only when its mask has a true entry.
     """
     out: list[Violation] = []
     n, leq, ortho = lat.n, lat.leq, lat.ortho
 
     # partial order
     _extend(out, ~leq.diagonal(), "order.reflexive")
-    _extend(out, leq & leq.T & ~np.eye(n, dtype=bool), "order.antisymmetric")
+    two_way = leq & leq.T
+    np.fill_diagonal(two_way, False)
+    _extend(out, two_way, "order.antisymmetric")
     # (p, q, r) with p ≤ q ≤ r but not p ≤ r, listed only if one exists
     if (_bool_matmul(leq, leq) & ~leq).any():
         for p in range(n):
@@ -176,24 +187,27 @@ def verify_oml(lat: FiniteOml) -> list[Violation]:
     if out:
         return out
 
+    meet, join = lat.meet, lat.join
     if lat.bottom == NO_ELEMENT:
         out.append(Violation("bounds.bottom", ()))
     if lat.top == NO_ELEMENT:
         out.append(Violation("bounds.top", ()))
-    _extend(out, np.stack([lat.meet, lat.join], axis=-1) == NO_ELEMENT,
-            "lattice.meet", "lattice.join")
+    no_meet, no_join = meet == NO_ELEMENT, join == NO_ELEMENT
+    if no_meet.any() or no_join.any():
+        _extend(out, np.stack([no_meet, no_join], axis=-1), "lattice.meet", "lattice.join")
     if out:
         return out
 
     elems = np.arange(n)
     _extend(out, ortho[ortho] != elems, "ortho.involution")
     # leq[ortho[q], ortho[p]] at [p, q]
-    _extend(out, leq & ~leq[np.ix_(ortho, ortho)].T, "ortho.order_reversing")
-    _extend(out, np.stack([lat.join[elems, ortho] != lat.top,
-                           lat.meet[elems, ortho] != lat.bottom], axis=-1),
-            "ortho.complement_join", "ortho.complement_meet")
+    _extend(out, leq & ~leq[ortho][:, ortho].T, "ortho.order_reversing")
+    bad_join, bad_meet = join[elems, ortho] != lat.top, meet[elems, ortho] != lat.bottom
+    if bad_join.any() or bad_meet.any():
+        _extend(out, np.stack([bad_join, bad_meet], axis=-1),
+                "ortho.complement_join", "ortho.complement_meet")
     # join[p, meet[ortho[p], q]] at [p, q]
-    p_and_back = np.take_along_axis(lat.join, lat.meet[ortho], axis=1)
+    p_and_back = join[elems[:, None], meet[ortho]]
     _extend(out, leq & (p_and_back != elems), "orthomodular")
     return out
 

@@ -769,6 +769,34 @@ def test_claims_run_computes_commutativity_at_most_once(monkeypatch):
             assert not computed
 
 
+def test_claims_suites_eigensolve_only_the_members_they_probe(monkeypatch):
+    # prop9 and preimage probe the first of the two random members; the
+    # second is drawn, so that the stream is unchanged, and not eigensolved
+    solved = []
+    top = harness_module.top_projectors
+    monkeypatch.setattr(harness_module, "top_projectors",
+                        lambda alg, h: solved.append(h) or top(alg, h))
+    instances = _claims_instances()
+    for suite, per_instance in [("prop7", 2), ("prop9", 1), ("preimage", 1)]:
+        solved.clear()
+        run_suite(RunConfig(suite, instances, seed=0, samples=5))
+        assert len(solved) == per_instance * len(instances), suite
+
+
+def test_gns_computes_its_coordinate_tables_once_per_algebra(monkeypatch):
+    # prop2 builds one GNS representation per state; the coordinates of the
+    # basis products and of the identity depend on the algebra alone
+    computed = {"product_coords": [], "unit_coords": []}
+    for name, seen in computed.items():
+        prop = FdAlgebra.__dict__[name]  # a cached_property
+        monkeypatch.setattr(prop, "func", lambda self, seen=seen, f=prop.func:
+                            seen.append(self) or f(self))
+    instances = _claims_instances()
+    run_suite(RunConfig("prop2", instances, seed=0, samples=6))
+    for seen in computed.values():
+        assert len(seen) == len({id(alg) for alg in seen}) == len(instances)
+
+
 # the claims whose failing rows name a witness; prop1 and the C*-identity
 # have none to give
 WITNESSED_CLAIMS = {"prop2_purity_irreducibility", "prop9", "hat_is_characteristic",

@@ -158,6 +158,13 @@ def test_oml_verify_reports_an_empty_quantum_set(runner, tmp_path):
     ({"ground": ["a", "b"], "members": [[], [0], [1], [0, 1]], "ortho": [3.5, 2, 1, 0]},
      "ortho must be a list of integers"),
     ({"leq": [[1, 0], [1]], "ortho": [1, 0]}, "leq must be a square truth table"),
+    # the first bad row names the fault, whatever a later row holds
+    ({"leq": [[1, 0, 0], [1, 1], [0, 2, 1]], "ortho": [2, 1, 0]},
+     "leq must be a square truth table"),
+    ({"leq": [[1, 0, 0], [1, 2, 0], [0, 1]], "ortho": [2, 1, 0]},
+     "leq must be a list of rows"),
+    # 0, 1, true and false may mix: B1, a valid OML
+    ({"leq": [[True, 1], [0, True]], "ortho": [1, 0]}, None),
 ])
 def test_oml_strict_lattice_json(runner, tmp_path, command, lattice, message):
     # casting would read 1.7 as 1 and 2 or 0.5 as true; a point 0.5 of a
@@ -165,6 +172,9 @@ def test_oml_strict_lattice_json(runner, tmp_path, command, lattice, message):
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(lattice))
     res = runner.invoke(main, ["oml", command, str(path)])
+    if message is None:
+        assert (res.exit_code, res.stderr) == (0, "")
+        return
     assert res.exit_code == 2
     assert f"input error: {message}" in res.stderr
 
@@ -949,6 +959,81 @@ def test_non_utf8_input_is_an_input_error(runner, files, kind):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("text, where", [
+    (b'{\r\n  "a": 1,\r\n nope}', "line 3 column 2 (char 13)"),
+    (b'{\r"a": 1\r,\r nope}', "line 4 column 2 (char 12)"),
+], ids=["crlf", "cr"])
+def test_json_error_names_the_line_and_column_text_mode_reads(runner, files, text, where):
+    # the input is read as bytes; its \r\n and \r line ends still count as
+    # text mode counts them
+    bad = files["tmp"] / "lines.json"
+    bad.write_bytes(text)
+    res = runner.invoke(main, ["spectral", "report", str(bad)])
+    assert res.exit_code == 2
+    assert res.stderr == (f"input error: cannot read {bad}: Expecting property name "
+                          f"enclosed in double quotes: {where}\n")
+
+
+def _run_in_ascii_locale(argv: list[str]) -> subprocess.CompletedProcess:
+    """One command line in a process whose locale encoding is ASCII."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0")
+    return subprocess.run([sys.executable, "-m", "qgelfand.cli", *argv],
+                          capture_output=True, timeout=60, env=env)
+
+
+_M2 = {"ambient_dim": 2, "generators": [matrix_to_json(E12)]}
+
+
+@pytest.mark.parametrize("kind", ["lattice", "config", "instance"])
+def test_utf8_input_is_read_in_an_ascii_locale(files, kind):
+    # each file holds a raw UTF-8 "α"; read in the locale's encoding, each
+    # was an input error
+    tmp = files["tmp"]
+    if kind == "lattice":
+        text = json.dumps({"leq": [[1, 1], [0, 1]], "ortho": [1, 0], "labels": ["α", "1"]},
+                          ensure_ascii=False)
+        (tmp / "alpha.json").write_bytes(text.encode())
+        argv = ["oml", "verify", str(tmp / "alpha.json")]
+    else:
+        instance = {"name": "α", "algebra": _M2}
+        if kind == "instance":
+            (tmp / "m2_alpha.json").write_bytes(json.dumps(
+                {**_M2, "note": "α"}, ensure_ascii=False).encode())
+            instance = "m2_alpha.json"
+        (tmp / "cfg.json").write_bytes(json.dumps(
+            {"suite": "prop1", "instances": [instance], "seed": 0}, ensure_ascii=False).encode())
+        argv = ["claims", "run", "--config", str(tmp / "cfg.json")]
+    proc = _run_in_ascii_locale(argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["ok"]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_csv_report_is_written_as_utf8_in_an_ascii_locale(files, to_file):
+    # an instance named "α" (escaped in the config) crashed the CSV writer
+    # with a UnicodeEncodeError, exit 1
+    cfg = files["tmp"] / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "prop1", "instances": [{"name": "α", "algebra": _M2}],
+                               "seed": 0}))
+    out = files["tmp"] / "report.csv"
+    argv = ["claims", "run", "--config", str(cfg), "--format", "csv"]
+    proc = _run_in_ascii_locale([*argv, "--out", str(out)] if to_file else argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    res = CliRunner().invoke(main, argv)
+    assert (out.read_bytes() if to_file else proc.stdout) == res.stdout.encode()
+    assert ",α," in res.stdout
+
+
+def test_utf16_input_is_an_input_error_in_an_ascii_locale(files):
+    bad = files["tmp"] / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    proc = _run_in_ascii_locale(["oml", "verify", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"input error: cannot read {bad}: 'utf-8' codec".encode())
+
+
 @pytest.mark.parametrize("second, code", [
     ("same", 2), ("dotted", 2), ("link", 2), ("devnull", 0)])
 def test_out_and_plot_data_on_one_file(runner, files, monkeypatch, second, code):
@@ -972,7 +1057,7 @@ def test_out_and_plot_data_on_one_file(runner, files, monkeypatch, second, code)
         assert res.stderr == f"input error: {out} and {plot} name one file\n"
 
 
-@pytest.mark.parametrize("argv", [
+_USAGE_ERRORS = [
     pytest.param(["invsub", "{e12}", "--mode", "bogus"], id="invsub bad mode"),
     pytest.param(["oml", "bogus", "{mo2}"], id="unknown subcommand"),
     pytest.param(["bogus"], id="unknown group"),
@@ -982,7 +1067,10 @@ def test_out_and_plot_data_on_one_file(runner, files, monkeypatch, second, code)
                  id="abbreviated option"),
     pytest.param(["oml", "verify", "{mo2}", "--ou", "{tmp}/p.json"], id="abbreviated --out"),
     pytest.param(["oml", "verify", "{mo2}", "{mo2}"], id="extra argument"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS)
 def test_usage_error_exits_2_with_empty_stdout(runner, files, argv):
     argv = [a.format(e12=files["e12.json"], mo2=files["mo2.json"], tmp=files["tmp"])
             for a in argv]
@@ -1007,16 +1095,20 @@ def _readme() -> str:
     return (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
+def _readme_command_lines() -> list[str]:
+    """The command lines of README's "Command line" block."""
+    block = _readme().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("qgelfand ")]
+
+
 def _readme_commands() -> dict[tuple[str, ...], set[str]]:
     """Each command line of README's "Command line" block, as its words,
     with the options it names."""
-    block = _readme().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = {}
-    for line in block.splitlines():
-        if line.startswith("qgelfand "):
-            words = line.split()[1:]
-            cmd = tuple(itertools.takewhile(re.compile("[a-z]+$").match, words))
-            commands[cmd] = set(re.findall(r"--[a-z-]+", line))
+    for line in _readme_command_lines():
+        words = line.split()[1:]
+        cmd = tuple(itertools.takewhile(re.compile("[a-z]+$").match, words))
+        commands[cmd] = set(re.findall(r"--[a-z-]+", line))
     return commands
 
 
@@ -1073,6 +1165,76 @@ def test_help_exits_0_at_every_level(runner, words):
     assert res.exit_code == 0
     assert res.stdout.startswith(" ".join(("usage: qgelfand", *words)))
     assert res.stderr == ""
+
+
+# README's placeholders, as templates over the files fixture
+_README_VALUES = {"LATTICE.json": "{mo2}", "ALGEBRA.json": "{m2}", "CONFIG.json": "{cfg}",
+                  "MATRIX.json": "{e12}", "FILE": "{tmp}/out.txt", "OUT.csv": "{tmp}/plot.csv",
+                  "N": "1000", "json|csv": "csv", "paper|oracle|both": "both"}
+
+
+def _readme_argvs(options: bool) -> list[list[str]]:
+    """Each README command line as an argv template, with all of its
+    bracketed options or with none."""
+    argvs = []
+    for line in _readme_command_lines():
+        line = line.replace("[", "").replace("]", "") if options else re.sub(r" \[.*?\]", "", line)
+        argvs.append([_README_VALUES.get(word, word) for word in line.split()[1:]])
+    return argvs
+
+
+def _lines(argvs, suffix=()) -> list:
+    return [pytest.param([*argv, *suffix], id=" ".join([*argv, *suffix])) for argv in argvs]
+
+
+_GROUP_HELP = _lines([(), ("oml",), ("alg",), ("claims",), ("spectral",)], ["--help"])
+_COMMAND_HELP = _lines(_parser_commands(cli.PARSER), ["--help"])
+_WELL_FORMED = [*_lines(_readme_argvs(False)), *_lines(_readme_argvs(True)),
+                *_lines([["oml", "verify", "--out={tmp}/out.txt", "--", "{mo2}"]])]
+
+
+def _run_parsed_by(parse, argv, files, monkeypatch):
+    """Run argv through main with parse as its parser: the exit code, the
+    output streams, the files written and the Namespace the command ran on."""
+    parsed = []
+    monkeypatch.setattr(cli, "_parse", lambda argv: parsed.append(parse(argv)) or parsed[-1])
+    res = CliRunner().invoke(main, argv)
+    written = {}
+    for name in ("out.txt", "plot.csv"):
+        path = files["tmp"] / name
+        if path.exists():
+            written[name] = path.read_bytes()
+            path.unlink()
+    return res.exit_code, res.stdout, res.stderr, written, [vars(ns) for ns in parsed]
+
+
+def _argv(argv, files) -> list[str]:
+    cfg = files["tmp"] / "cfg_parity.json"
+    cfg.write_text(json.dumps({"suite": "prop1", "instances": ["diag3.json"], "seed": 0}))
+    return [a.format(mo2=files["mo2.json"], m2=files["m2.json"], e12=files["e12.json"],
+                     cfg=cfg, tmp=files["tmp"]) for a in argv]
+
+
+# usage errors that a command's own parser finds
+_COMMAND_ERRORS = _lines([["claims", "run"], ["oml", "verify"], ["oml", "semigroup", "{mo2}",
+                          "--cap", "x"], ["spectral", "report", "{e12}", "--samples", "0"]])
+
+
+@pytest.mark.parametrize("argv", [*_WELL_FORMED, *_USAGE_ERRORS, *_COMMAND_ERRORS, *_GROUP_HELP,
+                                  *_COMMAND_HELP, *_lines(_readme_argvs(False), ["extra"])])
+def test_command_dispatch_matches_the_whole_tree(files, monkeypatch, argv):
+    # main hands a line that names a command to that command's parser; the
+    # oracle is the whole tree's parse_args on every line
+    argv = _argv(argv, files)
+    assert (_run_parsed_by(cli._parse, argv, files, monkeypatch)
+            == _run_parsed_by(cli.PARSER.parse_args, argv, files, monkeypatch))
+
+
+@pytest.mark.parametrize("argv", [*_WELL_FORMED, *_COMMAND_HELP])
+def test_well_formed_command_lines_never_reach_the_tree(runner, files, monkeypatch, argv):
+    monkeypatch.setattr(cli.PARSER, "parse_args",
+                        lambda *args: pytest.fail("the whole tree parsed a well-formed line"))
+    assert runner.invoke(main, _argv(argv, files)).exit_code == 0
 
 
 _ANTICHAIN = {"n": 2, "leq": [[1, 0], [0, 1]], "ortho": [1, 0]}

@@ -50,6 +50,15 @@ def _broken() -> dict[str, FiniteOml]:
         "irreflexive": FiniteOml([[0, 1], [0, 1]], [1, 0]),
         "bowtie": FiniteOml(bowtie, [5, 4, 3, 2, 1, 0]),
         "not_involutive": FiniteOml(mo_lattice(2).leq, [5, 2, 3, 4, 1, 0]),
+        # an involution of B2 that fixes 0 and 1: 0 ≤ 1 but not 1⊥ ≤ 0⊥
+        "not_order_reversing": FiniteOml(boolean_lattice(2).leq, [0, 2, 1, 3]),
+        # a, b < 1 and no a ∧ b; 0 < a, b and no a ∨ b
+        "no_bottom": FiniteOml([[1, 0, 1], [0, 1, 1], [0, 0, 1]], [1, 0, 2]),
+        "no_top": FiniteOml([[1, 1, 1], [0, 1, 0], [0, 0, 1]], [0, 2, 1]),
+        # in B2, p⊥ = 1: p ∨ p⊥ = 1 but a ∧ a⊥ = a; 0⊥ = a and p⊥ = 0
+        # otherwise: p ∧ p⊥ = 0 but 0 ∨ 0⊥ = a
+        "ortho_to_top": FiniteOml(boolean_lattice(2).leq, [3, 3, 3, 3]),
+        "ortho_to_bottom": FiniteOml(boolean_lattice(2).leq, [1, 0, 0, 0]),
     }
 
 
@@ -93,6 +102,22 @@ def test_broken_lattice_checks_match_oracle(name):
     lat = BROKEN[name]
     _assert_tables_match(lat)
     assert verify_oml(lat) != []
+
+
+def test_broken_lattices_fire_every_axiom():
+    # so that each check of verify_oml, and the skip of its witness list
+    # when the check is clean, meets the oracle on both sides; the checks
+    # that share one mask each fire without the other too
+    fired = [{v.axiom for v in oracle.verify_oml(lat)} for lat in BROKEN.values()]
+    assert set().union(*fired) == {
+        "order.reflexive", "order.antisymmetric", "order.transitive",
+        "bounds.bottom", "bounds.top", "lattice.meet", "lattice.join",
+        "ortho.involution", "ortho.order_reversing", "ortho.complement_join",
+        "ortho.complement_meet", "orthomodular"}
+    for pair in [("lattice.meet", "lattice.join"),
+                 ("ortho.complement_join", "ortho.complement_meet")]:
+        for one, other in itertools.permutations(pair):
+            assert any(one in axioms and other not in axioms for axioms in fired), one
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
